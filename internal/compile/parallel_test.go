@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
 	"bsched/internal/ir"
+	"bsched/internal/workload"
 )
 
 // manyBlockProgram builds a program of n structurally distinct blocks
@@ -64,6 +66,37 @@ func TestRunParallelDeterministic(t *testing.T) {
 		}
 		if fmt.Sprint(got.Degradations) != fmt.Sprint(ref.Degradations) {
 			t.Errorf("Parallelism=%d changed the degradation list", par)
+		}
+	}
+}
+
+// TestRunBlockRepeatable compiles every block of the paper suite 20
+// times with default options and expects one output text per block:
+// nothing in the pipeline (a map walk in the register allocator, say)
+// may make the same input compile differently from run to run.
+func TestRunBlockRepeatable(t *testing.T) {
+	progs := workload.All()
+	names := make([]string, 0, len(progs))
+	for name := range progs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		for _, f := range progs[name].Funcs {
+			for _, b := range f.Blocks {
+				var first string
+				for run := 0; run < 20; run++ {
+					res, err := RunBlock(context.Background(), b, Options{})
+					if err != nil {
+						t.Fatalf("%s/%s: %v", name, b.Label, err)
+					}
+					if got := res.Block.String(); run == 0 {
+						first = got
+					} else if got != first {
+						t.Fatalf("%s/%s: run %d compiled differently from run 0", name, b.Label, run)
+					}
+				}
+			}
 		}
 	}
 }

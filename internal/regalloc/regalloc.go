@@ -358,7 +358,10 @@ func (a *allocator) allocGeneral(idx int, b *ir.Block, inUse map[ir.Reg]bool) (i
 		return p, nil, nil
 	}
 	// Belady: evict the general-register value used farthest in the
-	// future (never-used live-out values count as +inf).
+	// future (never-used live-out values count as +inf). Ties go to the
+	// lowest physical register: a.regOf is a map, so without the
+	// tie-break its random iteration order would pick the victim and the
+	// same block would allocate differently from run to run.
 	var victim ir.Reg
 	victimUse := -2
 	for p, vr := range a.regOf {
@@ -369,7 +372,7 @@ func (a *allocator) allocGeneral(idx int, b *ir.Block, inUse map[ir.Reg]bool) (i
 		if use < 0 {
 			use = len(b.Instrs) + 1 // live-out, unused here: farthest
 		}
-		if use > victimUse {
+		if use > victimUse || (use == victimUse && p < victim) {
 			victimUse = use
 			victim = p
 		}
