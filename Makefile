@@ -2,21 +2,21 @@
 
 GO ?= go
 
-.PHONY: all build test race test-race fuzz-smoke serve-smoke metrics-smoke chaos-smoke cluster-smoke batch-smoke fleet-obs-smoke policy-smoke doc-lint bench bench-json bench-diff repro repro-quick examples vet fmt cover clean
+.PHONY: all build test bench-vet race test-race fuzz-smoke serve-smoke metrics-smoke chaos-smoke cluster-smoke batch-smoke fleet-obs-smoke policy-smoke doc-lint bench bench-json bench-diff repro repro-quick examples vet fmt cover clean
 
 all: build test
 
 build:
 	$(GO) build ./...
 
-# The default test path runs go vet, the unit suites, the documentation
-# lint, the /metrics smoke check, the chaos/overload smoke check, the
+# The default test path runs go vet, the benchmark module's vet, the unit
+# suites, the documentation lint, the /metrics smoke check, the chaos/overload smoke check, the
 # multi-node cluster smoke check, the streaming batch smoke check, the
 # fleet observability smoke check and the scheduling-policy portfolio
 # smoke check, so a vet, metric, doc, resilience, fleet, streaming,
 # observability or policy regression fails `make test` the same way a
 # unit failure does.
-test: vet doc-lint
+test: vet doc-lint bench-vet
 	$(GO) test ./...
 	$(MAKE) metrics-smoke
 	$(MAKE) chaos-smoke
@@ -24,6 +24,12 @@ test: vet doc-lint
 	$(MAKE) batch-smoke
 	$(MAKE) fleet-obs-smoke
 	$(MAKE) policy-smoke
+
+# bench/ is its own Go module, so `go test ./...` never compiles it; vet
+# it here so an API change that breaks the benchmark fails `make test`
+# rather than the benchmark run.
+bench-vet:
+	cd bench && GOWORK=off $(GO) vet .
 
 race test-race:
 	$(GO) test -race ./...

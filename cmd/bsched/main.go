@@ -17,9 +17,9 @@
 // Compilation runs through the hardened front door
 // (bsched/internal/compile): malformed input exits non-zero with a
 // diagnostic instead of a stack trace, and blocks that exceed the -budget
-// work cap or the -timeout deadline degrade down the ladder (exact DP →
-// union-find → fixed-latency weights; list scheduling → source order)
-// with each downgrade reported inline.
+// work cap or the -timeout deadline degrade down the ladder (policy
+// weights → fixed-latency weights; list scheduling → source order) with
+// each downgrade reported inline.
 package main
 
 import (
@@ -127,14 +127,12 @@ func main() {
 
 		sopts := copts
 		sopts.SkipRegalloc = true
-		sopts.Scheduler = compile.Balanced
 		sopts.Policy = *policy
 		bal, err := compile.RunBlock(ctx, blk, sopts)
 		if err != nil {
 			fatal(err)
 		}
-		sopts.Policy = ""
-		sopts.Scheduler = compile.Traditional
+		sopts.Policy = sched.PolicyTraditional
 		trad, err := compile.RunBlock(ctx, blk, sopts)
 		if err != nil {
 			fatal(err)
@@ -192,10 +190,9 @@ func reportDegradations(results ...*compile.BlockResult) {
 	}
 }
 
-// showStages runs the hardened balanced pipeline on the block and prints
-// the outcome of each stage.
+// showStages runs the hardened pipeline on the block under copts.Policy
+// (balanced when empty) and prints the outcome of each stage.
 func showStages(ctx context.Context, blk *ir.Block, copts compile.Options) {
-	copts.Scheduler = compile.Balanced
 	res, err := compile.RunBlock(ctx, blk, copts)
 	if err != nil {
 		fatal(err)

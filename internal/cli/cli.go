@@ -12,6 +12,7 @@ import (
 	"bsched/internal/deps"
 	"bsched/internal/experiments"
 	"bsched/internal/machine"
+	"bsched/internal/sched"
 )
 
 // ReadInput returns the contents of path, or of stdin when path is empty
@@ -71,18 +72,18 @@ func ParseAlias(s string) (deps.AliasMode, error) {
 	return 0, fmt.Errorf("unknown alias mode %q (want disjoint or conservative)", s)
 }
 
-// PickScheduler resolves a scheduler name ("balanced", "traditional",
+// PickScheduler resolves a policy name ("balanced", "traditional",
 // "average") against the runner, using lat for the traditional one.
 func PickScheduler(r *experiments.Runner, kind string, lat float64) (experiments.SchedulerKind, error) {
 	switch kind {
-	case "balanced":
+	case sched.PolicyBalanced:
 		return r.BalancedSched(), nil
-	case "traditional":
+	case sched.PolicyTraditional:
 		if err := CheckLatency(lat); err != nil {
 			return experiments.SchedulerKind{}, err
 		}
 		return experiments.TraditionalSched(lat), nil
-	case "average":
+	case sched.PolicyAverage:
 		return r.AverageSched(), nil
 	}
 	return experiments.SchedulerKind{}, fmt.Errorf("unknown scheduler %q", kind)

@@ -55,8 +55,8 @@ func TestPickScheduler(t *testing.T) {
 	r := experiments.DefaultRunner()
 	for _, name := range []string{"balanced", "traditional", "average"} {
 		kind, err := PickScheduler(r, name, 2.5)
-		if err != nil || kind.Weighter == nil {
-			t.Errorf("%s: %v", name, err)
+		if err != nil || kind.Policy != name {
+			t.Errorf("%s: policy %q, %v", name, kind.Policy, err)
 		}
 	}
 	if k, err := PickScheduler(r, "traditional", 7.6); err != nil || k.Name != "traditional(7.6)" {

@@ -15,11 +15,13 @@
 //     balanced weight computation and the list scheduler.
 //
 //   - Graceful degradation. A stage that exceeds its budget does not
-//     abort the compilation; it falls down a ladder of cheaper
-//     strategies — exact ChancesDP → union-find Chances → fixed-latency
-//     weights, and list scheduling → source order (always a valid
-//     topological order) — recording every downgrade in
-//     BlockResult.Degradations so callers can surface them.
+//     abort the compilation; it falls to a cheaper strategy — the
+//     policy's weights → fixed-latency weights, and list scheduling →
+//     source order (always a valid topological order) — recording every
+//     downgrade in BlockResult.Degradations so callers can surface them.
+//
+// Options.Policy is the one weighting selector (empty means balanced)
+// and Options.SpanObserver the one stage-timing seam.
 //
 // Register pressure failures (spill pool exhaustion) remain hard errors:
 // no cheaper strategy can conjure registers, so they surface as *Error
@@ -45,24 +47,6 @@ import (
 	"bsched/internal/sched/features"
 )
 
-// Scheduler selects the weighting family.
-type Scheduler int
-
-const (
-	// Balanced is the paper's balanced scheduler (default).
-	Balanced Scheduler = iota
-	// Traditional is the fixed-load-latency baseline.
-	Traditional
-)
-
-// String names the scheduler ("balanced", "traditional").
-func (s Scheduler) String() string {
-	if s == Traditional {
-		return "traditional"
-	}
-	return "balanced"
-}
-
 // DefaultBlockBudget is the per-rung work allowance a block gets when
 // Options.BlockBudget is zero. It is far above what any realistic block
 // needs (the charge unit is roughly one loop iteration) while still
@@ -72,31 +56,21 @@ const DefaultBlockBudget = 4 << 20
 // Options configures a hardened compilation. The zero value is a valid
 // balanced compilation with default budgets.
 type Options struct {
-	// Scheduler selects balanced (default) or traditional weighting.
-	Scheduler Scheduler
-	// Policy, when non-empty, selects a weighting policy from the
-	// sched registry by name ("balanced", "traditional", "average",
-	// "balanced-dense", "critical-path") and takes precedence over
-	// Scheduler. The sentinel sched.PolicyAuto ("auto") asks the static
-	// decision rule to pick a policy per block from the block's
-	// features; the pick is made once, on the pass-1 DAG, and reused
-	// for pass 2 so both passes weight consistently. Unknown names are
-	// rejected by validation. The empty value preserves the legacy
-	// Scheduler path byte for byte.
+	// Policy selects the weighting policy from the sched registry by
+	// name ("balanced", "traditional", "average", "balanced-dense",
+	// "critical-path"); empty means balanced. The sentinel
+	// sched.PolicyAuto ("auto") asks the static decision rule to pick a
+	// policy per block from the block's features; the pick is made once,
+	// on the pass-1 DAG, and reused for pass 2 so both passes weight
+	// consistently. Unknown names are rejected by validation.
 	Policy string
-	// Weighter, when non-nil, overrides Scheduler with a custom weighting
-	// strategy (the experiment runner's ablation weighters use this). A
-	// custom weighter runs outside the weights budget, but panics and
-	// wrong-length results still degrade to the fixed-latency rung, and
-	// dependence construction and scheduling stay budgeted.
-	Weighter sched.Weighter
-	// TradLatency is the fixed load latency for the traditional scheduler
-	// and for the final fixed-latency rung of the degradation ladder.
-	// Zero means 2 (the paper's cache hit time); values below 1 are
-	// rejected.
+	// TradLatency is the fixed load latency for the traditional policy
+	// and for the fixed-latency floor of the degradation ladder. Zero
+	// means 2 (the paper's cache hit time); values below 1 are rejected.
 	TradLatency float64
-	// Core tunes the balanced weight computation. Core.Chances picks the
-	// top rung of the ladder; ChancesUnionFind starts one rung down.
+	// Core tunes the balanced weight computation of the policies built
+	// on it. Core.Chances = core.ChancesUnionFind swaps the exact Chances
+	// DP for the paper's union-find sketch (ablation A2).
 	Core core.Options
 	// Alias selects the memory disambiguation mode (§4.2).
 	Alias deps.AliasMode
@@ -123,34 +97,21 @@ type Options struct {
 	// (sequential). Results, degradation order and error attribution are
 	// deterministic regardless of the setting: blocks land in program
 	// order and a hard error in an earlier block wins over one in a
-	// later block. A custom Weighter must be safe for concurrent use
-	// when more than one block compiles at a time (the built-in
-	// weighters all are).
+	// later block.
 	Parallelism int
-	// Observer, when non-nil, receives the wall-clock duration of every
-	// pipeline stage of every block (the Stage* constants) as the stage
-	// finishes — the seam the bschedd daemon uses for its per-stage
-	// latency histograms. Observations carry no block identity and may
-	// arrive from multiple goroutines at once when blocks compile in
-	// parallel, so the observer must be fast and safe for concurrent
-	// use. It is called on the panic and degradation paths too: a stage
-	// that fell down the ladder still reports the time it burned.
-	Observer StageObserver
 	// SpanObserver, when non-nil, receives one completed StageSpan per
-	// pipeline stage of every block — the stage name plus the block
-	// label, pass, start time and duration that Observer deliberately
-	// omits. It is the tracing seam: the bschedd daemon turns each
-	// record into a child span of the request's compile span.
-	// SpanObserver runs alongside Observer (both fire when both are
-	// set) and shares its contract: concurrency-safe, fast, called on
-	// the panic and degradation paths too.
+	// pipeline stage of every block (the Stage* constants) as the stage
+	// finishes: the stage name, block label, pass, start time and
+	// duration. It is the one stage-timing seam: the bschedd daemon
+	// feeds its per-stage latency histograms from it and, for traced
+	// requests, turns each record into a child span of the compile
+	// span. Records may arrive from multiple goroutines at once when
+	// blocks compile in parallel, so the observer must be fast and safe
+	// for concurrent use. It is called on the panic and degradation
+	// paths too: a stage that fell down the ladder still reports the
+	// time it burned.
 	SpanObserver StageSpanObserver
 }
-
-// StageObserver receives one timing sample per completed pipeline
-// stage. Implementations must be safe for concurrent use; see
-// Options.Observer.
-type StageObserver func(stage string, d time.Duration)
 
 // StageSpan is one completed pipeline stage of one block, with enough
 // identity to render it as a span in a request trace.
@@ -172,7 +133,7 @@ type StageSpan struct {
 // Options.SpanObserver.
 type StageSpanObserver func(StageSpan)
 
-// Stage names passed to a StageObserver. Each scheduling pass reports
+// Stage names carried by a StageSpan. Each scheduling pass reports
 // deps, weights and schedule once; regalloc reports once per block.
 const (
 	StageDeps     = "deps"     // dependence-DAG construction
@@ -230,15 +191,11 @@ func (o *Options) regallocConfig() regalloc.Config {
 
 // Ladder rung names, used in Event.From / Event.To.
 const (
-	RungChancesDP = "chances-dp"
-	RungUnionFind = "chances-unionfind"
-	RungCustom    = "custom-weighter"
 	RungFixedLat  = "fixed-latency"
 	RungListSched = "list-scheduler"
 	RungSrcOrder  = "source-order"
 	// RungPolicyPrefix prefixes the policy name in the From rung of a
-	// degradation taken while computing a registry policy's weights
-	// (e.g. "policy:balanced-dense" → "fixed-latency").
+	// weights degradation (e.g. "policy:balanced" → "fixed-latency").
 	RungPolicyPrefix = "policy:"
 )
 
@@ -256,9 +213,9 @@ type Event struct {
 	// Reason is the triggering error, rendered.
 	Reason string
 	// Policy names the weighting policy the block was compiling under
-	// when the downgrade hit ("balanced", "critical-path", "custom",
-	// …), so per-policy degradation behaviour is attributable even
-	// after the ladder has flattened the weighting to a cheaper rung.
+	// when the downgrade hit ("balanced", "critical-path", …), so
+	// per-policy degradation behaviour is attributable even after the
+	// ladder has flattened the weighting to a cheaper rung.
 	Policy string
 	// Deadline reports that the downgrade was forced by expiry or
 	// cancellation of the surrounding context rather than the work
@@ -269,7 +226,7 @@ type Event struct {
 	Deadline bool
 }
 
-// String renders "block b3 pass 1: weights chances-dp → chances-unionfind (…)".
+// String renders "block b3 pass 1: weights policy:balanced → fixed-latency (…)".
 func (e Event) String() string {
 	return fmt.Sprintf("block %s pass %d: %s %s → %s (%s)", e.Block, e.Pass, e.Stage, e.From, e.To, e.Reason)
 }
@@ -290,11 +247,10 @@ type BlockResult struct {
 	// WorkUsed totals the work units charged across all budgeted rungs.
 	WorkUsed int64
 	// Policy names the weighting policy the block's schedule used:
-	// the forced Options.Policy, the decision rule's per-block pick
-	// under "auto", the legacy Scheduler's name when no policy was
-	// requested, or "custom" for a caller-supplied Weighter. Ladder
-	// downgrades do not change it — the policy is what was asked for,
-	// the Degradations record what was delivered.
+	// Options.Policy, "balanced" when that is empty, or the decision
+	// rule's per-block pick under "auto". Ladder downgrades do not
+	// change it — the policy is what was asked for, the Degradations
+	// record what was delivered.
 	Policy string
 }
 
@@ -499,23 +455,17 @@ func compileBlock(ctx context.Context, b *ir.Block, opts Options) (*BlockResult,
 func (c *blockCompiler) fork() *budget.Budget { return c.master.Fork() }
 
 // timeStage starts a stage timer and returns the stop function to
-// defer; with no observers both halves are free. pass is the scheduling
+// defer; with no observer both halves are free. pass is the scheduling
 // pass (0 for regalloc), forwarded to the span observer.
 func (c *blockCompiler) timeStage(stage string, pass int) func() {
-	if c.opts.Observer == nil && c.opts.SpanObserver == nil {
+	if c.opts.SpanObserver == nil {
 		return func() {}
 	}
 	start := time.Now()
 	return func() {
-		d := time.Since(start)
-		if c.opts.Observer != nil {
-			c.opts.Observer(stage, d)
-		}
-		if c.opts.SpanObserver != nil {
-			c.opts.SpanObserver(StageSpan{
-				Block: c.label, Pass: pass, Stage: stage, Start: start, Duration: d,
-			})
-		}
+		c.opts.SpanObserver(StageSpan{
+			Block: c.label, Pass: pass, Stage: stage, Start: start, Duration: time.Since(start),
+		})
 	}
 }
 
@@ -527,22 +477,19 @@ func (c *blockCompiler) event(pass int, stage, from, to string, cause error) {
 	})
 }
 
-// resolvePolicy fixes the block's weighting policy, once: the custom
-// Weighter wins, then a forced Options.Policy, then — under "auto" —
-// the decision rule over the pass-1 DAG's features, and otherwise the
-// legacy Scheduler's name. The resolution is cached so pass 2 reuses
+// resolvePolicy fixes the block's weighting policy, once: Options.Policy,
+// balanced when that is empty, and under "auto" the decision rule over
+// the pass-1 DAG's features. The resolution is cached so pass 2 reuses
 // pass 1's pick. g may be nil (DAG construction itself degraded); an
 // "auto" block then falls back to balanced, the rule's default arm.
 func (c *blockCompiler) resolvePolicy(g *deps.Graph) string {
 	if c.res.Policy != "" {
 		return c.res.Policy
 	}
-	switch {
-	case c.opts.Weighter != nil:
-		c.res.Policy = "custom"
-	case c.opts.Policy == "":
-		c.res.Policy = c.opts.Scheduler.String()
-	case c.opts.Policy == sched.PolicyAuto:
+	switch c.opts.Policy {
+	case "":
+		c.res.Policy = sched.PolicyBalanced
+	case sched.PolicyAuto:
 		if g == nil {
 			c.res.Policy = sched.PolicyBalanced
 		} else {
@@ -579,76 +526,23 @@ func (c *blockCompiler) schedulePass(work *ir.Block, pass int) (*ir.Block, *sche
 }
 
 // weights runs the weight-computation ladder for the block's resolved
-// policy. Balanced keeps its two-rung ladder (exact DP Chances →
-// union-find Chances); traditional and critical-path are O(n) and
-// cannot fail; the remaining registry policies run as a single budgeted
-// rung. Every path bottoms out at fixed-latency weights, which are O(n)
-// and unbudgeted.
+// policy: one budgeted rung through the sched registry, falling
+// straight to fixed-latency weights, which are O(n) and unbudgeted.
 func (c *blockCompiler) weights(g *deps.Graph, pass int) []float64 {
 	defer c.timeStage(StageWeights, pass)()
-	if c.opts.Weighter != nil {
-		w, err := c.tryCustomWeights(g)
-		if err == nil {
-			return w
-		}
-		c.event(pass, "weights", RungCustom, RungFixedLat, err)
-		return c.fixedWeights(g)
+	policy := c.resolvePolicy(g)
+	w, err := c.tryPolicyWeights(g, policy)
+	if err == nil {
+		return w
 	}
-	switch policy := c.resolvePolicy(g); policy {
-	case sched.PolicyBalanced:
-		// Fall through to the balanced DP → union-find ladder below.
-	case sched.PolicyTraditional:
-		return c.fixedWeights(g)
-	default:
-		w, err := c.tryPolicyWeights(g, policy)
-		if err == nil {
-			return w
-		}
-		c.event(pass, "weights", RungPolicyPrefix+policy, RungFixedLat, err)
-		return c.fixedWeights(g)
-	}
-	rungs := []struct {
-		name   string
-		method core.ChancesMethod
-	}{
-		{RungChancesDP, core.ChancesDP},
-		{RungUnionFind, core.ChancesUnionFind},
-	}
-	if c.opts.Core.Chances == core.ChancesUnionFind {
-		rungs = rungs[1:] // caller already asked for the cheaper analysis
-	}
-	for i, rung := range rungs {
-		w, err := c.tryWeights(g, rung.method)
-		if err == nil {
-			return w
-		}
-		to := RungFixedLat
-		if i+1 < len(rungs) {
-			to = rungs[i+1].name
-		}
-		c.event(pass, "weights", rung.name, to, err)
-	}
+	c.event(pass, "weights", RungPolicyPrefix+policy, RungFixedLat, err)
 	return c.fixedWeights(g)
-}
-
-// tryWeights runs one balanced-weights rung under a fresh budget,
-// recovering a panic into an error so the ladder can take it.
-func (c *blockCompiler) tryWeights(g *deps.Graph, method core.ChancesMethod) (w []float64, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			w, err = nil, fmt.Errorf("panic: %v", r)
-		}
-	}()
-	copts := c.opts.Core
-	copts.Chances = method
-	wb := c.fork()
-	defer func() { c.res.WorkUsed += wb.Used() }()
-	return core.WeightsBudgeted(g, copts, wb)
 }
 
 // tryPolicyWeights runs one registry policy's weighting as a single
 // budgeted rung behind the panic boundary, rejecting wrong-length
-// results the same way the custom-weighter rung does.
+// results (the raw scheduler treats those as a programmer error and
+// panics; here they take the ladder).
 func (c *blockCompiler) tryPolicyWeights(g *deps.Graph, policy string) (w []float64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -669,22 +563,6 @@ func (c *blockCompiler) tryPolicyWeights(g *deps.Graph, policy string) (w []floa
 	}
 	if len(w) != g.N() {
 		return nil, fmt.Errorf("policy %q returned %d weights for %d nodes", policy, len(w), g.N())
-	}
-	return w, nil
-}
-
-// tryCustomWeights runs a caller-supplied Weighter behind the panic
-// boundary, rejecting wrong-length results (the raw scheduler treats
-// those as a programmer error and panics; here they take the ladder).
-func (c *blockCompiler) tryCustomWeights(g *deps.Graph) (w []float64, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			w, err = nil, fmt.Errorf("panic: %v", r)
-		}
-	}()
-	w = c.opts.Weighter(g)
-	if len(w) != g.N() {
-		return nil, fmt.Errorf("weighter returned %d weights for %d nodes", len(w), g.N())
 	}
 	return w, nil
 }

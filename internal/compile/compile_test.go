@@ -9,7 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"bsched/internal/budget"
 	"bsched/internal/core"
@@ -27,8 +26,7 @@ import (
 
 // chainBlock builds `chains` independent load chains of `length` loads
 // each: plenty of inter-chain parallelism (every other chain is in every
-// load's G_ind), which makes the component analysis — and the gap between
-// its DP and union-find implementations — the dominant cost.
+// load's G_ind), which makes the component analysis the dominant cost.
 func chainBlock(t *testing.T, chains, length int) *ir.Block {
 	t.Helper()
 	var sb strings.Builder
@@ -91,40 +89,42 @@ func eventSummaries(evs []Event) []string {
 	return out
 }
 
-// TestDegradationLadder forces each rung of the ladder in turn by
-// shrinking the block budget, asserting both the recorded events and
-// that every rung still produces a semantically correct schedule.
-func TestDegradationLadder(t *testing.T) {
-	blk := chainBlock(t, 6, 8)
-	ctx := context.Background()
-
-	// Measure what each stage actually costs on this block so the budget
-	// thresholds are exact rather than magic numbers.
-	g := deps.Build(blk, deps.BuildOptions{})
-	dp := budget.New(nil, 0)
-	if _, err := core.WeightsBudgeted(g, core.Options{Chances: core.ChancesDP}, dp); err != nil {
-		t.Fatalf("unlimited DP weights: %v", err)
-	}
-	uf := budget.New(nil, 0)
-	ufWeights, err := core.WeightsBudgeted(g, core.Options{Chances: core.ChancesUnionFind}, uf)
+// ladderCosts measures what each budgeted stage of a pass-1 compile
+// of blk costs under the balanced policy, so budget thresholds in tests
+// are exact rather than magic numbers.
+func ladderCosts(t *testing.T, blk *ir.Block) (g *deps.Graph, depsUsed, weightsUsed, schedUsed int64) {
+	t.Helper()
+	g = deps.Build(blk, deps.BuildOptions{})
+	wb := budget.New(nil, 0)
+	w, err := core.WeightsBudgeted(g, core.Options{}, wb)
 	if err != nil {
-		t.Fatalf("unlimited UF weights: %v", err)
+		t.Fatalf("unlimited weights: %v", err)
 	}
 	db := budget.New(nil, 0)
 	if _, err := deps.BuildBudgeted(blk, deps.BuildOptions{}, db); err != nil {
 		t.Fatalf("unlimited deps: %v", err)
 	}
 	sb := budget.New(nil, 0)
-	if _, err := sched.ScheduleBudgeted(g, func(*deps.Graph) []float64 { return ufWeights }, sched.Heuristics{}, sb); err != nil {
+	if _, err := sched.ScheduleBudgeted(g, func(*deps.Graph) []float64 { return w }, sched.Heuristics{}, sb); err != nil {
 		t.Fatalf("unlimited schedule: %v", err)
 	}
 	// The test block must put the budget pressure in the weights stage:
-	// union-find strictly cheaper than DP, and deps/scheduling cheaper
-	// than union-find (each rung gets its own forked allowance).
-	if !(uf.Used() < dp.Used()) || db.Used() > uf.Used()-1 || sb.Used() > uf.Used()-1 {
-		t.Fatalf("test block has the wrong cost profile: dp=%d uf=%d deps=%d sched=%d",
-			dp.Used(), uf.Used(), db.Used(), sb.Used())
+	// deps and scheduling fit in one unit less than the weights (each
+	// rung gets its own forked allowance).
+	if db.Used() > wb.Used()-1 || sb.Used() > wb.Used()-1 {
+		t.Fatalf("test block has the wrong cost profile: weights=%d deps=%d sched=%d",
+			wb.Used(), db.Used(), sb.Used())
 	}
+	return g, db.Used(), wb.Used(), sb.Used()
+}
+
+// TestDegradationLadder forces each rung of the ladder in turn by
+// shrinking the block budget, asserting both the recorded events and
+// that every rung still produces a semantically correct schedule.
+func TestDegradationLadder(t *testing.T) {
+	blk := chainBlock(t, 6, 8)
+	ctx := context.Background()
+	_, _, weightsUsed, _ := ladderCosts(t, blk)
 
 	run := func(t *testing.T, budget int64, wantEvents ...string) *BlockResult {
 		t.Helper()
@@ -149,17 +149,12 @@ func TestDegradationLadder(t *testing.T) {
 			t.Fatal("no work recorded")
 		}
 	})
-	t.Run("dp-to-unionfind", func(t *testing.T) {
-		// Exactly the union-find cost: DP trips, union-find just fits.
-		run(t, uf.Used(), "weights:chances-dp->chances-unionfind")
-	})
 	t.Run("to-fixed-latency", func(t *testing.T) {
-		// One unit short of the union-find cost: both balanced rungs trip
-		// and the fixed-latency floor (unbudgeted) takes over; scheduling
-		// still fits.
-		run(t, uf.Used()-1,
-			"weights:chances-dp->chances-unionfind",
-			"weights:chances-unionfind->fixed-latency")
+		// Exactly the weights cost fits; one unit short, the balanced
+		// rung trips and the fixed-latency floor (unbudgeted) takes
+		// over; scheduling still fits.
+		run(t, weightsUsed)
+		run(t, weightsUsed-1, "weights:policy:balanced->fixed-latency")
 	})
 	t.Run("to-source-order", func(t *testing.T) {
 		// A one-unit budget cannot even build the DAG: the block falls
@@ -171,23 +166,6 @@ func TestDegradationLadder(t *testing.T) {
 				t.Fatalf("source order not preserved at %d: %s vs %s", i, in, blk.Instrs[i])
 			}
 		}
-	})
-	t.Run("unionfind-start", func(t *testing.T) {
-		// Asking for union-find up front skips the DP rung.
-		res, err := RunBlock(ctx, blk, Options{
-			SkipRegalloc: true,
-			BlockBudget:  uf.Used() - 1,
-			Core:         core.Options{Chances: core.ChancesUnionFind},
-		})
-		if err != nil {
-			t.Fatalf("RunBlock: %v", err)
-		}
-		got := eventSummaries(res.Degradations)
-		want := []string{"weights:chances-unionfind->fixed-latency"}
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("degradations = %v, want %v", got, want)
-		}
-		checkSemantics(t, blk, res)
 	})
 }
 
@@ -232,16 +210,16 @@ func TestFrontDoorMatchesPipeline(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 10; trial++ {
 		blk := workload.Random(rng, workload.DefaultRandomParams(10+rng.Intn(40)))
-		for _, s := range []Scheduler{Balanced, Traditional} {
+		for _, s := range []string{sched.PolicyBalanced, sched.PolicyTraditional} {
 			popts := pipeline.Balanced()
-			if s == Traditional {
+			if s == sched.PolicyTraditional {
 				popts = pipeline.Traditional(2)
 			}
 			want, err := pipeline.CompileBlock(blk, popts)
 			if err != nil {
 				t.Fatalf("pipeline: %v", err)
 			}
-			got, err := RunBlock(context.Background(), blk, Options{Scheduler: s})
+			got, err := RunBlock(context.Background(), blk, Options{Policy: s})
 			if err != nil {
 				t.Fatalf("compile: %v", err)
 			}
@@ -321,8 +299,8 @@ func TestChaosFaultProfiles(t *testing.T) {
 		{Kind: machine.MaxOutstanding, Limit: 2},
 		{Kind: machine.MaxAge, Limit: 4},
 	}
-	for _, s := range []Scheduler{Balanced, Traditional} {
-		res, err := RunBlock(context.Background(), blk, Options{Scheduler: s})
+	for _, s := range []string{sched.PolicyBalanced, sched.PolicyTraditional} {
+		res, err := RunBlock(context.Background(), blk, Options{Policy: s})
 		if err != nil {
 			t.Fatalf("%v: compile: %v", s, err)
 		}
@@ -396,22 +374,22 @@ end`
 	}
 }
 
-// TestStageObserver: a non-nil Options.Observer receives one timing
-// sample per stage per pass — deps/weights/schedule twice (two passes),
-// regalloc once — and samples keep flowing on the degradation path.
+// TestStageObserver: a non-nil Options.SpanObserver receives one record
+// per stage per pass — deps/weights/schedule twice (two passes),
+// regalloc once — and records keep flowing on the degradation path.
 func TestStageObserver(t *testing.T) {
 	blk := chainBlock(t, 4, 4)
 	var mu sync.Mutex
 	counts := map[string]int{}
-	obs := func(stage string, d time.Duration) {
-		if d < 0 {
-			t.Errorf("stage %s reported negative duration %v", stage, d)
+	obs := func(s StageSpan) {
+		if s.Duration < 0 {
+			t.Errorf("stage %s reported negative duration %v", s.Stage, s.Duration)
 		}
 		mu.Lock()
-		counts[stage]++
+		counts[s.Stage]++
 		mu.Unlock()
 	}
-	if _, err := RunBlock(context.Background(), blk, Options{Observer: obs}); err != nil {
+	if _, err := RunBlock(context.Background(), blk, Options{SpanObserver: obs}); err != nil {
 		t.Fatal(err)
 	}
 	want := map[string]int{StageDeps: 2, StageWeights: 2, StageSchedule: 2, StageRegalloc: 1}
@@ -423,7 +401,7 @@ func TestStageObserver(t *testing.T) {
 
 	// A budget small enough to force the ladder still reports timings.
 	counts = map[string]int{}
-	res, err := RunBlock(context.Background(), blk, Options{Observer: obs, BlockBudget: 1})
+	res, err := RunBlock(context.Background(), blk, Options{SpanObserver: obs, BlockBudget: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +417,7 @@ func TestStageObserver(t *testing.T) {
 	}
 }
 
-// TestStageObserverConcurrent: Run with parallel blocks calls the
+// TestStageObserverConcurrent: Run with parallel blocks calls the span
 // observer from several goroutines; under `make test-race` this pins
 // the documented concurrency contract.
 func TestStageObserverConcurrent(t *testing.T) {
@@ -453,8 +431,8 @@ func TestStageObserverConcurrent(t *testing.T) {
 	prog.Funcs = []*ir.Func{f}
 	var samples atomic.Int64
 	_, err := Run(context.Background(), prog, Options{
-		Parallelism: 4,
-		Observer:    func(string, time.Duration) { samples.Add(1) },
+		Parallelism:  4,
+		SpanObserver: func(StageSpan) { samples.Add(1) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -466,16 +444,13 @@ func TestStageObserverConcurrent(t *testing.T) {
 }
 
 // TestStageSpanObserver: Options.SpanObserver receives block- and
-// pass-attributed records for every stage, alongside (not instead of) a
-// plain Observer set at the same time.
+// pass-attributed records for every stage.
 func TestStageSpanObserver(t *testing.T) {
 	blk := chainBlock(t, 4, 4)
 	blk.Label = "bspan"
 	var mu sync.Mutex
 	var spans []StageSpan
-	var plain int
 	res, err := RunBlock(context.Background(), blk, Options{
-		Observer: func(string, time.Duration) { mu.Lock(); plain++; mu.Unlock() },
 		SpanObserver: func(s StageSpan) {
 			mu.Lock()
 			spans = append(spans, s)
@@ -488,9 +463,9 @@ func TestStageSpanObserver(t *testing.T) {
 	if res == nil {
 		t.Fatal("nil result")
 	}
-	// 2 passes × 3 stages + regalloc = 7 records through both seams.
-	if len(spans) != 7 || plain != 7 {
-		t.Fatalf("span records %d, plain samples %d, want 7 each", len(spans), plain)
+	// 2 passes × 3 stages + regalloc = 7 records.
+	if len(spans) != 7 {
+		t.Fatalf("span records %d, want 7", len(spans))
 	}
 	passes := map[string]map[int]int{}
 	for _, s := range spans {

@@ -8,10 +8,12 @@ import (
 	"testing"
 
 	"bsched/internal/ir"
+	"bsched/internal/sched"
 )
 
 // FuzzParseCompile drives arbitrary text through the full hardened path:
-// parse, then compile under both schedulers with a small work budget.
+// parse, then compile under the balanced and traditional policies with a
+// small work budget.
 // The contract under test: the front door never panics — every failure is
 // a parse error or a typed *Error, and every success yields a program
 // with the same block count. Extend with `go test -fuzz=FuzzParseCompile`.
@@ -47,8 +49,8 @@ func FuzzParseCompile(f *testing.F) {
 			}
 			return
 		}
-		for _, s := range []Scheduler{Balanced, Traditional} {
-			res, err := Run(context.Background(), prog, Options{Scheduler: s, BlockBudget: 1 << 16})
+		for _, s := range []string{sched.PolicyBalanced, sched.PolicyTraditional} {
+			res, err := Run(context.Background(), prog, Options{Policy: s, BlockBudget: 1 << 16})
 			if err != nil {
 				var ce *Error
 				if !errors.As(err, &ce) {

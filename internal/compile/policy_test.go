@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"bsched/internal/budget"
 	"bsched/internal/ir"
 	"bsched/internal/sched"
 )
@@ -59,11 +60,12 @@ func TestPolicyForced(t *testing.T) {
 }
 
 // TestPolicyBalancedMatchesLegacy pins the compatibility contract: a
-// forced "balanced" policy is byte-identical to the legacy Scheduler
-// path, whole pipeline included.
+// forced "balanced" policy is byte-identical to the default (empty)
+// policy every pre-portfolio caller compiles under, whole pipeline
+// included, and both record balanced.
 func TestPolicyBalancedMatchesLegacy(t *testing.T) {
 	for _, src := range []string{loadySrc, loadFreeSrc} {
-		legacy, err := RunBlock(context.Background(), parseBlock(t, src), Options{Scheduler: Balanced})
+		legacy, err := RunBlock(context.Background(), parseBlock(t, src), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,18 +79,6 @@ func TestPolicyBalancedMatchesLegacy(t *testing.T) {
 		if legacy.Policy != sched.PolicyBalanced || forced.Policy != sched.PolicyBalanced {
 			t.Fatalf("policies recorded as %q / %q", legacy.Policy, forced.Policy)
 		}
-	}
-	// Same for traditional.
-	legacy, err := RunBlock(context.Background(), parseBlock(t, loadySrc), Options{Scheduler: Traditional})
-	if err != nil {
-		t.Fatal(err)
-	}
-	forced, err := RunBlock(context.Background(), parseBlock(t, loadySrc), Options{Policy: sched.PolicyTraditional})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if forced.Block.String() != legacy.Block.String() {
-		t.Fatal("forced traditional differs from legacy Scheduler path")
 	}
 }
 
@@ -160,74 +150,50 @@ func TestPolicyDegradationNamesPolicy(t *testing.T) {
 	}
 }
 
-// TestPolicyWeightsLadder pins the single-rung policy ladder: a budget
-// generous enough for DAG construction but too small for the balanced
-// analysis drops balanced-dense onto fixed-latency weights with a
-// policy-named From rung.
+// TestPolicyWeightsLadder pins the single-rung weights ladder for every
+// registered policy: under a budget that fits DAG construction and
+// scheduling but not the balanced analysis, a pass records at most one
+// weights downgrade, named policy:<name> → fixed-latency, exactly when
+// the policy's own weighting charges more than the budget — and the
+// schedule stays correct either way.
 func TestPolicyWeightsLadder(t *testing.T) {
-	// A wider block so the weights rung dominates the deps rung.
-	var sb strings.Builder
-	sb.WriteString("func f\nblock b freq=1\n")
-	for i := 0; i < 40; i++ {
-		if i%2 == 0 {
-			sb.WriteString("v")
-			sb.WriteString(itoa(i))
-			sb.WriteString(" = load a[")
-			sb.WriteString(itoa(8 * i))
-			sb.WriteString("]\n")
-		} else {
-			sb.WriteString("v")
-			sb.WriteString(itoa(i))
-			sb.WriteString(" = add v")
-			sb.WriteString(itoa(i - 1))
-			sb.WriteString(", v")
-			sb.WriteString(itoa(i - 1))
-			sb.WriteString("\n")
-		}
-	}
-	sb.WriteString("end")
-	blk := parseBlock(t, sb.String())
-	// The exact charge totals per rung are an implementation detail, so
-	// probe a ladder of budgets: somewhere between "everything starves"
-	// and "everything fits" sits a budget where DAG construction
-	// succeeds but the policy's weighting rung does not.
-	var sawPolicyRung bool
-	for budget := int64(60); budget <= 4096 && !sawPolicyRung; budget *= 2 {
-		res, err := RunBlock(context.Background(), blk, Options{
-			Policy:       sched.PolicyBalancedDense,
-			SkipRegalloc: true,
-			BlockBudget:  budget,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range res.Degradations {
-			if e.Stage == "weights" && e.From == RungPolicyPrefix+sched.PolicyBalancedDense {
-				sawPolicyRung = true
-				if e.To != RungFixedLat {
-					t.Fatalf("policy weights rung fell to %q, want %q", e.To, RungFixedLat)
+	blk := chainBlock(t, 6, 8)
+	g, _, weightsUsed, _ := ladderCosts(t, blk)
+	starved := weightsUsed - 1
+	for _, name := range sched.PolicyNames() {
+		t.Run(name, func(t *testing.T) {
+			p, _ := sched.PolicyByName(name)
+			pb := budget.New(nil, 0)
+			if _, err := p.Weights(g, sched.PolicyConfig{}, pb); err != nil {
+				t.Fatalf("unlimited weights: %v", err)
+			}
+			res, err := RunBlock(context.Background(), blk, Options{
+				Policy:       name,
+				SkipRegalloc: true,
+				BlockBudget:  starved,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			perPass := map[int]int{}
+			for _, e := range res.Degradations {
+				if e.Stage != "weights" {
+					t.Fatalf("unexpected %v: only the weights stage should starve", e)
 				}
-				if e.Policy != sched.PolicyBalancedDense {
-					t.Fatalf("weights degradation names %q, want %q", e.Policy, sched.PolicyBalancedDense)
+				perPass[e.Pass]++
+				if e.From != RungPolicyPrefix+name || e.To != RungFixedLat || e.Policy != name {
+					t.Fatalf("weights degradation %v (policy %q), want policy:%s → %s", e, e.Policy, name, RungFixedLat)
 				}
 			}
-		}
+			want := 0
+			if pb.Used() > starved {
+				want = 1
+			}
+			if perPass[1] != want || len(perPass) > 1 {
+				t.Fatalf("weights events per pass %v, want %d in pass 1 (policy charges %d of %d)",
+					perPass, want, pb.Used(), starved)
+			}
+			checkSemantics(t, blk, res)
+		})
 	}
-	if !sawPolicyRung {
-		t.Fatal("no budget produced a policy-named weights degradation")
-	}
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [8]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
 }

@@ -404,7 +404,8 @@ func (g *Graph) Loads(comp []int) []int {
 // LevelsFromLeaves labels each node of include with its level from the
 // farthest leaf within include: leaves are level 0 and each node is one
 // more than the maximum level of its included successors. This is the
-// labelling the paper's union-find implementation uses.
+// labelling the paper's union-find implementation uses (core's
+// ChancesUnionFind, selected only by ablation A2).
 func (g *Graph) LevelsFromLeaves(include *bitset.Set) map[int]int {
 	levels := make(map[int]int)
 	for v := g.N() - 1; v >= 0; v-- {

@@ -111,8 +111,10 @@ type Config struct {
 	// inert counters so the engine can run uninstrumented (tests).
 	DiskMetrics *DiskMetrics
 	// ObserveStage, when non-nil, receives per-stage latency samples for
-	// the stages the engine owns: "queue" (enqueue → worker pickup),
-	// "compile" (the whole CompileFn call) and "disk" (DiskGet).
+	// the stages the engine owns — "queue" (enqueue → worker pickup),
+	// "compile" (the whole CompileFn call) and "disk" (DiskGet) — and
+	// for the pipeline stages inside each compile (the compile.Stage*
+	// names), which the engine reads from compile.Options.SpanObserver.
 	ObserveStage func(stage string, d time.Duration)
 	// ObserveTier, when non-nil, receives worker-side compile time by
 	// work-budget tier.
@@ -403,18 +405,20 @@ func (en *Engine) runJob(j *Job) {
 	defer cancel()
 	opts := j.Opts
 	compileSpan := j.Tr.StartSpan(nil, "compile")
-	if j.Tr != nil {
-		// Per-block per-stage spans: the compiler reports each stage's
-		// block, pass, start and duration through the SpanObserver seam;
-		// each record becomes a child of the compile span. Observations
-		// arrive concurrently when blocks compile in parallel — the trace
-		// serializes appends internally.
-		opts.SpanObserver = func(rec compile.StageSpan) {
-			sp := j.Tr.SpanAt(compileSpan, rec.Stage, rec.Start, rec.Duration)
-			sp.SetAttr("block", rec.Block)
-			if rec.Pass > 0 {
-				sp.SetAttr("pass", fmt.Sprint(rec.Pass))
-			}
+	// The compiler reports each stage's block, pass, start and duration
+	// through the SpanObserver seam. Every record feeds the stage
+	// histograms; on a traced job it also becomes a child of the compile
+	// span. Records arrive concurrently when blocks compile in parallel:
+	// the histograms are atomic and the trace serializes appends.
+	opts.SpanObserver = func(rec compile.StageSpan) {
+		en.observeStage(rec.Stage, rec.Duration)
+		if j.Tr == nil {
+			return
+		}
+		sp := j.Tr.SpanAt(compileSpan, rec.Stage, rec.Start, rec.Duration)
+		sp.SetAttr("block", rec.Block)
+		if rec.Pass > 0 {
+			sp.SetAttr("pass", fmt.Sprint(rec.Pass))
 		}
 	}
 	en.chaos.Delay(chaos.SlowCompile)

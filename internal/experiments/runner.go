@@ -39,7 +39,8 @@ type Runner struct {
 	Regalloc regalloc.Config
 	// SimOpts configures the simulator (§6 extension experiments use it).
 	SimOpts sim.Options
-	// BalancedOpts configures the balanced weighter.
+	// BalancedOpts configures the balanced weight computation of the
+	// balanced and average schedulers.
 	BalancedOpts core.Options
 	// Heuristics toggles the scheduler tie-breaks (ablation A9).
 	Heuristics sched.Heuristics
@@ -71,31 +72,37 @@ func QuickRunner() *Runner {
 	return &Runner{Trials: 10, Resamples: 40, Seed: 1993}
 }
 
-// SchedulerKind names a weighting strategy for compilation.
+// SchedulerKind names a weighting strategy for compilation: a policy
+// from the sched registry plus the knobs it consults.
 type SchedulerKind struct {
 	// Name is used in reports and cache keys.
 	Name string
-	// Weighter produces the scheduling weights.
-	Weighter sched.Weighter
+	// Policy is the sched registry name the compile runs under.
+	Policy string
+	// TradLatency is the traditional policy's fixed load latency.
+	TradLatency float64
+	// Core tunes the balanced weight computation.
+	Core core.Options
 }
 
 // TraditionalSched returns the traditional scheduler at an optimistic
 // latency.
 func TraditionalSched(optLat float64) SchedulerKind {
 	return SchedulerKind{
-		Name:     fmt.Sprintf("traditional(%g)", optLat),
-		Weighter: sched.Traditional(optLat),
+		Name:        fmt.Sprintf("traditional(%g)", optLat),
+		Policy:      sched.PolicyTraditional,
+		TradLatency: optLat,
 	}
 }
 
 // BalancedSched returns the balanced scheduler.
 func (r *Runner) BalancedSched() SchedulerKind {
-	return SchedulerKind{Name: "balanced", Weighter: sched.Balanced(r.BalancedOpts)}
+	return SchedulerKind{Name: "balanced", Policy: sched.PolicyBalanced, Core: r.BalancedOpts}
 }
 
 // AverageSched returns the §3 average-LLP ablation scheduler.
 func (r *Runner) AverageSched() SchedulerKind {
-	return SchedulerKind{Name: "average", Weighter: sched.Average(r.BalancedOpts)}
+	return SchedulerKind{Name: "average", Policy: sched.PolicyAverage, Core: r.BalancedOpts}
 }
 
 // Compile compiles prog under the given scheduler, caching by
@@ -109,7 +116,9 @@ func (r *Runner) Compile(prog *ir.Program, kind SchedulerKind) *pipeline.Program
 		return res
 	}
 	hardened, err := compile.Run(context.Background(), prog, compile.Options{
-		Weighter:    kind.Weighter,
+		Policy:      kind.Policy,
+		TradLatency: kind.TradLatency,
+		Core:        kind.Core,
 		Alias:       r.Alias,
 		Regalloc:    r.Regalloc,
 		Heuristics:  r.Heuristics,

@@ -1,9 +1,7 @@
 package sched
 
 import (
-	"fmt"
 	"sort"
-	"sync"
 
 	"bsched/internal/budget"
 	"bsched/internal/core"
@@ -55,38 +53,18 @@ type Policy interface {
 	Weights(g *deps.Graph, cfg PolicyConfig, wb *budget.Budget) ([]float64, error)
 }
 
-var (
-	policyMu  sync.RWMutex
-	policyReg = map[string]Policy{}
-)
-
-// RegisterPolicy adds a policy to the registry; it panics on a duplicate
-// or empty name. The built-in portfolio registers itself at init.
-func RegisterPolicy(p Policy) {
-	name := p.Name()
-	if name == "" || name == PolicyAuto {
-		panic(fmt.Sprintf("sched: invalid policy name %q", name))
-	}
-	policyMu.Lock()
-	defer policyMu.Unlock()
-	if _, dup := policyReg[name]; dup {
-		panic(fmt.Sprintf("sched: policy %q registered twice", name))
-	}
-	policyReg[name] = p
-}
+// policyReg is the fixed portfolio, keyed by policy name. init fills it
+// once; after that it is only read, so lookups need no lock.
+var policyReg = map[string]Policy{}
 
 // PolicyByName looks a policy up by its registry key.
 func PolicyByName(name string) (Policy, bool) {
-	policyMu.RLock()
-	defer policyMu.RUnlock()
 	p, ok := policyReg[name]
 	return p, ok
 }
 
 // PolicyNames returns every registered policy name, sorted.
 func PolicyNames() []string {
-	policyMu.RLock()
-	defer policyMu.RUnlock()
 	names := make([]string, 0, len(policyReg))
 	for name := range policyReg {
 		names = append(names, name)
@@ -149,28 +127,25 @@ func (p *policyFunc) Weights(g *deps.Graph, cfg PolicyConfig, wb *budget.Budget)
 }
 
 func init() {
-	RegisterPolicy(&policyFunc{
+	for _, p := range []*policyFunc{{
 		name: PolicyBalanced,
 		desc: "the paper's balanced weighting: each load's weight shares out the independent instructions that can hide its latency",
 		weights: func(g *deps.Graph, cfg PolicyConfig, wb *budget.Budget) ([]float64, error) {
 			return core.WeightsBudgeted(g, cfg.Core, wb)
 		},
-	})
-	RegisterPolicy(&policyFunc{
+	}, {
 		name: PolicyTraditional,
 		desc: "fixed-latency baseline: one constant latency per load (the cache hit time), 1 for everything else",
 		weights: func(g *deps.Graph, cfg PolicyConfig, _ *budget.Budget) ([]float64, error) {
 			return Traditional(cfg.tradLatency())(g), nil
 		},
-	})
-	RegisterPolicy(&policyFunc{
+	}, {
 		name: PolicyAverage,
 		desc: "the §3 ablation: every load weighted by the block's average load-level parallelism instead of its own",
 		weights: func(g *deps.Graph, cfg PolicyConfig, _ *budget.Budget) ([]float64, error) {
 			return core.AverageWeights(g, cfg.Core), nil
 		},
-	})
-	RegisterPolicy(&policyFunc{
+	}, {
 		name: PolicyBalancedDense,
 		desc: "load-density-scaled balanced: load weights' slack credit scaled by the block's load density, stretching latency tolerance on load-heavy blocks",
 		weights: func(g *deps.Graph, cfg PolicyConfig, wb *budget.Budget) ([]float64, error) {
@@ -200,8 +175,7 @@ func init() {
 			}
 			return w, nil
 		},
-	})
-	RegisterPolicy(&policyFunc{
+	}, {
 		name: PolicyCriticalPath,
 		desc: "critical-path-first: unit weights for every instruction, so priority degenerates to DAG height and no latency padding is inserted",
 		weights: func(g *deps.Graph, _ PolicyConfig, _ *budget.Budget) ([]float64, error) {
@@ -211,5 +185,7 @@ func init() {
 			}
 			return w, nil
 		},
-	})
+	}} {
+		policyReg[p.name] = p
+	}
 }

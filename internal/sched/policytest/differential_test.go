@@ -15,6 +15,7 @@ import (
 	"bsched/internal/compile"
 	"bsched/internal/deps"
 	"bsched/internal/paperdag"
+	"bsched/internal/pipeline"
 	"bsched/internal/sched"
 	"bsched/internal/sched/features"
 )
@@ -107,8 +108,9 @@ func TestDecisionRuleRegret(t *testing.T) {
 // First, registry "balanced" reproduces the paper's figure schedules
 // exactly (the same pins sched's own tests hold for the legacy
 // Weighter). Second, across the whole corpus the forced "balanced"
-// policy is byte-identical to the legacy Scheduler path through the
-// full pipeline — the portfolio changes nothing it did not intend to.
+// policy through the hardened front door is byte-identical to the raw
+// balanced pipeline, the reference that predates the portfolio — the
+// portfolio changes nothing it did not intend to.
 func TestBalancedPolicyGolden(t *testing.T) {
 	bal, _ := sched.PolicyByName(sched.PolicyBalanced)
 	w := sched.PolicyWeighter(bal, sched.PolicyConfig{})
@@ -128,16 +130,16 @@ func TestBalancedPolicyGolden(t *testing.T) {
 	}
 
 	for _, c := range Corpus() {
-		legacy, err := compile.RunBlock(context.Background(), c.Build(), compile.Options{Scheduler: compile.Balanced})
+		legacy, err := pipeline.CompileBlock(c.Build(), pipeline.Balanced())
 		if err != nil {
-			t.Fatalf("%s legacy: %v", c.Name, err)
+			t.Fatalf("%s pipeline: %v", c.Name, err)
 		}
 		forced, err := compile.RunBlock(context.Background(), c.Build(), compile.Options{Policy: sched.PolicyBalanced})
 		if err != nil {
 			t.Fatalf("%s forced: %v", c.Name, err)
 		}
 		if got, want := forced.Block.String(), legacy.Block.String(); got != want {
-			t.Errorf("%s: forced balanced differs from legacy scheduler:\n%s\nvs\n%s", c.Name, got, want)
+			t.Errorf("%s: forced balanced differs from the raw pipeline:\n%s\nvs\n%s", c.Name, got, want)
 		}
 	}
 }

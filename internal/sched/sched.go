@@ -78,12 +78,6 @@ func Balanced(opts core.Options) Weighter {
 	return func(g *deps.Graph) []float64 { return core.Weights(g, opts) }
 }
 
-// Average returns the §3 "average load level parallelism" ablation
-// Weighter.
-func Average(opts core.Options) Weighter {
-	return func(g *deps.Graph) []float64 { return core.AverageWeights(g, opts) }
-}
-
 // Result is a produced schedule.
 type Result struct {
 	// Order is the scheduled instruction sequence (virtual no-ops already

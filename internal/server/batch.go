@@ -248,7 +248,6 @@ func (s *Server) handleCompileBatch(w http.ResponseWriter, r *http.Request) {
 				continue
 			}
 			opts.Parallelism = s.eng.BlockParallelism()
-			opts.Observer = s.stats.observeStage
 			tier := preq.Options.Budget
 			if tier == "" {
 				tier = TierDefault

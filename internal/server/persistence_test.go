@@ -15,6 +15,7 @@ import (
 	"bsched/internal/compile"
 	"bsched/internal/engine"
 	"bsched/internal/ir"
+	"bsched/internal/sched"
 )
 
 // Server-level persistence tests: the disk layer itself is unit-tested
@@ -211,7 +212,7 @@ func TestDiskCacheDeadlineDegradedNotPersisted(t *testing.T) {
 		}
 		res.Degradations = append(res.Degradations, compile.Event{
 			Block: "body", Pass: 1, Stage: "weights",
-			From: compile.RungChancesDP, To: compile.RungFixedLat,
+			From: compile.RungPolicyPrefix + sched.PolicyBalanced, To: compile.RungFixedLat,
 			Reason: "context deadline exceeded after 8192 units", Deadline: true,
 		})
 		return res, nil

@@ -9,6 +9,7 @@ package server
 // field, so warm caches survive the upgrade.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -60,6 +61,29 @@ func TestPolicyFingerprintDistinct(t *testing.T) {
 	// balanced key.
 	if fp := (&RequestOptions{Scheduler: "traditional", Policy: sched.PolicyBalanced}).fingerprint(); fp != def {
 		t.Error("policy did not take fingerprint precedence over scheduler")
+	}
+
+	// The legacy chances field is validated but no longer changes the
+	// compile, so both spellings share the default key and a cold
+	// unionfind compile answers exactly like a cold default one.
+	for _, ch := range []string{"dp", "unionfind"} {
+		if fp := (&RequestOptions{Chances: ch}).fingerprint(); fp != def {
+			t.Errorf("chances %q re-keyed the default", ch)
+		}
+	}
+	_, ts := startServer(t, Config{CacheCapacity: -1})
+	_, dflt, _ := postCompile(t, ts.URL, CompileRequest{Program: demoProgram})
+	status, uf, _ := postCompile(t, ts.URL, CompileRequest{Program: demoProgram,
+		Options: RequestOptions{Chances: "unionfind"}})
+	if status != http.StatusOK || dflt == nil {
+		t.Fatalf("chances unionfind: status %d", status)
+	}
+	if a, b := stripStamps(dflt), stripStamps(uf); !bytes.Equal(a, b) {
+		t.Errorf("chances unionfind response differs from the default:\n%s\n%s", b, a)
+	}
+	if status, _, _ := postCompile(t, ts.URL, CompileRequest{Program: demoProgram,
+		Options: RequestOptions{Chances: "quantum"}}); status != http.StatusBadRequest {
+		t.Errorf("unknown chances method: status %d, want 400", status)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"bsched/internal/compile"
-	"bsched/internal/core"
 	"bsched/internal/deps"
 	"bsched/internal/engine"
 	"bsched/internal/pipeline"
@@ -95,21 +94,21 @@ type CompileRequest struct {
 // RequestOptions is the JSON mirror of the schedule-relevant subset of
 // compile.Options. Every field participates in the options fingerprint.
 type RequestOptions struct {
-	// Scheduler is "balanced" (default) or "traditional".
+	// Scheduler is the legacy spelling of Policy: "balanced" (default)
+	// or "traditional", used only when Policy is empty.
 	Scheduler string `json:"scheduler,omitempty"`
 	// Policy selects a scheduling policy from the portfolio registry
 	// ("balanced", "traditional", "average", "balanced-dense",
 	// "critical-path") or "auto" for the per-block decision rule
-	// (docs/POLICIES.md). When set it takes precedence over Scheduler;
-	// empty preserves the legacy scheduler path byte for byte.
+	// (docs/POLICIES.md). When set it takes precedence over Scheduler.
 	Policy string `json:"policy,omitempty"`
 	// TradLatency is the traditional scheduler's fixed load latency
 	// (default 2, the paper's cache hit time).
 	TradLatency float64 `json:"trad_latency,omitempty"`
 	// Alias is "disjoint" (default) or "conservative".
 	Alias string `json:"alias,omitempty"`
-	// Chances is "dp" (default, exact) or "unionfind" (the paper's
-	// O(n·α(n)) approximation).
+	// Chances is a legacy field, validated as "dp" or "unionfind" but
+	// otherwise ignored: the compile always runs the exact Chances DP.
 	Chances string `json:"chances,omitempty"`
 	// Allocator is "local" (default) or "coloring".
 	Allocator string `json:"allocator,omitempty"`
@@ -133,10 +132,7 @@ type RequestOptions struct {
 func (o *RequestOptions) compileOptions() (compile.Options, error) {
 	var out compile.Options
 	switch o.Scheduler {
-	case "", "balanced":
-		out.Scheduler = compile.Balanced
-	case "traditional":
-		out.Scheduler = compile.Traditional
+	case "", sched.PolicyBalanced, sched.PolicyTraditional:
 	default:
 		return out, fmt.Errorf("unknown scheduler %q (want balanced|traditional)", o.Scheduler)
 	}
@@ -147,6 +143,9 @@ func (o *RequestOptions) compileOptions() (compile.Options, error) {
 		}
 	}
 	out.Policy = o.Policy
+	if out.Policy == "" {
+		out.Policy = o.Scheduler
+	}
 	out.TradLatency = o.TradLatency
 	if o.TradLatency != 0 && !(o.TradLatency >= 1) {
 		return out, fmt.Errorf("trad_latency %g out of range [1, ∞)", o.TradLatency)
@@ -160,10 +159,7 @@ func (o *RequestOptions) compileOptions() (compile.Options, error) {
 		return out, fmt.Errorf("unknown alias mode %q (want disjoint|conservative)", o.Alias)
 	}
 	switch o.Chances {
-	case "", "dp":
-		out.Core.Chances = core.ChancesDP
-	case "unionfind":
-		out.Core.Chances = core.ChancesUnionFind
+	case "", "dp", "unionfind":
 	default:
 		return out, fmt.Errorf("unknown chances method %q (want dp|unionfind)", o.Chances)
 	}
@@ -248,7 +244,9 @@ func (o *RequestOptions) fingerprint() uint64 {
 	}
 	wu64(math.Float64bits(lat))
 	wstr(norm(o.Alias, "disjoint"))
-	wstr(norm(o.Chances, "dp"))
+	// Chances no longer changes the compile; its slot keeps the old
+	// default's bytes so every existing key stays the same.
+	wstr("dp")
 	wstr(norm(o.Allocator, "local"))
 	wbool(o.SkipRegalloc)
 	wbool(o.SkipPass2)

@@ -56,9 +56,9 @@
 // (p50/p99 plus per-stage and per-tier latency breakdowns); GET
 // /healthz is a liveness probe that also reports fleet degradation.
 // Per-stage timings cover the whole request path — parse, cache lookup,
-// queue wait, worker-side compile — and, through
-// compile.Options.Observer, the pipeline stages inside a compilation
-// (deps, weights, schedule, regalloc). When Config.Logger is set, every
+// queue wait, worker-side compile — and, through the engine's
+// compile.Options.SpanObserver, the pipeline stages inside a
+// compilation (deps, weights, schedule, regalloc). When Config.Logger is set, every
 // request additionally emits one structured log line carrying a
 // process-unique request ID (also returned in the X-Request-ID response
 // header).
@@ -924,7 +924,6 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	s.stats.requests.Add(1)
 	deadline := s.timeout(req.TimeoutMillis)
 	opts.Parallelism = s.eng.BlockParallelism()
-	opts.Observer = s.stats.observeStage
 	tier := req.Options.Budget
 	if tier == "" {
 		tier = TierDefault

@@ -17,6 +17,7 @@ import (
 
 	"bsched/internal/compile"
 	"bsched/internal/ir"
+	"bsched/internal/sched"
 )
 
 const demoProgram = `func demo
@@ -471,7 +472,7 @@ func TestDeadlineDegradedNotCached(t *testing.T) {
 			// Simulate the first compile blowing its deadline mid-ladder.
 			res.Degradations = append(res.Degradations, compile.Event{
 				Block: "body", Pass: 1, Stage: "weights",
-				From: compile.RungChancesDP, To: compile.RungFixedLat,
+				From: compile.RungPolicyPrefix + sched.PolicyBalanced, To: compile.RungFixedLat,
 				Reason: "context deadline exceeded after 8192 units", Deadline: true,
 			})
 		}

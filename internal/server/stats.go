@@ -13,8 +13,8 @@ import (
 )
 
 // Stage label values the server records itself, alongside the
-// compile.Stage* names (deps, weights, schedule, regalloc) threaded out
-// of the pipeline via compile.Options.Observer.
+// compile.Stage* names (deps, weights, schedule, regalloc) the engine
+// reports from the pipeline's compile.Options.SpanObserver.
 const (
 	stageParse   = "parse"   // IR parsing in the handler goroutine
 	stageLookup  = "lookup"  // content-addressed cache lookup
@@ -307,9 +307,9 @@ func registerRuntimeMetrics(reg *obs.Registry) {
 		})
 }
 
-// observeStage records one per-stage latency sample; its signature
-// matches compile.StageObserver, so it is handed directly to the
-// pipeline via compile.Options.Observer. Safe for concurrent use.
+// observeStage records one per-stage latency sample; it is the
+// engine's Config.ObserveStage, which also receives the pipeline's
+// stage timings. Safe for concurrent use.
 func (s *Stats) observeStage(stage string, d time.Duration) {
 	s.stages.With(stage).ObserveDuration(d)
 }

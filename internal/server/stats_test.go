@@ -24,15 +24,14 @@ func TestSnapshotCounters(t *testing.T) {
 }
 
 // TestSnapshotStageBreakdown: per-stage samples recorded through the
-// compile.StageObserver seam surface in the Snapshot's Stages map.
+// engine's ObserveStage seam surface in the Snapshot's Stages map.
 func TestSnapshotStageBreakdown(t *testing.T) {
 	s := newStats()
 	if got := s.snapshot().Stages; got != nil {
 		t.Errorf("empty stats carry a stage breakdown: %v", got)
 	}
-	var observer compile.StageObserver = s.observeStage
-	observer(compile.StageWeights, 3*time.Millisecond)
-	observer(compile.StageWeights, 3*time.Millisecond)
+	s.observeStage(compile.StageWeights, 3*time.Millisecond)
+	s.observeStage(compile.StageWeights, 3*time.Millisecond)
 	s.stages.With(stageQueue).ObserveDuration(100 * time.Microsecond)
 	snap := s.snapshot()
 	w, ok := snap.Stages[compile.StageWeights]

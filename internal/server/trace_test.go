@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"bsched/internal/compile"
 	"bsched/internal/obs"
 )
 
@@ -284,6 +285,28 @@ func TestTracingDisabled(t *testing.T) {
 	r.Body.Close()
 	if r.StatusCode != http.StatusNotFound {
 		t.Errorf("GET /v1/traces with tracing disabled: status %d, want 404", r.StatusCode)
+	}
+}
+
+// TestStageHistogramsUntraced: with tracing off the engine still
+// installs its SpanObserver, so one cold single-block compile adds one
+// deps/weights/schedule sample per scheduling pass and one regalloc
+// sample to the stage histograms.
+func TestStageHistogramsUntraced(t *testing.T) {
+	s, ts := startServer(t, Config{Workers: 1, TraceCapacity: -1})
+	before := s.Stats().Stages
+	status, resp, _ := postCompile(t, ts.URL, CompileRequest{Program: demoProgram})
+	if status != http.StatusOK || resp == nil || resp.Cached {
+		t.Fatalf("cold compile with tracing disabled: status %d, resp %+v", status, resp)
+	}
+	after := s.Stats().Stages
+	want := map[string]int64{
+		compile.StageDeps: 2, compile.StageWeights: 2, compile.StageSchedule: 2, compile.StageRegalloc: 1,
+	}
+	for stage, n := range want {
+		if got := after[stage].Count - before[stage].Count; got != n {
+			t.Errorf("stage %s: %d new samples, want %d", stage, got, n)
+		}
 	}
 }
 

@@ -5,7 +5,8 @@
 // find, for each connected component of G_ind, the largest path length: each
 // node is labelled with its level from the farthest leaf, sets track the
 // min and max level seen, and the largest path length for a component is
-// max-min+1.
+// max-min+1. Its one user is core.ChancesUnionFind, which only ablation
+// A2 selects.
 package unionfind
 
 // UF is a union-find structure over the elements [0, n).
