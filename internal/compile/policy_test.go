@@ -2,11 +2,15 @@ package compile
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
 	"bsched/internal/budget"
+	"bsched/internal/core"
+	"bsched/internal/deps"
 	"bsched/internal/ir"
+	"bsched/internal/paperdag"
 	"bsched/internal/sched"
 )
 
@@ -79,6 +83,30 @@ func TestPolicyBalancedMatchesLegacy(t *testing.T) {
 		if legacy.Policy != sched.PolicyBalanced || forced.Policy != sched.PolicyBalanced {
 			t.Fatalf("policies recorded as %q / %q", legacy.Policy, forced.Policy)
 		}
+	}
+}
+
+// TestPolicyCoreChances: Options.Core reaches the policy rung, so
+// Core.Chances = core.ChancesUnionFind — ablation A2's only way in —
+// swaps the exact DP for the union-find sketch inside the balanced
+// policy. On Figure 1 the two disagree (3 against 1 + 4/3 per load).
+func TestPolicyCoreChances(t *testing.T) {
+	blk := paperdag.Figure1().Block
+	g := deps.Build(blk, deps.BuildOptions{})
+	var got [][]float64
+	for _, ch := range []core.ChancesMethod{core.ChancesDP, core.ChancesUnionFind} {
+		copts := core.Options{Chances: ch}
+		res, err := RunBlock(context.Background(), blk, Options{Core: copts, SkipRegalloc: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := core.Weights(g, copts); !reflect.DeepEqual(res.Pass1.Weights, want) {
+			t.Fatalf("chances %d: pass-1 weights %v, want %v", ch, res.Pass1.Weights, want)
+		}
+		got = append(got, res.Pass1.Weights)
+	}
+	if reflect.DeepEqual(got[0], got[1]) {
+		t.Fatal("union-find Chances compiled the same weights as the exact DP")
 	}
 }
 
