@@ -186,7 +186,7 @@ func TestPolicyDegradationNamesPolicy(t *testing.T) {
 // schedule stays correct either way.
 func TestPolicyWeightsLadder(t *testing.T) {
 	blk := chainBlock(t, 6, 8)
-	g, _, weightsUsed, _ := ladderCosts(t, blk)
+	g, weightsUsed := ladderCosts(t, blk)
 	starved := weightsUsed - 1
 	for _, name := range sched.PolicyNames() {
 		t.Run(name, func(t *testing.T) {

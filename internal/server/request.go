@@ -92,7 +92,8 @@ type CompileRequest struct {
 }
 
 // RequestOptions is the JSON mirror of the schedule-relevant subset of
-// compile.Options. Every field participates in the options fingerprint.
+// compile.Options. Every field but the legacy Chances participates in
+// the options fingerprint.
 type RequestOptions struct {
 	// Scheduler is the legacy spelling of Policy: "balanced" (default)
 	// or "traditional", used only when Policy is empty.

@@ -58,10 +58,10 @@
 // Per-stage timings cover the whole request path — parse, cache lookup,
 // queue wait, worker-side compile — and, through the engine's
 // compile.Options.SpanObserver, the pipeline stages inside a
-// compilation (deps, weights, schedule, regalloc). When Config.Logger is set, every
-// request additionally emits one structured log line carrying a
-// process-unique request ID (also returned in the X-Request-ID response
-// header).
+// compilation (deps, weights, schedule, regalloc). When Config.Logger
+// is set, every request additionally emits one structured log line
+// carrying a process-unique request ID (also returned in the
+// X-Request-ID response header).
 package server
 
 import (
