@@ -1,8 +1,8 @@
 // Command bschedd is the balanced-scheduling compilation daemon: it
-// serves the hardened compiler (bsched/internal/compile) over an HTTP
-// JSON API with a fixed worker pool, a bounded request queue with
-// explicit backpressure, and a sharded content-addressed schedule cache
-// with single-flight deduplication. See docs/SERVER.md for the API.
+// serves the hardened compile pipeline over an HTTP JSON API with a
+// fixed worker pool, a bounded request queue with explicit
+// backpressure, and a sharded content-addressed schedule cache with
+// single-flight deduplication. See docs/SERVER.md for the API.
 //
 // Usage:
 //
@@ -17,13 +17,6 @@
 //	        [-peers URL,URL,...] [-node-id URL] [-ring-replicas N]
 //	        [-profile-dir DIR] [-profile-interval D]
 //	        [-log-format kv|json|none] [-pprof]
-//	bschedd -smoke file.ir
-//	bschedd -metrics-smoke file.ir
-//	bschedd -chaos-smoke file.ir
-//	bschedd -cluster-smoke file.ir
-//	bschedd -batch-smoke file.ir
-//	bschedd -fleet-obs-smoke file.ir
-//	bschedd -policy-smoke file.ir
 //
 // Endpoints:
 //
@@ -102,37 +95,16 @@
 // -peers the daemon is a standalone node and behaves exactly as
 // before.
 //
-// With -smoke, bschedd instead starts itself on an ephemeral port, sends
-// one compile request for the given IR file through the full HTTP stack,
-// prints a summary and exits non-zero on any failure — a self-contained
-// round-trip check for CI (`make serve-smoke`). -metrics-smoke does the
-// same and then scrapes GET /metrics, asserting every cataloged metric
-// family is present (`make metrics-smoke`). -chaos-smoke drives the
-// overload machinery end to end under injected disk faults: the breaker
-// must trip and recover, quotas must 429, and the chaos hooks must fire
-// (`make chaos-smoke`). -cluster-smoke spins up a 3-node in-process
-// fleet on ephemeral ports, sprays a Zipf-skewed request stream
-// round-robin across it, and asserts the peer protocol carried traffic
-// (probe hits > 0) with zero failed requests (`make cluster-smoke`).
-// -batch-smoke posts a two-program batch (the IR file twice) to
-// /v1/compile/batch and walks the NDJSON stream frame by frame: every
-// block must arrive exactly once at a deterministic (program, index)
-// coordinate, each program must get a trailer, the stream must end with
-// a done frame, and the block cache must have compiled each distinct
-// block exactly once across the batch (`make batch-smoke`).
-// -fleet-obs-smoke drives the fleet observability plane over a 3-node
-// in-process fleet: aggregated /v1/fleet/stats totals must equal the
-// sum of the node-local counters exactly, a peer-served compile must
-// stitch into one cross-node trace, the merged /v1/fleet/metrics must
-// survive the strict exposition validator, the continuous profiler
-// must land a capture, and killing a node must degrade the fleet view
-// instead of failing it (`make fleet-obs-smoke`). -policy-smoke compiles
-// the IR file under every registered policy plus auto, asserting each
-// response names its policy and keys the cache distinctly, that the
-// auto decision rule picks per block (a load-free block lands on
-// critical-path while a loady one stays balanced), that a -policy
-// forced daemon overrides request options, and that the per-policy
-// counters land in /stats and /metrics (`make policy-smoke`).
+// This command is flag parsing plus serve; `go test ./...` checks its
+// behaviour. The e2e suites in internal/server drive the service over
+// real HTTP: TestCacheHit and TestTraceEndToEnd (round trip, cache hit,
+// trace), TestMetricsExpositionFormat (the metric catalog),
+// TestBreakerTripRecover and TestTenantQuotaExhaustRefill (faults and
+// quotas), TestFleet* (a 3-node fleet), TestBatchSharedBlocksCompileOnce
+// (the NDJSON stream), and TestPolicyCacheMemorySoundness and
+// TestForcePolicyOverride (the policy portfolio). In the module root,
+// TestBscheddDaemon, TestBscheddWarmRestart and
+// TestBscheddRejectsBadConfig run this binary itself.
 //
 // Continuous profiling (-profile-dir): the daemon captures periodic
 // CPU and heap pprof profiles (-profile-interval) into a bounded
@@ -144,15 +116,9 @@
 package main
 
 import (
-	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
-	"io"
-	"math/rand"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -164,8 +130,7 @@ import (
 
 	"bsched/internal/admission"
 	"bsched/internal/chaos"
-	"bsched/internal/cli"
-	"bsched/internal/compile"
+	"bsched/internal/engine"
 	"bsched/internal/obs"
 	"bsched/internal/sched"
 	"bsched/internal/server"
@@ -174,10 +139,10 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8370", "listen address (use :0 for an ephemeral port)")
 	workers := flag.Int("workers", 0, "compilation worker pool size (0 = GOMAXPROCS)")
-	queue := flag.Int("queue", server.DefaultQueueDepth, "bounded request queue depth; past it requests get 503 + Retry-After")
-	cache := flag.Int("cache", server.DefaultCacheCapacity, "schedule cache capacity in entries (negative disables)")
+	queue := flag.Int("queue", engine.DefaultQueueDepth, "bounded request queue depth; past it requests get 503 + Retry-After")
+	cache := flag.Int("cache", engine.DefaultCacheCapacity, "schedule cache capacity in entries (negative disables)")
 	cacheDir := flag.String("cache-dir", "", "persistent schedule-cache directory, replayed at startup for a warm restart (empty disables)")
-	cacheMaxBytes := flag.Int64("cache-max-bytes", server.DefaultCacheMaxBytes, "on-disk bound of the persistent cache; past it compaction drops the coldest entries")
+	cacheMaxBytes := flag.Int64("cache-max-bytes", engine.DefaultCacheMaxBytes, "on-disk bound of the persistent cache; past it compaction drops the coldest entries")
 	timeout := flag.Duration("timeout", server.DefaultCompileTimeout, "default per-compilation deadline")
 	maxTimeout := flag.Duration("max-timeout", server.MaxCompileTimeout, "upper clamp on request-supplied deadlines")
 	maxBytes := flag.Int64("max-bytes", server.DefaultMaxRequestBytes, "maximum request body size")
@@ -200,21 +165,7 @@ func main() {
 	profileInterval := flag.Duration("profile-interval", 0, "periodic profile capture interval (0 = the profiler default, negative disables periodic capture; event triggers still fire)")
 	logFormat := flag.String("log-format", "kv", "structured request log format: kv, json or none")
 	pprofOn := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")
-	smoke := flag.String("smoke", "", "don't serve: round-trip one compile request for this IR file and exit")
-	metricsSmoke := flag.String("metrics-smoke", "", "don't serve: round-trip one compile for this IR file, scrape /metrics, verify the catalog, and exit")
-	chaosSmoke := flag.String("chaos-smoke", "", "don't serve: drive the admission/quota/breaker machinery for this IR file under injected disk faults and exit")
-	clusterSmoke := flag.String("cluster-smoke", "", "don't serve: spray a Zipf request stream across a 3-node in-process fleet for this IR file and exit")
-	batchSmoke := flag.String("batch-smoke", "", "don't serve: stream a two-program batch compile of this IR file over /v1/compile/batch and exit")
-	fleetObsSmoke := flag.String("fleet-obs-smoke", "", "don't serve: drive the fleet observability plane (aggregated stats/metrics, trace stitching, profiling) over a 3-node in-process fleet for this IR file and exit")
-	policySmoke := flag.String("policy-smoke", "", "don't serve: compile this IR file under every registered scheduling policy plus auto, verify per-policy caching, selection and counters, and exit")
 	flag.Parse()
-
-	if *policy != "" && *policy != sched.PolicyAuto {
-		if _, ok := sched.PolicyByName(*policy); !ok {
-			fatal(fmt.Errorf("unknown -policy %q (want %s|%s)",
-				*policy, strings.Join(sched.PolicyNames(), "|"), sched.PolicyAuto))
-		}
-	}
 
 	logger, err := buildLogger(*logFormat)
 	if err != nil {
@@ -257,47 +208,13 @@ func main() {
 				cfg.Peers = append(cfg.Peers, p)
 			}
 		}
-		if cfg.SelfURL == "" {
-			fatal(errors.New("-peers requires -node-id (this node's advertised base URL)"))
-		}
 	}
 	if inj != nil {
 		fmt.Printf("bschedd: chaos injection active: %s\n", inj)
 	}
 
-	switch {
-	case *smoke != "":
-		if err := runSmoke(cfg, *smoke, false); err != nil {
-			fatal(err)
-		}
-	case *metricsSmoke != "":
-		if err := runSmoke(cfg, *metricsSmoke, true); err != nil {
-			fatal(err)
-		}
-	case *chaosSmoke != "":
-		if err := runChaosSmoke(cfg, *chaosSmoke); err != nil {
-			fatal(err)
-		}
-	case *clusterSmoke != "":
-		if err := runClusterSmoke(cfg, *clusterSmoke); err != nil {
-			fatal(err)
-		}
-	case *batchSmoke != "":
-		if err := runBatchSmoke(cfg, *batchSmoke); err != nil {
-			fatal(err)
-		}
-	case *fleetObsSmoke != "":
-		if err := runFleetObsSmoke(cfg, *fleetObsSmoke); err != nil {
-			fatal(err)
-		}
-	case *policySmoke != "":
-		if err := runPolicySmoke(cfg, *policySmoke); err != nil {
-			fatal(err)
-		}
-	default:
-		if err := serve(cfg, *addr, *pprofOn); err != nil {
-			fatal(err)
-		}
+	if err := serve(cfg, *addr, *pprofOn); err != nil {
+		fatal(err)
 	}
 }
 
@@ -371,1163 +288,6 @@ func serve(cfg server.Config, addr string, pprofOn bool) error {
 	fmt.Println("bschedd: shutdown complete")
 	return nil
 }
-
-// runSmoke starts the service in-process on an ephemeral port, posts the
-// given IR file twice through real HTTP (the second must be a cache
-// hit), and prints a one-line verdict. With metrics set it additionally
-// scrapes GET /metrics and asserts every cataloged metric family is
-// present — the `make metrics-smoke` CI check.
-func runSmoke(cfg server.Config, path string, metrics bool) error {
-	src, err := cli.ReadInput(path)
-	if err != nil {
-		return err
-	}
-	svc, err := server.New(cfg)
-	if err != nil {
-		return err
-	}
-	defer svc.Close()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	httpSrv := &http.Server{Handler: svc.Handler()}
-	go httpSrv.Serve(ln)
-	defer httpSrv.Close()
-	base := "http://" + ln.Addr().String()
-
-	post := func() (*server.CompileResponse, string, error) {
-		body, err := json.Marshal(server.CompileRequest{Program: src})
-		if err != nil {
-			return nil, "", err
-		}
-		resp, err := http.Post(base+"/v1/compile", "application/json", bytes.NewReader(body))
-		if err != nil {
-			return nil, "", err
-		}
-		defer resp.Body.Close()
-		raw, err := io.ReadAll(resp.Body)
-		if err != nil {
-			return nil, "", err
-		}
-		if resp.StatusCode != http.StatusOK {
-			return nil, "", fmt.Errorf("POST /v1/compile: %s: %s", resp.Status, bytes.TrimSpace(raw))
-		}
-		var out server.CompileResponse
-		if err := json.Unmarshal(raw, &out); err != nil {
-			return nil, "", fmt.Errorf("decode response: %w", err)
-		}
-		return &out, resp.Header.Get("X-Trace-ID"), nil
-	}
-
-	cold, traceID, err := post()
-	if err != nil {
-		return err
-	}
-	if len(cold.Blocks) == 0 || cold.Program == "" {
-		return errors.New("smoke: empty compile response")
-	}
-	warm, _, err := post()
-	if err != nil {
-		return err
-	}
-	if !warm.Cached {
-		return errors.New("smoke: second identical request was not served from cache")
-	}
-	if warm.Program != cold.Program {
-		return errors.New("smoke: cached schedule differs from cold schedule")
-	}
-	if err := checkTrace(base, traceID); err != nil {
-		return err
-	}
-	fmt.Printf("bschedd: smoke ok — %d block(s), fingerprint %s, cold %.2fms, cached %.2fms, trace %s\n",
-		len(cold.Blocks), cold.Fingerprint, cold.ServiceMillis, warm.ServiceMillis, traceID)
-	if metrics {
-		return checkMetrics(base)
-	}
-	return nil
-}
-
-// checkTrace fetches the cold compile's trace and asserts the Chrome
-// trace-event export covers the whole request path — the same JSON a
-// human would drop into ui.perfetto.dev.
-func checkTrace(base, traceID string) error {
-	if traceID == "" {
-		return errors.New("smoke: compile response carried no X-Trace-ID header")
-	}
-	resp, err := http.Get(base + "/v1/traces/" + traceID)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET /v1/traces/%s: %s: %s", traceID, resp.Status, bytes.TrimSpace(raw))
-	}
-	var export struct {
-		TraceEvents []struct {
-			Name  string `json:"name"`
-			Phase string `json:"ph"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(raw, &export); err != nil {
-		return fmt.Errorf("smoke: trace export is not valid JSON: %w", err)
-	}
-	have := make(map[string]bool)
-	for _, e := range export.TraceEvents {
-		if e.Phase == "X" {
-			have[e.Name] = true
-		}
-	}
-	for _, want := range []string{"POST /v1/compile", "parse", "cache-lookup", "queue-wait", "compile", "deps", "weights", "schedule", "regalloc"} {
-		if !have[want] {
-			return fmt.Errorf("smoke: trace %s export missing %q span", traceID, want)
-		}
-	}
-	return nil
-}
-
-// runChaosSmoke drives the overload-resilience machinery end to end
-// with fault injection wired in: disk I/O faults must trip the
-// persistent-cache circuit breaker and the daemon must recover once the
-// faults stop; a hot tenant must draw 429 + quota headers while other
-// tenants compile undisturbed; and every behavior must be visible in
-// /stats and /metrics. The `make chaos-smoke` CI check.
-func runChaosSmoke(cfg server.Config, path string) error {
-	src, err := cli.ReadInput(path)
-	if err != nil {
-		return err
-	}
-	dir, err := os.MkdirTemp("", "bschedd-chaos-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	// Six injected write faults against a threshold of 3: the breaker
-	// must trip, burn through the remaining faults via failed half-open
-	// probes, then recover when a probe finally reaches the healthy disk.
-	inj, err := chaos.Parse("disk-error:every=1,limit=6;slow-compile:every=4,delay=2ms")
-	if err != nil {
-		return err
-	}
-	cfg.CacheDir = dir
-	cfg.CacheMaxBytes = 0
-	cfg.Chaos = inj
-	cfg.BreakerThreshold = 3
-	cfg.BreakerCooldown = 50 * time.Millisecond
-	cfg.TenantRate = 1
-	cfg.TenantBurst = 2
-	svc, err := server.New(cfg)
-	if err != nil {
-		return err
-	}
-	defer svc.Close()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	httpSrv := &http.Server{Handler: svc.Handler()}
-	go httpSrv.Serve(ln)
-	defer httpSrv.Close()
-	base := "http://" + ln.Addr().String()
-
-	post := func(tenant string, regs int) (int, http.Header, error) {
-		req := server.CompileRequest{Program: src}
-		if regs > 0 {
-			req.Options = server.RequestOptions{Regs: regs, SpillPool: 6}
-		}
-		body, err := json.Marshal(req)
-		if err != nil {
-			return 0, nil, err
-		}
-		hreq, err := http.NewRequest(http.MethodPost, base+"/v1/compile", bytes.NewReader(body))
-		if err != nil {
-			return 0, nil, err
-		}
-		hreq.Header.Set("Content-Type", "application/json")
-		hreq.Header.Set("X-Tenant", tenant)
-		resp, err := http.DefaultClient.Do(hreq)
-		if err != nil {
-			return 0, nil, err
-		}
-		defer resp.Body.Close()
-		io.Copy(io.Discard, resp.Body)
-		return resp.StatusCode, resp.Header, nil
-	}
-
-	// Quota: burst 2 at 1 req/s means the hot tenant's third immediate
-	// request must be refused with the full 429 contract.
-	var got429 bool
-	for i := 0; i < 3; i++ {
-		code, hdr, err := post("hog", 0)
-		if err != nil {
-			return err
-		}
-		if code == http.StatusTooManyRequests {
-			got429 = true
-			if hdr.Get("Retry-After") == "" {
-				return errors.New("chaos smoke: 429 without Retry-After")
-			}
-			if hdr.Get("X-RateLimit-Remaining") != "0" {
-				return fmt.Errorf("chaos smoke: 429 X-RateLimit-Remaining = %q, want 0", hdr.Get("X-RateLimit-Remaining"))
-			}
-		}
-	}
-	if !got429 {
-		return errors.New("chaos smoke: hot tenant was never refused with 429")
-	}
-
-	// Breaker: keep feeding distinct compilations (each a disk write)
-	// until the injected faults have tripped the breaker and been
-	// exhausted, and a half-open probe has closed it again.
-	type statsView struct {
-		BreakerState string `json:"breaker_state"`
-		BreakerTrips int64  `json:"breaker_trips"`
-		DiskIOErrors int64  `json:"disk_io_errors"`
-		DiskWrites   int64  `json:"disk_writes"`
-		RetryAfterS  int    `json:"retry_after_s"`
-	}
-	fetchStats := func() (statsView, error) {
-		var sv statsView
-		resp, err := http.Get(base + "/stats")
-		if err != nil {
-			return sv, err
-		}
-		defer resp.Body.Close()
-		return sv, json.NewDecoder(resp.Body).Decode(&sv)
-	}
-	deadline := time.Now().Add(15 * time.Second)
-	var sv statsView
-	for i := 0; ; i++ {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("chaos smoke: breaker never recovered (state %s, trips %d, io errors %d, %d/6 faults fired)",
-				sv.BreakerState, sv.BreakerTrips, sv.DiskIOErrors, inj.Fired(chaos.DiskError))
-		}
-		// One fresh tenant and one fresh register-file size per probe:
-		// distinct cache keys keep the disk writes flowing without
-		// tripping the quota.
-		code, _, err := post(fmt.Sprintf("ci-%d", i), 16+i%64)
-		if err != nil {
-			return err
-		}
-		if code != http.StatusOK {
-			return fmt.Errorf("chaos smoke: compile under disk faults returned %d, want 200 (memory-only degradation)", code)
-		}
-		if sv, err = fetchStats(); err != nil {
-			return err
-		}
-		if sv.BreakerTrips >= 1 && sv.BreakerState == "closed" && inj.Fired(chaos.DiskError) >= 6 {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if sv.DiskIOErrors < 3 {
-		return fmt.Errorf("chaos smoke: only %d disk I/O errors recorded, want >= 3", sv.DiskIOErrors)
-	}
-	if sv.RetryAfterS < 1 {
-		return fmt.Errorf("chaos smoke: /stats retry_after_s = %d, want >= 1", sv.RetryAfterS)
-	}
-	if inj.Fired(chaos.SlowCompile) == 0 {
-		return errors.New("chaos smoke: slow-compile fault never fired")
-	}
-
-	// Starvation under a forced policy: a wide block on the small budget
-	// tier must walk the degradation ladder, and every event it emits
-	// must name the policy it degraded under — the operator's only way
-	// to tell which portfolio member was starved. The exact charge
-	// totals per rung are an implementation detail, so probe doubling
-	// block sizes until one starves the policy's weighting rung.
-	var sawPolicyRung bool
-	for n := 128; n <= 2048 && !sawPolicyRung; n *= 2 {
-		req := server.CompileRequest{Program: widePolicyProgram(n)}
-		req.Options = server.RequestOptions{
-			Policy:       sched.PolicyBalancedDense,
-			Budget:       server.TierSmall,
-			SkipRegalloc: true,
-		}
-		body, err := json.Marshal(req)
-		if err != nil {
-			return err
-		}
-		hreq, err := http.NewRequest(http.MethodPost, base+"/v1/compile", bytes.NewReader(body))
-		if err != nil {
-			return err
-		}
-		hreq.Header.Set("Content-Type", "application/json")
-		hreq.Header.Set("X-Tenant", fmt.Sprintf("starve-%d", n))
-		resp, err := http.DefaultClient.Do(hreq)
-		if err != nil {
-			return err
-		}
-		var out server.CompileResponse
-		err = json.NewDecoder(resp.Body).Decode(&out)
-		resp.Body.Close()
-		if err != nil {
-			return err
-		}
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("chaos smoke: starved policy compile returned %d, want 200 (ladder degradation)", resp.StatusCode)
-		}
-		for _, e := range out.Degradations {
-			if e.Policy != sched.PolicyBalancedDense {
-				return fmt.Errorf("chaos smoke: degradation %s/%s→%s names policy %q, want %q",
-					e.Stage, e.From, e.To, e.Policy, sched.PolicyBalancedDense)
-			}
-			if e.From == compile.RungPolicyPrefix+sched.PolicyBalancedDense {
-				sawPolicyRung = true
-			}
-		}
-	}
-	if !sawPolicyRung {
-		return errors.New("chaos smoke: no block size starved the forced policy's weighting rung")
-	}
-
-	// The whole episode must be visible in /metrics.
-	resp, err := http.Get(base + "/metrics")
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	text := string(raw)
-	for _, want := range []string{
-		`bschedd_breaker_events_total{event="trip"}`,
-		`bschedd_breaker_events_total{event="recover"}`,
-		`bschedd_admission_total{outcome="quota"}`,
-		`bschedd_tenant_rejected_total{tenant="hog"}`,
-		"bschedd_diskcache_io_errors_total",
-	} {
-		if !strings.Contains(text, want) {
-			return fmt.Errorf("chaos smoke: /metrics missing %s", want)
-		}
-	}
-	fmt.Printf("bschedd: chaos smoke ok — breaker tripped %d time(s) and recovered, %d disk faults injected, quota 429 honored\n",
-		sv.BreakerTrips, inj.Fired(chaos.DiskError))
-	return nil
-}
-
-// runClusterSmoke brings up a 3-node in-process fleet on ephemeral
-// ports, sprays a Zipf-skewed stream of compile requests round-robin
-// across it (distinct register-file sizes give distinct cache keys),
-// and asserts the peer protocol carried traffic: zero failed requests,
-// at least one peer probe hit, at least one offer delivered, and a
-// fleet-wide compile count well below the request count. The
-// `make cluster-smoke` CI check.
-func runClusterSmoke(cfg server.Config, path string) error {
-	src, err := cli.ReadInput(path)
-	if err != nil {
-		return err
-	}
-	const nodes = 3
-	lns := make([]net.Listener, nodes)
-	urls := make([]string, nodes)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		defer ln.Close()
-		lns[i] = ln
-		urls[i] = "http://" + ln.Addr().String()
-	}
-	svcs := make([]*server.Server, nodes)
-	httpSrvs := make([]*http.Server, nodes)
-	for i := range svcs {
-		ncfg := cfg
-		ncfg.SelfURL = urls[i]
-		ncfg.Peers = nil
-		for j, u := range urls {
-			if j != i {
-				ncfg.Peers = append(ncfg.Peers, u)
-			}
-		}
-		ncfg.PeerProbeTimeout = 2 * time.Second
-		svc, err := server.New(ncfg)
-		if err != nil {
-			return err
-		}
-		defer svc.Close()
-		svcs[i] = svc
-		httpSrvs[i] = &http.Server{Handler: svc.Handler()}
-		go httpSrvs[i].Serve(lns[i])
-		defer httpSrvs[i].Close()
-	}
-
-	const requests = 200
-	const variants = 24
-	rng := rand.New(rand.NewSource(42))
-	zipf := rand.NewZipf(rng, 1.2, 1.0, variants-1)
-	for i := 0; i < requests; i++ {
-		k := int(zipf.Uint64())
-		body, err := json.Marshal(server.CompileRequest{
-			Program: src,
-			// Distinct register-file sizes → distinct options fingerprints →
-			// distinct cache keys spread across the ring.
-			Options: server.RequestOptions{Regs: 16 + k, SpillPool: 6},
-		})
-		if err != nil {
-			return err
-		}
-		resp, err := http.Post(urls[i%nodes]+"/v1/compile", "application/json", bytes.NewReader(body))
-		if err != nil {
-			return fmt.Errorf("cluster smoke: request %d: %w", i, err)
-		}
-		code := resp.StatusCode
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if code != http.StatusOK {
-			return fmt.Errorf("cluster smoke: request %d returned %d, want 200", i, code)
-		}
-	}
-
-	var probeHits, probeErrors, offersSent, offersDropped int64
-	for i, svc := range svcs {
-		snap := svc.Stats()
-		if snap.Cluster == nil {
-			return fmt.Errorf("cluster smoke: node %d /stats has no cluster section", i)
-		}
-		if snap.Cluster.RingNodes != nodes {
-			return fmt.Errorf("cluster smoke: node %d sees %d ring nodes, want %d", i, snap.Cluster.RingNodes, nodes)
-		}
-		probeHits += snap.Cluster.ProbeHits
-		probeErrors += snap.Cluster.ProbeErrors
-		offersSent += snap.Cluster.OffersSent
-		offersDropped += snap.Cluster.OffersDropped
-	}
-	if probeHits == 0 {
-		return errors.New("cluster smoke: no peer probe hits — the fleet never shared a schedule")
-	}
-	if probeErrors > 0 {
-		return fmt.Errorf("cluster smoke: %d probe errors inside a healthy fleet", probeErrors)
-	}
-	fmt.Printf("bschedd: cluster smoke ok — %d requests over %d nodes, %d probe hits, %d offers delivered (%d dropped), 0 errors\n",
-		requests, nodes, probeHits, offersSent, offersDropped)
-	return nil
-}
-
-// runBatchSmoke drives the streaming batch endpoint end to end: it
-// posts a two-program batch (the given IR file twice) to
-// /v1/compile/batch and validates the NDJSON stream frame by frame.
-// Every block must arrive exactly once at a deterministic
-// (program, index) coordinate, both programs must get a trailer, the
-// stream must end with a done frame — and because the two programs are
-// identical, the block cache must have compiled each distinct block
-// exactly once, serving the twin's blocks by hit or single-flight
-// coalescing. The `make batch-smoke` CI check.
-func runBatchSmoke(cfg server.Config, path string) error {
-	src, err := cli.ReadInput(path)
-	if err != nil {
-		return err
-	}
-	svc, err := server.New(cfg)
-	if err != nil {
-		return err
-	}
-	defer svc.Close()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	httpSrv := &http.Server{Handler: svc.Handler()}
-	go httpSrv.Serve(ln)
-	defer httpSrv.Close()
-	base := "http://" + ln.Addr().String()
-
-	body, err := json.Marshal(server.BatchRequest{Programs: []server.CompileRequest{
-		{Program: src}, {Program: src},
-	}})
-	if err != nil {
-		return err
-	}
-	resp, err := http.Post(base+"/v1/compile/batch", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		raw, _ := io.ReadAll(resp.Body)
-		return fmt.Errorf("POST /v1/compile/batch: %s: %s", resp.Status, bytes.TrimSpace(raw))
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		return fmt.Errorf("batch smoke: content type %q, want application/x-ndjson", ct)
-	}
-
-	const programs = 2
-	seen := make([]map[int]bool, programs)
-	for i := range seen {
-		seen[i] = make(map[int]bool)
-	}
-	trailers := make([]bool, programs)
-	var done, afterDone bool
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	for sc.Scan() {
-		if afterDone {
-			return errors.New("batch smoke: frame after the done frame")
-		}
-		var f server.BatchFrame
-		if err := json.Unmarshal(sc.Bytes(), &f); err != nil {
-			return fmt.Errorf("batch smoke: bad NDJSON frame %q: %w", sc.Text(), err)
-		}
-		switch f.Type {
-		case "block":
-			if f.Program < 0 || f.Program >= programs {
-				return fmt.Errorf("batch smoke: block frame for program %d", f.Program)
-			}
-			if seen[f.Program][f.Index] {
-				return fmt.Errorf("batch smoke: duplicate block frame (%d, %d)", f.Program, f.Index)
-			}
-			seen[f.Program][f.Index] = true
-			if f.Block == "" || f.Summary == nil {
-				return fmt.Errorf("batch smoke: block frame (%d, %d) missing schedule or summary", f.Program, f.Index)
-			}
-		case "program":
-			if trailers[f.Program] {
-				return fmt.Errorf("batch smoke: duplicate trailer for program %d", f.Program)
-			}
-			trailers[f.Program] = true
-			if f.Fingerprint == "" {
-				return fmt.Errorf("batch smoke: trailer for program %d has no fingerprint", f.Program)
-			}
-		case "error":
-			return fmt.Errorf("batch smoke: error frame for program %d: %s", f.Program, f.Error)
-		case "done":
-			done = true
-			afterDone = true
-			if f.Programs != programs {
-				return fmt.Errorf("batch smoke: done frame covers %d programs, want %d", f.Programs, programs)
-			}
-		default:
-			return fmt.Errorf("batch smoke: unknown frame type %q", f.Type)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return err
-	}
-	if !done {
-		return errors.New("batch smoke: stream ended without a done frame")
-	}
-	nblocks := len(seen[0])
-	if nblocks == 0 {
-		return errors.New("batch smoke: no block frames for program 0")
-	}
-	for p := 0; p < programs; p++ {
-		if !trailers[p] {
-			return fmt.Errorf("batch smoke: no trailer for program %d", p)
-		}
-		if len(seen[p]) != nblocks {
-			return fmt.Errorf("batch smoke: program %d streamed %d blocks, want %d", p, len(seen[p]), nblocks)
-		}
-		for i := 0; i < nblocks; i++ {
-			if !seen[p][i] {
-				return fmt.Errorf("batch smoke: program %d missing block index %d", p, i)
-			}
-		}
-	}
-
-	// Identical programs: every distinct block compiles exactly once and
-	// the twin's copy is served by a cache hit or coalesced onto the
-	// in-flight leader.
-	snap := svc.Stats()
-	if snap.BlockMisses != int64(nblocks) {
-		return fmt.Errorf("batch smoke: %d block compiles for %d distinct blocks, want exactly one each", snap.BlockMisses, nblocks)
-	}
-	if shared := snap.BlockHits + snap.BlockCoalesced; shared != int64(nblocks) {
-		return fmt.Errorf("batch smoke: twin program drew %d hit/coalesced blocks, want %d", shared, nblocks)
-	}
-	if snap.BatchRequests != 1 || snap.BlocksStreamed != int64(programs*nblocks) {
-		return fmt.Errorf("batch smoke: stats report %d batches / %d streamed blocks, want 1 / %d",
-			snap.BatchRequests, snap.BlocksStreamed, programs*nblocks)
-	}
-	fmt.Printf("bschedd: batch smoke ok — %d programs × %d block(s) streamed, %d compiled, %d shared via hit/coalesce\n",
-		programs, nblocks, snap.BlockMisses, snap.BlockHits+snap.BlockCoalesced)
-	return nil
-}
-
-// runFleetObsSmoke drives the fleet observability plane end to end
-// over a 3-node in-process fleet: after a Zipf request spray it
-// asserts (1) GET /v1/fleet/stats answered from any node carries
-// totals exactly equal to the sum of the three node-local /stats
-// counters, (2) a compile served via a peer probe stitches into one
-// cross-node trace — fragments from at least two nodes in the span
-// tree, at least two process lanes in the Perfetto export, (3) the
-// merged /v1/fleet/metrics output survives the strict exposition
-// validator and carries the per-node reachability gauge, (4) the
-// continuous profiler lands at least one capture in its ring, and
-// (5) killing a node degrades the fleet view (annotated unreachable)
-// instead of failing it. The `make fleet-obs-smoke` CI check.
-func runFleetObsSmoke(cfg server.Config, path string) error {
-	src, err := cli.ReadInput(path)
-	if err != nil {
-		return err
-	}
-	profDir, err := os.MkdirTemp("", "bschedd-fleet-obs-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(profDir)
-
-	const nodes = 3
-	lns := make([]net.Listener, nodes)
-	urls := make([]string, nodes)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		defer ln.Close()
-		lns[i] = ln
-		urls[i] = "http://" + ln.Addr().String()
-	}
-	svcs := make([]*server.Server, nodes)
-	httpSrvs := make([]*http.Server, nodes)
-	for i := range svcs {
-		ncfg := cfg
-		ncfg.SelfURL = urls[i]
-		ncfg.Peers = nil
-		for j, u := range urls {
-			if j != i {
-				ncfg.Peers = append(ncfg.Peers, u)
-			}
-		}
-		ncfg.PeerProbeTimeout = 2 * time.Second
-		ncfg.TraceSampleEvery = 1 // every trace retained: stitching must be deterministic
-		if i == 0 {
-			ncfg.ProfileDir = profDir
-			ncfg.ProfileInterval = 150 * time.Millisecond
-			ncfg.ProfileCPUDuration = 50 * time.Millisecond
-		}
-		svc, err := server.New(ncfg)
-		if err != nil {
-			return err
-		}
-		defer svc.Close()
-		svcs[i] = svc
-		httpSrvs[i] = &http.Server{Handler: svc.Handler()}
-		go httpSrvs[i].Serve(lns[i])
-		defer httpSrvs[i].Close()
-	}
-
-	post := func(node int, opts server.RequestOptions) (traceID string, err error) {
-		body, err := json.Marshal(server.CompileRequest{Program: src, Options: opts})
-		if err != nil {
-			return "", err
-		}
-		resp, err := http.Post(urls[node]+"/v1/compile", "application/json", bytes.NewReader(body))
-		if err != nil {
-			return "", err
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return "", fmt.Errorf("node %d returned %d, want 200", node, resp.StatusCode)
-		}
-		return resp.Header.Get("X-Trace-ID"), nil
-	}
-	getJSON := func(url string, out any) (int, error) {
-		resp, err := http.Get(url)
-		if err != nil {
-			return 0, err
-		}
-		defer resp.Body.Close()
-		raw, err := io.ReadAll(resp.Body)
-		if err != nil {
-			return 0, err
-		}
-		if out != nil && resp.StatusCode == http.StatusOK {
-			if err := json.Unmarshal(raw, out); err != nil {
-				return 0, fmt.Errorf("decode %s: %w", url, err)
-			}
-		}
-		return resp.StatusCode, nil
-	}
-
-	// Spray a Zipf-skewed stream round-robin so keys spread over the
-	// ring and the peer protocol carries traffic.
-	const requests = 120
-	const variants = 24
-	rng := rand.New(rand.NewSource(42))
-	zipf := rand.NewZipf(rng, 1.2, 1.0, variants-1)
-	for i := 0; i < requests; i++ {
-		k := int(zipf.Uint64())
-		if _, err := post(i%nodes, server.RequestOptions{Regs: 16 + k, SpillPool: 6}); err != nil {
-			return fmt.Errorf("fleet obs smoke: request %d: %w", i, err)
-		}
-	}
-
-	// (1) Aggregated totals from every node == sum of node-local /stats.
-	want := map[string]int64{}
-	for _, svc := range svcs {
-		snap := svc.Stats()
-		for k, v := range snap.CounterTotals() {
-			want[k] += v
-		}
-	}
-	for i := range urls {
-		var fs server.FleetStats
-		status, err := getJSON(urls[i]+"/v1/fleet/stats", &fs)
-		if err != nil || status != http.StatusOK {
-			return fmt.Errorf("fleet obs smoke: fleet stats on node %d: status %d err %v", i, status, err)
-		}
-		if fs.Reachable != nodes || len(fs.Nodes) != nodes {
-			return fmt.Errorf("fleet obs smoke: node %d sees %d/%d reachable, want %d/%d", i, fs.Reachable, len(fs.Nodes), nodes, nodes)
-		}
-		for k, v := range want {
-			if fs.Totals[k] != v {
-				return fmt.Errorf("fleet obs smoke: node %d fleet total %q = %d, node-local sum is %d", i, k, fs.Totals[k], v)
-			}
-		}
-	}
-
-	// (2) Cross-node trace stitching: replay fresh keys on every node in
-	// turn until one lands a peer-served compile whose ?fleet=1 view has
-	// fragments from 2+ nodes.
-	var stitchedNode int
-	var stitchedID string
-	deadline := time.Now().Add(15 * time.Second)
-	for k := 1000; stitchedID == "" && time.Now().Before(deadline); k++ {
-		for i := 0; i < nodes && stitchedID == ""; i++ {
-			node := (k + i) % nodes
-			id, err := post(node, server.RequestOptions{Regs: 16 + k, SpillPool: 6})
-			if err != nil {
-				return fmt.Errorf("fleet obs smoke: stitch probe: %w", err)
-			}
-			if id == "" {
-				continue
-			}
-			var frags struct {
-				Nodes []string `json:"nodes"`
-			}
-			status, err := getJSON(urls[node]+"/v1/traces/"+id+"?fleet=1&format=tree", &frags)
-			if err != nil || status != http.StatusOK {
-				continue
-			}
-			if len(frags.Nodes) >= 2 {
-				stitchedNode, stitchedID = node, id
-			}
-		}
-	}
-	if stitchedID == "" {
-		return errors.New("fleet obs smoke: no cross-node trace stitched fragments from 2+ nodes before the deadline")
-	}
-	var chrome struct {
-		TraceEvents []struct {
-			Name string `json:"name"`
-			Ph   string `json:"ph"`
-			Pid  int    `json:"pid"`
-		} `json:"traceEvents"`
-		OtherData map[string]any `json:"otherData"`
-	}
-	status, err := getJSON(urls[stitchedNode]+"/v1/traces/"+stitchedID+"?fleet=1", &chrome)
-	if err != nil || status != http.StatusOK {
-		return fmt.Errorf("fleet obs smoke: stitched Perfetto export: status %d err %v", status, err)
-	}
-	lanes := map[int]bool{}
-	for _, ev := range chrome.TraceEvents {
-		if ev.Ph == "M" && ev.Name == "process_name" {
-			lanes[ev.Pid] = true
-		}
-	}
-	if len(lanes) < 2 {
-		return fmt.Errorf("fleet obs smoke: stitched trace has %d process lanes, want >= 2", len(lanes))
-	}
-
-	// (3) Merged fleet metrics: strictly valid exposition text carrying
-	// the synthetic reachability gauge for every node.
-	mresp, err := http.Get(urls[1] + "/v1/fleet/metrics")
-	if err != nil {
-		return err
-	}
-	mraw, err := io.ReadAll(mresp.Body)
-	mresp.Body.Close()
-	if err != nil || mresp.StatusCode != http.StatusOK {
-		return fmt.Errorf("fleet obs smoke: fleet metrics: status %d err %v", mresp.StatusCode, err)
-	}
-	if err := obs.ValidateExposition(bytes.NewReader(mraw)); err != nil {
-		return fmt.Errorf("fleet obs smoke: merged exposition invalid: %w", err)
-	}
-	for _, u := range urls {
-		if !bytes.Contains(mraw, []byte(fmt.Sprintf("bschedd_fleet_node_up{node=%q} 1", u))) {
-			return fmt.Errorf("fleet obs smoke: merged metrics missing node_up for %s", u)
-		}
-	}
-
-	// (4) The continuous profiler on node 0 must have landed at least
-	// one capture in its ring (150ms periodic interval).
-	var profiles struct {
-		Count int `json:"count"`
-	}
-	for profiles.Count == 0 {
-		if time.Now().After(deadline) {
-			return errors.New("fleet obs smoke: no profile captured before the deadline")
-		}
-		if status, err := getJSON(urls[0]+"/v1/profiles", &profiles); err != nil || status != http.StatusOK {
-			return fmt.Errorf("fleet obs smoke: profiles index: status %d err %v", status, err)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-
-	// (5) Kill node 2: the fleet view from a survivor degrades —
-	// annotated unreachable — instead of failing.
-	httpSrvs[2].Close()
-	svcs[2].Close()
-	var degraded server.FleetStats
-	status, err = getJSON(urls[0]+"/v1/fleet/stats", &degraded)
-	if err != nil || status != http.StatusOK {
-		return fmt.Errorf("fleet obs smoke: fleet stats after node kill: status %d err %v", status, err)
-	}
-	if degraded.Reachable != nodes-1 {
-		return fmt.Errorf("fleet obs smoke: %d reachable after node kill, want %d", degraded.Reachable, nodes-1)
-	}
-	annotated := false
-	for _, n := range degraded.Nodes {
-		if n.Node == urls[2] && !n.Reachable && n.Error != "" {
-			annotated = true
-		}
-	}
-	if !annotated {
-		return errors.New("fleet obs smoke: dead node not annotated in the degraded fleet view")
-	}
-
-	fmt.Printf("bschedd: fleet obs smoke ok — totals exact over %d nodes, trace %s stitched across %d lanes, %d profile(s) captured, degraded view after node kill\n",
-		nodes, stitchedID, len(lanes), profiles.Count)
-	return nil
-}
-
-// widePolicyProgram renders a single-block program of n alternating
-// loads and adds — wide enough that a starved budget tier exhausts
-// itself inside the policy's weighting rung rather than during DAG
-// construction.
-func widePolicyProgram(n int) string {
-	var sb strings.Builder
-	sb.WriteString("func starve\nblock wide freq=1\n")
-	for i := 0; i < n; i++ {
-		if i%2 == 0 {
-			fmt.Fprintf(&sb, "v%d = load a[%d]\n", i, 8*i)
-		} else {
-			fmt.Fprintf(&sb, "v%d = add v%d, v%d\n", i, i-1, i-1)
-		}
-	}
-	sb.WriteString("end")
-	return sb.String()
-}
-
-// autoMixProgram is the per-block selection probe for the policy smoke:
-// one block with loads (the v1 decision rule keeps it on balanced) and
-// one load-free block (the rule sends it to critical-path). One request
-// under "auto" must land the two blocks on different policies.
-const autoMixProgram = `func automix
-block loady freq=1
-v0 = load a[0]
-v1 = load a[8]
-v2 = add v0, v1
-liveout v2
-end
-block pure freq=1
-v0 = const 1
-v1 = add v0, v0
-v2 = mul v1, v0
-liveout v2
-end`
-
-// runPolicySmoke drives the scheduling-policy portfolio end to end
-// over real HTTP: the IR file compiles under every registered policy
-// plus auto, each response names its policy and keys the cache
-// distinctly, the legacy default shares the forced-balanced entry, the
-// auto decision rule picks per block, a -policy forced daemon
-// overrides request options, and the per-policy counters land in
-// /stats and /metrics. The `make policy-smoke` CI check.
-func runPolicySmoke(cfg server.Config, path string) error {
-	src, err := cli.ReadInput(path)
-	if err != nil {
-		return err
-	}
-	cfg.ForcePolicy = "" // the forced-daemon drill runs separately below
-	svc, err := server.New(cfg)
-	if err != nil {
-		return err
-	}
-	defer svc.Close()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	httpSrv := &http.Server{Handler: svc.Handler()}
-	go httpSrv.Serve(ln)
-	defer httpSrv.Close()
-	base := "http://" + ln.Addr().String()
-
-	post := func(base, program string, opts server.RequestOptions) (*server.CompileResponse, error) {
-		body, err := json.Marshal(server.CompileRequest{Program: program, Options: opts})
-		if err != nil {
-			return nil, err
-		}
-		resp, err := http.Post(base+"/v1/compile", "application/json", bytes.NewReader(body))
-		if err != nil {
-			return nil, err
-		}
-		defer resp.Body.Close()
-		raw, err := io.ReadAll(resp.Body)
-		if err != nil {
-			return nil, err
-		}
-		if resp.StatusCode != http.StatusOK {
-			return nil, fmt.Errorf("POST /v1/compile: %s: %s", resp.Status, bytes.TrimSpace(raw))
-		}
-		var out server.CompileResponse
-		if err := json.Unmarshal(raw, &out); err != nil {
-			return nil, fmt.Errorf("decode response: %w", err)
-		}
-		return &out, nil
-	}
-
-	// The compatibility anchor first: a default request and a forced
-	// balanced request are one cache key, so the second must be a warm
-	// hit on the first.
-	def, err := post(base, src, server.RequestOptions{})
-	if err != nil {
-		return err
-	}
-	if len(def.Blocks) == 0 {
-		return errors.New("policy smoke: empty compile response")
-	}
-	bal, err := post(base, src, server.RequestOptions{Policy: sched.PolicyBalanced})
-	if err != nil {
-		return err
-	}
-	if !bal.Cached {
-		return errors.New("policy smoke: forced balanced request missed the default request's cache entry")
-	}
-	if bal.OptionsFingerprint != def.OptionsFingerprint {
-		return errors.New("policy smoke: forced balanced and default requests keyed differently")
-	}
-
-	// Every policy, plus auto: a 200, every block naming the policy it
-	// was compiled under, and a distinct options fingerprint per policy.
-	fps := map[string]string{sched.PolicyBalanced: bal.OptionsFingerprint}
-	names := append(sched.PolicyNames(), sched.PolicyAuto)
-	for _, name := range names {
-		resp, err := post(base, src, server.RequestOptions{Policy: name})
-		if err != nil {
-			return fmt.Errorf("policy smoke: %s: %w", name, err)
-		}
-		for _, b := range resp.Blocks {
-			got := b.Policy
-			if name == sched.PolicyAuto {
-				// Auto reports the rule's per-block pick, which must be
-				// a registered policy.
-				if _, ok := sched.PolicyByName(got); !ok {
-					return fmt.Errorf("policy smoke: auto block %s reports unregistered policy %q", b.Label, got)
-				}
-			} else if got != name {
-				return fmt.Errorf("policy smoke: block %s compiled under %q, want %q", b.Label, got, name)
-			}
-		}
-		if prev, dup := fps[name]; dup && prev != resp.OptionsFingerprint {
-			return fmt.Errorf("policy smoke: policy %q fingerprint unstable", name)
-		}
-		for other, fp := range fps {
-			if other != name && fp == resp.OptionsFingerprint {
-				return fmt.Errorf("policy smoke: policies %q and %q share options fingerprint %s", other, name, fp)
-			}
-		}
-		fps[name] = resp.OptionsFingerprint
-	}
-
-	// Per-block selection: one auto request over a mixed program must
-	// send the load-free block to critical-path and keep the loady one
-	// on balanced.
-	mix, err := post(base, autoMixProgram, server.RequestOptions{Policy: sched.PolicyAuto})
-	if err != nil {
-		return err
-	}
-	picks := map[string]string{}
-	for _, b := range mix.Blocks {
-		picks[b.Label] = b.Policy
-	}
-	if picks["loady"] != sched.PolicyBalanced {
-		return fmt.Errorf("policy smoke: auto sent loady block to %q, want balanced", picks["loady"])
-	}
-	if picks["pure"] != sched.PolicyCriticalPath {
-		return fmt.Errorf("policy smoke: auto sent load-free block to %q, want critical-path", picks["pure"])
-	}
-
-	// The episode must be visible in /stats and /metrics.
-	var snap struct {
-		PolicyBlocks map[string]int64 `json:"policy_blocks"`
-		PolicyCycles map[string]struct {
-			Count    int64   `json:"count"`
-			P50Slots float64 `json:"p50_slots"`
-		} `json:"policy_cycles"`
-	}
-	sresp, err := http.Get(base + "/stats")
-	if err != nil {
-		return err
-	}
-	err = json.NewDecoder(sresp.Body).Decode(&snap)
-	sresp.Body.Close()
-	if err != nil {
-		return err
-	}
-	for _, name := range sched.PolicyNames() {
-		if snap.PolicyBlocks[name] < 1 {
-			return fmt.Errorf("policy smoke: /stats policy_blocks[%s] = %d, want >= 1", name, snap.PolicyBlocks[name])
-		}
-	}
-	if cs := snap.PolicyCycles[sched.PolicyBalanced]; cs.Count < 1 || cs.P50Slots <= 0 {
-		return fmt.Errorf("policy smoke: /stats policy_cycles[balanced] = %+v, want samples", cs)
-	}
-	mresp, err := http.Get(base + "/metrics")
-	if err != nil {
-		return err
-	}
-	raw, err := io.ReadAll(mresp.Body)
-	mresp.Body.Close()
-	if err != nil {
-		return err
-	}
-	for _, want := range []string{
-		`bschedd_policy_blocks_total{policy="balanced"}`,
-		`bschedd_policy_blocks_total{policy="critical-path"}`,
-		"# TYPE bschedd_policy_cycles histogram",
-	} {
-		if !strings.Contains(string(raw), want) {
-			return fmt.Errorf("policy smoke: /metrics missing %s", want)
-		}
-	}
-
-	// Operator override: a daemon started with -policy compiles every
-	// request under that policy, whatever the request asked for.
-	fcfg := cfg
-	fcfg.ForcePolicy = sched.PolicyCriticalPath
-	fsvc, err := server.New(fcfg)
-	if err != nil {
-		return err
-	}
-	defer fsvc.Close()
-	fln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	fsrv := &http.Server{Handler: fsvc.Handler()}
-	go fsrv.Serve(fln)
-	defer fsrv.Close()
-	forced, err := post("http://"+fln.Addr().String(), src, server.RequestOptions{Policy: sched.PolicyBalanced})
-	if err != nil {
-		return err
-	}
-	for _, b := range forced.Blocks {
-		if b.Policy != sched.PolicyCriticalPath {
-			return fmt.Errorf("policy smoke: forced daemon compiled block %s under %q, want critical-path", b.Label, b.Policy)
-		}
-	}
-	if forced.OptionsFingerprint != fps[sched.PolicyCriticalPath] {
-		return errors.New("policy smoke: forced daemon keyed the cache by the requested policy, not the forced one")
-	}
-
-	fmt.Printf("bschedd: policy smoke ok — %d policies + auto over %d block(s), per-block selection and forced override verified\n",
-		len(sched.PolicyNames()), len(def.Blocks))
-	return nil
-}
-
-// requiredMetrics is the CI contract with docs/OBSERVABILITY.md: every
-// family the catalog documents must appear in a scrape.
-var requiredMetrics = []string{
-	"bschedd_requests_total",
-	"bschedd_responses_total",
-	"bschedd_cache_events_total",
-	"bschedd_degradations_total",
-	"bschedd_policy_blocks_total",
-	"bschedd_policy_cycles",
-	"bschedd_request_duration_seconds",
-	"bschedd_stage_duration_seconds",
-	"bschedd_compile_duration_seconds",
-	"bschedd_queue_depth",
-	"bschedd_queue_capacity",
-	"bschedd_workers",
-	"bschedd_cache_entries",
-	"bschedd_diskcache_events_total",
-	"bschedd_diskcache_records_loaded_total",
-	"bschedd_diskcache_corrupt_records_total",
-	"bschedd_diskcache_entries",
-	"bschedd_diskcache_bytes",
-	"bschedd_diskcache_warm_entries",
-	"bschedd_diskcache_io_errors_total",
-	"bschedd_diskcache_stale_records_total",
-	"bschedd_block_cache_events_total",
-	"bschedd_batch_requests_total",
-	"bschedd_batch_blocks_streamed_total",
-	"bschedd_admission_total",
-	"bschedd_queue_requests_total",
-	"bschedd_tenant_requests_total",
-	"bschedd_tenant_rejected_total",
-	"bschedd_breaker_events_total",
-	"bschedd_breaker_state",
-	"bschedd_peer_probes_total",
-	"bschedd_peer_offers_total",
-	"bschedd_peer_ring_nodes",
-	"bschedd_retry_after_seconds",
-	"bschedd_quota_tenants",
-	"bschedd_uptime_seconds",
-	"bschedd_traces_retained",
-	"bschedd_profile_captures_total",
-	"bschedd_profiles_retained",
-	"bschedd_build_info",
-	"go_goroutines",
-	"go_memstats_heap_alloc_bytes",
-}
-
-// checkMetrics scrapes /metrics and verifies the whole output parses
-// under the strict exposition validator (obs.ValidateExposition),
-// every required family has a TYPE declaration, and the histograms
-// carry samples from the smoke compile.
-func checkMetrics(base string) error {
-	resp, err := http.Get(base + "/metrics")
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET /metrics: %s", resp.Status)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
-		return fmt.Errorf("GET /metrics content type %q, want text exposition format", ct)
-	}
-	if err := obs.ValidateExposition(bytes.NewReader(raw)); err != nil {
-		return fmt.Errorf("metrics smoke: exposition format violation: %w", err)
-	}
-	text := string(raw)
-	var missing []string
-	for _, name := range requiredMetrics {
-		if !strings.Contains(text, "# TYPE "+name+" ") {
-			missing = append(missing, name)
-		}
-	}
-	if len(missing) > 0 {
-		return fmt.Errorf("metrics smoke: missing families: %s", strings.Join(missing, ", "))
-	}
-	for _, want := range []string{
-		`bschedd_stage_duration_seconds_count{stage="compile"}`,
-		`bschedd_compile_duration_seconds_count{tier="default"}`,
-	} {
-		if !strings.Contains(text, want) {
-			return fmt.Errorf("metrics smoke: no sample for %s", want)
-		}
-	}
-	fmt.Printf("bschedd: metrics smoke ok — %d required families present\n", len(requiredMetrics))
-	return nil
-}
-
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "bschedd:", err)
 	os.Exit(1)

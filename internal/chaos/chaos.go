@@ -216,7 +216,7 @@ func (inj *Injector) Delay(name string) {
 }
 
 // Fired reports how many times the named fault has fired; handy for
-// smoke tests asserting the injection actually happened.
+// tests asserting the injection actually happened.
 func (inj *Injector) Fired(name string) int64 {
 	if inj == nil {
 		return 0

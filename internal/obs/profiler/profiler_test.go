@@ -51,6 +51,32 @@ func TestTriggerCapturesCPUAndHeap(t *testing.T) {
 	}
 }
 
+// TestPeriodicCapture: with a positive Interval, Start's loop lands
+// captures on its own and reports each through OnCapture with reason
+// "periodic".
+func TestPeriodicCapture(t *testing.T) {
+	var periodic atomic.Int64
+	p, err := New(Config{
+		Dir: t.TempDir(), Interval: 20 * time.Millisecond, CPUDuration: 10 * time.Millisecond,
+		OnCapture: func(kind, reason string) {
+			if reason == "periodic" {
+				periodic.Add(1)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	p.Start()
+	waitFor(t, 5*time.Second, func() bool { return periodic.Load() >= 2 })
+	for _, e := range p.Index() {
+		if e.Reason != "periodic" {
+			t.Fatalf("periodic loop captured %s with reason %q", e.Name, e.Reason)
+		}
+	}
+}
+
 func TestTriggerCooldown(t *testing.T) {
 	dir := t.TempDir()
 	p, err := New(Config{Dir: dir, Interval: -1, CPUDuration: 10 * time.Millisecond,

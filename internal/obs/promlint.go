@@ -18,8 +18,9 @@ import (
 // must be cumulative with a `+Inf` bucket equal to `_count`, and the
 // only comments allowed are `# HELP`, `# TYPE`, and this package's
 // `# EXEMPLAR <family> trace_id="<id>" <value>` annotation (which must
-// name a declared histogram). The metrics smoke drill runs every scrape
-// through it so a malformed family name or label can never ship.
+// name a declared histogram). TestMetricsExpositionFormat and the fleet
+// exposition tests in internal/server run scrapes through it so a
+// malformed family name or label can never ship.
 func ValidateExposition(r io.Reader) error {
 	type histSeries struct {
 		lastLe  float64

@@ -65,10 +65,10 @@ type BatchFrame struct {
 	// Block is the scheduled block's textual IR; Summary and
 	// Degradations are the same per-block shapes a /v1/compile response
 	// carries. Cached is true when this block cost no new compilation.
-	Block        string             `json:"block,omitempty"`
-	Summary      *BlockSummary      `json:"summary,omitempty"`
-	Degradations []DegradationEvent `json:"degradations,omitempty"`
-	Cached       bool               `json:"cached,omitempty"`
+	Block        string                    `json:"block,omitempty"`
+	Summary      *engine.BlockSummary      `json:"summary,omitempty"`
+	Degradations []engine.DegradationEvent `json:"degradations,omitempty"`
+	Cached       bool                      `json:"cached,omitempty"`
 	// Program-trailer fields, mirroring CompileResponse's stamps.
 	Fingerprint        string  `json:"fingerprint,omitempty"`
 	OptionsFingerprint string  `json:"options_fingerprint,omitempty"`
@@ -270,7 +270,7 @@ func (s *Server) handleCompileBatch(w http.ResponseWriter, r *http.Request) {
 					p.remaining.Add(-1)
 					continue
 				}
-				key := Key{Block: b.Fingerprint(), Opts: optsFP}
+				key := engine.Key{Block: b.Fingerprint(), Opts: optsFP}
 				resp, e, disp, err := s.dispatchBlock(r, tr, b, key, opts, deadline, p.start, tier, prio)
 				if err != nil {
 					p.fail(frames, err)
@@ -287,7 +287,7 @@ func (s *Server) handleCompileBatch(w http.ResponseWriter, r *http.Request) {
 						p.coalesced.Store(true)
 					}
 					wg.Add(1)
-					go func(bi int, e *Entry, compiled bool, left time.Duration) {
+					go func(bi int, e *engine.Entry, compiled bool, left time.Duration) {
 						defer wg.Done()
 						// A coalesced block waits on another request's
 						// leader under this program's own deadline; our own
@@ -314,7 +314,7 @@ func (s *Server) handleCompileBatch(w http.ResponseWriter, r *http.Request) {
 							// read it. The leader still completes and warms
 							// the cache.
 						case <-s.eng.Done():
-							p.fail(frames, errShutdown)
+							p.fail(frames, engine.ErrShutdown)
 						}
 					}(bi, e, disp == blockEnqueued, deadline-time.Since(p.start))
 				}

@@ -10,6 +10,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"strings"
@@ -238,7 +239,9 @@ func TestBatchClientDisconnectNoLeak(t *testing.T) {
 // guarantee: a two-program batch whose programs share 90% of their
 // blocks compiles each shared block exactly once, visible in the
 // compile-call count (single-flight leaders) and the /stats block
-// counters.
+// counters. The stream itself must carry every (program, index) pair
+// exactly once, a fingerprinted trailer per program, and nothing after
+// the done frame.
 func TestBatchSharedBlocksCompileOnce(t *testing.T) {
 	s, ts := startServer(t, Config{})
 	var calls atomic.Int64
@@ -263,27 +266,45 @@ func TestBatchSharedBlocksCompileOnce(t *testing.T) {
 		t.Fatalf("batch status %d", resp.StatusCode)
 	}
 	rd := bufio.NewReader(resp.Body)
-	blocks, trailers := 0, 0
-	for {
+	var seen [2][10]bool
+	trailers := 0
+	for done := false; !done; {
 		f := readFrame(t, rd)
 		switch f.Type {
 		case "block":
-			blocks++
+			if f.Program < 0 || f.Program >= 2 || f.Index < 0 || f.Index >= 10 {
+				t.Fatalf("block frame outside the batch: %+v", f)
+			}
+			if seen[f.Program][f.Index] {
+				t.Fatalf("duplicate block frame (%d, %d)", f.Program, f.Index)
+			}
+			seen[f.Program][f.Index] = true
 		case "program":
 			trailers++
+			if f.Fingerprint == "" {
+				t.Errorf("trailer for program %d has no fingerprint", f.Program)
+			}
 		case "error":
 			t.Fatalf("error frame: %+v", f)
 		case "done":
 			if f.Programs != 2 || f.Blocks != 20 {
 				t.Fatalf("done frame wrong: %+v", f)
 			}
-		}
-		if f.Type == "done" {
-			break
+			done = true
 		}
 	}
-	if blocks != 20 || trailers != 2 {
-		t.Fatalf("streamed %d block frames and %d trailers, want 20 and 2", blocks, trailers)
+	if line, err := rd.ReadString('\n'); err != io.EOF {
+		t.Fatalf("stream continued after the done frame: %q (%v)", line, err)
+	}
+	for p := range seen {
+		for i, ok := range seen[p] {
+			if !ok {
+				t.Errorf("program %d never streamed block %d", p, i)
+			}
+		}
+	}
+	if trailers != 2 {
+		t.Fatalf("streamed %d trailers, want 2", trailers)
 	}
 
 	// 11 unique blocks across the batch: 9 shared + 2 singletons. Each

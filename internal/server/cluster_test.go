@@ -26,10 +26,13 @@ type fleetNode struct {
 	compiles atomic.Int64
 }
 
-// startFleet brings up n servers that list each other as peers. The
-// listeners are allocated first so every node knows the full URL set
-// before construction — the ring must be identical fleet-wide.
-func startFleet(t *testing.T, n int) []*fleetNode {
+// startFleet brings up n servers that list each other as peers, each
+// built from base plus its ring identity, and counts every node's
+// compilations. The listeners are allocated first so every node knows
+// the full URL set before construction — the ring must be identical
+// fleet-wide. The probe budget is a generous 2s: these tests check
+// protocol correctness, not probe-timeout tuning on a loaded CI box.
+func startFleet(t *testing.T, n int, base Config) []*fleetNode {
 	t.Helper()
 	lns := make([]net.Listener, n)
 	urls := make([]string, n)
@@ -49,13 +52,9 @@ func startFleet(t *testing.T, n int) []*fleetNode {
 				peers = append(peers, u)
 			}
 		}
-		s, err := New(Config{
-			SelfURL: urls[i],
-			Peers:   peers,
-			// Generous probe budget: the point of these tests is protocol
-			// correctness, not probe-timeout tuning on a loaded CI box.
-			PeerProbeTimeout: 2 * time.Second,
-		})
+		cfg := base
+		cfg.SelfURL, cfg.Peers, cfg.PeerProbeTimeout = urls[i], peers, 2*time.Second
+		s, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +98,7 @@ func totalCompiles(nodes []*fleetNode) int64 {
 // keys from their ring owner, offers hand locally compiled foreign keys
 // to the owner, and no request ever fails because of a peer.
 func TestFleetDeduplicatesCompiles(t *testing.T) {
-	nodes := startFleet(t, 3)
+	nodes := startFleet(t, 3, Config{})
 	const uniqueKeys = 12
 	const requests = 90
 	rng := rand.New(rand.NewSource(7))
@@ -130,14 +129,15 @@ func TestFleetDeduplicatesCompiles(t *testing.T) {
 	}
 
 	// The protocol must actually have carried traffic: at least one
-	// probe hit fleet-wide.
-	var probeHits, offersSent int64
+	// probe hit fleet-wide, and no probe error inside a healthy fleet.
+	var probeHits, probeErrors, offersSent int64
 	for _, n := range nodes {
 		snap := n.s.Stats()
 		if snap.Cluster == nil {
 			t.Fatalf("node %s: /stats has no cluster section", n.url)
 		}
 		probeHits += snap.Cluster.ProbeHits
+		probeErrors += snap.Cluster.ProbeErrors
 		offersSent += snap.Cluster.OffersSent
 		if snap.Cluster.RingNodes != 3 {
 			t.Errorf("node %s: ring_nodes = %d, want 3", n.url, snap.Cluster.RingNodes)
@@ -145,6 +145,9 @@ func TestFleetDeduplicatesCompiles(t *testing.T) {
 	}
 	if probeHits == 0 {
 		t.Error("no peer probe hits across the whole run")
+	}
+	if probeErrors != 0 {
+		t.Errorf("%d peer probe errors inside a healthy fleet", probeErrors)
 	}
 	if offersSent == 0 {
 		t.Error("no peer offers sent across the whole run")
@@ -155,7 +158,7 @@ func TestFleetDeduplicatesCompiles(t *testing.T) {
 // survivors keep answering every client request: a dead owner costs a
 // failed probe (falling back to a local compile), never a client error.
 func TestFleetNodeKillNoClientErrors(t *testing.T) {
-	nodes := startFleet(t, 3)
+	nodes := startFleet(t, 3, Config{})
 	// Warm a few keys across the fleet.
 	for k := 0; k < 6; k++ {
 		if status, _, _ := postCompile(t, nodes[k%3].url, CompileRequest{Program: fleetProgram(k)}); status != http.StatusOK {
@@ -243,7 +246,7 @@ func TestPeerLookupAndOfferEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := Key{Block: prog.Funcs[0].Blocks[0].Fingerprint(), Opts: (&RequestOptions{}).fingerprint()}
+	key := engine.Key{Block: prog.Funcs[0].Blocks[0].Fingerprint(), Opts: (&RequestOptions{}).fingerprint()}
 
 	// Lookup of the freshly compiled block key: 200 with matching
 	// fingerprint.
@@ -262,7 +265,7 @@ func TestPeerLookupAndOfferEndpoints(t *testing.T) {
 	}
 
 	// Lookup of an absent key: 404.
-	absent := Key{Block: 0xdeadbeef, Opts: 0x1}
+	absent := engine.Key{Block: 0xdeadbeef, Opts: 0x1}
 	lresp, err = http.Get(ts.URL + "/v1/peer/lookup/" + absent.String())
 	if err != nil {
 		t.Fatal(err)
@@ -291,7 +294,7 @@ func TestPeerLookupAndOfferEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fkey := Key{Block: fprog.Funcs[0].Blocks[0].Fingerprint(), Opts: (&RequestOptions{}).fingerprint()}
+	fkey := engine.Key{Block: fprog.Funcs[0].Blocks[0].Fingerprint(), Opts: (&RequestOptions{}).fingerprint()}
 	offered := got
 	offered.Fingerprint = fmt.Sprintf("%016x", fkey.Block)
 	offered.OptionsFingerprint = fmt.Sprintf("%016x", fkey.Opts)

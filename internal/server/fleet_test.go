@@ -5,9 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -15,51 +13,9 @@ import (
 	"bsched/internal/obs"
 )
 
-// startObsFleet is startFleet with every trace retained — the fleet
-// observability tests need deterministic trace capture, not sampling.
-func startObsFleet(t *testing.T, n int) []*fleetNode {
-	t.Helper()
-	lns := make([]net.Listener, n)
-	urls := make([]string, n)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lns[i] = ln
-		urls[i] = "http://" + ln.Addr().String()
-	}
-	nodes := make([]*fleetNode, n)
-	for i := range nodes {
-		peers := make([]string, 0, n-1)
-		for j, u := range urls {
-			if j != i {
-				peers = append(peers, u)
-			}
-		}
-		s, err := New(Config{
-			SelfURL:          urls[i],
-			Peers:            peers,
-			PeerProbeTimeout: 2 * time.Second,
-			TraceSampleEvery: 1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		node := &fleetNode{s: s, url: urls[i]}
-		ts := httptest.NewUnstartedServer(s.Handler())
-		ts.Listener.Close()
-		ts.Listener = lns[i]
-		ts.Start()
-		node.ts = ts
-		nodes[i] = node
-		t.Cleanup(func() {
-			ts.Close()
-			s.Close()
-		})
-	}
-	return nodes
-}
+// obsFleet is the fleet observability tests' base config: every trace
+// retained, so capture is deterministic rather than sampled.
+var obsFleet = Config{TraceSampleEvery: 1}
 
 // postTraced sends one compile request and returns the X-Trace-ID the
 // server assigned to it.
@@ -86,7 +42,7 @@ func postTraced(t *testing.T, url, program string) string {
 // node: totals must equal the sum of the node-local /stats counters
 // exactly, with all three nodes reachable.
 func TestFleetStatsTotalsMatchNodeLocal(t *testing.T) {
-	nodes := startObsFleet(t, 3)
+	nodes := startFleet(t, 3, obsFleet)
 	for i := 0; i < 30; i++ {
 		postTraced(t, nodes[i%3].url, fleetProgram(i%7))
 	}
@@ -129,7 +85,7 @@ func TestFleetStatsTotalsMatchNodeLocal(t *testing.T) {
 // carrying X-Fleet-Hop gets the plain node-local snapshot, not a
 // fan-out aggregate.
 func TestFleetStatsHopAnswersLocally(t *testing.T) {
-	nodes := startObsFleet(t, 3)
+	nodes := startFleet(t, 3, obsFleet)
 	req, err := http.NewRequest(http.MethodGet, nodes[0].url+"/v1/fleet/stats", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +113,7 @@ func TestFleetStatsHopAnswersLocally(t *testing.T) {
 // view degrades instead of failing: still 200, dead node annotated
 // unreachable with an error, totals covering the two survivors.
 func TestFleetStatsDegradedOnNodeKill(t *testing.T) {
-	nodes := startObsFleet(t, 3)
+	nodes := startFleet(t, 3, obsFleet)
 	postTraced(t, nodes[0].url, demoProgram)
 	nodes[2].ts.Close()
 	nodes[2].s.Close()
@@ -219,7 +175,7 @@ func TestFleetStatsDegradedOnNodeKill(t *testing.T) {
 // output parses under the strict exposition validator, carries the
 // synthetic per-node reachability gauge, and splits gauges per node.
 func TestFleetMetricsMergedExposition(t *testing.T) {
-	nodes := startObsFleet(t, 3)
+	nodes := startFleet(t, 3, obsFleet)
 	for i := 0; i < 9; i++ {
 		postTraced(t, nodes[i%3].url, fleetProgram(i))
 	}
@@ -258,7 +214,7 @@ func TestFleetMetricsMergedExposition(t *testing.T) {
 // trace with fragments from at least two distinct nodes, in both tree
 // and Perfetto form.
 func TestFleetTraceStitching(t *testing.T) {
-	nodes := startObsFleet(t, 3)
+	nodes := startFleet(t, 3, obsFleet)
 
 	// Warm keys on every node, then replay each key on the other nodes:
 	// a replay on a non-owner misses locally and probes the owner,
@@ -329,7 +285,7 @@ func TestFleetTraceStitching(t *testing.T) {
 // trace round-trips as a span tree, an unknown one 404s, and garbage
 // 400s.
 func TestPeerTraceEndpoint(t *testing.T) {
-	nodes := startObsFleet(t, 1)
+	nodes := startFleet(t, 1, obsFleet)
 	id := postTraced(t, nodes[0].url, demoProgram)
 	if id == "" {
 		t.Fatal("compile response carried no X-Trace-ID")
@@ -431,9 +387,7 @@ func TestProfilesEndpoints(t *testing.T) {
 		t.Fatal("profile download accepted a traversal path")
 	}
 
-	// The capture counter surfaced through /stats metrics.
-	snap := s.Stats()
-	_ = snap
+	// The capture counter and ring gauge surface in /metrics.
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package server
 import (
 	"io"
 	"net/http"
+	"os"
 	"regexp"
 	"strconv"
 	"strings"
@@ -296,10 +297,65 @@ func scrapeMetrics(t *testing.T, url string) string {
 	return string(raw)
 }
 
+// metricValue returns the value of one series in a /metrics scrape,
+// the series written as it appears before its value (name plus label
+// set). A missing series fails the test.
+func metricValue(t *testing.T, text, series string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(text, "\n") {
+		if raw, ok := strings.CutPrefix(line, series+" "); ok {
+			v, err := strconv.ParseFloat(raw, 64)
+			if err != nil {
+				t.Fatalf("series %s: bad value %q", series, raw)
+			}
+			return v
+		}
+	}
+	t.Fatalf("/metrics has no series %s", series)
+	return 0
+}
+
+// metricCatalog reads the metric catalog tables of docs/OBSERVABILITY.md
+// (### Counters, ### Histograms, ### Gauges) and returns each
+// documented family's type.
+func metricCatalog(t *testing.T) map[string]string {
+	t.Helper()
+	raw, err := os.ReadFile("../../docs/OBSERVABILITY.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sections := map[string]string{
+		"### Counters":   "counter",
+		"### Histograms": "histogram",
+		"### Gauges":     "gauge",
+	}
+	catalog := map[string]string{}
+	rows := map[string]int{}
+	typ := ""
+	for _, line := range strings.Split(string(raw), "\n") {
+		if strings.HasPrefix(line, "#") {
+			typ = sections[strings.TrimSpace(line)]
+			continue
+		}
+		if row, ok := strings.CutPrefix(line, "| `"); ok && typ != "" {
+			name, _, _ := strings.Cut(row, "`")
+			catalog[name] = typ
+			rows[typ]++
+		}
+	}
+	for heading, typ := range sections {
+		if rows[typ] == 0 {
+			t.Fatalf("docs/OBSERVABILITY.md: no families under %q", heading)
+		}
+	}
+	return catalog
+}
+
 // TestMetricsExpositionFormat drives real traffic through the service
 // and validates the whole /metrics payload against the hand-rolled
-// exposition parser: grammar, HELP/TYPE coverage, histogram bucket
-// invariants, and the presence of every cataloged metric.
+// exposition parser and obs.ValidateExposition: grammar, HELP/TYPE
+// coverage, histogram bucket invariants, and a one-to-one match with
+// the docs/OBSERVABILITY.md catalog.
 func TestMetricsExpositionFormat(t *testing.T) {
 	_, ts := startServer(t, Config{})
 	// One miss, one hit, one client error, one per-tier small compile.
@@ -317,41 +373,26 @@ func TestMetricsExpositionFormat(t *testing.T) {
 	if !strings.Contains(text, "# EXEMPLAR bschedd_request_duration_seconds trace_id=\"") {
 		t.Error("no EXEMPLAR comment for bschedd_request_duration_seconds")
 	}
-	required := map[string]string{
-		"bschedd_requests_total":     "counter",
-		"bschedd_responses_total":    "counter",
-		"bschedd_cache_events_total": "counter",
-		"bschedd_degradations_total": "counter",
-		// The persistent-cache catalog is registered (and scraped as zero)
-		// even when the daemon runs without -cache-dir, so dashboards keep
-		// one shape across deployments.
-		"bschedd_diskcache_events_total":          "counter",
-		"bschedd_diskcache_records_loaded_total":  "counter",
-		"bschedd_diskcache_corrupt_records_total": "counter",
-		"bschedd_diskcache_entries":               "gauge",
-		"bschedd_diskcache_bytes":                 "gauge",
-		"bschedd_diskcache_warm_entries":          "gauge",
-		"bschedd_request_duration_seconds":        "histogram",
-		"bschedd_stage_duration_seconds":          "histogram",
-		"bschedd_compile_duration_seconds":        "histogram",
-		"bschedd_queue_depth":                     "gauge",
-		"bschedd_queue_capacity":                  "gauge",
-		"bschedd_workers":                         "gauge",
-		"bschedd_cache_entries":                   "gauge",
-		"bschedd_uptime_seconds":                  "gauge",
-		"bschedd_traces_retained":                 "gauge",
-		"bschedd_build_info":                      "gauge",
-		"go_goroutines":                           "gauge",
-		"go_memstats_heap_alloc_bytes":            "gauge",
+	if err := obs.ValidateExposition(strings.NewReader(text)); err != nil {
+		t.Fatalf("exposition format violation: %v", err)
 	}
-	for name, typ := range required {
+	// docs/OBSERVABILITY.md is the one list of exported families, in
+	// both directions: every documented family is scraped with its
+	// documented type (the persistent-cache, fleet and profiling
+	// families included — they are registered whatever the flags, so
+	// dashboards keep one shape), and nothing is scraped undocumented.
+	catalog := metricCatalog(t)
+	for name, typ := range catalog {
 		f := families[name]
-		if f == nil {
-			t.Errorf("required metric %s missing", name)
-			continue
+		if f == nil || f.typ == "" {
+			t.Errorf("documented family %s has no # TYPE line in /metrics", name)
+		} else if f.typ != typ {
+			t.Errorf("%s has type %s, docs/OBSERVABILITY.md says %s", name, f.typ, typ)
 		}
-		if f.typ != typ {
-			t.Errorf("%s has type %s, want %s", name, f.typ, typ)
+	}
+	for name := range families {
+		if _, ok := catalog[name]; !ok {
+			t.Errorf("family %s is missing from the docs/OBSERVABILITY.md catalog", name)
 		}
 	}
 	// build_info follows the info-gauge idiom: constant 1, identity in

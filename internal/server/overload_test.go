@@ -250,7 +250,7 @@ func TestPriorityNoStarvation(t *testing.T) {
 // TestTenantQuotaExhaustRefill exhausts one tenant's token bucket over
 // HTTP, checks the 429 carries honest quota headers and Retry-After,
 // verifies an innocent tenant is untouched, then waits for refill and
-// confirms service resumes. Counters must land in /stats.
+// confirms service resumes. Counters must land in /stats and /metrics.
 func TestTenantQuotaExhaustRefill(t *testing.T) {
 	s, ts := startServer(t, Config{TenantRate: 2, TenantBurst: 2})
 
@@ -317,14 +317,24 @@ func TestTenantQuotaExhaustRefill(t *testing.T) {
 	if snap.QuotaTenants < 2 {
 		t.Errorf("QuotaTenants %d, want ≥2", snap.QuotaTenants)
 	}
+	text := scrapeMetrics(t, ts.URL)
+	for _, series := range []string{
+		`bschedd_admission_total{outcome="quota"}`,
+		`bschedd_tenant_rejected_total{tenant="alice"}`,
+	} {
+		if v := metricValue(t, text, series); v < 1 {
+			t.Errorf("%s = %g, want >= 1", series, v)
+		}
+	}
 }
 
-// TestBreakerTripRecover injects disk faults under real HTTP traffic
-// and watches the circuit breaker trip, reject while open, probe, and
-// recover — with requests serving 200 from memory throughout (a sick
-// disk must degrade the cache, not the service).
+// TestBreakerTripRecover injects disk faults (and slow compiles) under
+// real HTTP traffic and watches the circuit breaker trip, reject while
+// open, probe, and recover — with requests serving 200 from memory
+// throughout (a sick disk must degrade the cache, not the service). The
+// episode must be visible in /stats and /metrics.
 func TestBreakerTripRecover(t *testing.T) {
-	inj, err := chaos.Parse("disk-error:every=1,limit=4")
+	inj, err := chaos.Parse("disk-error:every=1,limit=4;slow-compile:every=1,delay=1ms")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,6 +395,26 @@ func TestBreakerTripRecover(t *testing.T) {
 	}
 	if got := s.Stats().DiskWrites; got <= start {
 		t.Errorf("no disk write after recovery (writes %d)", got)
+	}
+	if inj.Fired(chaos.SlowCompile) == 0 {
+		t.Error("slow-compile fault never fired")
+	}
+
+	var stats struct {
+		RetryAfterSeconds int `json:"retry_after_s"`
+	}
+	if status := getJSON(t, ts.URL+"/stats", &stats); status != http.StatusOK || stats.RetryAfterSeconds < 1 {
+		t.Errorf("/stats retry_after_s = %d (status %d), want >= 1", stats.RetryAfterSeconds, status)
+	}
+	text := scrapeMetrics(t, ts.URL)
+	for _, series := range []string{
+		`bschedd_breaker_events_total{event="trip"}`,
+		`bschedd_breaker_events_total{event="recover"}`,
+		"bschedd_diskcache_io_errors_total",
+	} {
+		if v := metricValue(t, text, series); v < 1 {
+			t.Errorf("%s = %g, want >= 1", series, v)
+		}
 	}
 }
 

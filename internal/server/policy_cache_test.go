@@ -13,8 +13,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strings"
 	"testing"
 
+	"bsched/internal/compile"
 	"bsched/internal/engine"
 	"bsched/internal/ir"
 	"bsched/internal/sched"
@@ -87,53 +89,105 @@ func TestPolicyFingerprintDistinct(t *testing.T) {
 	}
 }
 
-// TestPolicyCacheMemorySoundness is the satellite regression: a cached
-// balanced result must never satisfy a traditional request (or any
-// other policy's), and each response must name the policy it was
-// compiled under.
+// autoMixProgram has one block with loads (the decision rule keeps it
+// on balanced) and one load-free block (the rule sends it to
+// critical-path), so one auto request lands its blocks on different
+// policies.
+const autoMixProgram = `func automix
+block loady freq=1
+v0 = load a[0]
+v1 = load a[8]
+v2 = add v0, v1
+liveout v2
+end
+block pure freq=1
+v0 = const 1
+v1 = add v0, v0
+v2 = mul v1, v0
+liveout v2
+end`
+
+// TestPolicyCacheMemorySoundness drives the portfolio over HTTP: the
+// default request and a forced balanced one share a cache entry; every
+// registered policy plus auto answers under its own options
+// fingerprint, each block naming the policy it was compiled under (auto
+// picking per block); a schedule cached under one policy never
+// satisfies another's request; and the per-policy counters land in
+// /stats and /metrics.
 func TestPolicyCacheMemorySoundness(t *testing.T) {
-	s, ts := startServer(t, Config{})
-	_, first, _ := postCompile(t, ts.URL, CompileRequest{Program: demoProgram,
-		Options: RequestOptions{Policy: sched.PolicyBalanced}})
-	if first == nil || first.Cached {
-		t.Fatal("seed balanced compile missing or cached")
-	}
-	if first.Blocks[0].Policy != sched.PolicyBalanced {
-		t.Fatalf("balanced response names policy %q", first.Blocks[0].Policy)
+	_, ts := startServer(t, Config{})
+	post := func(program string, opts RequestOptions) *CompileResponse {
+		t.Helper()
+		status, resp, errResp := postCompile(t, ts.URL, CompileRequest{Program: program, Options: opts})
+		if status != http.StatusOK {
+			t.Fatalf("policy %q: status %d (%+v)", opts.Policy, status, errResp)
+		}
+		return resp
 	}
 
-	status, trad, _ := postCompile(t, ts.URL, CompileRequest{Program: demoProgram,
-		Options: RequestOptions{Policy: sched.PolicyTraditional}})
-	if status != http.StatusOK {
-		t.Fatalf("traditional request: status %d", status)
+	// The compatibility anchor: default and forced balanced are one key,
+	// so the second request is a warm hit on the first.
+	def := post(demoProgram, RequestOptions{})
+	bal := post(demoProgram, RequestOptions{Policy: sched.PolicyBalanced})
+	if def.Cached || !bal.Cached {
+		t.Fatalf("default then forced balanced: cached %v then %v, want false then true", def.Cached, bal.Cached)
 	}
-	if trad.Cached {
-		t.Fatal("cached balanced schedule served for a traditional request")
+	if bal.OptionsFingerprint != def.OptionsFingerprint {
+		t.Fatalf("forced balanced keyed %s, default %s", bal.OptionsFingerprint, def.OptionsFingerprint)
 	}
-	if trad.Blocks[0].Policy != sched.PolicyTraditional {
-		t.Fatalf("traditional response names policy %q", trad.Blocks[0].Policy)
-	}
-	if trad.OptionsFingerprint == first.OptionsFingerprint {
-		t.Fatal("balanced and traditional share an options fingerprint")
+
+	// Every policy plus auto, in turn, over one mixed program: each
+	// request after the first probes blocks cached under other policies
+	// and must compile afresh under its own key.
+	autoPicks := map[string]string{"loady": sched.PolicyBalanced, "pure": sched.PolicyCriticalPath}
+	first := map[string]*CompileResponse{}
+	for _, name := range append(sched.PolicyNames(), sched.PolicyAuto) {
+		resp := post(autoMixProgram, RequestOptions{Policy: name})
+		if resp.Cached {
+			t.Errorf("%s: served from another policy's cache entry", name)
+		}
+		for other, prev := range first {
+			if prev.OptionsFingerprint == resp.OptionsFingerprint {
+				t.Errorf("policies %q and %q share options fingerprint %s", other, name, prev.OptionsFingerprint)
+			}
+		}
+		first[name] = resp
+		for _, b := range resp.Blocks {
+			want := name
+			if name == sched.PolicyAuto {
+				want = autoPicks[b.Label]
+			}
+			if b.Policy != want {
+				t.Errorf("%s: block %s compiled under %q, want %q", name, b.Label, b.Policy, want)
+			}
+		}
 	}
 
 	// Each policy re-requested is its own warm entry.
-	_, again, _ := postCompile(t, ts.URL, CompileRequest{Program: demoProgram,
-		Options: RequestOptions{Policy: sched.PolicyTraditional}})
-	if !again.Cached {
-		t.Error("repeat traditional request missed its own cache entry")
-	}
-	if again.Program != trad.Program {
-		t.Error("cached traditional schedule differs from its original")
+	again := post(autoMixProgram, RequestOptions{Policy: sched.PolicyTraditional})
+	if !again.Cached || again.Program != first[sched.PolicyTraditional].Program {
+		t.Errorf("repeat traditional request: cached %v, schedule unchanged %v",
+			again.Cached, again.Program == first[sched.PolicyTraditional].Program)
 	}
 
-	// /stats records both policies' blocks.
-	snap := s.Stats()
-	if snap.PolicyBlocks[sched.PolicyBalanced] < 1 || snap.PolicyBlocks[sched.PolicyTraditional] < 1 {
-		t.Errorf("policy block counters = %v, want both balanced and traditional >= 1", snap.PolicyBlocks)
+	var stats struct {
+		PolicyBlocks map[string]int64        `json:"policy_blocks"`
+		PolicyCycles map[string]CycleSummary `json:"policy_cycles"`
 	}
-	if cs, ok := snap.PolicyCycles[sched.PolicyBalanced]; !ok || cs.Count < 1 || cs.P50Slots <= 0 {
+	if status := getJSON(t, ts.URL+"/stats", &stats); status != http.StatusOK {
+		t.Fatalf("GET /stats: status %d", status)
+	}
+	for _, name := range sched.PolicyNames() {
+		if stats.PolicyBlocks[name] < 1 {
+			t.Errorf("/stats policy_blocks[%s] = %d, want >= 1", name, stats.PolicyBlocks[name])
+		}
+	}
+	if cs := stats.PolicyCycles[sched.PolicyBalanced]; cs.Count < 1 || cs.P50Slots <= 0 {
 		t.Errorf("balanced cycle summary = %+v, want count >= 1 and positive p50", cs)
+	}
+	series := `bschedd_policy_blocks_total{policy="critical-path"}`
+	if v := metricValue(t, scrapeMetrics(t, ts.URL), series); v < 1 {
+		t.Errorf("%s = %g, want >= 1", series, v)
 	}
 }
 
@@ -189,7 +243,7 @@ func TestPolicyCachePeerSoundness(t *testing.T) {
 	}
 	blockFP := prog.Funcs[0].Blocks[0].Fingerprint()
 
-	balKey := Key{Block: blockFP, Opts: (&RequestOptions{Policy: sched.PolicyBalanced}).fingerprint()}
+	balKey := engine.Key{Block: blockFP, Opts: (&RequestOptions{Policy: sched.PolicyBalanced}).fingerprint()}
 	resp, err := http.Get(ts.URL + "/v1/peer/lookup/" + balKey.String())
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +258,7 @@ func TestPolicyCachePeerSoundness(t *testing.T) {
 		t.Fatalf("peer payload names policy %q", got.Summary.Policy)
 	}
 
-	tradKey := Key{Block: blockFP, Opts: (&RequestOptions{Policy: sched.PolicyTraditional}).fingerprint()}
+	tradKey := engine.Key{Block: blockFP, Opts: (&RequestOptions{Policy: sched.PolicyTraditional}).fingerprint()}
 	resp, err = http.Get(ts.URL + "/v1/peer/lookup/" + tradKey.String())
 	if err != nil {
 		t.Fatal(err)
@@ -215,21 +269,86 @@ func TestPolicyCachePeerSoundness(t *testing.T) {
 	}
 }
 
+// widePolicyProgram renders a single-block program of n alternating
+// loads and adds: wide enough that the small budget tier runs out
+// inside the policy's weighting rung rather than in DAG construction.
+func widePolicyProgram(n int) string {
+	var sb strings.Builder
+	sb.WriteString("func starve\nblock wide freq=1\n")
+	for i := 0; i < n; i++ {
+		if i%2 == 0 {
+			fmt.Fprintf(&sb, "v%d = load a[%d]\n", i, 8*i)
+		} else {
+			fmt.Fprintf(&sb, "v%d = add v%d, v%d\n", i, i-1, i-1)
+		}
+	}
+	sb.WriteString("end")
+	return sb.String()
+}
+
 // TestForcePolicyOverride: a daemon started with Config.ForcePolicy
 // compiles every request under that policy and keys the cache by it,
-// whatever the request asked for.
+// whatever the request asked for. Starved on the small tier, every
+// degradation event names the forced policy — the operator's only way
+// to tell which portfolio member was starved.
 func TestForcePolicyOverride(t *testing.T) {
-	_, ts := startServer(t, Config{ForcePolicy: sched.PolicyCriticalPath})
-	status, resp, _ := postCompile(t, ts.URL, CompileRequest{Program: demoProgram,
-		Options: RequestOptions{Policy: sched.PolicyBalanced}})
-	if status != http.StatusOK {
-		t.Fatalf("status %d", status)
+	for _, tc := range []struct {
+		force   string
+		program string
+		opts    RequestOptions
+		starve  bool // the forced policy's weighting rung must degrade
+	}{
+		{force: sched.PolicyCriticalPath, program: demoProgram},
+		{force: sched.PolicyBalancedDense, program: widePolicyProgram(768),
+			opts: RequestOptions{Budget: TierSmall, SkipRegalloc: true}, starve: true},
+	} {
+		t.Run(tc.force, func(t *testing.T) {
+			_, ts := startServer(t, Config{ForcePolicy: tc.force})
+			asked := tc.opts
+			asked.Policy = sched.PolicyBalanced
+			status, resp, errResp := postCompile(t, ts.URL, CompileRequest{Program: tc.program, Options: asked})
+			if status != http.StatusOK {
+				t.Fatalf("status %d (%+v)", status, errResp)
+			}
+			for _, b := range resp.Blocks {
+				if b.Policy != tc.force {
+					t.Fatalf("forced daemon compiled block %s under %q, want %q", b.Label, b.Policy, tc.force)
+				}
+			}
+			keyed := tc.opts
+			keyed.Policy = tc.force
+			if want := fmt.Sprintf("%016x", keyed.fingerprint()); resp.OptionsFingerprint != want {
+				t.Fatalf("forced response keyed %s, want %s", resp.OptionsFingerprint, want)
+			}
+			starved := false
+			for _, e := range resp.Degradations {
+				if e.Policy != tc.force {
+					t.Errorf("degradation %s %s→%s names policy %q, want %q", e.Stage, e.From, e.To, e.Policy, tc.force)
+				}
+				starved = starved || e.From == compile.RungPolicyPrefix+tc.force
+			}
+			if starved != tc.starve {
+				t.Errorf("policy rung degraded = %v, want %v (events %+v)", starved, tc.starve, resp.Degradations)
+			}
+		})
 	}
-	if resp.Blocks[0].Policy != sched.PolicyCriticalPath {
-		t.Fatalf("forced daemon compiled under %q, want critical-path", resp.Blocks[0].Policy)
+}
+
+// TestNewRejectsUnknownForcePolicy: New refuses a ForcePolicy that is
+// neither a registered policy nor auto, instead of starting a daemon
+// whose every compile answers 400 and blames the client.
+func TestNewRejectsUnknownForcePolicy(t *testing.T) {
+	if s, err := New(Config{ForcePolicy: "balancd"}); err == nil {
+		s.Close()
+		t.Fatal(`New accepted ForcePolicy "balancd"`)
+	} else if !strings.Contains(err.Error(), `"balancd"`) {
+		t.Fatalf("error does not name the bad policy: %v", err)
 	}
-	want := fmt.Sprintf("%016x", (&RequestOptions{Policy: sched.PolicyCriticalPath}).fingerprint())
-	if resp.OptionsFingerprint != want {
-		t.Fatalf("forced response keyed %s, want %s", resp.OptionsFingerprint, want)
+	for _, name := range append(sched.PolicyNames(), sched.PolicyAuto) {
+		s, err := New(Config{ForcePolicy: name})
+		if err != nil {
+			t.Fatalf("ForcePolicy %q: %v", name, err)
+		}
+		s.Close()
 	}
 }

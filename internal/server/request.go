@@ -9,29 +9,9 @@ import (
 
 	"bsched/internal/compile"
 	"bsched/internal/deps"
-	"bsched/internal/engine"
 	"bsched/internal/pipeline"
 	"bsched/internal/regalloc"
 	"bsched/internal/sched"
-)
-
-// The cache key, entry and per-block response shapes live in
-// internal/engine with the compile kernel; the aliases keep this
-// package's public surface (and every existing test) unchanged. The
-// program-level CompileResponse is the server's own type (response.go):
-// the engine no longer knows about programs, only blocks, and the
-// server assembles program responses from per-block results at the
-// edge.
-type (
-	// Key is the content-addressed cache key: block fingerprint plus
-	// options fingerprint (docs/CACHE-KEYS.md).
-	Key = engine.Key
-	// Entry is one single-flight cache slot.
-	Entry = engine.Entry
-	// BlockSummary is the per-block slice of a CompileResponse.
-	BlockSummary = engine.BlockSummary
-	// DegradationEvent mirrors compile.Event for JSON.
-	DegradationEvent = engine.DegradationEvent
 )
 
 // Budget tiers. A tier names a per-block work allowance so that clients
@@ -198,7 +178,7 @@ func (o *RequestOptions) compileOptions() (compile.Options, error) {
 }
 
 // fingerprint hashes every schedule-relevant option into 64 bits, the
-// second half of the cache Key. Defaults are normalized first ("" and
+// second half of the engine.Key. Defaults are normalized first ("" and
 // "balanced" hash identically), so spelling a default out does not
 // defeat the cache.
 func (o *RequestOptions) fingerprint() uint64 {

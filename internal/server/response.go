@@ -21,10 +21,10 @@ type CompileResponse struct {
 	// wrapped in their func (and optional "# program") headers.
 	Program string `json:"program"`
 	// Blocks are the per-block schedule summaries, in program order.
-	Blocks []BlockSummary `json:"blocks"`
+	Blocks []engine.BlockSummary `json:"blocks"`
 	// Degradations are the ladder downgrade events across all blocks,
 	// concatenated in program order.
-	Degradations []DegradationEvent `json:"degradations,omitempty"`
+	Degradations []engine.DegradationEvent `json:"degradations,omitempty"`
 	// Fingerprint and OptionsFingerprint echo the request's program
 	// fingerprint and normalized options fingerprint. The cache itself
 	// is keyed per block (docs/CACHE-KEYS.md); the program fingerprint

@@ -92,14 +92,14 @@ type Config struct {
 	Workers int
 	// QueueDepth bounds the number of accepted-but-unstarted
 	// compilations. A full queue rejects new work with 503 + Retry-After.
-	// Zero means DefaultQueueDepth.
+	// Zero means engine.DefaultQueueDepth.
 	QueueDepth int
 	// CacheCapacity bounds the schedule cache, in entries. Zero means
-	// DefaultCacheCapacity; negative disables caching (and with it
+	// engine.DefaultCacheCapacity; negative disables caching (and with it
 	// single-flight coalescing).
 	CacheCapacity int
 	// CacheShards splits the cache to keep lock hold times short. Zero
-	// means DefaultCacheShards.
+	// means engine.DefaultCacheShards.
 	CacheShards int
 	// CacheDir, when non-empty, enables the write-behind persistent
 	// schedule cache under this directory: cacheable compilations are
@@ -109,7 +109,8 @@ type Config struct {
 	// (docs/SERVER.md, "Persistent cache"). Empty disables persistence.
 	CacheDir string
 	// CacheMaxBytes bounds the persistent cache on disk; past it,
-	// compaction drops the coldest keys. Zero means DefaultCacheMaxBytes.
+	// compaction drops the coldest keys. Zero means
+	// engine.DefaultCacheMaxBytes.
 	CacheMaxBytes int64
 	// MaxRequestBytes bounds a request body. Zero means DefaultMaxRequestBytes.
 	MaxRequestBytes int64
@@ -160,9 +161,10 @@ type Config struct {
 	// exercising the breaker. Nil in production.
 	Chaos *chaos.Injector
 	// ForcePolicy, when non-empty, overrides every request's scheduling
-	// policy (-policy flag): a registered portfolio name or "auto". The
-	// override lands before options validation and fingerprinting, so
-	// cache keys reflect the policy actually used, not the one requested.
+	// policy (-policy flag): a registered portfolio name or "auto" (New
+	// rejects anything else). The override lands before options
+	// validation and fingerprinting, so cache keys reflect the policy
+	// actually used, not the one requested.
 	ForcePolicy string
 
 	// Peers, when non-empty, joins this daemon to a fleet: the listed
@@ -196,20 +198,10 @@ type Config struct {
 	ProfileCPUDuration time.Duration
 }
 
-// Defaults for Config's zero fields. The sizing constants live with the
-// engine now; the aliases keep this package's public surface unchanged.
+// Defaults for Config's HTTP-side zero fields. The queue and cache
+// sizing defaults are the engine's (engine.DefaultQueueDepth and
+// friends), applied by engine.New.
 const (
-	// DefaultQueueDepth is the bounded-queue capacity when
-	// Config.QueueDepth is zero.
-	DefaultQueueDepth = engine.DefaultQueueDepth
-	// DefaultCacheCapacity is the schedule-cache size, in entries, when
-	// Config.CacheCapacity is zero.
-	DefaultCacheCapacity = engine.DefaultCacheCapacity
-	// DefaultCacheShards is how many ways the schedule cache is sharded.
-	DefaultCacheShards = engine.DefaultCacheShards
-	// DefaultCacheMaxBytes bounds the persistent cache on disk when
-	// Config.CacheMaxBytes is zero.
-	DefaultCacheMaxBytes = engine.DefaultCacheMaxBytes
 	// DefaultMaxRequestBytes caps the request body when
 	// Config.MaxRequestBytes is zero.
 	DefaultMaxRequestBytes = 1 << 20
@@ -223,15 +215,6 @@ const (
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = DefaultQueueDepth
-	}
-	if c.CacheCapacity == 0 {
-		c.CacheCapacity = DefaultCacheCapacity
-	}
-	if c.CacheShards <= 0 {
-		c.CacheShards = DefaultCacheShards
 	}
 	if c.MaxRequestBytes <= 0 {
 		c.MaxRequestBytes = DefaultMaxRequestBytes
@@ -248,12 +231,11 @@ func (c Config) withDefaults() Config {
 // Sentinel failures an entry can complete with, plus the per-request
 // deadline expiry (which never fails a shared entry). Queue rejections
 // surface as admission.ErrShed / admission.ErrFull; errBusy is the
-// generic queue-rejection failure coalesced waiters observe.
-// errShutdown is the engine's: the kernel fails queued entries with it
-// at Close, and the handlers map it to 503 like their own sentinels.
+// generic queue-rejection failure coalesced waiters observe. The
+// engine fails queued entries with engine.ErrShutdown at Close, and the
+// handlers map it to 503 like these.
 var (
 	errBusy       = errors.New("compilation queue full")
-	errShutdown   = engine.ErrShutdown
 	errDeadline   = errors.New("request deadline exceeded awaiting compilation")
 	errInfeasible = errors.New("deadline below the current compile-time estimate for this tier")
 )
@@ -280,12 +262,18 @@ type Server struct {
 }
 
 // New builds the service and starts its worker pool. The failure modes
-// are an unusable persistent-cache directory (Config.CacheDir) and an
-// inconsistent cluster config (Peers without SelfURL): corrupt cache
-// *data* never fails startup — damaged records are counted and skipped
-// during replay.
+// are an unknown Config.ForcePolicy, an unusable persistent-cache
+// directory (Config.CacheDir) and an inconsistent cluster config (Peers
+// without SelfURL): corrupt cache *data* never fails startup — damaged
+// records are counted and skipped during replay.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
+	// Validated once here, by the same rule a request's policy option
+	// meets: a bad override would otherwise turn every compile into a 400
+	// that blames the client.
+	if _, err := (&RequestOptions{Policy: cfg.ForcePolicy}).compileOptions(); err != nil {
+		return nil, fmt.Errorf("force policy: %w", err)
+	}
 	s := &Server{
 		cfg: cfg,
 		quota: admission.NewQuota(admission.QuotaConfig{
@@ -617,7 +605,7 @@ func (s *Server) logged(h http.Handler) http.Handler {
 // subsequent requests for the block are plain memory hits; the root
 // span gets a disk-hit event so traces distinguish the dispositions
 // (memory hit, disk hit, peer hit, miss).
-func (s *Server) diskServe(key Key, e *Entry, tr *obs.Trace) (*engine.BlockResponse, bool) {
+func (s *Server) diskServe(key engine.Key, e *engine.Entry, tr *obs.Trace) (*engine.BlockResponse, bool) {
 	if s.cfg.CacheDir == "" {
 		return nil, false
 	}
@@ -638,7 +626,7 @@ func (s *Server) diskServe(key Key, e *Entry, tr *obs.Trace) (*engine.BlockRespo
 // breaker-skipped, transport error, budget exceeded) returns false and
 // the caller compiles locally; a peer can slow a request by at most the
 // probe budget, never fail it.
-func (s *Server) peerServe(key Key, e *Entry, r *http.Request, tr *obs.Trace) (*engine.BlockResponse, bool) {
+func (s *Server) peerServe(key engine.Key, e *engine.Entry, r *http.Request, tr *obs.Trace) (*engine.BlockResponse, bool) {
 	if s.cluster == nil {
 		return nil, false
 	}
@@ -685,9 +673,9 @@ const (
 // full) — the entry is already failed and removed, and the caller owns
 // the HTTP error. Blocks the caller enqueued earlier keep compiling and
 // warm the cache regardless.
-func (s *Server) dispatchBlock(r *http.Request, tr *obs.Trace, b *ir.Block, key Key,
+func (s *Server) dispatchBlock(r *http.Request, tr *obs.Trace, b *ir.Block, key engine.Key,
 	opts compile.Options, deadline time.Duration, started time.Time,
-	tier string, prio admission.Priority) (*engine.BlockResponse, *Entry, blockDisposition, error) {
+	tier string, prio admission.Priority) (*engine.BlockResponse, *engine.Entry, blockDisposition, error) {
 	e, leader := s.eng.Lookup(key)
 	if !leader {
 		if e.Completed() {
@@ -945,14 +933,14 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	results := make([]*engine.BlockResponse, len(blocks))
 	type pendingWait struct {
 		idx int
-		e   *Entry
+		e   *engine.Entry
 	}
 	var waits []pendingWait
 	var compiledAny, coalescedAny, diskAny, peerAny bool
 	lookupSpan := tr.StartSpan(nil, "cache-lookup")
 	lookupStart := time.Now()
 	for i, b := range blocks {
-		key := Key{Block: b.Fingerprint(), Opts: optsFP}
+		key := engine.Key{Block: b.Fingerprint(), Opts: optsFP}
 		resp, e, disp, err := s.dispatchBlock(r, tr, b, key, opts, deadline, started, tier, prio)
 		if err != nil {
 			s.stats.stages.With(stageLookup).ObserveDuration(time.Since(lookupStart))
@@ -1044,8 +1032,8 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 			s.stats.clientErrors.Add(1)
 			return
 		case <-s.eng.Done():
-			waitSpan.EndErr(errShutdown)
-			s.respondError(w, errShutdown)
+			waitSpan.EndErr(engine.ErrShutdown)
+			s.respondError(w, engine.ErrShutdown)
 			return
 		}
 	}
@@ -1077,7 +1065,7 @@ func (s *Server) respond(w http.ResponseWriter, r *http.Request, resp *CompileRe
 // clamped — instead of a constant.
 func (s *Server) respondError(w http.ResponseWriter, err error) {
 	switch {
-	case errors.Is(err, errBusy), errors.Is(err, errShutdown), errors.Is(err, errDeadline),
+	case errors.Is(err, errBusy), errors.Is(err, engine.ErrShutdown), errors.Is(err, errDeadline),
 		errors.Is(err, errInfeasible), errors.Is(err, admission.ErrShed), errors.Is(err, admission.ErrFull):
 		s.stats.rejected.Add(1)
 		retry := s.eng.RetryAfterSeconds()

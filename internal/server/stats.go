@@ -585,8 +585,9 @@ func (s *Stats) snapshot() Snapshot {
 // aggregation endpoint sums across nodes. Gauges (queue depth, cache
 // entries, quantile estimates) are deliberately absent: summing
 // instantaneous values across scrape moments would manufacture numbers
-// no node ever reported. This is the list fleet-obs-smoke asserts
-// "fleet totals == sum of node-local /stats" over.
+// no node ever reported. This is the list
+// TestFleetStatsTotalsMatchNodeLocal asserts "fleet totals == sum of
+// node-local /stats" over.
 func (s *Snapshot) CounterTotals() map[string]int64 {
 	return map[string]int64{
 		"requests":             s.Requests,

@@ -3,6 +3,7 @@ package bsched
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -258,23 +259,37 @@ func TestBscheddWarmRestart(t *testing.T) {
 	}
 }
 
-// TestBscheddSmoke exercises the self-contained -smoke mode `make
-// serve-smoke` uses in CI.
-func TestBscheddSmoke(t *testing.T) {
+// TestBscheddRejectsBadConfig: a daemon configuration the server cannot
+// honor fails startup — a non-zero exit before the listen line, with
+// an error naming the problem — rather than serving requests it will
+// then refuse.
+func TestBscheddRejectsBadConfig(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
 	}
 	bin := buildTool(t, "bschedd")
-	out, err := exec.Command(bin, "-smoke", "examples/ir/demo.ir").CombinedOutput()
-	if err != nil {
-		t.Fatalf("smoke failed: %v\n%s", err, out)
-	}
-	if !strings.Contains(string(out), "smoke ok") {
-		t.Errorf("unexpected smoke output:\n%s", out)
-	}
-	// And it must actually fail on a bad input.
-	out, err = exec.Command(bin, "-smoke", "README.md").CombinedOutput()
-	if err == nil {
-		t.Errorf("smoke of a non-IR file succeeded:\n%s", out)
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"unknown-policy", []string{"-policy", "bogus"}, `unknown policy "bogus"`},
+		{"peers-without-node-id", []string{"-peers", "http://127.0.0.1:1"}, "advertised URL"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			args := append([]string{"-addr", "127.0.0.1:0", "-log-format", "none"}, tc.args...)
+			out, err := exec.CommandContext(ctx, bin, args...).CombinedOutput()
+			if err == nil || ctx.Err() != nil {
+				t.Fatalf("bschedd %v: err %v (context %v), want a prompt non-zero exit\n%s", tc.args, err, ctx.Err(), out)
+			}
+			if strings.Contains(string(out), "listening on") {
+				t.Errorf("bschedd %v bound a listener before failing:\n%s", tc.args, out)
+			}
+			if !strings.Contains(string(out), tc.want) {
+				t.Errorf("bschedd %v error does not name the problem (want %q):\n%s", tc.args, tc.want, out)
+			}
+		})
 	}
 }
