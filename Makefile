@@ -49,17 +49,20 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Machine-readable perf baseline: run the serve-path, block-reuse,
-# credit-pass and policy-portfolio benchmarks programmatically and write
-# BENCH_10.json (ns/op, allocs/op, B/op per benchmark) so the perf
-# trajectory can be diffed across PRs.
+# credit-pass, policy-portfolio and per-layer benchmarks programmatically
+# and write BENCH_$(BENCH).json (ns/op, allocs/op, B/op per benchmark) so
+# the perf trajectory can be diffed across changes.
+BENCH ?= 14
+BENCH_BASE ?= 10
 bench-json:
-	$(GO) test -run '^TestBenchJSON$$' -bench-json BENCH_10.json .
+	$(GO) test -run '^TestBenchJSON$$' -bench-json BENCH_$(BENCH).json .
 
-# Gate the perf trajectory: compare this PR's benchmark baseline against
-# the previous one and fail on any shared benchmark regressing more than
-# 10% in ns/op. Run `make bench-json` first to produce BENCH_10.json.
+# Gate the perf trajectory: compare BENCH_$(BENCH).json against the
+# BENCH_$(BENCH_BASE).json baseline and fail on any shared benchmark
+# regressing more than 10% in ns/op, or in allocs/op by more than 10% and
+# more than 2 allocs. Run `make bench-json` first.
 bench-diff:
-	$(GO) run ./cmd/benchdiff BENCH_9.json BENCH_10.json
+	$(GO) run ./cmd/benchdiff BENCH_$(BENCH_BASE).json BENCH_$(BENCH).json
 
 vet:
 	$(GO) vet ./...

@@ -209,26 +209,36 @@ func BenchmarkBalancedWeightsUnionFind(b *testing.B) {
 // BenchmarkListSchedule measures the shared list scheduler.
 func BenchmarkListSchedule(b *testing.B) {
 	for _, n := range []int{32, 128, 512} {
-		blk := randomBlock(n)
-		g := deps.Build(blk, deps.BuildOptions{})
-		w := sched.Traditional(2)
-		b.Run(sizeName(n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sched.Schedule(g, w)
-			}
-		})
+		b.Run(sizeName(n), listScheduleBench(n))
+	}
+}
+
+// listScheduleBench and depsBuildBench are the per-layer benchmark
+// bodies, extracted (like weightsBench) so TestBenchJSON can run them
+// under testing.Benchmark.
+func listScheduleBench(n int) func(b *testing.B) {
+	g := deps.Build(randomBlock(n), deps.BuildOptions{})
+	w := sched.Traditional(2)
+	return func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sched.Schedule(g, w)
+		}
 	}
 }
 
 // BenchmarkDepsBuild measures code-DAG construction.
 func BenchmarkDepsBuild(b *testing.B) {
 	for _, n := range []int{32, 128, 512} {
-		blk := randomBlock(n)
-		b.Run(sizeName(n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				deps.Build(blk, deps.BuildOptions{})
-			}
-		})
+		b.Run(sizeName(n), depsBuildBench(n))
+	}
+}
+
+func depsBuildBench(n int) func(b *testing.B) {
+	blk := randomBlock(n)
+	return func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			deps.Build(blk, deps.BuildOptions{})
+		}
 	}
 }
 
@@ -513,10 +523,11 @@ func batchReuseBench(sharedPct int) func(b *testing.B) {
 // --- Machine-readable benchmark baseline ---------------------------------
 
 // benchJSONPath enables the `make bench-json` mode: when set,
-// TestBenchJSON runs the serve-path and credit-pass benchmarks under
-// testing.Benchmark and writes their ns/op, B/op and allocs/op to the
-// named JSON file (BENCH_8.json in CI), so performance can be diffed
-// across PRs without parsing go test's text output.
+// TestBenchJSON runs the serve-path, credit-pass and per-layer
+// benchmarks under testing.Benchmark and writes their ns/op, B/op and
+// allocs/op to the named JSON file (BENCH_<n>.json, n from the
+// Makefile's BENCH), so performance can be diffed across changes
+// without parsing go test's text output.
 var benchJSONPath = flag.String("bench-json", "", "write serve-path and credit-pass benchmark results to this JSON file")
 
 // benchJSONEntry is one benchmark's slice of the output file.
@@ -529,16 +540,19 @@ type benchJSONEntry struct {
 }
 
 // TestBenchJSON is a no-op without -bench-json (so `go test ./...`
-// never pays for it); with it, it benchmarks the serving hot path and
-// the credit (weight) pass and writes the machine-readable baseline.
+// never pays for it); with it, it benchmarks the serving hot path, the
+// credit (weight) pass and the per-layer rows (DAG build, list schedule,
+// register allocation, whole-block compile) and writes the
+// machine-readable baseline.
 func TestBenchJSON(t *testing.T) {
 	if *benchJSONPath == "" {
 		t.Skip("enable with -bench-json <file> (make bench-json)")
 	}
-	cases := []struct {
+	type benchCase struct {
 		name string
 		body func(b *testing.B)
-	}{
+	}
+	cases := []benchCase{
 		{"ServerCacheHitVsMiss/miss", serveMissBench},
 		{"ServerCacheHitVsMiss/hit", serveHitBench},
 		{"BatchBlockReuse/share0", batchReuseBench(0)},
@@ -552,11 +566,16 @@ func TestBenchJSON(t *testing.T) {
 		{"BalancedWeightsUnionFind/n512", weightsBench(512, core.Options{Chances: core.ChancesUnionFind})},
 	}
 	for _, name := range sched.PolicyNames() {
-		cases = append(cases, struct {
-			name string
-			body func(b *testing.B)
-		}{"PolicyWeights/" + name, policyWeightsBench(name, 128)})
+		cases = append(cases, benchCase{"PolicyWeights/" + name, policyWeightsBench(name, 128)})
 	}
+	for _, n := range []int{32, 128, 512} {
+		cases = append(cases,
+			benchCase{"DepsBuild/" + sizeName(n), depsBuildBench(n)},
+			benchCase{"ListSchedule/" + sizeName(n), listScheduleBench(n)})
+	}
+	cases = append(cases,
+		benchCase{"Regalloc", BenchmarkRegalloc},
+		benchCase{"CompileBlock", BenchmarkCompileBlock})
 	out := struct {
 		GoVersion  string           `json:"go_version"`
 		Benchmarks []benchJSONEntry `json:"benchmarks"`

@@ -1,5 +1,6 @@
 // Package bitset provides a dense, fixed-capacity bit set used by the
-// dependence-graph analyses (transitive closures, connected components).
+// dependence-graph analyses (transitive closures, the independent sets
+// G_ind of the balanced weight pass).
 //
 // The zero value of Set is an empty set of capacity 0; use New to create a
 // set able to hold indices in [0, n).
@@ -25,6 +26,23 @@ func New(n int) *Set {
 		n = 0
 	}
 	return &Set{words: make([]uint64, (n+wordBits-1)/wordBits), n: n}
+}
+
+// NewRows returns count empty sets of capacity n that share one backing
+// array, so a per-node family of sets (a DAG's transitive closures, say)
+// costs two allocations rather than two per set. The rows are
+// independent sets; only their storage is shared.
+func NewRows(count, n int) []Set {
+	if n < 0 {
+		n = 0
+	}
+	w := (n + wordBits - 1) / wordBits
+	words := make([]uint64, count*w)
+	rows := make([]Set, count)
+	for i := range rows {
+		rows[i] = Set{words: words[i*w : (i+1)*w : (i+1)*w], n: n}
+	}
+	return rows
 }
 
 // Len returns the capacity n the set was created with.

@@ -201,3 +201,26 @@ func TestQuickSubtractInverse(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestNewRowsIndependent: rows share storage but not contents — filling
+// one row leaves its neighbours empty, and each row honours its length.
+func TestNewRowsIndependent(t *testing.T) {
+	for _, n := range []int{0, 1, 63, 64, 65, 130} {
+		rows := NewRows(3, n)
+		if len(rows) != 3 {
+			t.Fatalf("n=%d: got %d rows", n, len(rows))
+		}
+		rows[1].Fill()
+		if rows[0].Count() != 0 || rows[2].Count() != 0 || rows[1].Count() != n {
+			t.Errorf("n=%d: counts %d %d %d, want 0 %d 0",
+				n, rows[0].Count(), rows[1].Count(), rows[2].Count(), n)
+		}
+		if n > 0 {
+			rows[2].Add(n - 1)
+			rows[0].Union(&rows[2])
+			if !rows[0].Has(n-1) || rows[1].Len() != n {
+				t.Errorf("n=%d: union across rows failed", n)
+			}
+		}
+	}
+}

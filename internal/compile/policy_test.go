@@ -2,6 +2,7 @@ package compile
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -220,6 +221,50 @@ func TestPolicyWeightsLadder(t *testing.T) {
 			if perPass[1] != want || len(perPass) > 1 {
 				t.Fatalf("weights events per pass %v, want %d in pass 1 (policy charges %d of %d)",
 					perPass, want, pb.Used(), starved)
+			}
+			checkSemantics(t, blk, res)
+		})
+	}
+}
+
+// TestPolicyWeightsObserveCancelledContext: the policies that run the
+// balanced analysis — average included, which averages its result — poll
+// the request's context inside it. With a dead context a block whose
+// analysis passes the context poll falls to fixed-latency weights, while
+// DAG construction and scheduling, which stay below the poll, do not
+// degrade.
+func TestPolicyWeightsObserveCancelledContext(t *testing.T) {
+	// 60 constants and 10 loads of distinct arrays: no dependences, so
+	// the analysis charges 70 + 2·70·69 units, past the 8192-unit poll,
+	// while the DAG and the schedule each charge under 5000.
+	var sb strings.Builder
+	for i := 0; i < 60; i++ {
+		fmt.Fprintf(&sb, "v%d = const %d\n", i, i)
+	}
+	for i := 60; i < 70; i++ {
+		fmt.Fprintf(&sb, "v%d = load a%d[0]\n", i, i)
+	}
+	blk, err := ir.ParseBlock(sb.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, name := range []string{sched.PolicyAverage, sched.PolicyBalanced, sched.PolicyBalancedDense} {
+		t.Run(name, func(t *testing.T) {
+			res, err := RunBlock(ctx, blk, Options{Policy: name, SkipRegalloc: true, BlockBudget: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Degradations) != 1 {
+				t.Fatalf("degradations = %v, want one weights event", eventSummaries(res.Degradations))
+			}
+			e := res.Degradations[0]
+			if e.Stage != "weights" || e.From != RungPolicyPrefix+name || e.To != RungFixedLat || e.Policy != name {
+				t.Fatalf("degradation %v, want weights policy:%s → %s", e, name, RungFixedLat)
+			}
+			if !e.Deadline || !strings.Contains(e.Reason, "context canceled") {
+				t.Fatalf("degradation %v not attributed to the cancelled context", e)
 			}
 			checkSemantics(t, blk, res)
 		})

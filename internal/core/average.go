@@ -1,6 +1,9 @@
 package core
 
-import "bsched/internal/deps"
+import (
+	"bsched/internal/budget"
+	"bsched/internal/deps"
+)
 
 // AverageWeights implements the alternate technique the paper rejects in
 // §3: a single weight per basic block, computed from the average load
@@ -9,8 +12,16 @@ import "bsched/internal/deps"
 // they do not have and ignoring parallelism above the average for others —
 // the paper reports it scheduled no faster than the traditional scheduler.
 // It is kept as ablation baseline A1 (experiments.AblationAverageLLP).
-func AverageWeights(g *deps.Graph, opts Options) []float64 {
-	weights := Weights(g, opts)
+//
+// The per-load weights it averages come from the full balanced analysis,
+// so it runs under the same work budget and charges exactly what
+// WeightsBudgeted charges; when the budget or its context trips, the
+// budget's error is returned. A nil budget means unlimited.
+func AverageWeights(g *deps.Graph, opts Options, wb *budget.Budget) ([]float64, error) {
+	weights, err := WeightsBudgeted(g, opts, wb)
+	if err != nil {
+		return nil, err
+	}
 	sum, count := 0.0, 0
 	for i, w := range weights {
 		if opts.balanced(g.Instr(i)) {
@@ -19,7 +30,7 @@ func AverageWeights(g *deps.Graph, opts Options) []float64 {
 		}
 	}
 	if count == 0 {
-		return weights
+		return weights, nil
 	}
 	avg := sum / float64(count)
 	for i := range weights {
@@ -27,5 +38,5 @@ func AverageWeights(g *deps.Graph, opts Options) []float64 {
 			weights[i] = avg
 		}
 	}
-	return weights
+	return weights, nil
 }

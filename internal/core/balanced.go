@@ -23,7 +23,6 @@ import (
 	"bsched/internal/budget"
 	"bsched/internal/deps"
 	"bsched/internal/ir"
-	"bsched/internal/unionfind"
 )
 
 // ChancesMethod selects how the per-component Chances value is computed.
@@ -93,11 +92,10 @@ func Weights(g *deps.Graph, opts Options) []float64 {
 
 // WeightsBudgeted is Weights under a work budget. The computation charges
 // one unit per instruction and, per connected component analysed, one
-// unit per component node — doubled for the exact ChancesDP method, whose
-// inner longest-path pass also walks every in-component edge. When the
-// budget (or its context) trips, the partial result is discarded and the
-// budget's error returned; callers degrade to a cheaper weighting instead
-// (see bsched/internal/compile). A nil budget means unlimited.
+// unit per component node — doubled for the exact ChancesDP method. When
+// the budget (or its context) trips, the partial result is discarded and
+// the budget's error returned; callers degrade to a cheaper weighting
+// instead (see bsched/internal/compile). A nil budget means unlimited.
 func WeightsBudgeted(g *deps.Graph, opts Options, wb *budget.Budget) ([]float64, error) {
 	w, _, err := run(g, opts, false, wb)
 	return w, err
@@ -113,13 +111,11 @@ func Contributions(g *deps.Graph, opts Options) (weights []float64, contrib [][]
 
 func run(g *deps.Graph, opts Options, wantContrib bool, wb *budget.Budget) ([]float64, [][]float64, error) {
 	n := g.N()
+	k := newKernel(g, opts)
 	weights := make([]float64, n)
-	candidate := make([]bool, n)
 	for i := 0; i < n; i++ {
-		in := g.Instr(i)
-		switch {
-		case opts.balanced(in):
-			candidate[i] = true
+		switch in := g.Instr(i); {
+		case k.candidate[i]:
 			weights[i] = 1 // Fig. 6, line 1
 		case in.KnownLatency > 0:
 			weights[i] = in.KnownLatency
@@ -136,51 +132,36 @@ func run(g *deps.Graph, opts Options, wantContrib bool, wb *budget.Budget) ([]fl
 		}
 	}
 
-	// dp is shared scratch for the per-component longest-path DP; entries
-	// are only read for nodes of the current component, so no reset is
-	// needed between components.
-	// compCost is the budget charge per component node: the exact DP also
-	// walks every in-component edge, so it is charged double relative to
-	// the near-linear union-find approximation.
+	// compCost is the budget charge per component node: 2 for the exact
+	// DP, 1 for ablation A2's union-find approximation. These units do
+	// not track time — in the kernel below A2 is the slower of the two —
+	// but changing them would move every budget's degradation point.
 	compCost := int64(2)
 	if opts.Chances == ChancesUnionFind {
 		compCost = 1
 	}
-	dp := make([]int, n)
+	// credit holds IssueSlots(i)/Chances per component root.
+	credit := make([]float64, n)
 	for i := 0; i < n; i++ { // Fig. 6, line 2
 		if err := wb.Charge(1); err != nil {
 			return nil, nil, err
 		}
-		ind := g.Independent(i) // line 3
-		if ind.Empty() {
-			continue
-		}
+		k.analyse(i) // lines 3–5
 		slots := opts.issueSlots(g.Instr(i))
-		var levels map[int]int
-		if opts.Chances == ChancesUnionFind {
-			levels = g.LevelsFromLeaves(ind)
-		}
-		for _, comp := range g.Components(ind) { // line 4
-			if err := wb.Charge(compCost * int64(len(comp))); err != nil {
+		for _, r := range k.roots {
+			if err := wb.Charge(compCost * int64(k.size[r])); err != nil {
 				return nil, nil, err
 			}
-			var chances float64
-			switch opts.Chances {
-			case ChancesUnionFind:
-				chances = float64(chancesUnionFind(g, comp, ind, candidate, levels))
-			default:
-				chances = float64(maxCandidatePath(g, comp, ind, candidate, dp)) // line 5
+			if c := k.chances(r); c > 0 {
+				credit[r] = slots / float64(c)
 			}
-			if chances == 0 {
-				continue // component has no candidate loads
-			}
-			credit := slots / chances
-			for _, l := range comp { // lines 6–7
-				if candidate[l] {
-					weights[l] += credit
-					if wantContrib {
-						contrib[l][i] += credit
-					}
+		}
+		for _, l := range k.members { // lines 6–7
+			if k.candidate[l] {
+				c := credit[k.label[l]]
+				weights[l] += c
+				if wantContrib {
+					contrib[l][i] += c
 				}
 			}
 		}
@@ -188,65 +169,149 @@ func run(g *deps.Graph, opts Options, wantContrib bool, wb *budget.Budget) ([]fl
 	return weights, contrib, nil
 }
 
-// maxCandidatePath returns the maximum number of candidate instructions on
-// any directed path through comp (restricted to include). dp is caller-
-// provided scratch of length g.N(); predecessors within a component are
-// always members of the same component, so stale entries from other
-// components are never read.
-func maxCandidatePath(g *deps.Graph, comp []int, include *bitset.Set, candidate []bool, dp []int) int {
-	best := 0
-	for _, v := range comp { // ascending order = topological
-		c := 0
-		if candidate[v] {
-			c = 1
-		}
-		m := 0
-		for _, e := range g.Preds[v] {
-			if include.Has(e.To) && dp[e.To] > m {
-				m = dp[e.To]
-			}
-		}
-		dp[v] = m + c
-		if dp[v] > best {
-			best = dp[v]
-		}
-	}
-	return best
+// kernel runs lines 3–5 of Fig. 6 for one instruction at a time over
+// scratch reused for every instruction, so a whole weight pass allocates
+// a constant number of times whatever the block size.
+//
+// It walks the DAG's transitive reduction (deps.Graph.Reduction), which
+// is exact here because G_ind is convex: a path between two G_ind nodes
+// cannot pass through Pred(i) ∪ Succ(i) — a node of Pred(i) on it would
+// make its start a predecessor of i, one of Succ(i) its end a successor.
+// So every edge the reduction drops between G_ind nodes is implied by a
+// path inside G_ind, and dropping it keeps every component, every
+// longest candidate path and every leaf level.
+type kernel struct {
+	g         *deps.Graph
+	ind       *bitset.Set // G_ind(i)
+	preds     [][]int32   // the transitive reduction
+	succs     [][]int32
+	candidate []bool
+	levels    bool // Chances from leaf-level ranges (ChancesUnionFind)
+
+	// members lists G_ind(i) ascending, which is topological order.
+	members []int32
+	// label is a union-find forest over members whose roots are always
+	// their component's lowest node; after analyse, label[v] is v's root.
+	label []int32
+	// val is, per node, the most candidates on a path ending there
+	// (ChancesDP) or the node's level from its farthest leaf.
+	val []int32
+	// Per component root: node count, val's maximum, candidate count.
+	size, hi, loads []int32
+	// roots lists the component roots ascending — the order in which
+	// the per-instruction components are charged and reported.
+	roots []int32
 }
 
-// chancesUnionFind is the paper's set-union implementation sketch: label
-// nodes with levels from the farthest leaf, union connected nodes while
-// tracking min/max levels, and report max−min+1 as the component's largest
-// path length. Components without candidate loads report 0.
-func chancesUnionFind(g *deps.Graph, comp []int, include *bitset.Set, candidate []bool, levels map[int]int) int {
-	hasCandidate := false
-	for _, v := range comp {
-		if candidate[v] {
-			hasCandidate = true
-			break
-		}
+func newKernel(g *deps.Graph, opts Options) *kernel {
+	n := g.N()
+	preds, succs := g.Reduction()
+	k := &kernel{
+		g:         g,
+		ind:       bitset.New(n),
+		preds:     preds,
+		succs:     succs,
+		candidate: make([]bool, n),
+		levels:    opts.Chances == ChancesUnionFind,
+		members:   make([]int32, 0, n),
+		roots:     make([]int32, 0, n),
 	}
-	if !hasCandidate {
-		return 0
+	scratch := make([]int32, 5*n)
+	k.label, k.val = scratch[:n], scratch[n:2*n]
+	k.size, k.hi, k.loads = scratch[2*n:3*n], scratch[3*n:4*n], scratch[4*n:]
+	for i := range k.candidate {
+		k.candidate[i] = opts.balanced(g.Instr(i))
 	}
-	// Map component nodes to dense indices for the union-find structure.
-	idx := make(map[int]int, len(comp))
-	for k, v := range comp {
-		idx[v] = k
-	}
-	uf := unionfind.New(len(comp))
-	for _, v := range comp {
-		uf.SetLevel(idx[v], levels[v])
-	}
-	for _, v := range comp {
-		for _, e := range g.Succs[v] {
-			if j, ok := idx[e.To]; ok && include.Has(e.To) {
-				uf.Union(idx[v], j)
+	return k
+}
+
+// analyse labels G_ind(i)'s connected components (Fig. 6, lines 3–4) and
+// reduces each component's Chances (line 5) onto its root.
+func (k *kernel) analyse(i int) {
+	ind, label, val := k.ind, k.label, k.val
+	k.g.FillIndependent(ind, i)
+	members := k.members[:0]
+	ind.ForEach(func(v int) { members = append(members, int32(v)) })
+	k.members = members
+	// One ascending sweep unions each node with its in-G_ind reduced
+	// predecessors and runs the longest-candidate-path DP: every
+	// predecessor comes earlier, so its value is final. v joins as the
+	// highest node yet, so its set's root only ever moves down.
+	for _, v := range members {
+		root, best := v, int32(0)
+		label[v] = v
+		for _, p := range k.preds[v] {
+			if !ind.Has(int(p)) {
+				continue
+			}
+			best = max(best, val[p])
+			switch rp := k.find(p); {
+			case rp < root:
+				label[root], root = rp, rp
+			case rp > root:
+				label[rp] = root
 			}
 		}
+		if k.candidate[v] {
+			best++
+		}
+		val[v] = best
 	}
-	// comp is connected by construction, so any element names the set.
-	return uf.PathLength(idx[comp[0]])
+	if k.levels {
+		// The paper's union-find sketch ranks nodes by level from the
+		// farthest leaf within G_ind instead: a descending sweep.
+		for j := len(members) - 1; j >= 0; j-- {
+			v, lvl := members[j], int32(0)
+			for _, s := range k.succs[v] {
+				if ind.Has(int(s)) {
+					lvl = max(lvl, val[s]+1)
+				}
+			}
+			val[v] = lvl
+		}
+	}
+	// Flatten the labels and reduce per root. A root is its component's
+	// lowest node, so an ascending scan meets it before the rest.
+	k.roots = k.roots[:0]
+	for _, v := range members {
+		r, x := k.find(v), val[v]
+		label[v] = r
+		if r == v {
+			k.roots = append(k.roots, v)
+			k.size[r], k.hi[r], k.loads[r] = 0, x, 0
+		}
+		k.size[r]++
+		k.hi[r] = max(k.hi[r], x)
+		if k.candidate[v] {
+			k.loads[r]++
+		}
+	}
+}
+
+// chances is Fig. 6's Chances for the component rooted at r: the most
+// candidates on one directed path (ChancesDP), or the paper's union-find
+// stand-in, the component's leaf-level range max−min+1. Every component
+// holds a sink of G_ind, whose level is 0, so that range is max+1. Both
+// are 0 for a component without candidates.
+func (k *kernel) chances(r int32) int32 {
+	switch {
+	case !k.levels:
+		return k.hi[r]
+	case k.loads[r] == 0:
+		return 0
+	default:
+		return k.hi[r] + 1
+	}
+}
+
+// find returns v's root, halving the path as it goes.
+func (k *kernel) find(v int32) int32 {
+	l := k.label
+	for l[v] != v {
+		l[v] = l[l[v]]
+		v = l[v]
+	}
+	return v
 }
 
 // LoadLevelParallelism is a diagnostic: for each load l it returns the

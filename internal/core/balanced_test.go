@@ -198,7 +198,10 @@ func TestAverageWeightsUniform(t *testing.T) {
 	l := paperdag.Figure7()
 	g := deps.Build(l.Block, deps.BuildOptions{})
 	bal := Weights(g, Options{})
-	avg := AverageWeights(g, Options{})
+	avg, err := AverageWeights(g, Options{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sumBal, sumAvg := 0.0, 0.0
 	var first float64
 	seen := false

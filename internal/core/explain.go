@@ -32,41 +32,33 @@ type Explanation struct {
 }
 
 // Explain reports how instruction i's issue slot is distributed across
-// the loads of the block — the inner loop of Fig. 6 made inspectable.
-// cmd/bsched's -explain flag prints it.
+// the loads of the block — the inner loop of Fig. 6 made inspectable. It
+// reads the weight pass's own component labels, so its components come
+// in the same order, and carry the same Chances and credit, as the ones
+// Weights charges and credits. cmd/bsched's -explain flag prints it.
 func Explain(g *deps.Graph, i int, opts Options) Explanation {
-	ind := g.Independent(i)
-	candidate := make([]bool, g.N())
-	for n := 0; n < g.N(); n++ {
-		candidate[n] = opts.balanced(g.Instr(n))
-	}
+	k := newKernel(g, opts)
+	k.analyse(i)
 	ex := Explanation{
 		Node:    i,
-		Removed: g.N() - ind.Count() - 1,
+		Removed: g.N() - len(k.members) - 1,
 	}
 	slots := opts.issueSlots(g.Instr(i))
-	var levels map[int]int
-	if opts.Chances == ChancesUnionFind {
-		levels = g.LevelsFromLeaves(ind)
-	}
-	dp := make([]int, g.N())
-	for _, comp := range g.Components(ind) {
-		c := Component{Nodes: comp}
-		for _, v := range comp {
-			if candidate[v] {
-				c.Loads = append(c.Loads, v)
-			}
-		}
-		switch opts.Chances {
-		case ChancesUnionFind:
-			c.Chances = chancesUnionFind(g, comp, ind, candidate, levels)
-		default:
-			c.Chances = maxCandidatePath(g, comp, ind, candidate, dp)
-		}
+	at := make(map[int32]int, len(k.roots)) // root → index in ex.Components
+	for _, r := range k.roots {
+		c := Component{Chances: int(k.chances(r))}
 		if c.Chances > 0 {
 			c.Credit = slots / float64(c.Chances)
 		}
+		at[r] = len(ex.Components)
 		ex.Components = append(ex.Components, c)
+	}
+	for _, v := range k.members {
+		c := &ex.Components[at[k.label[v]]]
+		c.Nodes = append(c.Nodes, int(v))
+		if k.candidate[v] {
+			c.Loads = append(c.Loads, int(v))
+		}
 	}
 	return ex
 }

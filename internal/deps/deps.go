@@ -89,8 +89,13 @@ type Graph struct {
 	Succs [][]Edge
 	Preds [][]Edge
 
-	succClosure []*bitset.Set
-	predClosure []*bitset.Set
+	// Built together on first use by ensureClosures, each family in one
+	// flat backing array: Succ(i) and Pred(i) as bitset rows, and the
+	// transitive reduction as ascending per-node lists.
+	succClosure  []bitset.Set
+	predClosure  []bitset.Set
+	reducedSuccs [][]int32
+	reducedPreds [][]int32
 }
 
 // N returns the number of nodes.
@@ -276,14 +281,24 @@ func mayAlias(a memRef, ai *ir.Instr, b memRef, bi *ir.Instr, mode AliasMode) bo
 // the paper, not including i itself). The result is shared; do not mutate.
 func (g *Graph) PredClosure(i int) *bitset.Set {
 	g.ensureClosures()
-	return g.predClosure[i]
+	return &g.predClosure[i]
 }
 
 // SuccClosure returns the set of transitive successors of i (Succ(i) in the
 // paper, not including i itself). The result is shared; do not mutate.
 func (g *Graph) SuccClosure(i int) *bitset.Set {
 	g.ensureClosures()
-	return g.succClosure[i]
+	return &g.succClosure[i]
+}
+
+// Reduction returns the DAG's transitive reduction: preds[v] and succs[v]
+// list, ascending, v's direct predecessors and successors except those
+// that a longer path also connects to v. It reaches exactly what the
+// full DAG reaches, and its longest paths are the DAG's. The lists are
+// shared; do not mutate.
+func (g *Graph) Reduction() (preds, succs [][]int32) {
+	g.ensureClosures()
+	return g.reducedPreds, g.reducedSuccs
 }
 
 // Independent returns the set G_ind for instruction i: every node except i
@@ -291,11 +306,17 @@ func (g *Graph) SuccClosure(i int) *bitset.Set {
 // caller owns the returned set.
 func (g *Graph) Independent(i int) *bitset.Set {
 	s := bitset.New(g.N())
+	g.FillIndependent(s, i)
+	return s
+}
+
+// FillIndependent overwrites s, a set of capacity N, with G_ind(i): the
+// allocation-free form of Independent for loops over every instruction.
+func (g *Graph) FillIndependent(s *bitset.Set, i int) {
 	s.Fill()
 	s.Subtract(g.PredClosure(i))
 	s.Subtract(g.SuccClosure(i))
 	s.Remove(i)
-	return s
 }
 
 func (g *Graph) ensureClosures() {
@@ -303,126 +324,57 @@ func (g *Graph) ensureClosures() {
 		return
 	}
 	n := g.N()
-	g.succClosure = make([]*bitset.Set, n)
-	g.predClosure = make([]*bitset.Set, n)
-	// Edges point forward, so instruction order is a topological order.
+	succ := bitset.NewRows(n, n)
+	pred := bitset.NewRows(n, n)
+	succs := make([][]int32, n)
+	kept := make([]int32, 0, g.NumEdges())
+	inDeg := make([]int32, n)
+	direct := bitset.New(n)
+	// Edges point forward, so instruction order is a topological order:
+	// walking it backwards, every successor's closure is already final.
+	// Taking i's direct successors in ascending order, one that an
+	// earlier successor already reaches is implied by a longer path and
+	// left out of the reduction (and adds nothing to the closure).
 	for i := n - 1; i >= 0; i-- {
-		s := bitset.New(n)
 		for _, e := range g.Succs[i] {
-			s.Add(e.To)
-			s.Union(g.succClosure[e.To])
+			direct.Add(e.To)
 		}
-		g.succClosure[i] = s
-	}
-	for i := 0; i < n; i++ {
-		s := bitset.New(n)
-		for _, e := range g.Preds[i] {
-			s.Add(e.To)
-			s.Union(g.predClosure[e.To])
-		}
-		g.predClosure[i] = s
-	}
-}
-
-// Components partitions the nodes of include into connected components of
-// the underlying undirected graph restricted to include. Each component is
-// returned in ascending node order.
-func (g *Graph) Components(include *bitset.Set) [][]int {
-	var comps [][]int
-	visited := bitset.New(g.N())
-	stack := make([]int, 0, g.N())
-	for start := include.Next(0); start >= 0; start = include.Next(start + 1) {
-		if visited.Has(start) {
-			continue
-		}
-		var comp []int
-		stack = append(stack[:0], start)
-		visited.Add(start)
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			comp = append(comp, v)
-			for _, e := range g.Succs[v] {
-				if include.Has(e.To) && !visited.Has(e.To) {
-					visited.Add(e.To)
-					stack = append(stack, e.To)
-				}
+		s, start := &succ[i], len(kept)
+		for v := direct.Next(0); v >= 0; v = direct.Next(v + 1) {
+			direct.Remove(v)
+			if s.Has(v) {
+				continue
 			}
-			for _, e := range g.Preds[v] {
-				if include.Has(e.To) && !visited.Has(e.To) {
-					visited.Add(e.To)
-					stack = append(stack, e.To)
-				}
-			}
+			kept = append(kept, int32(v))
+			inDeg[v]++
+			s.Add(v)
+			s.Union(&succ[v])
 		}
-		sortInts(comp)
-		comps = append(comps, comp)
+		succs[i] = kept[start:len(kept):len(kept)]
 	}
-	return comps
-}
-
-// MaxLoadPath returns the maximum number of load instructions on any
-// directed path whose nodes all lie in include ∩ comp — the paper's
-// "Chances" for a connected component (Fig. 6, line 5). It returns 0 when
-// the component contains no loads.
-func (g *Graph) MaxLoadPath(comp []int, include *bitset.Set) int {
-	// comp is in ascending order, which is topological.
-	best := 0
-	dp := make(map[int]int, len(comp))
-	for _, v := range comp {
-		loads := 0
-		if g.IsLoad(v) {
-			loads = 1
-		}
-		m := 0
-		for _, e := range g.Preds[v] {
-			if include.Has(e.To) {
-				if d, ok := dp[e.To]; ok && d > m {
-					m = d
-				}
-			}
-		}
-		dp[v] = m + loads
-		if dp[v] > best {
-			best = dp[v]
+	// Transpose into ascending predecessor lists over one array; Pred(v)
+	// is then the union over v's reduced predecessors.
+	preds := make([][]int32, n)
+	flat := make([]int32, len(kept))
+	off := int32(0)
+	for v := range preds {
+		preds[v] = flat[off : off : off+inDeg[v]]
+		off += inDeg[v]
+	}
+	for i, vs := range succs {
+		for _, v := range vs {
+			preds[v] = append(preds[v], int32(i))
 		}
 	}
-	return best
-}
-
-// Loads returns the nodes of comp that are load instructions.
-func (g *Graph) Loads(comp []int) []int {
-	var out []int
-	for _, v := range comp {
-		if g.IsLoad(v) {
-			out = append(out, v)
+	for v, us := range preds {
+		p := &pred[v]
+		for _, u := range us {
+			p.Add(int(u))
+			p.Union(&pred[u])
 		}
 	}
-	return out
-}
-
-// LevelsFromLeaves labels each node of include with its level from the
-// farthest leaf within include: leaves are level 0 and each node is one
-// more than the maximum level of its included successors. This is the
-// labelling the paper's union-find implementation uses (core's
-// ChancesUnionFind, selected only by ablation A2).
-func (g *Graph) LevelsFromLeaves(include *bitset.Set) map[int]int {
-	levels := make(map[int]int)
-	for v := g.N() - 1; v >= 0; v-- {
-		if !include.Has(v) {
-			continue
-		}
-		lvl := 0
-		for _, e := range g.Succs[v] {
-			if include.Has(e.To) {
-				if l, ok := levels[e.To]; ok && l+1 > lvl {
-					lvl = l + 1
-				}
-			}
-		}
-		levels[v] = lvl
-	}
-	return levels
+	g.succClosure, g.predClosure = succ, pred
+	g.reducedSuccs, g.reducedPreds = succs, preds
 }
 
 // CriticalPathLen returns the number of nodes on the longest directed path
@@ -473,14 +425,4 @@ func (g *Graph) Dot() string {
 	}
 	b.WriteString("}\n")
 	return b.String()
-}
-
-func sortInts(s []int) {
-	// Insertion sort: components are small and usually already ordered
-	// (DFS over a forward-edge DAG yields mostly-sorted output).
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

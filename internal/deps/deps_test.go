@@ -209,57 +209,6 @@ func TestClosures(t *testing.T) {
 	}
 }
 
-func TestComponents(t *testing.T) {
-	g := build(t, `
-		v0 = const 1
-		v1 = addi v0, 1
-		v2 = const 2
-		v3 = addi v2, 1
-		v4 = const 5
-	`, AliasDisjoint)
-	full := g.Independent(4) // excludes only node 4
-	comps := g.Components(full)
-	if len(comps) != 2 {
-		t.Fatalf("got %d components, want 2: %v", len(comps), comps)
-	}
-	if len(comps[0]) != 2 || len(comps[1]) != 2 {
-		t.Errorf("component sizes wrong: %v", comps)
-	}
-}
-
-func TestMaxLoadPath(t *testing.T) {
-	g := build(t, `
-		v0 = load a[0]
-		v1 = load a[v0+0]
-		v2 = load b[0]
-		v3 = const 1
-	`, AliasDisjoint)
-	ind := g.Independent(3)
-	comps := g.Components(ind)
-	// Components: {v0,v1 chain} and {v2}.
-	var got []int
-	for _, c := range comps {
-		got = append(got, g.MaxLoadPath(c, ind))
-	}
-	if len(got) != 2 || got[0] != 2 || got[1] != 1 {
-		t.Errorf("MaxLoadPath per component = %v, want [2 1]", got)
-	}
-}
-
-func TestLevelsFromLeaves(t *testing.T) {
-	g := build(t, `
-		v0 = const 1
-		v1 = addi v0, 1
-		v2 = addi v1, 1
-	`, AliasDisjoint)
-	all := g.Independent(2)
-	all.Fill() // consider every node
-	levels := g.LevelsFromLeaves(all)
-	if levels[2] != 0 || levels[1] != 1 || levels[0] != 2 {
-		t.Errorf("levels = %v", levels)
-	}
-}
-
 func TestCriticalPathLen(t *testing.T) {
 	g := build(t, `
 		v0 = const 1

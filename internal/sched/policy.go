@@ -142,8 +142,8 @@ func init() {
 	}, {
 		name: PolicyAverage,
 		desc: "the §3 ablation: every load weighted by the block's average load-level parallelism instead of its own",
-		weights: func(g *deps.Graph, cfg PolicyConfig, _ *budget.Budget) ([]float64, error) {
-			return core.AverageWeights(g, cfg.Core), nil
+		weights: func(g *deps.Graph, cfg PolicyConfig, wb *budget.Budget) ([]float64, error) {
+			return core.AverageWeights(g, cfg.Core, wb)
 		},
 	}, {
 		name: PolicyBalancedDense,

@@ -104,7 +104,7 @@ func TestScheduleRespectsDependences(t *testing.T) {
 		"trad1":    Traditional(1),
 		"trad5":    Traditional(5),
 		"balanced": Balanced(core.Options{}),
-		"average":  func(g *deps.Graph) []float64 { return core.AverageWeights(g, core.Options{}) },
+		"average":  PolicyWeighter(policyReg[PolicyAverage], PolicyConfig{}),
 	}
 	for _, l := range []*paperdag.Labeled{paperdag.Figure1(), paperdag.Figure4(), paperdag.Figure7()} {
 		g := deps.Build(l.Block, deps.BuildOptions{})

@@ -22,7 +22,7 @@ func TestRandomSchedulesPreserveSemantics(t *testing.T) {
 		"trad2":    Traditional(2),
 		"trad30":   Traditional(30),
 		"balanced": Balanced(core.Options{}),
-		"average":  func(g *deps.Graph) []float64 { return core.AverageWeights(g, core.Options{}) },
+		"average":  PolicyWeighter(policyReg[PolicyAverage], PolicyConfig{}),
 		"ufchance": Balanced(core.Options{Chances: core.ChancesUnionFind}),
 	}
 	for trial := 0; trial < 40; trial++ {
