@@ -23,6 +23,7 @@ import (
 	"bsched/internal/budget"
 	"bsched/internal/deps"
 	"bsched/internal/ir"
+	"bsched/internal/unionfind"
 )
 
 // ChancesMethod selects how the per-component Chances value is computed.
@@ -190,9 +191,9 @@ type kernel struct {
 
 	// members lists G_ind(i) ascending, which is topological order.
 	members []int32
-	// label is a union-find forest over members whose roots are always
+	// label is a union-find forest over members, whose roots are always
 	// their component's lowest node; after analyse, label[v] is v's root.
-	label []int32
+	label unionfind.Forest
 	// val is, per node, the most candidates on a path ending there
 	// (ChancesDP) or the node's level from its farthest leaf.
 	val []int32
@@ -245,12 +246,7 @@ func (k *kernel) analyse(i int) {
 				continue
 			}
 			best = max(best, val[p])
-			switch rp := k.find(p); {
-			case rp < root:
-				label[root], root = rp, rp
-			case rp > root:
-				label[rp] = root
-			}
+			root = label.Union(root, p)
 		}
 		if k.candidate[v] {
 			best++
@@ -274,7 +270,7 @@ func (k *kernel) analyse(i int) {
 	// lowest node, so an ascending scan meets it before the rest.
 	k.roots = k.roots[:0]
 	for _, v := range members {
-		r, x := k.find(v), val[v]
+		r, x := label.Find(v), val[v]
 		label[v] = r
 		if r == v {
 			k.roots = append(k.roots, v)
@@ -302,16 +298,6 @@ func (k *kernel) chances(r int32) int32 {
 	default:
 		return k.hi[r] + 1
 	}
-}
-
-// find returns v's root, halving the path as it goes.
-func (k *kernel) find(v int32) int32 {
-	l := k.label
-	for l[v] != v {
-		l[v] = l[l[v]]
-		v = l[v]
-	}
-	return v
 }
 
 // LoadLevelParallelism is a diagnostic: for each load l it returns the

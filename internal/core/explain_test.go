@@ -199,6 +199,25 @@ func TestLevelsFromLeaves(t *testing.T) {
 	}
 }
 
+// TestLevelTracking: under ChancesUnionFind a component's leaf-level range
+// spans every branch joined into it. The chain v0→v1→v2→v3 has levels
+// 3, 2, 1, 0 and the branch v4 off v0 is a second leaf at level 0, so the
+// joined component's range max−min+1 is 4; the lone load is range 1.
+func TestLevelTracking(t *testing.T) {
+	src := `
+		v0 = load a[0]
+		v1 = addi v0, 1
+		v2 = addi v1, 1
+		v3 = addi v2, 1
+		v4 = addi v0, 2
+		v5 = load b[0]
+		v6 = const 9`
+	uf := explainBlock(t, src, 6, Options{Chances: ChancesUnionFind})
+	if got := componentSummary(uf); got != "[0 1 2 3 4]:4 [5]:1" {
+		t.Errorf("union-find components %s, want [0 1 2 3 4]:4 [5]:1", got)
+	}
+}
+
 // TestComponentsPartition: property — for every instruction of random
 // blocks, Explain's components partition G_ind(i) exactly, come in
 // ascending order of their lowest node, list their nodes ascending, and

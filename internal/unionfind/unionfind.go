@@ -1,109 +1,49 @@
-// Package unionfind implements disjoint sets with union by rank and path
-// compression, augmented with per-set minimum and maximum "level" labels.
+// Package unionfind implements the disjoint-set forest behind the
+// balanced-scheduling credit pass (bsched/internal/core): a flat int32
+// parent array in which every set is rooted at its lowest element.
 //
-// This is the data structure the paper's complexity discussion (§3) uses to
-// find, for each connected component of G_ind, the largest path length: each
-// node is labelled with its level from the farthest leaf, sets track the
-// min and max level seen, and the largest path length for a component is
-// max-min+1. Its one user is core.ChancesUnionFind, which only ablation
-// A2 selects.
+// core labels each instruction's G_ind components with it. Because a root
+// is its set's lowest element, an ascending scan over the elements meets
+// every root before the rest of its set, so one scan both lists the
+// components in order and reduces per-component values onto their roots.
 package unionfind
 
-// UF is a union-find structure over the elements [0, n).
-type UF struct {
-	parent []int
-	rank   []int
-	min    []int // minimum level label in the set rooted here
-	max    []int // maximum level label in the set rooted here
-	count  []int // number of elements in the set rooted here
-	sets   int
+// Forest is a disjoint-set forest over the elements [0, len(f)): f[v] is
+// v's parent and a root is its own parent, so f[v] = v makes a fresh v a
+// singleton. Union always links the higher root under the lower one.
+type Forest []int32
+
+// New returns a forest of n singleton sets.
+func New(n int) Forest {
+	f := make(Forest, n)
+	for v := range f {
+		f[v] = int32(v)
+	}
+	return f
 }
 
-// New creates n singleton sets. Every element starts with level label 0.
-func New(n int) *UF {
-	u := &UF{
-		parent: make([]int, n),
-		rank:   make([]int, n),
-		min:    make([]int, n),
-		max:    make([]int, n),
-		count:  make([]int, n),
-		sets:   n,
+// Find returns the root of v's set, halving the path as it goes.
+func (f Forest) Find(v int32) int32 {
+	for f[v] != v {
+		f[v] = f[f[v]]
+		v = f[v]
 	}
-	for i := range u.parent {
-		u.parent[i] = i
-		u.count[i] = 1
-	}
-	return u
+	return v
 }
 
-// SetLevel assigns the level label of element i. It must be called before i
-// is united with any other element to keep the min/max labels coherent.
-func (u *UF) SetLevel(i, level int) {
-	r := u.Find(i)
-	if u.min[r] > level {
-		u.min[r] = level
+// Union merges the sets of a and b and returns the merged set's root: the
+// lower of their two roots.
+func (f Forest) Union(a, b int32) int32 {
+	ra, rb := f.Find(a), f.Find(b)
+	switch {
+	case rb < ra:
+		f[ra] = rb
+		return rb
+	case ra < rb:
+		f[rb] = ra
 	}
-	if u.max[r] < level {
-		u.max[r] = level
-	}
-	if u.count[r] == 1 {
-		u.min[r] = level
-		u.max[r] = level
-	}
-}
-
-// Find returns the canonical representative of i's set.
-func (u *UF) Find(i int) int {
-	for u.parent[i] != i {
-		u.parent[i] = u.parent[u.parent[i]]
-		i = u.parent[i]
-	}
-	return i
-}
-
-// Union merges the sets containing a and b, combining their level ranges.
-// It reports whether a merge happened (false if already united).
-func (u *UF) Union(a, b int) bool {
-	ra, rb := u.Find(a), u.Find(b)
-	if ra == rb {
-		return false
-	}
-	if u.rank[ra] < u.rank[rb] {
-		ra, rb = rb, ra
-	}
-	u.parent[rb] = ra
-	if u.rank[ra] == u.rank[rb] {
-		u.rank[ra]++
-	}
-	if u.min[rb] < u.min[ra] {
-		u.min[ra] = u.min[rb]
-	}
-	if u.max[rb] > u.max[ra] {
-		u.max[ra] = u.max[rb]
-	}
-	u.count[ra] += u.count[rb]
-	u.sets--
-	return true
+	return ra
 }
 
 // Same reports whether a and b are in the same set.
-func (u *UF) Same(a, b int) bool { return u.Find(a) == u.Find(b) }
-
-// Sets returns the current number of disjoint sets.
-func (u *UF) Sets() int { return u.sets }
-
-// Size returns the number of elements in i's set.
-func (u *UF) Size(i int) int { return u.count[u.Find(i)] }
-
-// LevelRange returns the minimum and maximum level labels in i's set.
-func (u *UF) LevelRange(i int) (min, max int) {
-	r := u.Find(i)
-	return u.min[r], u.max[r]
-}
-
-// PathLength returns the paper's largest-path-length estimate for i's set:
-// max level − min level + 1.
-func (u *UF) PathLength(i int) int {
-	min, max := u.LevelRange(i)
-	return max - min + 1
-}
+func (f Forest) Same(a, b int32) bool { return f.Find(a) == f.Find(b) }

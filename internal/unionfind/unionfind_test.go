@@ -5,61 +5,75 @@ import (
 	"testing"
 )
 
-func TestSingletons(t *testing.T) {
-	u := New(5)
-	if u.Sets() != 5 {
-		t.Fatalf("Sets = %d, want 5", u.Sets())
+// sets returns the number of disjoint sets in f: the number of roots.
+func sets(f Forest) int {
+	n := 0
+	for v := range f {
+		if f.Find(int32(v)) == int32(v) {
+			n++
+		}
 	}
-	for i := 0; i < 5; i++ {
-		if u.Find(i) != i || u.Size(i) != 1 {
+	return n
+}
+
+// size returns the number of elements in v's set.
+func size(f Forest, v int32) int {
+	n := 0
+	for u := range f {
+		if f.Same(v, int32(u)) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestSingletons: New starts every element in a set of its own, and
+// f[v] = v makes v a fresh singleton again once nothing links to it — the
+// reset the credit pass does for each instruction it reuses the forest on.
+func TestSingletons(t *testing.T) {
+	f := New(5)
+	if sets(f) != 5 {
+		t.Fatalf("sets = %d, want 5", sets(f))
+	}
+	for i := int32(0); i < 5; i++ {
+		if f.Find(i) != i || size(f, i) != 1 {
 			t.Errorf("element %d not a singleton", i)
 		}
+	}
+	f.Union(3, 4)
+	f.Union(2, 4)
+	for v := int32(2); v < 5; v++ {
+		f[v] = v
+	}
+	if sets(f) != 5 || f.Same(2, 4) {
+		t.Errorf("after reset: sets = %d, Same(2,4) = %v; want 5, false", sets(f), f.Same(2, 4))
 	}
 }
 
 func TestUnionFind(t *testing.T) {
-	u := New(6)
-	if !u.Union(0, 1) || !u.Union(1, 2) {
-		t.Fatalf("unions reported no-op")
+	f := New(6)
+	if f.Union(2, 1) != 1 || f.Union(1, 0) != 0 {
+		t.Fatalf("merged sets not rooted at their lowest element")
 	}
-	if u.Union(0, 2) {
-		t.Errorf("union of same set reported a merge")
+	if r := f.Union(0, 2); r != 0 || sets(f) != 4 {
+		t.Errorf("union of one set: root %d, %d sets; want 0, 4", r, sets(f))
 	}
-	if !u.Same(0, 2) || u.Same(0, 3) {
+	if !f.Same(0, 2) || f.Same(0, 3) {
 		t.Errorf("connectivity wrong")
 	}
-	if u.Sets() != 4 || u.Size(1) != 3 {
-		t.Errorf("Sets=%d Size=%d", u.Sets(), u.Size(1))
-	}
-}
-
-func TestLevelTracking(t *testing.T) {
-	u := New(4)
-	levels := []int{3, 0, 2, 7}
-	for i, l := range levels {
-		u.SetLevel(i, l)
-	}
-	u.Union(0, 1) // levels 3, 0
-	u.Union(1, 2) // adds 2
-	min, max := u.LevelRange(2)
-	if min != 0 || max != 3 {
-		t.Errorf("LevelRange = [%d,%d], want [0,3]", min, max)
-	}
-	if u.PathLength(0) != 4 {
-		t.Errorf("PathLength = %d, want 4", u.PathLength(0))
-	}
-	if u.PathLength(3) != 1 {
-		t.Errorf("singleton PathLength = %d, want 1", u.PathLength(3))
+	if sets(f) != 4 || size(f, 1) != 3 {
+		t.Errorf("sets=%d size=%d", sets(f), size(f, 1))
 	}
 }
 
 // TestRandomAgainstNaive cross-checks connectivity against a naive
-// labelling for random union sequences.
+// labelling for random union sequences, and checks that every root is
+// the lowest element of its set.
 func TestRandomAgainstNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	const n = 64
 	for trial := 0; trial < 20; trial++ {
-		u := New(n)
+		f := New(n)
 		label := make([]int, n)
 		for i := range label {
 			label[i] = i
@@ -73,20 +87,27 @@ func TestRandomAgainstNaive(t *testing.T) {
 		}
 		for k := 0; k < 80; k++ {
 			a, b := rng.Intn(n), rng.Intn(n)
-			u.Union(a, b)
+			f.Union(int32(a), int32(b))
 			relabel(label[a], label[b])
 		}
-		sets := map[int]bool{}
+		naive := map[int]bool{}
 		for i := 0; i < n; i++ {
-			sets[label[i]] = true
+			naive[label[i]] = true
+			lowest := i
 			for j := 0; j < n; j++ {
-				if u.Same(i, j) != (label[i] == label[j]) {
+				if f.Same(int32(i), int32(j)) != (label[i] == label[j]) {
 					t.Fatalf("trial %d: Same(%d,%d) mismatch", trial, i, j)
 				}
+				if label[i] == label[j] {
+					lowest = min(lowest, j)
+				}
+			}
+			if r := f.Find(int32(i)); r != int32(lowest) {
+				t.Fatalf("trial %d: Find(%d) = %d, want the set's lowest element %d", trial, i, r, lowest)
 			}
 		}
-		if u.Sets() != len(sets) {
-			t.Fatalf("trial %d: Sets=%d naive=%d", trial, u.Sets(), len(sets))
+		if sets(f) != len(naive) {
+			t.Fatalf("trial %d: sets=%d naive=%d", trial, sets(f), len(naive))
 		}
 	}
 }
