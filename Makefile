@@ -29,6 +29,7 @@ race test-race:
 # out crashes in the parse→compile path without stalling CI.
 FUZZTIME ?= 10s
 fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/ir
 	$(GO) test -run='^$$' -fuzz=FuzzParseCompile -fuzztime=$(FUZZTIME) ./internal/compile
 	$(GO) test -run='^$$' -fuzz=FuzzMemlatSpec -fuzztime=$(FUZZTIME) ./internal/memlat
 	$(GO) test -run='^$$' -fuzz=FuzzDiskCacheCodec -fuzztime=$(FUZZTIME) ./internal/engine
@@ -48,12 +49,13 @@ doc-lint:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Machine-readable perf baseline: run the serve-path, block-reuse,
-# credit-pass, policy-portfolio and per-layer benchmarks programmatically
-# and write BENCH_$(BENCH).json (ns/op, allocs/op, B/op per benchmark) so
-# the perf trajectory can be diffed across changes.
-BENCH ?= 14
-BENCH_BASE ?= 10
+# Machine-readable perf baseline: run the serve-path (loopback and
+# in-process handler), block-reuse, credit-pass, policy-portfolio and
+# per-layer (IR codec through whole-block compile) benchmarks
+# programmatically and write BENCH_$(BENCH).json (ns/op, allocs/op, B/op
+# per benchmark) so the perf trajectory can be diffed across changes.
+BENCH ?= 15
+BENCH_BASE ?= 14
 bench-json:
 	$(GO) test -run '^TestBenchJSON$$' -bench-json BENCH_$(BENCH).json .
 

@@ -242,6 +242,60 @@ func depsBuildBench(n int) func(b *testing.B) {
 	}
 }
 
+// BenchmarkIRParse, BenchmarkIRFingerprint and BenchmarkIRPrint measure
+// the IR codec the server runs on every request: parsing a program's
+// text, hashing a block into its cache key, and printing a compiled
+// block back to text.
+func BenchmarkIRParse(b *testing.B) {
+	for _, n := range []int{32, 128, 512} {
+		b.Run(sizeName(n), irParseBench(n))
+	}
+}
+
+func BenchmarkIRFingerprint(b *testing.B) {
+	for _, n := range []int{32, 128, 512} {
+		b.Run(sizeName(n), irFingerprintBench(n))
+	}
+}
+
+func BenchmarkIRPrint(b *testing.B) {
+	for _, n := range []int{32, 128, 512} {
+		b.Run(sizeName(n), irPrintBench(n))
+	}
+}
+
+func irParseBench(n int) func(b *testing.B) {
+	src := "func f\n" + randomBlock(n).String()
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := ir.Parse(src); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+func irFingerprintBench(n int) func(b *testing.B) {
+	blk := randomBlock(n)
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			blk.Fingerprint()
+		}
+	}
+}
+
+func irPrintBench(n int) func(b *testing.B) {
+	blk := randomBlock(n)
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_ = blk.String()
+		}
+	}
+}
+
 // BenchmarkRegalloc measures the local allocator under pressure.
 func BenchmarkRegalloc(b *testing.B) {
 	src := randomBlock(256)
@@ -353,6 +407,43 @@ func BenchmarkOOO(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ooo.Run(compiled.Block.Instrs, cfg, mem, rng)
+	}
+}
+
+// BenchmarkServeHandler measures the cache-hit path without the
+// network: Handler().ServeHTTP called in-process on a warmed
+// five-block program, replaying one encoded request body, so the row
+// is the handler's own cost (decode, parse, fingerprint, lookup,
+// encode). ServerCacheHitVsMiss/hit is the same path over loopback.
+func BenchmarkServeHandler(b *testing.B) {
+	b.Run("hit", serveHandlerHitBench)
+}
+
+func serveHandlerHitBench(b *testing.B) {
+	srv, err := server.New(server.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	h := srv.Handler()
+	body, err := json.Marshal(map[string]any{"program": workload.All()["ADM"].String()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rd := bytes.NewReader(body)
+	serve := func() {
+		rd.Reset(body)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/compile", rd))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	serve() // warm the cache
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve()
 	}
 }
 
@@ -540,9 +631,10 @@ type benchJSONEntry struct {
 }
 
 // TestBenchJSON is a no-op without -bench-json (so `go test ./...`
-// never pays for it); with it, it benchmarks the serving hot path, the
-// credit (weight) pass and the per-layer rows (DAG build, list schedule,
-// register allocation, whole-block compile) and writes the
+// never pays for it); with it, it benchmarks the serving hot path
+// (over loopback and in-process), the credit (weight) pass and the
+// per-layer rows (IR parse, fingerprint and print, DAG build, list
+// schedule, register allocation, whole-block compile) and writes the
 // machine-readable baseline.
 func TestBenchJSON(t *testing.T) {
 	if *benchJSONPath == "" {
@@ -555,6 +647,7 @@ func TestBenchJSON(t *testing.T) {
 	cases := []benchCase{
 		{"ServerCacheHitVsMiss/miss", serveMissBench},
 		{"ServerCacheHitVsMiss/hit", serveHitBench},
+		{"ServeHandler/hit", serveHandlerHitBench},
 		{"BatchBlockReuse/share0", batchReuseBench(0)},
 		{"BatchBlockReuse/share50", batchReuseBench(50)},
 		{"BatchBlockReuse/share90", batchReuseBench(90)},
@@ -571,7 +664,10 @@ func TestBenchJSON(t *testing.T) {
 	for _, n := range []int{32, 128, 512} {
 		cases = append(cases,
 			benchCase{"DepsBuild/" + sizeName(n), depsBuildBench(n)},
-			benchCase{"ListSchedule/" + sizeName(n), listScheduleBench(n)})
+			benchCase{"ListSchedule/" + sizeName(n), listScheduleBench(n)},
+			benchCase{"IRParse/" + sizeName(n), irParseBench(n)},
+			benchCase{"IRFingerprint/" + sizeName(n), irFingerprintBench(n)},
+			benchCase{"IRPrint/" + sizeName(n), irPrintBench(n)})
 	}
 	cases = append(cases,
 		benchCase{"Regalloc", BenchmarkRegalloc},

@@ -3,8 +3,8 @@ package ir
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"hash"
 	"math"
+	"sync"
 )
 
 // Fingerprinting gives every block and program a stable 64-bit identity
@@ -19,6 +19,10 @@ import (
 // nothing in the encoding walks a Go map. The compilation service
 // (bsched/internal/server) uses fingerprints as content-addressed cache
 // keys: any edit that could change a schedule changes the fingerprint.
+//
+// A program's encoding embeds each of its blocks' encodings verbatim,
+// so Program.Fingerprints encodes the program once and hashes each
+// block's bytes where they lie.
 
 // Encoding tags, one per record kind, so that e.g. a block boundary can
 // never be confused with an instruction field.
@@ -29,25 +33,32 @@ const (
 	fpTagProgram = 0xA0
 )
 
-// fpHasher wraps a sha256 stream with primitive writers. All multi-byte
-// values are little-endian.
+// fpHasher appends the encoding to one byte buffer, which sum64 hashes
+// in a single SHA-256 call. All multi-byte values are little-endian.
 type fpHasher struct {
-	h   hash.Hash
-	buf [8]byte
+	buf []byte
 }
 
-func newFPHasher() *fpHasher { return &fpHasher{h: sha256.New()} }
+// fpPool recycles encoding buffers, so fingerprinting allocates nothing
+// in the steady state.
+var fpPool = sync.Pool{New: func() any { return new(fpHasher) }}
 
-func (f *fpHasher) u8(v uint8) {
-	f.buf[0] = v
-	f.h.Write(f.buf[:1])
+// fpPoolMax caps the buffer a hasher keeps when it goes back to the
+// pool, so one huge program does not pin its encoding's memory.
+const fpPoolMax = 256 << 10
+
+func getFPHasher() *fpHasher { return fpPool.Get().(*fpHasher) }
+
+func putFPHasher(f *fpHasher) {
+	if cap(f.buf) > fpPoolMax {
+		return
+	}
+	f.buf = f.buf[:0]
+	fpPool.Put(f)
 }
 
-func (f *fpHasher) u64(v uint64) {
-	binary.LittleEndian.PutUint64(f.buf[:], v)
-	f.h.Write(f.buf[:8])
-}
-
+func (f *fpHasher) u8(v uint8)    { f.buf = append(f.buf, v) }
+func (f *fpHasher) u64(v uint64)  { f.buf = binary.LittleEndian.AppendUint64(f.buf, v) }
 func (f *fpHasher) i64(v int64)   { f.u64(uint64(v)) }
 func (f *fpHasher) f64(v float64) { f.u64(math.Float64bits(v)) }
 func (f *fpHasher) reg(r Reg)     { f.u64(uint64(uint32(r))) }
@@ -62,14 +73,13 @@ func (f *fpHasher) boolean(b bool) {
 
 func (f *fpHasher) str(s string) {
 	f.u64(uint64(len(s)))
-	f.h.Write([]byte(s))
+	f.buf = append(f.buf, s...)
 }
 
-// sum64 returns the first 8 bytes of the SHA-256, little-endian.
-func (f *fpHasher) sum64() uint64 {
-	var out [sha256.Size]byte
-	f.h.Sum(out[:0])
-	return binary.LittleEndian.Uint64(out[:8])
+// sum64 returns the first 8 bytes of the SHA-256 of b, little-endian.
+func sum64(b []byte) uint64 {
+	sum := sha256.Sum256(b)
+	return binary.LittleEndian.Uint64(sum[:8])
 }
 
 // writeInstr encodes every semantic field of the instruction. Seq,
@@ -116,16 +126,31 @@ func (f *fpHasher) writeBlock(b *Block) {
 // any map iteration order, so it is reproducible across runs and
 // processes.
 func (b *Block) Fingerprint() uint64 {
-	f := newFPHasher()
+	f := getFPHasher()
 	f.writeBlock(b)
-	return f.sum64()
+	fp := sum64(f.buf)
+	putFPHasher(f)
+	return fp
 }
 
 // Fingerprint returns a stable 64-bit content hash of the whole program:
 // its name, the names of its functions and the fingerprint-relevant
 // content of every block, in order.
 func (p *Program) Fingerprint() uint64 {
-	f := newFPHasher()
+	fp, _ := p.Fingerprints()
+	return fp
+}
+
+// Fingerprints returns the program's Fingerprint and, in Blocks order,
+// every block's Fingerprint, from one encoding pass: each block's hash
+// is taken over its bytes inside the program's encoding.
+func (p *Program) Fingerprints() (uint64, []uint64) {
+	n := 0
+	for _, fn := range p.Funcs {
+		n += len(fn.Blocks)
+	}
+	blocks := make([]uint64, 0, n)
+	f := getFPHasher()
 	f.u8(fpTagProgram)
 	f.str(p.Name)
 	f.u64(uint64(len(p.Funcs)))
@@ -134,8 +159,12 @@ func (p *Program) Fingerprint() uint64 {
 		f.str(fn.Name)
 		f.u64(uint64(len(fn.Blocks)))
 		for _, b := range fn.Blocks {
+			start := len(f.buf)
 			f.writeBlock(b)
+			blocks = append(blocks, sum64(f.buf[start:]))
 		}
 	}
-	return f.sum64()
+	fp := sum64(f.buf)
+	putFPHasher(f)
+	return fp, blocks
 }

@@ -1,6 +1,9 @@
 package ir
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
 
 const fpDemoSrc = `func demo
 block body freq=100
@@ -43,6 +46,77 @@ func TestFingerprintStable(t *testing.T) {
 	if got := b.Fingerprint(); got != want {
 		t.Errorf("Fingerprint() = %#016x, want %#016x", got, want)
 	}
+}
+
+// TestProgramFingerprintStable pins the demo program's fingerprint the
+// way TestFingerprintStable pins its block's: the server echoes it in
+// every response, so it must not drift with the encoder either.
+func TestProgramFingerprintStable(t *testing.T) {
+	p := parseDemo(t)
+	const want uint64 = 0xe5e96b242f32efb9 // golden; recompute only on deliberate encoding changes
+	if got := p.Fingerprint(); got != want {
+		t.Errorf("Program.Fingerprint() = %#016x, want %#016x", got, want)
+	}
+}
+
+// TestFingerprintsMatchBlocks checks that Fingerprints, which hashes
+// each block inside the program's one encoding, returns exactly the
+// program's Fingerprint and every block's own Fingerprint, in order.
+func TestFingerprintsMatchBlocks(t *testing.T) {
+	p := MustParse(fpDemoSrc + `
+block tail freq=3
+  liveout v1
+  v1 = const 2
+end
+func second
+block only freq=0.5
+  ret
+end
+`)
+	progFP, blockFPs := p.Fingerprints()
+	if progFP != p.Fingerprint() {
+		t.Errorf("Fingerprints program hash %#016x, Fingerprint %#016x", progFP, p.Fingerprint())
+	}
+	blocks := p.Blocks()
+	if len(blockFPs) != len(blocks) {
+		t.Fatalf("%d block fingerprints for %d blocks", len(blockFPs), len(blocks))
+	}
+	for i, b := range blocks {
+		if blockFPs[i] != b.Fingerprint() {
+			t.Errorf("block %s: Fingerprints %#016x, Fingerprint %#016x", b.Label, blockFPs[i], b.Fingerprint())
+		}
+	}
+	if blockFPs[0] != demoBlock(t).Fingerprint() {
+		t.Error("a block's fingerprint depends on the blocks around it")
+	}
+}
+
+// TestFingerprintConcurrent fingerprints from several goroutines at once:
+// the encoders share a pool of buffers, and no buffer may be handed out
+// while another call is still encoding into it.
+func TestFingerprintConcurrent(t *testing.T) {
+	progs := make([]*Program, 8)
+	want := make([]uint64, len(progs))
+	for i := range progs {
+		progs[i] = parseDemo(t)
+		progs[i].Funcs[0].Blocks[0].Instrs[0].Imm = int64(i)
+		want[i] = progs[i].Fingerprint()
+	}
+	var wg sync.WaitGroup
+	for i := range progs {
+		wg.Add(1)
+		go func(p *Program, want uint64) {
+			defer wg.Done()
+			for k := 0; k < 200; k++ {
+				fp, blocks := p.Fingerprints()
+				if fp != want || blocks[0] != p.Blocks()[0].Fingerprint() {
+					t.Errorf("concurrent fingerprint %#016x, want %#016x", fp, want)
+					return
+				}
+			}
+		}(progs[i], want[i])
+	}
+	wg.Wait()
 }
 
 // TestFingerprintReparse checks that two independent parses of the same

@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -15,12 +16,15 @@ const NoReg Reg = 0
 
 const virtBase Reg = 1 << 20
 
+// maxPhysNum is the largest valid physical register number.
+const maxPhysNum = int(virtBase) - 2
+
 // MaxVirtNum is the largest valid virtual register number.
 const MaxVirtNum = int(1<<31-1) - int(virtBase)
 
 // Phys returns the n-th physical register (n >= 0).
 func Phys(n int) Reg {
-	if n < 0 || Reg(n) >= virtBase-1 {
+	if n < 0 || n > maxPhysNum {
 		panic(fmt.Sprintf("ir: bad physical register number %d", n))
 	}
 	return Reg(n) + 1
@@ -54,13 +58,19 @@ func (r Reg) Num() int {
 
 // String renders "r3" for physical, "v7" for virtual, "-" for NoReg.
 func (r Reg) String() string {
+	var buf [12]byte
+	return string(r.appendTo(buf[:0]))
+}
+
+// appendTo appends r's String form to b.
+func (r Reg) appendTo(b []byte) []byte {
 	switch {
 	case r.IsPhys():
-		return fmt.Sprintf("r%d", r.Num())
+		return strconv.AppendInt(append(b, 'r'), int64(r.Num()), 10)
 	case r.IsVirt():
-		return fmt.Sprintf("v%d", r.Num())
+		return strconv.AppendInt(append(b, 'v'), int64(r.Num()), 10)
 	default:
-		return "-"
+		return append(b, '-')
 	}
 }
 
@@ -127,59 +137,74 @@ func (in *Instr) Clone() *Instr {
 
 // String renders the instruction in the textual assembly syntax.
 func (in *Instr) String() string {
-	var b strings.Builder
+	var buf [64]byte
+	return string(in.appendTo(buf[:0]))
+}
+
+// appendTo appends in's String form to b.
+func (in *Instr) appendTo(b []byte) []byte {
 	switch {
 	case in.Op == OpConst:
-		fmt.Fprintf(&b, "%s = const %d", in.Dst, in.Imm)
+		b = append(in.Dst.appendTo(b), " = const "...)
+		b = strconv.AppendInt(b, in.Imm, 10)
 	case in.Op.IsLoad():
-		fmt.Fprintf(&b, "%s = load %s", in.Dst, memOperand(in))
+		b = append(in.Dst.appendTo(b), " = load "...)
+		b = appendMemOperand(b, in)
 	case in.Op.IsStore():
-		fmt.Fprintf(&b, "store %s, %s", memOperand(in), in.Srcs[0])
+		b = appendMemOperand(append(b, "store "...), in)
+		b = in.Srcs[0].appendTo(append(b, ", "...))
 	case in.Op == OpBr:
-		fmt.Fprintf(&b, "br %s, %s", in.Srcs[0], in.Target)
+		b = in.Srcs[0].appendTo(append(b, "br "...))
+		b = append(append(b, ", "...), in.Target...)
 	case in.Op == OpJmp:
-		fmt.Fprintf(&b, "jmp %s", in.Target)
+		b = append(append(b, "jmp "...), in.Target...)
 	case in.Op == OpCall:
-		fmt.Fprintf(&b, "call %s", in.Target)
+		b = append(append(b, "call "...), in.Target...)
 	case in.Op == OpRet:
-		b.WriteString("ret")
+		b = append(b, "ret"...)
 	case in.Op == OpNop || in.Op == OpVNop:
-		b.WriteString(in.Op.String())
+		b = append(b, in.Op.String()...)
 	case in.Op.HasDst():
-		fmt.Fprintf(&b, "%s = %s ", in.Dst, in.Op)
+		b = append(in.Dst.appendTo(b), " = "...)
+		b = append(append(b, in.Op.String()...), ' ')
 		for i, s := range in.Srcs {
 			if i > 0 {
-				b.WriteString(", ")
+				b = append(b, ", "...)
 			}
-			b.WriteString(s.String())
+			b = s.appendTo(b)
 		}
 		if in.Op.HasImm() {
 			if len(in.Srcs) > 0 {
-				b.WriteString(", ")
+				b = append(b, ", "...)
 			}
-			fmt.Fprintf(&b, "%d", in.Imm)
+			b = strconv.AppendInt(b, in.Imm, 10)
 		}
 	default:
-		fmt.Fprintf(&b, "%s", in.Op)
+		b = append(b, in.Op.String()...)
 	}
 	if in.IsSpill {
-		b.WriteString(" !spill")
+		b = append(b, " !spill"...)
 	}
 	if in.KnownLatency > 0 {
-		fmt.Fprintf(&b, " !lat=%g", in.KnownLatency)
+		b = strconv.AppendFloat(append(b, " !lat="...), in.KnownLatency, 'g', -1, 64)
 	}
-	return b.String()
+	return b
 }
 
-func memOperand(in *Instr) string {
-	sym := in.Sym
-	if sym == "" {
-		sym = "?"
+// appendMemOperand appends "sym[base+off]", or "sym[off]" without a
+// base, with "?" for the may-alias-anything symbol.
+func appendMemOperand(b []byte, in *Instr) []byte {
+	if in.Sym == "" {
+		b = append(b, '?')
+	} else {
+		b = append(b, in.Sym...)
 	}
-	if in.Base == NoReg {
-		return fmt.Sprintf("%s[%d]", sym, in.Off)
+	b = append(b, '[')
+	if in.Base != NoReg {
+		b = append(in.Base.appendTo(b), '+')
 	}
-	return fmt.Sprintf("%s[%s+%d]", sym, in.Base, in.Off)
+	b = strconv.AppendInt(b, in.Off, 10)
+	return append(b, ']')
 }
 
 // Block is a basic block: a label, a straight-line instruction sequence and
@@ -242,26 +267,26 @@ func (b *Block) MaxVirt() int {
 
 // String renders the block in the textual assembly syntax.
 func (b *Block) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "block %s freq=%g\n", b.Label, b.Freq)
+	// 32 bytes a line holds most instructions, so one buffer usually
+	// holds the block.
+	buf := make([]byte, 0, 32*(len(b.Instrs)+3))
+	buf = append(append(buf, "block "...), b.Label...)
+	buf = strconv.AppendFloat(append(buf, " freq="...), b.Freq, 'g', -1, 64)
+	buf = append(buf, '\n')
 	if len(b.LiveOut) > 0 {
-		sb.WriteString("  liveout")
+		buf = append(buf, "  liveout"...)
 		for i, r := range b.LiveOut {
 			if i > 0 {
-				sb.WriteByte(',')
+				buf = append(buf, ',')
 			}
-			sb.WriteByte(' ')
-			sb.WriteString(r.String())
+			buf = r.appendTo(append(buf, ' '))
 		}
-		sb.WriteByte('\n')
+		buf = append(buf, '\n')
 	}
 	for _, in := range b.Instrs {
-		sb.WriteString("  ")
-		sb.WriteString(in.String())
-		sb.WriteByte('\n')
+		buf = append(in.appendTo(append(buf, "  "...)), '\n')
 	}
-	sb.WriteString("end\n")
-	return sb.String()
+	return string(append(buf, "end\n"...))
 }
 
 // Func is a named collection of basic blocks.

@@ -1,6 +1,8 @@
 package ir
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -173,6 +175,39 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseRegisterRange checks that register numbers past a class's
+// range are refused as parse errors rather than wrapped around: the
+// three physical numbers below once parsed as r1, r0 and a negative
+// register that printed as "-".
+func TestParseRegisterRange(t *testing.T) {
+	for _, reg := range []string{
+		"r4294967297", "r4294967296", "r4293918720",
+		"r1048575", fmt.Sprintf("v%d", MaxVirtNum+1),
+	} {
+		for _, src := range []string{
+			"func f\nblock b freq=1\n" + reg + " = const 1\nend",
+			"func f\nblock b freq=1\nv0 = load a[" + reg + "+0]\nend",
+			"func f\nblock b freq=1\nliveout " + reg + "\nend",
+		} {
+			_, err := Parse(src)
+			var pe *ParseError
+			if !errors.As(err, &pe) || !strings.Contains(err.Error(), "out of range") {
+				t.Errorf("Parse(%q) = %v, want an out-of-range *ParseError", src, err)
+			}
+		}
+	}
+	b := MustParseBlock(fmt.Sprintf("r%d = const 1\nv%d = const 2", maxPhysNum, MaxVirtNum))
+	if b.Instrs[0].Dst != Phys(maxPhysNum) || b.Instrs[1].Dst != Virt(MaxVirtNum) {
+		t.Errorf("largest register numbers misparsed: %v", b.Instrs)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Errorf("Phys(1<<32) did not panic")
+		}
+	}()
+	Phys(1 << 32)
+}
+
 func TestParseBlockBare(t *testing.T) {
 	b, err := ParseBlock("v0 = const 1\nv1 = addi v0, 2")
 	if err != nil {
@@ -202,6 +237,39 @@ func TestParseMemOperandForms(t *testing.T) {
 	}
 	if in := b.Instrs[4]; in.Sym != "" {
 		t.Errorf("? symbol should parse to unknown alias class: %q", in.Sym)
+	}
+}
+
+// TestParsedSlicesDoNotAlias checks that the parser's shared slabs
+// never leak into a caller's appends: growing one instruction's
+// sources, one block's live-out set or one block's instruction list
+// must leave its neighbours untouched.
+func TestParsedSlicesDoNotAlias(t *testing.T) {
+	p := MustParse(`func f
+block a freq=1
+  liveout v1
+  v0 = const 1
+  v1 = add v0, v0
+  v2 = add v1, v1
+end
+block b freq=1
+  liveout v3
+  v3 = add v2, v2
+end
+`)
+	a, b := p.Funcs[0].Blocks[0], p.Funcs[0].Blocks[1]
+	want := p.String()
+	a.Instrs[1].Srcs = append(a.Instrs[1].Srcs, Virt(9))
+	a.LiveOut = append(a.LiveOut, Virt(9))
+	a.Instrs = append(a.Instrs, &Instr{Op: OpNop})
+	a.Instrs[1].Srcs = a.Instrs[1].Srcs[:2]
+	a.LiveOut = a.LiveOut[:1]
+	a.Instrs = a.Instrs[:3]
+	if got := p.String(); got != want {
+		t.Errorf("appends to block a changed the program:\n%s\nwant:\n%s", got, want)
+	}
+	if len(b.Instrs) != 1 || b.Instrs[0].Srcs[0] != Virt(2) || b.LiveOut[0] != Virt(3) {
+		t.Errorf("block b changed: %s", b)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unicode"
 )
 
 // ParseError is the typed error Parse returns for malformed input: the
@@ -47,12 +48,22 @@ func (e *ParseError) Unwrap() error { return e.Err }
 //
 // Any instruction may end with !spill and/or !lat=FLOAT attributes.
 // Registers are rN (physical) or vN (virtual).
+//
+// Parse makes one pass over src and allocates per block, not per line:
+// instructions and their register lists are carved from slabs shared by
+// the whole program, and names are substrings of src.
 func Parse(src string) (*Program, error) {
-	p := &parser{prog: &Program{}}
-	for i, line := range strings.Split(src, "\n") {
+	p := &parser{prog: &Program{}, linesLeft: strings.Count(src, "\n") + 1}
+	for lineNo := 1; ; lineNo++ {
+		line, rest, more := strings.Cut(src, "\n")
 		if err := p.line(strings.TrimSpace(stripComment(line))); err != nil {
-			return nil, &ParseError{Line: i + 1, Err: err}
+			return nil, &ParseError{Line: lineNo, Err: err}
 		}
+		if !more {
+			break
+		}
+		src = rest
+		p.linesLeft--
 	}
 	if p.block != nil {
 		return nil, &ParseError{Err: fmt.Errorf("unterminated block %q", p.block.Label)}
@@ -107,26 +118,65 @@ func stripComment(line string) string {
 	return line
 }
 
+// slabMax caps the size of one slab chunk, so a source of mostly blank
+// or comment lines cannot make Parse reserve memory in proportion to
+// its line count.
+const slabMax = 1024
+
 type parser struct {
 	prog  *Program
 	fn    *Func
 	block *Block
+
+	// linesLeft counts the lines from the current one to the end of the
+	// source: an upper bound on the instructions still to come, which
+	// sizes each new slab chunk.
+	linesLeft int
+	// instrs and regs are the slabs instructions and their register
+	// lists are carved from.
+	instrs []Instr
+	regs   []Reg
+	// open collects the open block's instructions; "end" copies them
+	// into the block, and the buffer serves the next block.
+	open []*Instr
+}
+
+// newInstr returns a zeroed instruction from the instruction slab.
+func (p *parser) newInstr() *Instr {
+	if len(p.instrs) == cap(p.instrs) {
+		p.instrs = make([]Instr, 0, min(p.linesLeft, slabMax))
+	}
+	p.instrs = p.instrs[:len(p.instrs)+1]
+	return &p.instrs[len(p.instrs)-1]
+}
+
+// newRegs returns n registers from the register slab. The slice's
+// capacity is its length, so appending to it never writes into the
+// registers of the next instruction.
+func (p *parser) newRegs(n int) []Reg {
+	if cap(p.regs)-len(p.regs) < n {
+		p.regs = make([]Reg, 0, max(n, min(2*p.linesLeft, 2*slabMax)))
+	}
+	i := len(p.regs)
+	p.regs = p.regs[:i+n]
+	return p.regs[i : i+n : i+n]
 }
 
 func (p *parser) line(s string) error {
 	if s == "" {
 		return nil
 	}
-	fields := strings.Fields(s)
-	switch fields[0] {
+	head, rest := nextField(s)
+	switch head {
 	case "func":
 		if p.block != nil {
 			return fmt.Errorf("func inside block")
 		}
-		if len(fields) != 2 {
+		name, rest := nextField(rest)
+		if extra, _ := nextField(rest); name == "" || extra != "" {
 			return fmt.Errorf("func wants a name")
 		}
-		p.fn = &Func{Name: fields[1]}
+		p.fn = &Func{Name: name}
 		p.prog.Funcs = append(p.prog.Funcs, p.fn)
 		return nil
 	case "block":
@@ -136,11 +186,16 @@ func (p *parser) line(s string) error {
 		if p.block != nil {
 			return fmt.Errorf("nested block")
 		}
-		if len(fields) < 2 {
+		label, rest := nextField(rest)
+		if label == "" {
 			return fmt.Errorf("block wants a label")
 		}
-		b := &Block{Label: fields[1], Freq: 1}
-		for _, f := range fields[2:] {
+		b := &Block{Label: label, Freq: 1}
+		for {
+			var f string
+			if f, rest = nextField(rest); f == "" {
+				break
+			}
 			val, ok := strings.CutPrefix(f, "freq=")
 			if !ok {
 				return fmt.Errorf("unknown block attribute %q", f)
@@ -157,6 +212,10 @@ func (p *parser) line(s string) error {
 		if p.block == nil {
 			return fmt.Errorf("end outside block")
 		}
+		if len(p.open) > 0 {
+			p.block.Instrs = append([]*Instr(nil), p.open...)
+			p.open = p.open[:0]
+		}
 		p.fn.Blocks = append(p.fn.Blocks, p.block)
 		p.block = nil
 		return nil
@@ -164,29 +223,45 @@ func (p *parser) line(s string) error {
 		if p.block == nil {
 			return fmt.Errorf("liveout outside block")
 		}
-		for _, tok := range splitOperands(s[len("liveout"):]) {
+		list := s[len("liveout"):]
+		var ops [maxOperands]string
+		n := splitOperands(&ops, list)
+		if n == 0 {
+			return nil
+		}
+		regs := p.newRegs(n)
+		for i := range regs {
+			var tok string
+			tok, list = nextOperand(list)
 			r, err := parseReg(tok)
 			if err != nil {
 				return err
 			}
-			p.block.LiveOut = append(p.block.LiveOut, r)
+			regs[i] = r
+		}
+		if p.block.LiveOut == nil {
+			p.block.LiveOut = regs
+		} else {
+			p.block.LiveOut = append(p.block.LiveOut, regs...)
 		}
 		return nil
 	}
 	if p.block == nil {
 		return fmt.Errorf("instruction outside block: %q", s)
 	}
-	in, err := parseInstr(s)
-	if err != nil {
+	in := p.newInstr()
+	if err := p.parseInstr(in, s); err != nil {
 		return err
 	}
-	in.Seq = len(p.block.Instrs)
-	p.block.Instrs = append(p.block.Instrs, in)
+	if p.open == nil {
+		p.open = make([]*Instr, 0, min(p.linesLeft, slabMax))
+	}
+	in.Seq = len(p.open)
+	p.open = append(p.open, in)
 	return nil
 }
 
-func parseInstr(s string) (*Instr, error) {
-	in := &Instr{}
+func (p *parser) parseInstr(in *Instr, s string) error {
 	// Peel trailing !attributes.
 	for {
 		i := strings.LastIndexByte(s, '!')
@@ -200,11 +275,11 @@ func parseInstr(s string) (*Instr, error) {
 		case strings.HasPrefix(attr, "lat="):
 			lat, err := strconv.ParseFloat(attr[len("lat="):], 64)
 			if err != nil || math.IsNaN(lat) || math.IsInf(lat, 0) {
-				return nil, fmt.Errorf("bad latency attribute %q", attr)
+				return fmt.Errorf("bad latency attribute %q", attr)
 			}
 			in.KnownLatency = lat
 		default:
-			return nil, fmt.Errorf("unknown attribute %q", attr)
+			return fmt.Errorf("unknown attribute %q", attr)
 		}
 		s = strings.TrimSpace(s[:i])
 	}
@@ -212,11 +287,11 @@ func parseInstr(s string) (*Instr, error) {
 	if dst, rest, ok := strings.Cut(s, "="); ok {
 		d := strings.TrimSpace(dst)
 		if !looksLikeReg(d) {
-			return nil, fmt.Errorf("bad destination %q", d)
+			return fmt.Errorf("bad destination %q", d)
 		}
 		r, err := parseReg(d)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		in.Dst = r
 		s = strings.TrimSpace(rest)
@@ -225,84 +300,90 @@ func parseInstr(s string) (*Instr, error) {
 	mnemonic, rest, _ := strings.Cut(s, " ")
 	op := OpByName(mnemonic)
 	if op == OpInvalid {
-		return nil, fmt.Errorf("unknown opcode %q", mnemonic)
+		return fmt.Errorf("unknown opcode %q", mnemonic)
 	}
 	in.Op = op
-	rest = strings.TrimSpace(rest)
-	operands := splitOperands(rest)
+	var operands [maxOperands]string
+	nops := splitOperands(&operands, strings.TrimSpace(rest))
 
 	switch {
 	case op == OpConst:
-		if len(operands) != 1 {
-			return nil, fmt.Errorf("const wants one immediate")
+		if nops != 1 {
+			return fmt.Errorf("const wants one immediate")
 		}
 		imm, err := strconv.ParseInt(operands[0], 10, 64)
 		if err != nil {
-			return nil, fmt.Errorf("bad immediate %q", operands[0])
+			return fmt.Errorf("bad immediate %q", operands[0])
 		}
 		in.Imm = imm
 	case op.IsLoad():
-		if len(operands) != 1 {
-			return nil, fmt.Errorf("load wants one memory operand")
+		if nops != 1 {
+			return fmt.Errorf("load wants one memory operand")
 		}
 		if err := parseMem(in, operands[0]); err != nil {
-			return nil, err
+			return err
 		}
 	case op.IsStore():
-		if len(operands) != 2 {
-			return nil, fmt.Errorf("store wants a memory operand and a source")
+		if nops != 2 {
+			return fmt.Errorf("store wants a memory operand and a source")
 		}
 		if err := parseMem(in, operands[0]); err != nil {
-			return nil, err
+			return err
 		}
 		r, err := parseReg(operands[1])
 		if err != nil {
-			return nil, err
+			return err
 		}
-		in.Srcs = []Reg{r}
+		in.Srcs = p.newRegs(1)
+		in.Srcs[0] = r
 	case op == OpBr:
-		if len(operands) != 2 {
-			return nil, fmt.Errorf("br wants a condition and a target")
+		if nops != 2 {
+			return fmt.Errorf("br wants a condition and a target")
 		}
 		r, err := parseReg(operands[0])
 		if err != nil {
-			return nil, err
+			return err
 		}
-		in.Srcs = []Reg{r}
+		in.Srcs = p.newRegs(1)
+		in.Srcs[0] = r
 		in.Target = operands[1]
 	case op == OpJmp || op == OpCall:
-		if len(operands) != 1 {
-			return nil, fmt.Errorf("%v wants a target", op)
+		if nops != 1 {
+			return fmt.Errorf("%v wants a target", op)
 		}
 		in.Target = operands[0]
 	case op == OpRet || op == OpNop || op == OpVNop:
-		if len(operands) != 0 {
-			return nil, fmt.Errorf("%v wants no operands", op)
+		if nops != 0 {
+			return fmt.Errorf("%v wants no operands", op)
 		}
 	default:
-		want := op.NumSrcs()
+		nsrc := op.NumSrcs()
+		want := nsrc
 		if op.HasImm() {
 			want++
 		}
-		if len(operands) != want {
-			return nil, fmt.Errorf("%v wants %d operands, got %d", op, want, len(operands))
+		if nops != want {
+			return fmt.Errorf("%v wants %d operands, got %d", op, want, nops)
 		}
-		for i := 0; i < op.NumSrcs(); i++ {
+		if nsrc > 0 {
+			in.Srcs = p.newRegs(nsrc)
+		}
+		for i := range in.Srcs {
 			r, err := parseReg(operands[i])
 			if err != nil {
-				return nil, err
+				return err
 			}
-			in.Srcs = append(in.Srcs, r)
+			in.Srcs[i] = r
 		}
 		if op.HasImm() {
-			imm, err := strconv.ParseInt(operands[len(operands)-1], 10, 64)
+			imm, err := strconv.ParseInt(operands[nops-1], 10, 64)
 			if err != nil {
-				return nil, fmt.Errorf("bad immediate %q", operands[len(operands)-1])
+				return fmt.Errorf("bad immediate %q", operands[nops-1])
 			}
 			in.Imm = imm
 		}
 	}
-	return in, nil
+	return nil
 }
 
 // parseMem parses "sym[base+off]", "sym[off]" or "sym[base]".
@@ -361,7 +442,7 @@ func parseReg(s string) (Reg, error) {
 		return NoReg, fmt.Errorf("bad register %q", s)
 	}
 	if s[0] == 'r' {
-		if Reg(n) >= virtBase-1 {
+		if n > maxPhysNum {
 			return NoReg, fmt.Errorf("physical register number out of range in %q", s)
 		}
 		return Phys(n), nil
@@ -372,13 +453,54 @@ func parseReg(s string) (Reg, error) {
 	return Virt(n), nil
 }
 
-func splitOperands(s string) []string {
-	var out []string
-	for _, f := range strings.Split(s, ",") {
-		f = strings.TrimSpace(f)
-		if f != "" {
-			out = append(out, f)
+// maxOperands is the most operands any instruction takes: fma's three
+// sources.
+const maxOperands = 3
+
+// splitOperands stores the non-empty, trimmed, comma-separated operands
+// of s in ops and returns how many there are, counting those past
+// len(ops) that it does not store.
+func splitOperands(ops *[maxOperands]string, s string) int {
+	n := 0
+	for {
+		var tok string
+		if tok, s = nextOperand(s); tok == "" {
+			return n
+		}
+		if n < len(ops) {
+			ops[n] = tok
+		}
+		n++
+	}
+}
+
+// nextOperand returns the first non-empty comma-separated operand of s,
+// trimmed, and the text after its comma; "" when there is none.
+func nextOperand(s string) (tok, rest string) {
+	for s != "" {
+		tok, s, _ = strings.Cut(s, ",")
+		if tok = strings.TrimSpace(tok); tok != "" {
+			return tok, s
 		}
 	}
-	return out
+	return "", ""
+}
+
+// nextField returns the first field of s and the text after it,
+// splitting where strings.Fields would: at runs of Unicode white space.
+func nextField(s string) (field, rest string) {
+	start := len(s)
+	for i, r := range s {
+		if !unicode.IsSpace(r) {
+			start = i
+			break
+		}
+	}
+	s = s[start:]
+	for i, r := range s {
+		if unicode.IsSpace(r) {
+			return s[:i], s[i:]
+		}
+	}
+	return s, ""
 }

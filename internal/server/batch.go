@@ -254,10 +254,11 @@ func (s *Server) handleCompileBatch(w http.ResponseWriter, r *http.Request) {
 			}
 			deadline := s.timeout(preq.TimeoutMillis)
 			optsFP := preq.Options.fingerprint()
+			fp, blockFPs := prog.Fingerprints()
 			blocks := prog.Blocks()
 			p.remaining.Store(int64(len(blocks)))
 			p.frame = BatchFrame{
-				Fingerprint:        fmt.Sprintf("%016x", prog.Fingerprint()),
+				Fingerprint:        fmt.Sprintf("%016x", fp),
 				OptionsFingerprint: fmt.Sprintf("%016x", optsFP),
 				Blocks:             len(blocks),
 			}
@@ -270,7 +271,7 @@ func (s *Server) handleCompileBatch(w http.ResponseWriter, r *http.Request) {
 					p.remaining.Add(-1)
 					continue
 				}
-				key := engine.Key{Block: b.Fingerprint(), Opts: optsFP}
+				key := engine.Key{Block: blockFPs[bi], Opts: optsFP}
 				resp, e, disp, err := s.dispatchBlock(r, tr, b, key, opts, deadline, p.start, tier, prio)
 				if err != nil {
 					p.fail(frames, err)

@@ -56,22 +56,35 @@ func (r *CompileResponse) Stamped(cached, coalesced bool, service time.Duration)
 // exactly — optional program header, one "func" header per function, a
 // blank line between functions — with each block's text taken from its
 // cached per-block response, so an assembled program is byte-identical
-// to what a whole-program compile.Run would have rendered.
-func assembleResponse(prog *ir.Program, results []*engine.BlockResponse, optsFP uint64) *CompileResponse {
+// to what a whole-program compile.Run would have rendered. progFP is
+// the program fingerprint the handler already rendered.
+func assembleResponse(prog *ir.Program, progFP string, results []*engine.BlockResponse, optsFP uint64) *CompileResponse {
 	resp := &CompileResponse{
-		Fingerprint:        fmt.Sprintf("%016x", prog.Fingerprint()),
+		Fingerprint:        progFP,
 		OptionsFingerprint: fmt.Sprintf("%016x", optsFP),
 	}
 	var sb strings.Builder
+	size := len("# program \n") + len(prog.Name)
+	for _, f := range prog.Funcs {
+		size += len("\nfunc \n") + len(f.Name)
+	}
+	for _, br := range results {
+		size += len(br.Block)
+	}
+	sb.Grow(size)
 	if prog.Name != "" {
-		fmt.Fprintf(&sb, "# program %s\n", prog.Name)
+		sb.WriteString("# program ")
+		sb.WriteString(prog.Name)
+		sb.WriteByte('\n')
 	}
 	i := 0
 	for fi, f := range prog.Funcs {
 		if fi > 0 {
 			sb.WriteByte('\n')
 		}
-		fmt.Fprintf(&sb, "func %s\n", f.Name)
+		sb.WriteString("func ")
+		sb.WriteString(f.Name)
+		sb.WriteByte('\n')
 		for range f.Blocks {
 			br := results[i]
 			sb.WriteString(br.Block)

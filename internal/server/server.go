@@ -917,7 +917,8 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		tier = TierDefault
 	}
 	optsFP := req.Options.fingerprint()
-	progFP := fmt.Sprintf("%016x", prog.Fingerprint())
+	fp, blockFPs := prog.Fingerprints()
+	progFP := fmt.Sprintf("%016x", fp)
 	note(r, "fingerprint", progFP, "tier", tier, "priority", prio.String())
 	root := tr.Root()
 	root.SetAttr("fingerprint", progFP)
@@ -940,7 +941,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	lookupSpan := tr.StartSpan(nil, "cache-lookup")
 	lookupStart := time.Now()
 	for i, b := range blocks {
-		key := engine.Key{Block: b.Fingerprint(), Opts: optsFP}
+		key := engine.Key{Block: blockFPs[i], Opts: optsFP}
 		resp, e, disp, err := s.dispatchBlock(r, tr, b, key, opts, deadline, started, tier, prio)
 		if err != nil {
 			s.stats.stages.With(stageLookup).ObserveDuration(time.Since(lookupStart))
@@ -1038,7 +1039,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	waitSpan.End()
-	s.respond(w, r, assembleResponse(prog, results, optsFP).Stamped(cached, respCoalesced, time.Since(started)))
+	s.respond(w, r, assembleResponse(prog, progFP, results, optsFP).Stamped(cached, respCoalesced, time.Since(started)))
 }
 
 // respond writes a 200 and records its service time. The histogram
