@@ -9,6 +9,11 @@
 // by more than two allocations (so one or two allocations of jitter on a
 // tiny count never fail the gate).
 //
+// Each row also shows both files' recorded spread, the relative
+// distance between the slowest and the fastest of the runs a row's
+// ns/op is the best of ("-" for files that predate it), so a reader
+// can tell a regression from a noisy row. The spread does not gate.
+//
 // Exit status 0 when every shared benchmark is within the threshold
 // (or when the files share no benchmarks at all — renames are a
 // warning, not a failure), 1 when at least one regressed, 2 on usage
@@ -36,6 +41,17 @@ type benchmark struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
+	// Spread is (max−min)/min of the row's runs' ns/op; nil in files
+	// written before rows recorded it.
+	Spread *float64 `json:"spread"`
+}
+
+// spread renders a row's recorded spread.
+func spread(b benchmark) string {
+	if b.Spread == nil {
+		return "-"
+	}
+	return fmt.Sprintf("%.1f%%", 100**b.Spread)
 }
 
 // allocSlack is the allocs/op growth a shared benchmark may show whatever
@@ -72,7 +88,7 @@ func compare(w io.Writer, oldSet, newSet map[string]benchmark, threshold float64
 		nb := newSet[name]
 		ob, ok := oldSet[name]
 		if !ok {
-			fmt.Fprintf(w, "  new   %-40s %12.0f ns/op %8d allocs/op (no baseline)\n", name, nb.NsPerOp, nb.AllocsPerOp)
+			fmt.Fprintf(w, "  new   %-40s %12.0f ns/op %8d allocs/op (no baseline)  spread %6s\n", name, nb.NsPerOp, nb.AllocsPerOp, spread(nb))
 			continue
 		}
 		shared++
@@ -84,8 +100,8 @@ func compare(w io.Writer, oldSet, newSet map[string]benchmark, threshold float64
 			mark = "!"
 			regressed++
 		}
-		fmt.Fprintf(w, "%s %-40s %12.0f -> %12.0f ns/op  %+6.1f%%  %8d -> %8d allocs/op\n",
-			mark, name, ob.NsPerOp, nb.NsPerOp, 100*delta, ob.AllocsPerOp, nb.AllocsPerOp)
+		fmt.Fprintf(w, "%s %-40s %12.0f -> %12.0f ns/op  %+6.1f%%  %8d -> %8d allocs/op  spread %6s -> %6s\n",
+			mark, name, ob.NsPerOp, nb.NsPerOp, 100*delta, ob.AllocsPerOp, nb.AllocsPerOp, spread(ob), spread(nb))
 	}
 	gone := make([]string, 0, len(oldSet))
 	for name := range oldSet {

@@ -54,6 +54,13 @@ func TestCompare(t *testing.T) {
 		new:        map[string]benchmark{"A": {Name: "A", NsPerOp: 1000, AllocsPerOp: 1090}},
 		wantShared: 1,
 	}, {
+		// The spread is shown, "-" where a file predates it, and
+		// never gates: a noisy row within the threshold passes.
+		name:       "spread-column-does-not-gate",
+		old:        map[string]benchmark{"A": {Name: "A", NsPerOp: 1000, AllocsPerOp: 10}},
+		new:        map[string]benchmark{"A": {Name: "A", NsPerOp: 1050, AllocsPerOp: 10, Spread: ptr(0.25)}},
+		wantShared: 1, wantLine: "spread      - ->  25.0%",
+	}, {
 		name: "renamed-rows-only-warn",
 		old:  base,
 		new: map[string]benchmark{
@@ -76,3 +83,5 @@ func TestCompare(t *testing.T) {
 		})
 	}
 }
+
+func ptr(f float64) *float64 { return &f }

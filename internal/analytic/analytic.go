@@ -62,11 +62,13 @@ func EstimateRuntime(instrs []*ir.Instr, dist memlat.Distribution) (Estimate, er
 	}
 	loads := make(map[ir.Reg]pending) // load destination -> issue info
 	pos := 0
+	var uses []ir.Reg
 	for _, in := range instrs {
 		if in.Op == ir.OpVNop {
 			continue
 		}
-		for _, u := range in.Uses() {
+		uses = in.AppendUses(uses[:0])
+		for _, u := range uses {
 			pl, ok := loads[u]
 			if !ok {
 				continue

@@ -117,53 +117,56 @@ func Build(b *ir.Block, opts BuildOptions) *Graph {
 	return g
 }
 
-// BuildBudgeted is Build under a work budget: construction charges one
-// unit per instruction, one per prior memory reference considered by the
-// disambiguator (the quadratic term on store-heavy blocks) and one per
-// control edge. It returns the budget's error as soon as the cap or the
-// budget's context trips; a nil budget means unlimited.
+// BuildBudgeted is Build under a work budget. Construction charges one
+// unit per instruction, plus, for a memory operation, one per earlier
+// memory reference the disambiguator compares it with, plus, for a call
+// or a terminator at index j, j units for its control edges. It returns
+// the budget's error as soon as the cap or the budget's context trips;
+// a nil budget means unlimited.
 func BuildBudgeted(b *ir.Block, opts BuildOptions, wb *budget.Budget) (*Graph, error) {
 	n := len(b.Instrs)
-	g := &Graph{
-		Block: b,
-		Succs: make([][]Edge, n),
-		Preds: make([][]Edge, n),
-	}
-
-	type edgeKey struct {
-		from, to int
-		kind     EdgeKind
-	}
-	seen := make(map[edgeKey]bool)
-	addEdge := func(from, to int, kind EdgeKind) {
-		if from == to || from < 0 || to < 0 {
-			return
+	// slots bounds both the block's distinct registers and its register
+	// reads, so the per-register arrays never grow. (An invalid opcode
+	// is left for the main loop to trip over, after the same charges.)
+	slots, nmem := 0, 0
+	for _, in := range b.Instrs {
+		slots += len(in.Srcs) + 2
+		if in.Op.Valid() && in.Op.IsMem() {
+			nmem++
 		}
-		if from > to {
-			panic(fmt.Sprintf("deps: backward edge %d->%d", from, to))
-		}
-		k := edgeKey{from, to, kind}
-		if seen[k] {
-			return
-		}
-		seen[k] = true
-		g.Succs[from] = append(g.Succs[from], Edge{To: to, Kind: kind})
-		g.Preds[to] = append(g.Preds[to], Edge{To: from, Kind: kind})
 	}
-
-	lastDef := make(map[ir.Reg]int)
-	lastUses := make(map[ir.Reg][]int)
-	// memOps records previous memory references with the version of their
-	// base register (the defining instruction at the time) so that
+	// One allocation holds every int32 array: five per register or
+	// read, and the per-node stamps, out-degrees and edge offsets.
+	flat := make([]int32, 5*slots+(numKinds+2)*n+1)
+	take := func(k int) []int32 {
+		s := flat[:k:k]
+		flat = flat[k:]
+		return s
+	}
+	bl := &builder{
+		n:        int32(n),
+		ids:      make(map[ir.Reg]int32, n),
+		lastDef:  take(slots)[:0],
+		readHead: take(slots)[:0],
+		readTail: take(slots)[:0],
+		readAt:   take(slots)[:0],
+		readNext: take(slots)[:0],
+		stamp:    take(numKinds * n),
+		preds:    make([]Edge, 0, 4*n),
+	}
+	outDeg, predEnd := take(n), take(n+1)
+	// mems records the earlier memory references with the version of
+	// their base register (its defining instruction at the time), so
 	// references off the same unmodified base with distinct constant
 	// offsets disambiguate exactly.
-	var memOps []memRef
-	lastBarrier := -1
+	mems := make([]memRef, 0, nmem)
+	lastBarrier := int32(-1)
+	uses := make([]ir.Reg, 0, 4)
 
 	for j, in := range b.Instrs {
 		cost := int64(1)
 		if in.Op.IsMem() {
-			cost += int64(len(memOps))
+			cost += int64(len(mems))
 		}
 		if in.Op.IsTerminator() || in.Op == ir.OpCall {
 			cost += int64(j)
@@ -171,84 +174,164 @@ func BuildBudgeted(b *ir.Block, opts BuildOptions, wb *budget.Budget) (*Graph, e
 		if err := wb.Charge(cost); err != nil {
 			return nil, err
 		}
-		// Register dependences. Uses first, then the def.
-		for _, r := range in.Uses() {
-			if d, ok := lastDef[r]; ok {
-				addEdge(d, j, True)
-			}
-			lastUses[r] = append(lastUses[r], j)
+		at := int32(j)
+		// Register dependences: the reads first, then the definition.
+		uses = in.AppendUses(uses[:0])
+		baseID := int32(-1) // a memory operation's base is its last read
+		for _, r := range uses {
+			id := bl.id(r)
+			bl.edge(bl.lastDef[id], at, True)
+			bl.read(id, at)
+			baseID = id
 		}
 		if d := in.Def(); d != ir.NoReg {
-			for _, u := range lastUses[d] {
-				if u != j {
-					addEdge(u, j, Anti)
+			id := bl.id(d)
+			for e := bl.readHead[id]; e >= 0; e = bl.readNext[e] {
+				if u := bl.readAt[e]; u != at {
+					bl.edge(u, at, Anti)
 				}
 			}
-			if prev, ok := lastDef[d]; ok {
-				addEdge(prev, j, Output)
-			}
-			lastDef[d] = j
-			delete(lastUses, d)
+			bl.edge(bl.lastDef[id], at, Output)
+			bl.lastDef[id] = at
+			bl.readHead[id], bl.readTail[id] = -1, -1
 		}
 
-		// Memory dependences.
+		// Memory dependences: every ordered pair that may alias, except
+		// two loads.
 		if in.Op.IsMem() {
-			ref := memRef{node: j, sym: in.Sym, base: in.Base, off: in.Off, baseVer: -1}
+			ref := memRef{node: at, load: in.Op.IsLoad(), sym: in.Sym, base: in.Base, off: in.Off, baseVer: -1}
 			if in.Base != ir.NoReg {
-				if d, ok := lastDef[in.Base]; ok {
-					ref.baseVer = d
+				ref.baseVer = bl.lastDef[baseID]
+			}
+			for _, prev := range mems {
+				if !(prev.load && ref.load) && mayAlias(prev, ref, opts.Alias) {
+					bl.edge(prev.node, at, Mem)
 				}
 			}
-			for _, prev := range memOps {
-				pi := b.Instrs[prev.node]
-				if !mayAlias(prev, pi, ref, in, opts.Alias) {
-					continue
-				}
-				switch {
-				case pi.Op.IsStore() && in.Op.IsLoad():
-					addEdge(prev.node, j, Mem)
-				case pi.Op.IsLoad() && in.Op.IsStore():
-					addEdge(prev.node, j, Mem)
-				case pi.Op.IsStore() && in.Op.IsStore():
-					addEdge(prev.node, j, Mem)
-				}
-			}
-			memOps = append(memOps, ref)
+			mems = append(mems, ref)
 		}
 
 		// Call barriers: nothing moves across a call.
 		if in.Op == ir.OpCall {
-			start := lastBarrier
-			if start < 0 {
-				start = 0
+			for k := max(lastBarrier, 0); k < at; k++ {
+				bl.edge(k, at, Control)
 			}
-			for k := start; k < j; k++ {
-				addEdge(k, j, Control)
-			}
-			lastBarrier = j
-		} else if lastBarrier >= 0 {
-			addEdge(lastBarrier, j, Control)
+			lastBarrier = at
+		} else {
+			bl.edge(lastBarrier, at, Control)
 		}
 
 		// Block terminator stays last.
 		if in.Op.IsTerminator() {
-			for k := 0; k < j; k++ {
-				addEdge(k, j, Control)
+			for k := int32(0); k < at; k++ {
+				bl.edge(k, at, Control)
 			}
+		}
+		predEnd[j+1] = int32(len(bl.preds))
+	}
+
+	// Preds are subslices of the one edge array. Succs is its transpose:
+	// visiting the nodes in order, and each node's predecessor edges in
+	// the order they were found, lists every node's successors in the
+	// order the edges were found.
+	lists := make([][]Edge, 2*n)
+	g := &Graph{Block: b, Preds: lists[:n:n], Succs: lists[n:]}
+	for j := range g.Preds {
+		if lo, hi := predEnd[j], predEnd[j+1]; hi > lo {
+			g.Preds[j] = bl.preds[lo:hi:hi]
+		}
+	}
+	for _, e := range bl.preds {
+		outDeg[e.To]++
+	}
+	succs := make([]Edge, len(bl.preds))
+	off := int32(0)
+	for i, d := range outDeg {
+		if d > 0 {
+			g.Succs[i] = succs[off : off : off+d]
+			off += d
+		}
+	}
+	for j, es := range g.Preds {
+		for _, e := range es {
+			g.Succs[e.To] = append(g.Succs[e.To], Edge{To: j, Kind: e.Kind})
 		}
 	}
 	return g, nil
 }
 
-// memRef identifies a memory reference for disambiguation: the symbol,
-// the base register and the version of that base (the instruction that
-// defined it when the reference was made; -1 for an undefined/live-in
-// base or no base at all).
+// numKinds is the number of edge kinds.
+const numKinds = int(Control) + 1
+
+// builder is BuildBudgeted's state. Registers are numbered densely as
+// they are first seen, so each register's last definition and its
+// reads since that definition live in flat arrays indexed by that
+// number. Every edge found while visiting instruction at ends at at, so
+// stamp[kind*n+from] == at+1 marks from→at of that kind as already
+// added, and the edges go, node after node, into one array.
+type builder struct {
+	n   int32
+	ids map[ir.Reg]int32
+	// Per register number: the instruction that last defined it (-1 for
+	// none), and the first and last entry of its list of reads since
+	// then (-1 for an empty list).
+	lastDef, readHead, readTail []int32
+	// Per read-list entry: the reading instruction and the next entry.
+	readAt, readNext []int32
+	stamp            []int32
+	preds            []Edge
+}
+
+// id returns r's dense number, numbering it on first sight.
+func (bl *builder) id(r ir.Reg) int32 {
+	id, ok := bl.ids[r]
+	if !ok {
+		id = int32(len(bl.lastDef))
+		bl.ids[r] = id
+		bl.lastDef = append(bl.lastDef, -1)
+		bl.readHead = append(bl.readHead, -1)
+		bl.readTail = append(bl.readTail, -1)
+	}
+	return id
+}
+
+// read appends instruction at to register id's list of reads.
+func (bl *builder) read(id, at int32) {
+	e := int32(len(bl.readAt))
+	bl.readAt = append(bl.readAt, at)
+	bl.readNext = append(bl.readNext, -1)
+	if t := bl.readTail[id]; t >= 0 {
+		bl.readNext[t] = e
+	} else {
+		bl.readHead[id] = e
+	}
+	bl.readTail[id] = e
+}
+
+// edge adds from→at of the given kind unless it is already present;
+// from < 0 (no such instruction) adds nothing.
+func (bl *builder) edge(from, at int32, kind EdgeKind) {
+	if from < 0 {
+		return
+	}
+	s := &bl.stamp[int32(kind)*bl.n+from]
+	if *s == at+1 {
+		return
+	}
+	*s = at + 1
+	bl.preds = append(bl.preds, Edge{To: int(from), Kind: kind})
+}
+
+// memRef identifies a memory reference for disambiguation: whether it
+// is a load, the symbol, the base register and the version of that base
+// (the instruction that defined it when the reference was made; -1 for
+// an undefined/live-in base or no base at all).
 type memRef struct {
-	node    int
+	node    int32
+	load    bool
 	sym     string
 	base    ir.Reg
-	baseVer int
+	baseVer int32
 	off     int64
 }
 
@@ -264,11 +347,11 @@ type memRef struct {
 //     this is the constant-offset disambiguation any 1990s compiler
 //     performed;
 //   - otherwise (different or redefined bases) the references may alias.
-func mayAlias(a memRef, ai *ir.Instr, b memRef, bi *ir.Instr, mode AliasMode) bool {
-	if ai.Sym == "" || bi.Sym == "" {
+func mayAlias(a, b memRef, mode AliasMode) bool {
+	if a.sym == "" || b.sym == "" {
 		return true
 	}
-	if ai.Sym != bi.Sym {
+	if a.sym != b.sym {
 		return mode == AliasConservative
 	}
 	if a.base == b.base && a.baseVer == b.baseVer {

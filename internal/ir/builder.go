@@ -14,14 +14,6 @@ func NewBuilder(label string, freq float64) *Builder {
 	return &Builder{block: &Block{Label: label, Freq: freq}}
 }
 
-// NewBuilderAt starts a block whose first fresh virtual register is
-// v<firstVirt>; useful when several builders contribute to one function.
-func NewBuilderAt(label string, freq float64, firstVirt int) *Builder {
-	b := NewBuilder(label, freq)
-	b.nextVirt = firstVirt
-	return b
-}
-
 // fresh allocates a new virtual register.
 func (b *Builder) fresh() Reg {
 	r := Virt(b.nextVirt)
@@ -29,23 +21,15 @@ func (b *Builder) fresh() Reg {
 	return r
 }
 
-func (b *Builder) emit(in *Instr) *Instr {
+func (b *Builder) emit(in *Instr) {
 	in.Seq = len(b.block.Instrs)
 	b.block.Instrs = append(b.block.Instrs, in)
-	return in
 }
 
 // Const emits dst = const imm and returns dst.
 func (b *Builder) Const(imm int64) Reg {
 	dst := b.fresh()
 	b.emit(&Instr{Op: OpConst, Dst: dst, Imm: imm})
-	return dst
-}
-
-// Move emits dst = move src and returns dst.
-func (b *Builder) Move(src Reg) Reg {
-	dst := b.fresh()
-	b.emit(&Instr{Op: OpMove, Dst: dst, Srcs: []Reg{src}})
 	return dst
 }
 
@@ -96,36 +80,13 @@ func (b *Builder) Br(cond Reg, target string) {
 	b.emit(&Instr{Op: OpBr, Srcs: []Reg{cond}, Target: target})
 }
 
-// Jmp emits an unconditional jump to target.
-func (b *Builder) Jmp(target string) {
-	b.emit(&Instr{Op: OpJmp, Target: target})
-}
-
 // Ret emits a return.
 func (b *Builder) Ret() { b.emit(&Instr{Op: OpRet}) }
-
-// Nop emits a no-op.
-func (b *Builder) Nop() { b.emit(&Instr{Op: OpNop}) }
-
-// Last returns the most recently emitted instruction (nil if none), so the
-// caller can set attributes such as KnownLatency.
-func (b *Builder) Last() *Instr {
-	if len(b.block.Instrs) == 0 {
-		return nil
-	}
-	return b.block.Instrs[len(b.block.Instrs)-1]
-}
 
 // MarkLiveOut declares registers live past the end of the block.
 func (b *Builder) MarkLiveOut(regs ...Reg) {
 	b.block.LiveOut = append(b.block.LiveOut, regs...)
 }
-
-// NumInstrs returns the number of instructions emitted so far.
-func (b *Builder) NumInstrs() int { return len(b.block.Instrs) }
-
-// NextVirt returns the number the next fresh virtual register would get.
-func (b *Builder) NextVirt() int { return b.nextVirt }
 
 // Block finalizes and returns the built block.
 func (b *Builder) Block() *Block { return b.block }

@@ -1,29 +1,38 @@
 package ir_test
 
 import (
+	"os"
+	"strconv"
 	"strings"
 	"testing"
 
 	. "bsched/internal/ir"
 )
 
-// fuzzParseSeeds is FuzzParse's seed corpus; TestCodecMatchesReference
-// runs it through the reference codec too.
-var fuzzParseSeeds = []string{
-	"func f\nblock b freq=1\nv0 = const 1\nend",
-	"func f\nblock b freq=2.5\nliveout v1\nv0 = const 4\nv1 = load a[v0+8]\nstore b[16], v1 !spill\nbr v1, b\nend",
-	"func f\nblock b freq=1\nv0 = load ?[0] !lat=2\nret\nend",
-	"# comment\nfunc g\nblock x freq=0.5\nv0 = const 1\nv1 = fma v0, v0, v0\nend",
-	"func f\nblock b\nend",
-	"garbage in, garbage out",
-	"func f\nblock b freq=1\nv0 = add v1\nend",
-	"func f\nblock b freq=1e309\nend",
-	"func f\nblock b freq=1\nv99999999999 = const 1\nend",
-	// Physical register numbers past the int32 range, which once
-	// wrapped around to r1, r0 and a negative register.
-	"func f\nblock b freq=1\nr4294967297 = const 1\nend",
-	"func f\nblock b freq=1\nv0 = load a[r4294967296+0]\nend",
-	"func f\nblock b freq=1\nliveout r4293918720\nend",
+// parseSeedsPath holds FuzzParse's seed corpus, one Go-quoted string a
+// line. TestCodecMatchesReference runs it through the reference codec
+// too, and the deps package seeds its DAG-builder fuzz target from it.
+const parseSeedsPath = "testdata/parse_seeds.txt"
+
+// fuzzParseSeeds reads the seed corpus; '#' lines are comments.
+func fuzzParseSeeds(tb testing.TB) []string {
+	tb.Helper()
+	raw, err := os.ReadFile(parseSeedsPath)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var seeds []string
+	for i, line := range strings.Split(string(raw), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		s, err := strconv.Unquote(line)
+		if err != nil {
+			tb.Fatalf("%s:%d: %v", parseSeedsPath, i+1, err)
+		}
+		seeds = append(seeds, s)
+	}
+	return seeds
 }
 
 // FuzzParse checks that the parser never panics, that it agrees with the
@@ -31,7 +40,7 @@ var fuzzParseSeeds = []string{
 // it accepts survives a print/reparse round trip. Run the corpus as part
 // of the normal test suite; extend it with `go test -fuzz=FuzzParse`.
 func FuzzParse(f *testing.F) {
-	for _, s := range fuzzParseSeeds {
+	for _, s := range fuzzParseSeeds(f) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {

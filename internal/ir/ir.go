@@ -105,19 +105,21 @@ type Instr struct {
 	KnownLatency float64
 }
 
-// Uses returns every register read by the instruction, including the
-// address base register of a memory operation.
-func (in *Instr) Uses() []Reg {
-	out := make([]Reg, 0, len(in.Srcs)+1)
+// AppendUses appends every register the instruction reads, in operand
+// order with the address base register of a memory operation last, to
+// dst and returns the extended slice. Reusing one buffer across
+// instructions (uses = in.AppendUses(uses[:0])) reads every operand of
+// a block without allocating.
+func (in *Instr) AppendUses(dst []Reg) []Reg {
 	for _, s := range in.Srcs {
 		if s != NoReg {
-			out = append(out, s)
+			dst = append(dst, s)
 		}
 	}
 	if in.Op.IsMem() && in.Base != NoReg {
-		out = append(out, in.Base)
+		dst = append(dst, in.Base)
 	}
-	return out
+	return dst
 }
 
 // Def returns the register written by the instruction, or NoReg.
@@ -216,8 +218,9 @@ type Block struct {
 
 	// LiveOut lists registers whose values are needed after the block.
 	// The register allocator keeps them in registers (or reloads them)
-	// through the end of the block, and the dependence builder treats the
-	// last definition of each as un-killable.
+	// through the end of the block. The dependence builder does not read
+	// it: output and anti edges already keep a register's last
+	// definition after every earlier definition and read of it.
 	LiveOut []Reg
 }
 
@@ -250,8 +253,10 @@ func (b *Block) NumLoads() int {
 // or -1 if none are used.
 func (b *Block) MaxVirt() int {
 	max := -1
+	var regs []Reg
 	for _, in := range b.Instrs {
-		for _, r := range append(in.Uses(), in.Def()) {
+		regs = append(in.AppendUses(regs[:0]), in.Def())
+		for _, r := range regs {
 			if r.IsVirt() && r.Num() > max {
 				max = r.Num()
 			}

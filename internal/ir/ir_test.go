@@ -3,6 +3,7 @@ package ir
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -69,14 +70,24 @@ func TestOpByNameRoundTrip(t *testing.T) {
 
 func TestUsesIncludesBase(t *testing.T) {
 	in := &Instr{Op: OpLoad, Dst: Virt(0), Sym: "a", Base: Virt(1)}
-	uses := in.Uses()
+	uses := in.AppendUses(nil)
 	if len(uses) != 1 || uses[0] != Virt(1) {
 		t.Errorf("load uses = %v, want [v1]", uses)
 	}
 	st := &Instr{Op: OpStore, Srcs: []Reg{Virt(2)}, Sym: "a", Base: Virt(1)}
-	uses = st.Uses()
+	uses = st.AppendUses(uses[:0])
 	if len(uses) != 2 || uses[0] != Virt(2) || uses[1] != Virt(1) {
 		t.Errorf("store uses = %v, want [v2 v1]", uses)
+	}
+	// NoReg sources are skipped, any number of sources is read, and the
+	// result extends dst rather than replacing it.
+	wide := &Instr{Op: OpFMA, Dst: Virt(9), Srcs: []Reg{Virt(3), NoReg, Virt(4), Virt(5), Virt(6)}}
+	if got := wide.AppendUses([]Reg{Phys(0)}); !reflect.DeepEqual(got, []Reg{Phys(0), Virt(3), Virt(4), Virt(5), Virt(6)}) {
+		t.Errorf("wide uses = %v", got)
+	}
+	buf := make([]Reg, 0, 8)
+	if allocs := testing.AllocsPerRun(100, func() { buf = st.AppendUses(buf[:0]) }); allocs != 0 {
+		t.Errorf("AppendUses into a reused buffer: %v allocs, want 0", allocs)
 	}
 }
 

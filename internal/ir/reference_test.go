@@ -765,7 +765,7 @@ func randomIndex(rng *rand.Rand, s string, c byte) int {
 // random blocks, and byte-level mutations of all of them.
 func TestCodecMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1993))
-	inputs := append([]string(nil), fuzzParseSeeds...)
+	inputs := fuzzParseSeeds(t)
 	inputs = append(inputs, irDocBlocks(t)...)
 	for _, p := range suitePrograms() {
 		checkCodecAgainstReference(t, p)

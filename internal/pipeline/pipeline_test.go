@@ -24,7 +24,7 @@ func TestCompileBlockEndToEnd(t *testing.T) {
 	}
 	// Output is fully physical.
 	for _, in := range res.Block.Instrs {
-		for _, r := range append(in.Uses(), in.Def()) {
+		for _, r := range append(in.AppendUses(nil), in.Def()) {
 			if r.IsVirt() {
 				t.Fatalf("virtual register survived compilation: %v", in)
 			}
@@ -36,7 +36,7 @@ func TestCompileBlockEndToEnd(t *testing.T) {
 	}
 	// Input untouched.
 	for _, in := range blk.Instrs {
-		for _, r := range append(in.Uses(), in.Def()) {
+		for _, r := range append(in.AppendUses(nil), in.Def()) {
 			if r.IsPhys() {
 				t.Fatalf("input block mutated")
 			}

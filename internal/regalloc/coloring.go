@@ -109,7 +109,7 @@ func RunColoring(b *ir.Block, cfg Config) (Stats, error) {
 		v := stack[i]
 		taken := make([]bool, k)
 		for c := 0; c < k; c++ {
-			if reserved[ir.Phys(c)] {
+			if reserved[c] {
 				taken[c] = true // live-in physical registers keep their color
 			}
 		}
@@ -149,8 +149,10 @@ type liveRange struct {
 // last used at instruction i frees its register for a definition at i.
 func liveRanges(b *ir.Block) map[ir.Reg]liveRange {
 	ranges := make(map[ir.Reg]liveRange)
+	var uses []ir.Reg
 	for idx, in := range b.Instrs {
-		for _, u := range in.Uses() {
+		uses = in.AppendUses(uses[:0])
+		for _, u := range uses {
 			if u.IsVirt() {
 				r := ranges[u]
 				r.end = idx
@@ -174,15 +176,17 @@ func liveRanges(b *ir.Block) map[ir.Reg]liveRange {
 }
 
 func useCounts(b *ir.Block) map[ir.Reg]int {
-	uses := make(map[ir.Reg]int)
+	counts := make(map[ir.Reg]int)
+	var uses []ir.Reg
 	for _, in := range b.Instrs {
-		for _, u := range in.Uses() {
+		uses = in.AppendUses(uses[:0])
+		for _, u := range uses {
 			if u.IsVirt() {
-				uses[u]++
+				counts[u]++
 			}
 		}
 	}
-	return uses
+	return counts
 }
 
 // maxOverlap returns the peak number of simultaneously live ranges.
@@ -213,8 +217,10 @@ func maxOverlap(ranges map[ir.Reg]liveRange) int {
 
 func checkDefBeforeUse(b *ir.Block) error {
 	defined := make(map[ir.Reg]bool)
+	var uses []ir.Reg
 	for idx, in := range b.Instrs {
-		for _, u := range in.Uses() {
+		uses = in.AppendUses(uses[:0])
+		for _, u := range uses {
 			if u.IsVirt() && !defined[u] {
 				return fmt.Errorf("regalloc: block %s instr %d uses %v before definition", b.Label, idx, u)
 			}
@@ -231,15 +237,15 @@ func checkDefBeforeUse(b *ir.Block) error {
 // definition and a pool-register reload before every use. Reserved
 // (live-in physical) registers are excluded from the pool. It returns a
 // PressureError when the spill pool cannot serve the rewrite.
-func rewriteColored(b *ir.Block, cfg Config, color map[ir.Reg]int, spilledList []ir.Reg, reserved map[ir.Reg]bool, stats *Stats) error {
+func rewriteColored(b *ir.Block, cfg Config, color map[ir.Reg]int, spilledList []ir.Reg, reserved []bool, stats *Stats) error {
 	spilled := make(map[ir.Reg]bool, len(spilledList))
 	for _, v := range spilledList {
 		spilled[v] = true
 	}
 	pool := make([]ir.Reg, 0, cfg.SpillPool)
 	for i := cfg.Regs - cfg.SpillPool; i < cfg.Regs; i++ {
-		if r := ir.Phys(i); !reserved[r] {
-			pool = append(pool, r)
+		if !reserved[i] {
+			pool = append(pool, ir.Phys(i))
 		}
 	}
 	if len(pool) < 3 && len(spilledList) > 0 {

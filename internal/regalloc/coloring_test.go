@@ -19,7 +19,7 @@ func runColoringBoth(t *testing.T, b *ir.Block, cfg Config) Stats {
 		t.Fatalf("RunColoring: %v", err)
 	}
 	for idx, in := range b.Instrs {
-		for _, r := range append(in.Uses(), in.Def()) {
+		for _, r := range append(in.AppendUses(nil), in.Def()) {
 			if r.IsVirt() {
 				t.Fatalf("instr %d still virtual: %v", idx, in)
 			}

@@ -96,13 +96,17 @@ type Stats struct {
 // Spills returns the total number of inserted spill instructions.
 func (s Stats) Spills() int { return s.SpillStores + s.SpillLoads }
 
+// valueState is one virtual register's value.
 type valueState struct {
-	preg     ir.Reg // physical register currently holding the value, or NoReg
-	spilled  bool   // value has a valid copy in its stack slot
-	dirty    bool   // register copy is newer than the stack slot copy
-	nextUses []int  // instruction indices of remaining uses, ascending
-	liveOut  bool
-	inPool   bool // currently held in a spill-pool register
+	preg    ir.Reg // physical register currently holding the value, or NoReg
+	spilled bool   // value has a valid copy in its stack slot
+	dirty   bool   // register copy is newer than the stack slot copy
+	liveOut bool
+	inPool  bool // currently held in a spill-pool register
+	defined bool // some instruction defines it (checked before allocation)
+	// usePos[next:end] are the instruction indices of the remaining
+	// uses, ascending.
+	next, end int32
 }
 
 // Run allocates registers for the block in its current instruction order,
@@ -121,190 +125,286 @@ func Run(b *ir.Block, cfg Config) (Stats, error) {
 	if err != nil {
 		return Stats{}, err
 	}
-	a := &allocator{
-		cfg:    cfg,
-		block:  b,
-		values: make(map[ir.Reg]*valueState),
-		regOf:  make(map[ir.Reg]ir.Reg),
+	a, err := newAllocator(b, cfg, reserved)
+	if err != nil {
+		return Stats{}, err
 	}
-	for i := 0; i < cfg.Regs-cfg.SpillPool; i++ {
-		if r := ir.Phys(i); !reserved[r] {
-			a.freeGeneral = append(a.freeGeneral, r)
-		}
-	}
-	for i := cfg.Regs - cfg.SpillPool; i < cfg.Regs; i++ {
-		if r := ir.Phys(i); !reserved[r] {
-			a.pool = append(a.pool, r)
-		}
-	}
-	if len(a.pool) < 3 || len(a.freeGeneral) < 4 {
-		return Stats{}, fmt.Errorf("regalloc: block %s reserves too many physical registers", b.Label)
-	}
-
-	// Gather use positions and live-out flags.
-	for idx, in := range b.Instrs {
-		for _, u := range in.Uses() {
-			if u.IsVirt() {
-				a.value(u).nextUses = append(a.value(u).nextUses, idx)
-			}
-		}
-	}
-	for _, r := range b.LiveOut {
-		if r.IsVirt() {
-			a.value(r).liveOut = true
-		}
-	}
-
-	// Verify define-before-use.
-	defined := make(map[ir.Reg]bool)
-	for idx, in := range b.Instrs {
-		for _, u := range in.Uses() {
-			if u.IsVirt() && !defined[u] {
-				return Stats{}, fmt.Errorf("regalloc: block %s instr %d uses %v before definition", b.Label, idx, u)
-			}
-		}
-		if d := in.Def(); d.IsVirt() {
-			defined[d] = true
-		}
-	}
-
-	var out []*ir.Instr
 	for idx, in := range b.Instrs {
 		// Rewrite uses, reloading spilled values.
-		inUse := make(map[ir.Reg]bool) // pregs this instruction reads
-		var rewriteErr error
-		rewrite := func(r ir.Reg) ir.Reg {
-			if rewriteErr != nil {
-				return r
-			}
-			if !r.IsVirt() {
-				inUse[r] = true
-				return r
-			}
-			v := a.value(r)
-			if v.preg == ir.NoReg {
-				// Reload from the stack slot through the FIFO pool.
-				p, err := a.takePoolReg(idx, inUse)
-				if err != nil {
-					rewriteErr = err
-					return r
-				}
-				out = append(out, &ir.Instr{
-					Op: ir.OpLoad, Dst: p,
-					Sym: StackSym, Off: slotOf(r), IsSpill: true,
-				})
-				a.stats.SpillLoads++
-				v.preg = p
-				v.inPool = true
-				v.dirty = false
-				a.regOf[p] = r
-			}
-			inUse[v.preg] = true
-			return v.preg
-		}
 		for k, s := range in.Srcs {
-			in.Srcs[k] = rewrite(s)
+			r, err := a.use(s, idx)
+			if err != nil {
+				return Stats{}, err
+			}
+			in.Srcs[k] = r
 		}
 		if in.Op.IsMem() && in.Base != ir.NoReg {
-			in.Base = rewrite(in.Base)
-		}
-		if rewriteErr != nil {
-			return Stats{}, rewriteErr
+			r, err := a.use(in.Base, idx)
+			if err != nil {
+				return Stats{}, err
+			}
+			in.Base = r
 		}
 
 		// Consume this use from each value's queue; free dead values.
-		for _, u := range in.Uses() {
-			if vr, ok := a.regOf[u]; ok {
-				v := a.value(vr)
-				v.popUse(idx)
-				a.maybeRelease(vr, v)
+		a.uses = in.AppendUses(a.uses[:0])
+		for _, u := range a.uses {
+			if u.IsPhys() {
+				if id := a.holder[u.Num()]; id >= 0 {
+					a.popUse(id, idx)
+					a.maybeRelease(id)
+				}
 			}
 		}
 
 		// Rewrite the definition.
-		if d := in.Def(); d.IsVirt() {
-			v := a.value(d)
+		if id := a.defIDs[idx]; id >= 0 {
+			v := &a.values[id]
 			// A redefinition abandons the register holding the old value.
 			if v.preg != ir.NoReg {
-				delete(a.regOf, v.preg)
-				if !v.inPool {
-					a.freeGeneral = append(a.freeGeneral, v.preg)
-				}
-				v.preg = ir.NoReg
-				v.inPool = false
+				a.release(v)
 			}
-			p, spills, err := a.allocGeneral(idx, b, inUse)
+			p, spill, err := a.allocGeneral(idx)
 			if err != nil {
 				return Stats{}, err
 			}
-			out = append(out, spills...)
+			if spill != nil {
+				a.out = append(a.out, spill)
+			}
 			v.preg = p
 			v.inPool = false
 			v.dirty = true
 			v.spilled = false
-			a.regOf[p] = d
+			a.hold(p, id)
 			in.Dst = p
-			if pressure := len(a.regOf); pressure > a.stats.MaxPressure {
-				a.stats.MaxPressure = pressure
+			if a.held > a.stats.MaxPressure {
+				a.stats.MaxPressure = a.held
 			}
-			a.maybeRelease(d, v) // a dead def frees immediately
+			a.maybeRelease(id) // a dead def frees immediately
 		}
 
-		out = append(out, in)
+		a.out = append(a.out, in)
 	}
 
 	// Live-out values that ended up spilled stay spilled — their stack
 	// slot is their home, and pool registers only ever hold clean
 	// reloads, so no write-back is needed at block end.
 
-	b.Instrs = out
+	b.Instrs = a.out
 	ir.Renumber(b)
 	return a.stats, nil
 }
 
+// allocator is Run's state. Virtual registers are numbered densely, so
+// value states live in one slice, and physical registers are indexed
+// by their number, so occupancy is one slice scanned in ascending
+// register order.
 type allocator struct {
-	cfg         Config
-	block       *ir.Block
-	values      map[ir.Reg]*valueState
-	regOf       map[ir.Reg]ir.Reg // physical -> virtual currently held
-	freeGeneral []ir.Reg
-	pool        []ir.Reg // FIFO of spill-pool registers
-	stats       Stats
+	cfg    Config
+	block  *ir.Block
+	ids    map[ir.Reg]int32 // virtual register -> dense number
+	regs   []ir.Reg         // dense number -> virtual register
+	values []valueState     // by dense number
+	usePos []int32          // every value's use positions, value after value
+	// useIDs lists the dense number of every virtual register read, in
+	// the order Run rewrites them: block order, sources before the base;
+	// nextRead is the next one Run rewrites.
+	useIDs   []int32
+	nextRead int
+	defIDs   []int32 // per instruction: the dense number it defines, or -1
+	// Per physical register number: the value it holds (-1 for none),
+	// and idx+1 while instruction idx reads it.
+	holder, reading []int32
+	held            int // registers holding a value
+	free            regRing
+	pool            []ir.Reg // spill-pool registers, rotated FIFO from poolHead
+	poolHead        int
+	uses            []ir.Reg
+	out             []*ir.Instr
+	stats           Stats
 }
 
-func (a *allocator) value(r ir.Reg) *valueState {
-	v := a.values[r]
-	if v == nil {
-		v = &valueState{preg: ir.NoReg}
-		a.values[r] = v
+// newAllocator fills the pools from the registers the block does not
+// reserve, numbers the block's virtual registers and lays out each
+// value's use positions. It rejects a block that reserves too much of
+// the file, then a read of a virtual register before its definition.
+func newAllocator(b *ir.Block, cfg Config, reserved []bool) (*allocator, error) {
+	n := len(b.Instrs)
+	reads := 0
+	for _, in := range b.Instrs {
+		reads += len(in.Srcs) + 1
 	}
-	return v
+	a := &allocator{
+		cfg:    cfg,
+		block:  b,
+		ids:    make(map[ir.Reg]int32, n),
+		regs:   make([]ir.Reg, 0, n+len(b.LiveOut)),
+		values: make([]valueState, 0, n+len(b.LiveOut)),
+		useIDs: make([]int32, 0, reads),
+		defIDs: make([]int32, n),
+		uses:   make([]ir.Reg, 0, 4),
+		out:    make([]*ir.Instr, 0, n+n/4),
+	}
+	phys := make([]int32, 2*cfg.Regs)
+	a.holder, a.reading = phys[:cfg.Regs], phys[cfg.Regs:]
+	var undefErr error
+	useAt := make([]int32, 0, reads) // the instruction of each useIDs entry
+	for idx, in := range b.Instrs {
+		a.uses = in.AppendUses(a.uses[:0])
+		for _, r := range a.uses {
+			if !r.IsVirt() {
+				continue
+			}
+			id := a.id(r)
+			a.useIDs = append(a.useIDs, id)
+			useAt = append(useAt, int32(idx))
+			a.values[id].end++ // counts the uses until they are laid out
+			if !a.values[id].defined && undefErr == nil {
+				undefErr = fmt.Errorf("regalloc: block %s instr %d uses %v before definition", b.Label, idx, r)
+			}
+		}
+		a.defIDs[idx] = -1
+		if d := in.Def(); d.IsVirt() {
+			a.defIDs[idx] = a.id(d)
+			a.values[a.defIDs[idx]].defined = true
+		}
+	}
+	for _, r := range b.LiveOut {
+		if r.IsVirt() {
+			a.values[a.id(r)].liveOut = true
+		}
+	}
+
+	general := cfg.Regs - cfg.SpillPool
+	a.free.buf = make([]ir.Reg, 0, general)
+	for i := 0; i < general; i++ {
+		if !reserved[i] {
+			a.free.buf = append(a.free.buf, ir.Phys(i))
+		}
+	}
+	a.free.size = len(a.free.buf)
+	a.pool = make([]ir.Reg, 0, cfg.SpillPool)
+	for i := general; i < cfg.Regs; i++ {
+		if !reserved[i] {
+			a.pool = append(a.pool, ir.Phys(i))
+		}
+	}
+	if len(a.pool) < 3 || a.free.size < 4 {
+		return nil, fmt.Errorf("regalloc: block %s reserves too many physical registers", b.Label)
+	}
+	if undefErr != nil {
+		return nil, undefErr
+	}
+
+	// Lay each value's use positions out contiguously, ascending.
+	start := int32(0)
+	for i := range a.values {
+		v := &a.values[i]
+		count := v.end
+		v.next, v.end = start, start
+		start += count
+	}
+	a.usePos = make([]int32, start)
+	for k, id := range a.useIDs {
+		v := &a.values[id]
+		a.usePos[v.end] = useAt[k]
+		v.end++
+	}
+	for i := range a.holder {
+		a.holder[i] = -1
+	}
+	return a, nil
 }
 
-func (v *valueState) popUse(idx int) {
-	for len(v.nextUses) > 0 && v.nextUses[0] <= idx {
-		v.nextUses = v.nextUses[1:]
+// id returns virtual register r's dense number, numbering it on first
+// sight.
+func (a *allocator) id(r ir.Reg) int32 {
+	id, ok := a.ids[r]
+	if !ok {
+		id = int32(len(a.regs))
+		a.ids[r] = id
+		a.regs = append(a.regs, r)
+		a.values = append(a.values, valueState{preg: ir.NoReg})
 	}
+	return id
 }
 
-func (v *valueState) nextUse() int {
-	if len(v.nextUses) == 0 {
-		return -1
+// use rewrites one register read of instruction idx, reloading a
+// spilled value through the FIFO pool.
+func (a *allocator) use(r ir.Reg, idx int) (ir.Reg, error) {
+	if !r.IsVirt() {
+		if r.IsPhys() {
+			a.reading[r.Num()] = int32(idx + 1)
+		}
+		return r, nil
 	}
-	return v.nextUses[0]
+	id := a.useIDs[a.nextRead]
+	a.nextRead++
+	v := &a.values[id]
+	if v.preg == ir.NoReg {
+		// Reload from the stack slot through the FIFO pool.
+		p, err := a.takePoolReg(idx)
+		if err != nil {
+			return r, err
+		}
+		a.out = append(a.out, &ir.Instr{
+			Op: ir.OpLoad, Dst: p,
+			Sym: StackSym, Off: slotOf(r), IsSpill: true,
+		})
+		a.stats.SpillLoads++
+		v.preg = p
+		v.inPool = true
+		v.dirty = false
+		a.hold(p, id)
+	}
+	a.reading[v.preg.Num()] = int32(idx + 1)
+	return v.preg, nil
 }
 
-// maybeRelease frees the register of a value with no remaining uses.
-func (a *allocator) maybeRelease(vr ir.Reg, v *valueState) {
-	if v.preg == ir.NoReg || v.nextUse() >= 0 || v.liveOut {
-		return
-	}
-	delete(a.regOf, v.preg)
+// read reports whether instruction idx reads physical register p.
+func (a *allocator) read(p ir.Reg, idx int) bool { return a.reading[p.Num()] == int32(idx+1) }
+
+// hold records that p now holds value id.
+func (a *allocator) hold(p ir.Reg, id int32) {
+	a.holder[p.Num()] = id
+	a.held++
+}
+
+// release frees the register holding v, returning a general register to
+// the free list.
+func (a *allocator) release(v *valueState) {
+	a.holder[v.preg.Num()] = -1
+	a.held--
 	if !v.inPool {
-		a.freeGeneral = append(a.freeGeneral, v.preg)
+		a.free.push(v.preg)
 	}
 	v.preg = ir.NoReg
 	v.inPool = false
+}
+
+// popUse drops value id's uses at or before instruction idx.
+func (a *allocator) popUse(id int32, idx int) {
+	v := &a.values[id]
+	for v.next < v.end && int(a.usePos[v.next]) <= idx {
+		v.next++
+	}
+}
+
+// nextUse returns value id's next use position, or -1 if none remain.
+func (a *allocator) nextUse(id int32) int {
+	if v := &a.values[id]; v.next < v.end {
+		return int(a.usePos[v.next])
+	}
+	return -1
+}
+
+// maybeRelease frees the register of a value with no remaining uses.
+func (a *allocator) maybeRelease(id int32) {
+	v := &a.values[id]
+	if v.preg == ir.NoReg || a.nextUse(id) >= 0 || v.liveOut {
+		return
+	}
+	a.release(v)
 }
 
 // takePoolReg rotates the FIFO spill pool, displacing whatever value the
@@ -313,9 +413,9 @@ func (a *allocator) maybeRelease(vr ir.Reg, v *valueState) {
 // never collide; if every pool register is already read, the instruction
 // needs more spill registers than the file has and a PressureError is
 // returned.
-func (a *allocator) takePoolReg(idx int, inUse map[ir.Reg]bool) (ir.Reg, error) {
-	p := a.pool[0]
-	for tries := 0; inUse[p]; tries++ {
+func (a *allocator) takePoolReg(idx int) (ir.Reg, error) {
+	p := a.pool[a.poolHead]
+	for tries := 0; a.read(p, idx); tries++ {
 		if tries >= len(a.pool) {
 			return ir.NoReg, &PressureError{
 				Block:  a.block.Label,
@@ -323,58 +423,51 @@ func (a *allocator) takePoolReg(idx int, inUse map[ir.Reg]bool) (ir.Reg, error) 
 				Detail: fmt.Sprintf("spill pool of %d exhausted by a single instruction", len(a.pool)),
 			}
 		}
-		a.pool = append(a.pool[1:], p)
-		p = a.pool[0]
+		a.poolHead = (a.poolHead + 1) % len(a.pool)
+		p = a.pool[a.poolHead]
 	}
-	a.pool = append(a.pool[1:], p)
-	if vr, ok := a.regOf[p]; ok {
+	a.poolHead = (a.poolHead + 1) % len(a.pool)
+	if id := a.holder[p.Num()]; id >= 0 {
 		// The displaced value is clean by construction (pool registers
 		// only receive reloads; a redefined value lives in a general
 		// register), so it just loses its register.
-		v := a.value(vr)
+		v := &a.values[id]
 		v.preg = ir.NoReg
 		v.inPool = false
 		v.spilled = true
-		delete(a.regOf, p)
+		a.holder[p.Num()] = -1
+		a.held--
 	}
 	return p, nil
 }
 
 // allocGeneral returns a free general register, evicting the value with
-// the farthest next use if none is free. Registers read by the current
-// instruction are not eviction candidates; if nothing is evictable the
-// block's pressure exceeds the general pool and a PressureError is
-// returned.
-func (a *allocator) allocGeneral(idx int, b *ir.Block, inUse map[ir.Reg]bool) (ir.Reg, []*ir.Instr, error) {
-	if n := len(a.freeGeneral); n > 0 {
-		var p ir.Reg
+// the farthest next use if none is free, and the spill store the
+// eviction needs, if any. Registers read by the current instruction are
+// not eviction candidates; if nothing is evictable the block's pressure
+// exceeds the general pool and a PressureError is returned.
+func (a *allocator) allocGeneral(idx int) (ir.Reg, *ir.Instr, error) {
+	if a.free.size > 0 {
 		if a.cfg.Reuse == ReuseFIFO {
-			p = a.freeGeneral[0]
-			a.freeGeneral = a.freeGeneral[1:]
-		} else {
-			p = a.freeGeneral[n-1]
-			a.freeGeneral = a.freeGeneral[:n-1]
+			return a.free.popFront(), nil, nil
 		}
-		return p, nil, nil
+		return a.free.popBack(), nil, nil
 	}
 	// Belady: evict the general-register value used farthest in the
-	// future (never-used live-out values count as +inf). Ties go to the
-	// lowest physical register: a.regOf is a map, so without the
-	// tie-break its random iteration order would pick the victim and the
-	// same block would allocate differently from run to run.
-	var victim ir.Reg
-	victimUse := -2
-	for p, vr := range a.regOf {
-		if inUse[p] || a.value(vr).inPool {
+	// future (never-used live-out values count as +inf). Scanning the
+	// registers in ascending order gives ties to the lowest one, so the
+	// same block always allocates the same way.
+	victim, victimUse := -1, -2
+	for num, id := range a.holder {
+		if id < 0 || a.read(ir.Phys(num), idx) || a.values[id].inPool {
 			continue
 		}
-		use := a.value(vr).nextUse()
+		use := a.nextUse(id)
 		if use < 0 {
-			use = len(b.Instrs) + 1 // live-out, unused here: farthest
+			use = len(a.block.Instrs) + 1 // live-out, unused here: farthest
 		}
-		if use > victimUse || (use == victimUse && p < victim) {
-			victimUse = use
-			victim = p
+		if use > victimUse {
+			victim, victimUse = num, use
 		}
 	}
 	if victimUse == -2 {
@@ -384,31 +477,57 @@ func (a *allocator) allocGeneral(idx int, b *ir.Block, inUse map[ir.Reg]bool) (i
 			Detail: "no evictable register (pressure exceeds general pool)",
 		}
 	}
-	vr := a.regOf[victim]
-	v := a.value(vr)
-	var spillCode []*ir.Instr
+	p, id := ir.Phys(victim), a.holder[victim]
+	v := &a.values[id]
+	var spill *ir.Instr
 	if v.dirty || !v.spilled {
-		spillCode = append(spillCode, &ir.Instr{
-			Op: ir.OpStore, Srcs: []ir.Reg{victim},
-			Sym: StackSym, Off: slotOf(vr), IsSpill: true,
-		})
+		spill = &ir.Instr{
+			Op: ir.OpStore, Srcs: []ir.Reg{p},
+			Sym: StackSym, Off: slotOf(a.regs[id]), IsSpill: true,
+		}
 		a.stats.SpillStores++
 		v.spilled = true
 		v.dirty = false
 	}
 	v.preg = ir.NoReg
-	delete(a.regOf, victim)
+	a.holder[victim] = -1
+	a.held--
 	a.stats.Evictions++
-	return victim, spillCode, nil
+	return p, spill, nil
+}
+
+// regRing is the free general-register list: a deque over a fixed
+// buffer, large enough because a register is on it at most once.
+type regRing struct {
+	buf        []ir.Reg
+	head, size int
+}
+
+func (q *regRing) push(r ir.Reg) {
+	q.buf[(q.head+q.size)%len(q.buf)] = r
+	q.size++
+}
+
+func (q *regRing) popFront() ir.Reg {
+	r := q.buf[q.head]
+	q.head = (q.head + 1) % len(q.buf)
+	q.size--
+	return r
+}
+
+func (q *regRing) popBack() ir.Reg {
+	q.size--
+	return q.buf[(q.head+q.size)%len(q.buf)]
 }
 
 // slotOf maps a virtual register to its stack slot offset.
 func slotOf(r ir.Reg) int64 { return int64(r.Num()) * 8 }
 
-// reservedPhys collects the physical registers the block already uses.
-// Registers outside the allocatable file are rejected.
-func reservedPhys(b *ir.Block, cfg Config) (map[ir.Reg]bool, error) {
-	reserved := make(map[ir.Reg]bool)
+// reservedPhys flags, by register number, the physical registers the
+// block already uses. Registers outside the allocatable file are
+// rejected.
+func reservedPhys(b *ir.Block, cfg Config) ([]bool, error) {
+	reserved := make([]bool, cfg.Regs)
 	note := func(r ir.Reg) error {
 		if !r.IsPhys() {
 			return nil
@@ -416,11 +535,13 @@ func reservedPhys(b *ir.Block, cfg Config) (map[ir.Reg]bool, error) {
 		if r.Num() >= cfg.Regs {
 			return fmt.Errorf("regalloc: block %s references %v outside the %d-register file", b.Label, r, cfg.Regs)
 		}
-		reserved[r] = true
+		reserved[r.Num()] = true
 		return nil
 	}
+	var regs []ir.Reg
 	for _, in := range b.Instrs {
-		for _, r := range append(in.Uses(), in.Def()) {
+		regs = append(in.AppendUses(regs[:0]), in.Def())
+		for _, r := range regs {
 			if err := note(r); err != nil {
 				return nil, err
 			}

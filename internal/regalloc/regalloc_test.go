@@ -20,7 +20,7 @@ func runBoth(t *testing.T, b *ir.Block, cfg Config) Stats {
 		t.Fatalf("Run: %v", err)
 	}
 	for idx, in := range b.Instrs {
-		for _, r := range append(in.Uses(), in.Def()) {
+		for _, r := range append(in.AppendUses(nil), in.Def()) {
 			if r.IsVirt() {
 				t.Fatalf("instr %d still uses virtual register %v: %v", idx, r, in)
 			}

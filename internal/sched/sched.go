@@ -165,20 +165,31 @@ func ScheduleBudgeted(g *deps.Graph, weigh Weighter, h Heuristics, wb *budget.Bu
 		return res, nil
 	}
 
-	slotOf := make([]int, n) // issue slot of each placed node, or -1
-	for i := range slotOf {
-		slotOf[i] = -1
-	}
-	// unplacedPreds[i] counts predecessors not yet placed; when it reaches
-	// 0 the instruction is enabled and readyAt[i] is valid: the slot at
-	// which every predecessor's expected latency is exhausted.
-	unplacedPreds := make([]int, n)
+	flat := make([]int, 4*n)
+	slotOf := flat[:n] // issue slot of each placed node, or -1
+	// unplacedPreds[i] counts the edges into i from nodes not yet placed;
+	// when it reaches 0 the instruction is enabled and readyAt[i] is
+	// valid: the slot at which every predecessor's expected latency is
+	// exhausted. It counts edges, not distinct predecessors, because the
+	// exposes tie-break reads it.
+	unplacedPreds := flat[n : 2*n]
+	// pressure[i] is node i's consumed−defined register difference, the
+	// first tie-break, fixed for the whole schedule.
+	pressure := flat[2*n : 3*n]
+	enabledList := flat[3*n : 3*n : 4*n] // every node enters at most once
 	readyAt := make([]float64, n)
-	var enabledList []int
+	uses := make([]ir.Reg, 0, 4)
 	for i := 0; i < n; i++ {
+		slotOf[i] = -1
 		unplacedPreds[i] = len(g.Preds[i])
 		if unplacedPreds[i] == 0 {
 			enabledList = append(enabledList, i)
+		}
+		in := g.Instr(i)
+		uses = in.AppendUses(uses[:0])
+		pressure[i] = len(uses)
+		if in.Def() != ir.NoReg {
+			pressure[i]--
 		}
 	}
 
@@ -201,7 +212,7 @@ func ScheduleBudgeted(g *deps.Graph, weigh Weighter, h Heuristics, wb *budget.Bu
 				}
 				continue
 			}
-			if best < 0 || better(g, prio, i, best, unplacedPreds, h) {
+			if best < 0 || better(g, prio, pressure, i, best, unplacedPreds, h) {
 				best = i
 			}
 		}
@@ -266,7 +277,7 @@ func earliestSlot(g *deps.Graph, weights []float64, slotOf []int, s int) float64
 }
 
 // better reports whether candidate a should be picked over b.
-func better(g *deps.Graph, prio []float64, a, b int, unplacedPreds []int, h Heuristics) bool {
+func better(g *deps.Graph, prio []float64, pressure []int, a, b int, unplacedPreds []int, h Heuristics) bool {
 	// 1. Highest priority (weight + max successor priority).
 	if d := prio[a] - prio[b]; d > eps {
 		return true
@@ -276,7 +287,7 @@ func better(g *deps.Graph, prio []float64, a, b int, unplacedPreds []int, h Heur
 	// 2. Largest consumed−defined register difference: prefer killing
 	// more values than are created, controlling register pressure.
 	if !h.NoPressureTie {
-		if d := pressureDelta(g.Instr(a)) - pressureDelta(g.Instr(b)); d != 0 {
+		if d := pressure[a] - pressure[b]; d != 0 {
 			return d > 0
 		}
 	}
@@ -289,14 +300,6 @@ func better(g *deps.Graph, prio []float64, a, b int, unplacedPreds []int, h Heur
 	}
 	// 4. Generated the earliest.
 	return g.Instr(a).Seq < g.Instr(b).Seq
-}
-
-func pressureDelta(in *ir.Instr) int {
-	defs := 0
-	if in.Def() != ir.NoReg {
-		defs = 1
-	}
-	return len(in.Uses()) - defs
 }
 
 func exposes(g *deps.Graph, i int, unplacedPreds []int) int {

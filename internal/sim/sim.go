@@ -96,6 +96,7 @@ func RunBlock(instrs []*ir.Instr, proc machine.Config, mem memlat.Model, rng *ra
 
 	readyAt := make(map[ir.Reg]int) // cycle at which a register's value is usable
 	var loads []outstandingT        // outstanding loads, completion not yet passed
+	uses := make([]ir.Reg, 0, 4)    // the current instruction's operands
 
 	width := proc.IssueWidth()
 	cycle := 0       // current issue cycle
@@ -113,7 +114,8 @@ func RunBlock(instrs []*ir.Instr, proc machine.Config, mem memlat.Model, rng *ra
 			t++
 		}
 		baseline := t
-		for _, r := range in.Uses() {
+		uses = in.AppendUses(uses[:0])
+		for _, r := range uses {
 			if ra, ok := readyAt[r]; ok && ra > t {
 				t = ra
 			}
@@ -269,11 +271,13 @@ func Trials(instrs []*ir.Instr, proc machine.Config, mem memlat.Model, rng *rand
 // It is a debugging aid for scheduler and allocator changes.
 func Verify(instrs []*ir.Instr) error {
 	defined := make(map[ir.Reg]bool)
+	var uses []ir.Reg
 	for idx, in := range instrs {
 		if !in.Op.Valid() {
 			return fmt.Errorf("sim: instr %d has invalid opcode", idx)
 		}
-		for _, u := range in.Uses() {
+		uses = in.AppendUses(uses[:0])
+		for _, u := range uses {
 			if u.IsVirt() && !defined[u] {
 				return fmt.Errorf("sim: instr %d (%s) uses undefined register %v", idx, in, u)
 			}

@@ -70,8 +70,10 @@ func Recognize(b *ir.Block) (Info, bool) {
 	// initialization — blocks are self-contained), and that definition
 	// must precede every body use.
 	defs, firstUse := 0, -1
+	var uses []ir.Reg
 	for idx, in := range b.Instrs[:info.BodyLen] {
-		for _, u := range in.Uses() {
+		uses = in.AppendUses(uses[:0])
+		for _, u := range uses {
 			if u == info.Induction && firstUse < 0 {
 				firstUse = idx
 			}

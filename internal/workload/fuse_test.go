@@ -37,7 +37,7 @@ func TestFuseValidAndRenamed(t *testing.T) {
 	// Define-before-use still holds (the allocator contract).
 	defined := map[ir.Reg]bool{}
 	for idx, in := range fused.Instrs {
-		for _, u := range in.Uses() {
+		for _, u := range in.AppendUses(nil) {
 			if u.IsVirt() && !defined[u] {
 				t.Fatalf("instr %d uses %v before def", idx, u)
 			}

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"sort"
 
 	"bsched/internal/ir"
 )
@@ -188,12 +187,4 @@ func Summarize(p *ir.Program) Summary {
 		}
 	}
 	return s
-}
-
-// SortedNames returns benchmark names sorted alphabetically (the paper's
-// table order).
-func SortedNames() []string {
-	names := BenchmarkNames()
-	sort.Strings(names)
-	return names
 }

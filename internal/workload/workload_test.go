@@ -34,7 +34,7 @@ func TestKernelsSelfContained(t *testing.T) {
 		blk := build("k", 1, 4)
 		defined := map[ir.Reg]bool{}
 		for idx, in := range blk.Instrs {
-			for _, u := range in.Uses() {
+			for _, u := range in.AppendUses(nil) {
 				if u.IsVirt() && !defined[u] {
 					t.Errorf("%s: instr %d uses %v before definition", name, idx, u)
 				}
