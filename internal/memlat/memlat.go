@@ -114,6 +114,17 @@ func NewNormal(mu, sigma float64) *Normal {
 		weights[k] = w
 		total += w
 	}
+	if total == 0 {
+		// σ is so small next to μ's distance from the nearest latency
+		// that every weight underflowed: weigh each latency against the
+		// nearest one instead, which puts the mass there (split evenly
+		// when μ lies halfway between two).
+		d := math.Abs(math.Round(mu) - mu)
+		for k := range weights {
+			weights[k] = math.Exp((d*d - (float64(k)-mu)*(float64(k)-mu)) / (2 * sigma * sigma))
+			total += weights[k]
+		}
+	}
 	n.cum = make([]float64, max+1)
 	acc := 0.0
 	for k, w := range weights {

@@ -94,6 +94,19 @@ func TestNormalTruncationRaisesMean(t *testing.T) {
 	}
 }
 
+func TestNormalTinySigma(t *testing.T) {
+	// A σ so small that every discretized weight underflows still gives
+	// a distribution: the mass sits on the latency nearest μ, split
+	// evenly when μ lies halfway between two.
+	for _, c := range []struct{ mu, sigma, mean float64 }{
+		{0.1, 1e-10, 0}, {3.7, 1e-9, 4}, {2.5, 1e-3, 2.5},
+	} {
+		if got := NewNormal(c.mu, c.sigma).Mean(); got != c.mean {
+			t.Errorf("N(%g,%g) mean = %g, want %g", c.mu, c.sigma, got, c.mean)
+		}
+	}
+}
+
 func TestMixedModel(t *testing.T) {
 	m := NewMixed(0.80, 2, 30, 5)
 	if m.Name() != "L80-N(30,5)" {
