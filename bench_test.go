@@ -20,6 +20,7 @@ import (
 	"testing"
 
 	"bsched/internal/analytic"
+	"bsched/internal/budget"
 	"bsched/internal/compile"
 	"bsched/internal/core"
 	"bsched/internal/deps"
@@ -183,17 +184,22 @@ func policyWeightsBench(name string, n int) func(b *testing.B) {
 }
 
 // BenchmarkPolicyWeights measures every registered policy's weighting
-// pass on the same 128-instruction block, so the portfolio's relative
-// costs (balanced's analysis vs critical-path's constant fill) stay on
-// the record.
+// pass on the same blocks, so the portfolio's relative costs
+// (balanced's analysis vs critical-path's constant fill) stay on the
+// record: <policy> at 128 instructions, <policy>/n32 and <policy>/n512.
 func BenchmarkPolicyWeights(b *testing.B) {
 	for _, name := range sched.PolicyNames() {
 		b.Run(name, policyWeightsBench(name, 128))
+		for _, n := range []int{32, 512} {
+			b.Run(name+"/"+sizeName(n), policyWeightsBench(name, n))
+		}
 	}
 }
 
-// BenchmarkBalancedWeights measures the Fig. 6 algorithm itself (the
-// O(n²·α(n)) analysis) at several block sizes.
+// BenchmarkBalancedWeights measures the Fig. 6 algorithm itself at
+// several block sizes. The DAG, and with it the transitive closures the
+// pass builds on first use, is built once, so this times the kernel
+// alone; DepsWeights/miss-mix times both, as a compile does.
 func BenchmarkBalancedWeights(b *testing.B) {
 	for _, n := range []int{32, 128, 512} {
 		b.Run(sizeName(n), weightsBench(n, core.Options{}))
@@ -318,11 +324,55 @@ func BenchmarkRunBlock(b *testing.B) {
 }
 
 // runBlockMissMixBench returns the benchmark body for BenchmarkRunBlock:
-// one op compiles, through compile.RunBlock, a fixed seeded mix of 64
-// workload.Random blocks sized from the paper suite's block sizes, one
-// of them at n=256 and one in four under the server's small budget
-// tier (DefaultBlockBudget/16), as bench/'s miss-fresh requests are.
+// one op compiles, through compile.RunBlock, the missMix blocks.
 func runBlockMissMixBench() func(b *testing.B) {
+	blocks, opts := missMix()
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for k, blk := range blocks {
+				if _, err := compile.RunBlock(context.Background(), blk, opts[k]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkDepsWeights measures the credit pass as a compile runs it.
+func BenchmarkDepsWeights(b *testing.B) {
+	b.Run("miss-mix", depsWeightsMissMixBench())
+}
+
+// depsWeightsMissMixBench returns the benchmark body for
+// BenchmarkDepsWeights: one op builds the DAG of every missMix block
+// and runs the balanced weight pass on it under the block's budget, so
+// it times the transitive closures the pass builds on first use as well
+// as the kernel.
+func depsWeightsMissMixBench() func(b *testing.B) {
+	blocks, opts := missMix()
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for k, blk := range blocks {
+				g := deps.Build(blk, deps.BuildOptions{})
+				limit := opts[k].BlockBudget
+				if limit == 0 {
+					limit = compile.DefaultBlockBudget
+				}
+				if _, err := core.WeightsBudgeted(g, core.Options{}, budget.New(context.Background(), limit)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+}
+
+// missMix returns a fixed seeded mix of 64 workload.Random blocks sized
+// from the paper suite's block sizes, one of them at n=256 and one in
+// four under the server's small budget tier (DefaultBlockBudget/16), as
+// bench/'s miss-fresh requests are, with each block's compile options.
+func missMix() ([]*ir.Block, []compile.Options) {
 	var sizes []int
 	all := workload.All()
 	for _, name := range workload.BenchmarkNames() {
@@ -343,16 +393,7 @@ func runBlockMissMixBench() func(b *testing.B) {
 			opts[i].BlockBudget = compile.DefaultBlockBudget / 16
 		}
 	}
-	return func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for k, blk := range blocks {
-				if _, err := compile.RunBlock(context.Background(), blk, opts[k]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
+	return blocks, opts
 }
 
 // BenchmarkCompileBlock measures the full two-pass pipeline on a
@@ -692,11 +733,11 @@ type benchJSONEntry struct {
 
 // TestBenchJSON is a no-op without -bench-json (so `go test ./...`
 // never pays for it); with it, it benchmarks the serving hot path
-// (over loopback and in-process), the credit (weight) pass and the
-// per-layer rows (IR parse, fingerprint and print, DAG build, list
-// schedule, register allocation, whole-block compile, the miss path's
-// compile.RunBlock, simulation) and writes the machine-readable
-// baseline, each row the best of benchJSONRuns runs.
+// (over loopback and in-process), the credit (weight) pass alone and
+// after a DAG build, and the per-layer rows (IR parse, fingerprint and
+// print, DAG build, list schedule, register allocation, whole-block
+// compile, the miss path's compile.RunBlock, simulation) and writes the
+// machine-readable baseline, each row the best of benchJSONRuns runs.
 func TestBenchJSON(t *testing.T) {
 	if *benchJSONPath == "" {
 		t.Skip("enable with -bench-json <file> (make bench-json)")
@@ -720,7 +761,10 @@ func TestBenchJSON(t *testing.T) {
 		{"BalancedWeightsUnionFind/n512", weightsBench(512, core.Options{Chances: core.ChancesUnionFind})},
 	}
 	for _, name := range sched.PolicyNames() {
-		cases = append(cases, benchCase{"PolicyWeights/" + name, policyWeightsBench(name, 128)})
+		cases = append(cases,
+			benchCase{"PolicyWeights/" + name, policyWeightsBench(name, 128)},
+			benchCase{"PolicyWeights/" + name + "/n32", policyWeightsBench(name, 32)},
+			benchCase{"PolicyWeights/" + name + "/n512", policyWeightsBench(name, 512)})
 	}
 	for _, n := range []int{32, 128, 512} {
 		cases = append(cases,
@@ -734,6 +778,7 @@ func TestBenchJSON(t *testing.T) {
 		benchCase{"Regalloc", BenchmarkRegalloc},
 		benchCase{"CompileBlock", BenchmarkCompileBlock},
 		benchCase{"RunBlock/miss-mix", runBlockMissMixBench()},
+		benchCase{"DepsWeights/miss-mix", depsWeightsMissMixBench()},
 		benchCase{"Simulate/UNLIMITED", simulateBench(machine.UNLIMITED())})
 	out := struct {
 		GoVersion  string           `json:"go_version"`

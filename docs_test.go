@@ -1,6 +1,9 @@
 package bsched
 
 import (
+	"bytes"
+	"go/format"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -48,4 +51,38 @@ func TestAPIDocCoversEndpoints(t *testing.T) {
 		}
 	}
 	readDoc(t, "CACHE-KEYS.md")
+}
+
+// TestGofmt: every .go file in the tree is gofmt-clean, i.e. equal to
+// go/format's rendering of itself. testdata and hidden directories
+// (.git, the benchmark harness's .bench_build) are not source.
+func TestGofmt(t *testing.T) {
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); name == "testdata" || name != "." && strings.HasPrefix(name, ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		out, err := format.Source(src)
+		if err != nil {
+			t.Errorf("%s: %v", path, err)
+		} else if !bytes.Equal(src, out) {
+			t.Errorf("%s is not gofmt-clean (run gofmt -w %s)", path, path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }

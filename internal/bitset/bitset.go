@@ -45,6 +45,12 @@ func NewRows(count, n int) []Set {
 	return rows
 }
 
+// Words returns the set's storage: element i is bit i%64 of word i/64,
+// and the bits at n and above are zero. It is the set itself, not a
+// copy, for word-parallel loops over several sets at once; writes to it
+// must keep the bits at n and above zero.
+func (s *Set) Words() []uint64 { return s.words }
+
 // Len returns the capacity n the set was created with.
 func (s *Set) Len() int { return s.n }
 

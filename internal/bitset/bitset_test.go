@@ -109,6 +109,21 @@ func TestNext(t *testing.T) {
 	}
 }
 
+// TestWords: Words is the set's own storage, bit i%64 of word i/64.
+func TestWords(t *testing.T) {
+	s := New(130)
+	s.Add(3)
+	s.Add(129)
+	w := s.Words()
+	if len(w) != 3 || w[0] != 1<<3 || w[1] != 0 || w[2] != 1<<1 {
+		t.Fatalf("Words = %#x", w)
+	}
+	w[1] = 1 << 6
+	if !s.Has(70) {
+		t.Error("a write through Words is not in the set")
+	}
+}
+
 func TestEqual(t *testing.T) {
 	a, b := New(70), New(70)
 	a.Add(69)

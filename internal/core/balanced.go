@@ -19,11 +19,12 @@
 package core
 
 import (
+	"math/bits"
+
 	"bsched/internal/bitset"
 	"bsched/internal/budget"
 	"bsched/internal/deps"
 	"bsched/internal/ir"
-	"bsched/internal/unionfind"
 )
 
 // ChancesMethod selects how the per-component Chances value is computed.
@@ -116,7 +117,7 @@ func run(g *deps.Graph, opts Options, wantContrib bool, wb *budget.Budget) ([]fl
 	weights := make([]float64, n)
 	for i := 0; i < n; i++ {
 		switch in := g.Instr(i); {
-		case k.candidate[i]:
+		case k.candidate(i):
 			weights[i] = 1 // Fig. 6, line 1
 		case in.KnownLatency > 0:
 			weights[i] = in.KnownLatency
@@ -134,35 +135,35 @@ func run(g *deps.Graph, opts Options, wantContrib bool, wb *budget.Budget) ([]fl
 	}
 
 	// compCost is the budget charge per component node: 2 for the exact
-	// DP, 1 for ablation A2's union-find approximation. These units do
-	// not track time — in the kernel below A2 is the slower of the two —
-	// but changing them would move every budget's degradation point.
+	// DP, 1 for ablation A2's union-find approximation. These units
+	// predate the kernel below and do not track its time, but changing
+	// them would move every budget's degradation point.
 	compCost := int64(2)
 	if opts.Chances == ChancesUnionFind {
 		compCost = 1
 	}
-	// credit holds IssueSlots(i)/Chances per component root.
-	credit := make([]float64, n)
 	for i := 0; i < n; i++ { // Fig. 6, line 2
 		if err := wb.Charge(1); err != nil {
 			return nil, nil, err
 		}
-		k.analyse(i) // lines 3–5
+		k.start(i) // line 3
 		slots := opts.issueSlots(g.Instr(i))
-		for _, r := range k.roots {
-			if err := wb.Charge(compCost * int64(k.size[r])); err != nil {
+		for k.next() { // line 4
+			if err := wb.Charge(compCost * int64(k.size)); err != nil {
 				return nil, nil, err
 			}
-			if c := k.chances(r); c > 0 {
-				credit[r] = slots / float64(c)
+			c := k.chances() // line 5
+			if c == 0 {
+				continue
 			}
-		}
-		for _, l := range k.members { // lines 6–7
-			if k.candidate[l] {
-				c := credit[k.label[l]]
-				weights[l] += c
-				if wantContrib {
-					contrib[l][i] += c
+			credit := slots / float64(c)
+			for j := k.lo; j <= k.hi; j++ { // lines 6–7
+				for x := k.words[j].comp & k.words[j].cand; x != 0; x &= x - 1 {
+					l := j<<6 | bits.TrailingZeros64(x)
+					weights[l] += credit
+					if wantContrib {
+						contrib[l][i] += credit
+					}
 				}
 			}
 		}
@@ -170,134 +171,266 @@ func run(g *deps.Graph, opts Options, wantContrib bool, wb *budget.Budget) ([]fl
 	return weights, contrib, nil
 }
 
-// kernel runs lines 3–5 of Fig. 6 for one instruction at a time over
-// scratch reused for every instruction, so a whole weight pass allocates
-// a constant number of times whatever the block size.
+// kernel runs lines 3–5 of Fig. 6 for one instruction at a time, as
+// word-parallel operations on the DAG's two transitive-closure bit
+// matrices (deps.Graph.Closures), read in place, over scratch reused for
+// every instruction, so a whole weight pass allocates a constant number
+// of times whatever the block size.
 //
-// It walks the DAG's transitive reduction (deps.Graph.Reduction), which
-// is exact here because G_ind is convex: a path between two G_ind nodes
-// cannot pass through Pred(i) ∪ Succ(i) — a node of Pred(i) on it would
-// make its start a predecessor of i, one of Succ(i) its end a successor.
-// So every edge the reduction drops between G_ind nodes is implied by a
-// path inside G_ind, and dropping it keeps every component, every
-// longest candidate path and every leaf level.
+// Both analyses rest on G_ind(i) being convex: a path between two G_ind
+// nodes cannot pass through Pred(i) ∪ Succ(i) — a node of Pred(i) on it
+// would make its start a predecessor of i, one of Succ(i) its end a
+// successor. So two G_ind nodes one of which reaches the other lie in
+// one component, joined by a path inside it, and a component is closed
+// under the reachability its closure rows record.
 type kernel struct {
-	g         *deps.Graph
-	ind       *bitset.Set // G_ind(i)
-	preds     [][]int32   // the transitive reduction
-	succs     [][]int32
-	candidate []bool
-	levels    bool // Chances from leaf-level ranges (ChancesUnionFind)
+	g          *deps.Graph
+	pred, succ []bitset.Set // the closure rows, shared with g
+	levels     bool         // Chances from leaf levels (ChancesUnionFind)
 
-	// members lists G_ind(i) ascending, which is topological order.
-	members []int32
-	// label is a union-find forest over members, whose roots are always
-	// their component's lowest node; after analyse, label[v] is v's root.
-	label unionfind.Forest
-	// val is, per node, the most candidates on a path ending there
-	// (ChancesDP) or the node's level from its farthest leaf.
-	val []int32
-	// Per component root: node count, val's maximum, candidate count.
-	size, hi, loads []int32
-	// roots lists the component roots ascending — the order in which
-	// the per-instruction components are charged and reported.
-	roots []int32
+	// words holds the per-instruction state, 64 nodes to a word.
+	words []word
+	// chain holds rows of len(words) words: row k-1 is the candidates
+	// visited for this instruction whose longest candidate chain has k
+	// members (ChancesDP). used is how many rows hold any.
+	chain []uint64
+	used  int
+
+	// The component next took last: its node count and the first and
+	// last words it occupies. cursor is the first word of ind that may
+	// hold a node, as components come out by ascending lowest node.
+	size, lo, hi, cursor int
+
+	// level is, per node, its level from the farthest leaf of its
+	// component (ChancesUnionFind).
+	level []int32
+}
+
+// word is the kernel's state for 64 consecutive nodes, a bit each, kept
+// together so that each step touches one record per closure-row word.
+type word struct {
+	ind  uint64 // G_ind(i) not yet taken by a component
+	comp uint64 // the component next took last
+	anc  uint64 // the union of the ancestor rows next OR-ed for comp
+	desc uint64 // the union of the descendant rows next OR-ed for comp
+	up   uint64 // taken nodes whose ancestor rows are still due
+	down uint64 // taken nodes whose descendant rows are still due
+	cand uint64 // the balanced candidates
 }
 
 func newKernel(g *deps.Graph, opts Options) *kernel {
 	n := g.N()
-	preds, succs := g.Reduction()
-	k := &kernel{
-		g:         g,
-		ind:       bitset.New(n),
-		preds:     preds,
-		succs:     succs,
-		candidate: make([]bool, n),
-		levels:    opts.Chances == ChancesUnionFind,
-		members:   make([]int32, 0, n),
-		roots:     make([]int32, 0, n),
+	pred, succ := g.Closures()
+	k := &kernel{g: g, pred: pred, succ: succ, levels: opts.Chances == ChancesUnionFind}
+	k.words = make([]word, (n+63)/64)
+	for v := 0; v < n; v++ {
+		if opts.balanced(g.Instr(v)) {
+			k.words[v>>6].cand |= 1 << (v & 63)
+		}
 	}
-	scratch := make([]int32, 5*n)
-	k.label, k.val = scratch[:n], scratch[n:2*n]
-	k.size, k.hi, k.loads = scratch[2*n:3*n], scratch[3*n:4*n], scratch[4*n:]
-	for i := range k.candidate {
-		k.candidate[i] = opts.balanced(g.Instr(i))
+	if k.levels {
+		k.level = make([]int32, n)
+		return k
 	}
+	// The most candidates on any path of the DAG bounds every
+	// component's chain, so it sizes the chain rows.
+	most, chains := make([]int32, n), int32(0)
+	for v := 0; v < n; v++ {
+		m := int32(0)
+		for _, e := range g.Preds[v] {
+			m = max(m, most[e.To])
+		}
+		if k.candidate(v) {
+			m++
+		}
+		most[v] = m
+		chains = max(chains, m)
+	}
+	k.chain = make([]uint64, int(chains)*len(k.words))
 	return k
 }
 
-// analyse labels G_ind(i)'s connected components (Fig. 6, lines 3–4) and
-// reduces each component's Chances (line 5) onto its root.
-func (k *kernel) analyse(i int) {
-	ind, label, val := k.ind, k.label, k.val
-	k.g.FillIndependent(ind, i)
-	members := k.members[:0]
-	ind.ForEach(func(v int) { members = append(members, int32(v)) })
-	k.members = members
-	// One ascending sweep unions each node with its in-G_ind reduced
-	// predecessors and runs the longest-candidate-path DP: every
-	// predecessor comes earlier, so its value is final. v joins as the
-	// highest node yet, so its set's root only ever moves down.
-	for _, v := range members {
-		root, best := v, int32(0)
-		label[v] = v
-		for _, p := range k.preds[v] {
-			if !ind.Has(int(p)) {
-				continue
-			}
-			best = max(best, val[p])
-			root = label.Union(root, p)
-		}
-		if k.candidate[v] {
-			best++
-		}
-		val[v] = best
+// candidate reports whether node v is a balanced candidate.
+func (k *kernel) candidate(v int) bool { return k.words[v>>6].cand&(1<<(v&63)) != 0 }
+
+// start begins instruction i: ind becomes G_ind(i) (Fig. 6, line 3),
+// the complement of i and its two closure rows.
+func (k *kernel) start(i int) {
+	clear(k.chain[:k.used*len(k.words)])
+	k.used = 0
+	p, s := k.pred[i].Words(), k.succ[i].Words()
+	for j := range k.words {
+		k.words[j].ind = ^(p[j] | s[j])
 	}
-	if k.levels {
-		// The paper's union-find sketch ranks nodes by level from the
-		// farthest leaf within G_ind instead: a descending sweep.
-		for j := len(members) - 1; j >= 0; j-- {
-			v, lvl := members[j], int32(0)
-			for _, s := range k.succs[v] {
-				if ind.Has(int(s)) {
-					lvl = max(lvl, val[s]+1)
-				}
-			}
-			val[v] = lvl
-		}
+	k.words[i>>6].ind &^= 1 << (i & 63)
+	if n := k.g.N(); n&63 != 0 {
+		k.words[n>>6].ind &= 1<<(n&63) - 1
 	}
-	// Flatten the labels and reduce per root. A root is its component's
-	// lowest node, so an ascending scan meets it before the rest.
-	k.roots = k.roots[:0]
-	for _, v := range members {
-		r, x := label.Find(v), val[v]
-		label[v] = r
-		if r == v {
-			k.roots = append(k.roots, v)
-			k.size[r], k.hi[r], k.loads[r] = 0, x, 0
-		}
-		k.size[r]++
-		k.hi[r] = max(k.hi[r], x)
-		if k.candidate[v] {
-			k.loads[r]++
-		}
-	}
+	k.cursor = 0
 }
 
-// chances is Fig. 6's Chances for the component rooted at r: the most
-// candidates on one directed path (ChancesDP), or the paper's union-find
-// stand-in, the component's leaf-level range max−min+1. Every component
-// holds a sink of G_ind, whose level is 0, so that range is max+1. Both
-// are 0 for a component without candidates.
-func (k *kernel) chances(r int32) int32 {
-	switch {
-	case !k.levels:
-		return k.hi[r]
-	case k.loads[r] == 0:
-		return 0
-	default:
-		return k.hi[r] + 1
+// next takes the component of G_ind(i) holding the lowest node ind still
+// has out of ind into comp (Fig. 6, line 4), and reports false when ind
+// is empty. The component grows from that node s by OR-ing closure rows
+// masked to ind: s's descendants, then their ancestors, then theirs,
+// and so on. A node taken from a descendant row has its own
+// descendants in that row, so only its ancestor row can add nodes, and
+// the reverse for a node taken from an ancestor row; s is lowest, so
+// only its descendant row can. Nor can the row of a node that an OR-ed
+// row of the same direction holds, so anc and desc collect the OR-ed
+// rows, and up and down, the nodes whose ancestor and descendant rows
+// are due, drop what those cover. down gives up its lowest node first
+// and up its highest, a node that no other due row of its direction
+// holds.
+func (k *kernel) next() bool {
+	ws := k.words
+	for j := k.lo; j < len(ws); j++ {
+		ws[j].comp, ws[j].anc, ws[j].desc = 0, 0, 0
 	}
+	for k.cursor < len(ws) && ws[k.cursor].ind == 0 {
+		k.cursor++
+	}
+	if k.cursor == len(ws) {
+		return false
+	}
+	lo := k.cursor
+	s := &ws[lo]
+	b := s.ind & -s.ind
+	s.ind &^= b
+	s.comp, s.down = b, b
+	hi, size := lo, 1
+	for {
+		j := lo
+		for j <= hi && ws[j].down == 0 {
+			j++
+		}
+		if j <= hi {
+			v := j<<6 | bits.TrailingZeros64(ws[j].down)
+			ws[j].down &^= 1 << (v & 63)
+			row := k.succ[v].Words()[j:]
+			st := ws[j:][:len(row)]
+			for x, r := range row {
+				s := &st[x]
+				s.desc |= r
+				s.down &^= r
+				if t := r & s.ind; t != 0 {
+					s.ind &^= t
+					s.comp |= t
+					s.up |= t &^ s.anc
+					hi = max(hi, j+x)
+					size += bits.OnesCount64(t)
+				}
+			}
+			continue
+		}
+		j = hi
+		for j >= lo && ws[j].up == 0 {
+			j--
+		}
+		if j < lo {
+			break
+		}
+		v := j<<6 | (63 - bits.LeadingZeros64(ws[j].up))
+		ws[j].up &^= 1 << (v & 63)
+		row := k.pred[v].Words()[lo : j+1]
+		st := ws[lo:][:len(row)]
+		for x, r := range row {
+			s := &st[x]
+			s.anc |= r
+			s.up &^= r
+			if t := r & s.ind; t != 0 {
+				s.ind &^= t
+				s.comp |= t
+				s.down |= t &^ s.desc
+				size += bits.OnesCount64(t)
+			}
+		}
+	}
+	k.lo, k.hi, k.size = lo, hi, size
+	return true
+}
+
+// chances is Fig. 6's Chances for comp (line 5): the most candidates on
+// one directed path (ChancesDP), or the paper's union-find stand-in,
+// the component's leaf-level range max−min+1 (ChancesUnionFind). Both
+// are 0 for a component without candidates.
+//
+// The candidates on one path form a chain under reachability, and by
+// convexity every chain of comp's candidates lies on one path inside
+// comp, so the DP is the longest such chain. Visiting the candidates in
+// ascending (topological) order, l's longest chain ends one past the
+// longest among its visited ancestors. That is the largest k with chain
+// row k-1 meeting Pred(l): a chain of k' ≥ k ending at one of them has
+// its k-th member in that row and in Pred(l), so the test is monotone
+// in k and binary search finds the boundary. Earlier components' rows
+// never meet Pred(l), as their nodes are unrelated to l.
+//
+// For ablation A2, every component holds a sink of G_ind, whose level
+// is 0, so the range is the highest level plus one; a descending sweep
+// over each node's direct successors inside comp finds it. The full
+// DAG's longest paths are its transitive reduction's, so this is the
+// level the paper's sketch reads off the reduced DAG.
+func (k *kernel) chances() int {
+	if k.levels {
+		has := false
+		for _, s := range k.words[k.lo : k.hi+1] {
+			if s.comp&s.cand != 0 {
+				has = true
+				break
+			}
+		}
+		if !has {
+			return 0
+		}
+		top := int32(0)
+		for j := k.hi; j >= k.lo; j-- {
+			comp := k.words[j].comp
+			for x := comp; x != 0; {
+				b := 63 - bits.LeadingZeros64(x)
+				x &^= 1 << b
+				v, lvl := j<<6|b, int32(0)
+				for _, e := range k.g.Succs[v] {
+					if k.words[e.To>>6].comp&(1<<(e.To&63)) != 0 {
+						lvl = max(lvl, k.level[e.To]+1)
+					}
+				}
+				k.level[v] = lvl
+				top = max(top, lvl)
+			}
+		}
+		return int(top) + 1
+	}
+	w, top := len(k.words), 0
+	for j := k.lo; j <= k.hi; j++ {
+		for x := k.words[j].comp & k.words[j].cand; x != 0; x &= x - 1 {
+			l := j<<6 | bits.TrailingZeros64(x)
+			p := k.pred[l].Words()[k.lo : j+1]
+			below, above := 0, top // row below-1 meets Pred(l), row above does not
+			for below < above {
+				mid := (below + above + 1) / 2
+				if meets(k.chain[(mid-1)*w+k.lo:(mid-1)*w+j+1], p) {
+					below = mid
+				} else {
+					above = mid - 1
+				}
+			}
+			k.chain[below*w+j] |= 1 << (l & 63)
+			top = max(top, below+1)
+		}
+	}
+	k.used = max(k.used, top)
+	return top
+}
+
+// meets reports whether a and b, of equal length, share a bit.
+func meets(a, b []uint64) bool {
+	b = b[:len(a)]
+	for j, x := range a {
+		if x&b[j] != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // LoadLevelParallelism is a diagnostic: for each load l it returns the

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"bsched/internal/deps"
@@ -33,32 +34,32 @@ type Explanation struct {
 
 // Explain reports how instruction i's issue slot is distributed across
 // the loads of the block — the inner loop of Fig. 6 made inspectable. It
-// reads the weight pass's own component labels, so its components come
-// in the same order, and carry the same Chances and credit, as the ones
-// Weights charges and credits. cmd/bsched's -explain flag prints it.
+// runs the weight pass's own kernel, so its components come in the same
+// order, and carry the same Chances and credit, as the ones Weights
+// charges and credits. cmd/bsched's -explain flag prints it.
 func Explain(g *deps.Graph, i int, opts Options) Explanation {
 	k := newKernel(g, opts)
-	k.analyse(i)
-	ex := Explanation{
-		Node:    i,
-		Removed: g.N() - len(k.members) - 1,
+	k.start(i)
+	ex := Explanation{Node: i, Removed: g.N() - 1}
+	for _, s := range k.words {
+		ex.Removed -= bits.OnesCount64(s.ind)
 	}
 	slots := opts.issueSlots(g.Instr(i))
-	at := make(map[int32]int, len(k.roots)) // root → index in ex.Components
-	for _, r := range k.roots {
-		c := Component{Chances: int(k.chances(r))}
+	for k.next() {
+		c := Component{Chances: k.chances()}
 		if c.Chances > 0 {
 			c.Credit = slots / float64(c.Chances)
 		}
-		at[r] = len(ex.Components)
-		ex.Components = append(ex.Components, c)
-	}
-	for _, v := range k.members {
-		c := &ex.Components[at[k.label[v]]]
-		c.Nodes = append(c.Nodes, int(v))
-		if k.candidate[v] {
-			c.Loads = append(c.Loads, int(v))
+		for j := k.lo; j <= k.hi; j++ {
+			for x := k.words[j].comp; x != 0; x &= x - 1 {
+				v := j<<6 | bits.TrailingZeros64(x)
+				c.Nodes = append(c.Nodes, v)
+				if k.candidate(v) {
+					c.Loads = append(c.Loads, v)
+				}
+			}
 		}
+		ex.Components = append(ex.Components, c)
 	}
 	return ex
 }

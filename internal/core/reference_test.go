@@ -4,8 +4,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"reflect"
 	"sort"
+	"strconv"
+	"strings"
 	"testing"
 
 	"bsched/internal/bitset"
@@ -21,7 +24,8 @@ import (
 // depth-first search (line 4), and per component the longest-candidate-
 // path DP or the paper's union-find over leaf levels (line 5). It is
 // deliberately slow and allocation-heavy; it exists to pin the weight
-// pass's kernel, which walks the transitive reduction, bit for bit.
+// pass's kernel, which works on the closure bit rows instead, bit for
+// bit.
 
 // refResult is everything the reference derives for one DAG.
 type refResult struct {
@@ -273,6 +277,72 @@ func TestKernelMatchesReference(t *testing.T) {
 			checkAgainstReference(t, l.Block.Label+" "+c.name, g, c.opts)
 		}
 	}
+	// The blocks the compiler meets: the paper suite, Livermore and
+	// IntMix, every kernel at each unroll, and Rich blocks with calls,
+	// NoReg sources and !lat= marks, the last few up to 512 long.
+	names, blocks := workload.Corpus(kernelCorpusRich)
+	for b, blk := range blocks {
+		for _, alias := range []deps.AliasMode{deps.AliasDisjoint, deps.AliasConservative} {
+			g := deps.Build(blk, deps.BuildOptions{Alias: alias})
+			for _, c := range refConfigs(b) {
+				checkAgainstReference(t, fmt.Sprintf("%s (%v, %s)", names[b], alias, c.name), g, c.opts)
+			}
+		}
+	}
+}
+
+// kernelCorpusRich is how many workload.Rich blocks
+// TestKernelMatchesReference takes from workload.Corpus: one at every
+// size from 1 to 64 instructions, then a few up to 512.
+const kernelCorpusRich = 68
+
+// FuzzKernelReference parses arbitrary IR and runs the weight pass on
+// every block, in both alias modes and under both Chances methods,
+// requiring what TestKernelMatchesReference requires: the reference's
+// weight bits, contributions, Explain(i) for every i, and budget use and
+// error at every limit. The corpus starts from FuzzParse's seeds and the
+// fenced blocks of docs/IR.md; extend it with
+// `go test -fuzz=FuzzKernelReference`.
+func FuzzKernelReference(f *testing.F) {
+	raw, err := os.ReadFile("../ir/testdata/parse_seeds.txt")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		s, err := strconv.Unquote(line)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(s)
+	}
+	doc, err := os.ReadFile("../../docs/IR.md")
+	if err != nil {
+		f.Fatal(err)
+	}
+	parts := strings.Split(string(doc), "```")
+	for i := 1; i < len(parts); i += 2 {
+		f.Add(parts[i])
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		if len(src) > 1<<14 {
+			return
+		}
+		prog, err := ir.Parse(src)
+		if err != nil {
+			return
+		}
+		for _, b := range prog.Blocks() {
+			for _, alias := range []deps.AliasMode{deps.AliasDisjoint, deps.AliasConservative} {
+				g := deps.Build(b, deps.BuildOptions{Alias: alias})
+				for _, c := range refConfigs(0) {
+					checkAgainstReference(t, fmt.Sprintf("%s (%v, %s)", b.Label, alias, c.name), g, c.opts)
+				}
+			}
+		}
+	})
 }
 
 func checkAgainstReference(t *testing.T, where string, g *deps.Graph, opts Options) {

@@ -89,13 +89,10 @@ type Graph struct {
 	Succs [][]Edge
 	Preds [][]Edge
 
-	// Built together on first use by ensureClosures, each family in one
-	// flat backing array: Succ(i) and Pred(i) as bitset rows, and the
-	// transitive reduction as ascending per-node lists.
-	succClosure  []bitset.Set
-	predClosure  []bitset.Set
-	reducedSuccs [][]int32
-	reducedPreds [][]int32
+	// Succ(i) and Pred(i) as bitset rows, each family over one backing
+	// array, built together on first use by ensureClosures.
+	succClosure []bitset.Set
+	predClosure []bitset.Set
 }
 
 // N returns the number of nodes.
@@ -374,14 +371,12 @@ func (g *Graph) SuccClosure(i int) *bitset.Set {
 	return &g.succClosure[i]
 }
 
-// Reduction returns the DAG's transitive reduction: preds[v] and succs[v]
-// list, ascending, v's direct predecessors and successors except those
-// that a longer path also connects to v. It reaches exactly what the
-// full DAG reaches, and its longest paths are the DAG's. The lists are
-// shared; do not mutate.
-func (g *Graph) Reduction() (preds, succs [][]int32) {
+// Closures returns Pred(v) and Succ(v) for every node v, as rows indexed
+// by v of two bit matrices: the whole-DAG form of PredClosure and
+// SuccClosure. The rows are shared; do not mutate.
+func (g *Graph) Closures() (pred, succ []bitset.Set) {
 	g.ensureClosures()
-	return g.reducedPreds, g.reducedSuccs
+	return g.predClosure, g.succClosure
 }
 
 // Independent returns the set G_ind for instruction i: every node except i
@@ -389,17 +384,11 @@ func (g *Graph) Reduction() (preds, succs [][]int32) {
 // caller owns the returned set.
 func (g *Graph) Independent(i int) *bitset.Set {
 	s := bitset.New(g.N())
-	g.FillIndependent(s, i)
-	return s
-}
-
-// FillIndependent overwrites s, a set of capacity N, with G_ind(i): the
-// allocation-free form of Independent for loops over every instruction.
-func (g *Graph) FillIndependent(s *bitset.Set, i int) {
 	s.Fill()
 	s.Subtract(g.PredClosure(i))
 	s.Subtract(g.SuccClosure(i))
 	s.Remove(i)
+	return s
 }
 
 func (g *Graph) ensureClosures() {
@@ -409,55 +398,29 @@ func (g *Graph) ensureClosures() {
 	n := g.N()
 	succ := bitset.NewRows(n, n)
 	pred := bitset.NewRows(n, n)
-	succs := make([][]int32, n)
-	kept := make([]int32, 0, g.NumEdges())
-	inDeg := make([]int32, n)
-	direct := bitset.New(n)
 	// Edges point forward, so instruction order is a topological order:
-	// walking it backwards, every successor's closure is already final.
-	// Taking i's direct successors in ascending order, one that an
-	// earlier successor already reaches is implied by a longer path and
-	// left out of the reduction (and adds nothing to the closure).
+	// walking it backwards, every successor's closure is already final,
+	// and walking it forwards, every predecessor's. A direct neighbour
+	// that an earlier one's closure already holds adds nothing.
 	for i := n - 1; i >= 0; i-- {
+		s := &succ[i]
 		for _, e := range g.Succs[i] {
-			direct.Add(e.To)
-		}
-		s, start := &succ[i], len(kept)
-		for v := direct.Next(0); v >= 0; v = direct.Next(v + 1) {
-			direct.Remove(v)
-			if s.Has(v) {
-				continue
+			if !s.Has(e.To) {
+				s.Add(e.To)
+				s.Union(&succ[e.To])
 			}
-			kept = append(kept, int32(v))
-			inDeg[v]++
-			s.Add(v)
-			s.Union(&succ[v])
-		}
-		succs[i] = kept[start:len(kept):len(kept)]
-	}
-	// Transpose into ascending predecessor lists over one array; Pred(v)
-	// is then the union over v's reduced predecessors.
-	preds := make([][]int32, n)
-	flat := make([]int32, len(kept))
-	off := int32(0)
-	for v := range preds {
-		preds[v] = flat[off : off : off+inDeg[v]]
-		off += inDeg[v]
-	}
-	for i, vs := range succs {
-		for _, v := range vs {
-			preds[v] = append(preds[v], int32(i))
 		}
 	}
-	for v, us := range preds {
+	for v := 0; v < n; v++ {
 		p := &pred[v]
-		for _, u := range us {
-			p.Add(int(u))
-			p.Union(&pred[u])
+		for _, e := range g.Preds[v] {
+			if !p.Has(e.To) {
+				p.Add(e.To)
+				p.Union(&pred[e.To])
+			}
 		}
 	}
 	g.succClosure, g.predClosure = succ, pred
-	g.reducedSuccs, g.reducedPreds = succs, preds
 }
 
 // CriticalPathLen returns the number of nodes on the longest directed path

@@ -109,10 +109,24 @@ func NewNormal(mu, sigma float64) *Normal {
 	max := int(math.Ceil(mu + 8*sigma))
 	weights := make([]float64, max+1)
 	total := 0.0
-	for k := 0; k <= max; k++ {
-		w := math.Exp(-(float64(k) - mu) * (float64(k) - mu) / (2 * sigma * sigma))
-		weights[k] = w
-		total += w
+	if 2*sigma*sigma == 0 {
+		// 2σ² underflowed, so every exponent below would be a division
+		// by zero: put the mass on the latency nearest μ directly (split
+		// evenly when μ lies halfway between two), the limit the
+		// fallback below approaches.
+		d := math.Abs(math.Round(mu) - mu)
+		for k := range weights {
+			if x := float64(k) - mu; x*x == d*d {
+				weights[k] = 1
+				total++
+			}
+		}
+	} else {
+		for k := 0; k <= max; k++ {
+			w := math.Exp(-(float64(k) - mu) * (float64(k) - mu) / (2 * sigma * sigma))
+			weights[k] = w
+			total += w
+		}
 	}
 	if total == 0 {
 		// σ is so small next to μ's distance from the nearest latency

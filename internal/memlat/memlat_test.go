@@ -97,12 +97,21 @@ func TestNormalTruncationRaisesMean(t *testing.T) {
 func TestNormalTinySigma(t *testing.T) {
 	// A σ so small that every discretized weight underflows still gives
 	// a distribution: the mass sits on the latency nearest μ, split
-	// evenly when μ lies halfway between two.
-	for _, c := range []struct{ mu, sigma, mean float64 }{
-		{0.1, 1e-10, 0}, {3.7, 1e-9, 4}, {2.5, 1e-3, 2.5},
+	// evenly when μ lies halfway between two. The last three have a σ
+	// so small that 2σ² itself underflows to 0.
+	for _, c := range []struct {
+		spec string
+		mean float64
+	}{
+		{"N(0.1,1e-10)", 0}, {"N(3.7,1e-9)", 4}, {"N(2.5,1e-3)", 2.5},
+		{"N(0,1e-170)", 0}, {"N(0.5,1e-170)", 0.5}, {"L80-N(2,1e-200)", 2},
 	} {
-		if got := NewNormal(c.mu, c.sigma).Mean(); got != c.mean {
-			t.Errorf("N(%g,%g) mean = %g, want %g", c.mu, c.sigma, got, c.mean)
+		m, err := ParseModel(c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := m.Mean(); got != c.mean {
+			t.Errorf("%s mean = %g, want %g", c.spec, got, c.mean)
 		}
 	}
 }
