@@ -50,14 +50,14 @@ bench:
 
 # Machine-readable perf baseline: run the serve-path (loopback and
 # in-process handler), block-reuse, credit-pass, policy-portfolio and
-# per-layer (IR codec through whole-block compile and the miss path's
+# per-layer (IR codec through the miss path's whole-block
 # compile.RunBlock) benchmarks programmatically and write
 # BENCH_$(BENCH).json (per benchmark the best of 5 runs' ns/op,
 # allocs/op and B/op, and the runs' spread) so the perf trajectory can
 # be diffed across changes. Five runs of every row take about six
 # minutes on 2 cores, hence the timeout above go test's 10-minute default.
-BENCH ?= 18
-BENCH_BASE ?= 16
+BENCH ?= 21
+BENCH_BASE ?= 18
 bench-json:
 	$(GO) test -timeout 30m -run '^TestBenchJSON$$' -bench-json BENCH_$(BENCH).json .
 

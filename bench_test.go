@@ -29,7 +29,6 @@ import (
 	"bsched/internal/machine"
 	"bsched/internal/memlat"
 	"bsched/internal/ooo"
-	"bsched/internal/pipeline"
 	"bsched/internal/regalloc"
 	"bsched/internal/sched"
 	"bsched/internal/server"
@@ -226,10 +225,9 @@ func BenchmarkListSchedule(b *testing.B) {
 // under testing.Benchmark.
 func listScheduleBench(n int) func(b *testing.B) {
 	g := deps.Build(randomBlock(n), deps.BuildOptions{})
-	w := sched.Traditional(2)
 	return func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			sched.Schedule(g, w)
+			sched.Schedule(g, sched.TraditionalWeights(g, 2), sched.Heuristics{}, nil)
 		}
 	}
 }
@@ -396,19 +394,6 @@ func missMix() ([]*ir.Block, []compile.Options) {
 	return blocks, opts
 }
 
-// BenchmarkCompileBlock measures the full two-pass pipeline on a
-// realistic kernel.
-func BenchmarkCompileBlock(b *testing.B) {
-	blk := workload.MDForce("md", 1, 4)
-	opts := pipeline.Balanced()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := pipeline.CompileBlock(blk, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkColoringAllocator measures the Chaitin/Briggs backend under
 // pressure, for comparison with BenchmarkRegalloc.
 func BenchmarkColoringAllocator(b *testing.B) {
@@ -438,7 +423,7 @@ func BenchmarkUnroll(b *testing.B) {
 // a compiled kernel.
 func BenchmarkAnalyticEstimate(b *testing.B) {
 	blk := workload.MDForce("md", 1, 4)
-	compiled, err := pipeline.CompileBlock(blk, pipeline.Balanced())
+	compiled, err := compile.RunBlock(context.Background(), blk, compile.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -463,7 +448,7 @@ func BenchmarkSimulate(b *testing.B) {
 // extracted (like weightsBench) so TestBenchJSON can run it: latency-
 // sampled runs of the compiled FFT(6) block.
 func simulateBench(proc machine.Config) func(b *testing.B) {
-	compiled, err := pipeline.CompileBlock(workload.FFT("f", 1, 6), pipeline.Balanced())
+	compiled, err := compile.RunBlock(context.Background(), workload.FFT("f", 1, 6), compile.Options{})
 	mem := memlat.NewNormal(3, 5)
 	return func(b *testing.B) {
 		if err != nil {
@@ -491,7 +476,7 @@ func sizeName(n int) string {
 // BenchmarkOOO measures the idealized out-of-order core (A17's engine).
 func BenchmarkOOO(b *testing.B) {
 	blk := workload.FFT("f", 1, 6)
-	compiled, err := pipeline.CompileBlock(blk, pipeline.Balanced())
+	compiled, err := compile.RunBlock(context.Background(), blk, compile.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -735,8 +720,8 @@ type benchJSONEntry struct {
 // never pays for it); with it, it benchmarks the serving hot path
 // (over loopback and in-process), the credit (weight) pass alone and
 // after a DAG build, and the per-layer rows (IR parse, fingerprint and
-// print, DAG build, list schedule, register allocation, whole-block
-// compile, the miss path's compile.RunBlock, simulation) and writes the
+// print, DAG build, list schedule, register allocation, the miss path's
+// whole-block compile.RunBlock, simulation) and writes the
 // machine-readable baseline, each row the best of benchJSONRuns runs.
 func TestBenchJSON(t *testing.T) {
 	if *benchJSONPath == "" {
@@ -776,7 +761,6 @@ func TestBenchJSON(t *testing.T) {
 	}
 	cases = append(cases,
 		benchCase{"Regalloc", BenchmarkRegalloc},
-		benchCase{"CompileBlock", BenchmarkCompileBlock},
 		benchCase{"RunBlock/miss-mix", runBlockMissMixBench()},
 		benchCase{"DepsWeights/miss-mix", depsWeightsMissMixBench()},
 		benchCase{"Simulate/UNLIMITED", simulateBench(machine.UNLIMITED())})

@@ -8,14 +8,14 @@ import (
 	"testing"
 )
 
-// buildTool compiles one of the cmd binaries into a temp dir once per
-// test run.
-func buildTool(t *testing.T, name string) string {
+// buildTool compiles one of the main packages (cmd/bsched,
+// examples/quickstart, …) into a temp dir once per test run.
+func buildTool(t *testing.T, pkg string) string {
 	t.Helper()
-	bin := filepath.Join(t.TempDir(), name)
-	cmd := exec.Command("go", "build", "-o", bin, "./cmd/"+name)
+	bin := filepath.Join(t.TempDir(), filepath.Base(pkg))
+	cmd := exec.Command("go", "build", "-o", bin, "./"+pkg)
 	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("building %s: %v\n%s", name, err, out)
+		t.Fatalf("building %s: %v\n%s", pkg, err, out)
 	}
 	return bin
 }
@@ -57,7 +57,7 @@ func TestBschedCLI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
 	}
-	bin := buildTool(t, "bsched")
+	bin := buildTool(t, "cmd/bsched")
 	demo := writeDemo(t)
 
 	out := run(t, bin, demo)
@@ -87,7 +87,7 @@ func TestBsimCLI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
 	}
-	bin := buildTool(t, "bsim")
+	bin := buildTool(t, "cmd/bsim")
 	demo := writeDemo(t)
 
 	out := run(t, bin, "-mem", "N(3,5)", demo)
@@ -111,7 +111,7 @@ func TestPaperreproCLI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
 	}
-	bin := buildTool(t, "paperrepro")
+	bin := buildTool(t, "cmd/paperrepro")
 	out := run(t, bin, "-quick", "-only", "figure2,figure3,table1,summary")
 	for _, want := range []string{"Figure 2", "Figure 3", "Table 1", "Workload summary"} {
 		if !strings.Contains(out, want) {

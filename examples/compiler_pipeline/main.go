@@ -2,20 +2,23 @@
 //
 // Shows the complete flow the experiments use: build a Perfect Club
 // analogue (MDG — molecular dynamics), compile it with the traditional
-// and balanced schedulers (two scheduling passes around register
-// allocation), and simulate both on the paper's three processor models
-// over a cache, a network and a mixed memory system.
+// and balanced schedulers through the compile driver (two scheduling
+// passes around register allocation), and simulate both on the paper's
+// three processor models over a cache, a network and a mixed memory
+// system.
 //
 // Run with: go run ./examples/compiler_pipeline
 package main
 
 import (
+	"context"
 	"fmt"
 
+	"bsched/internal/compile"
 	"bsched/internal/experiments"
 	"bsched/internal/machine"
 	"bsched/internal/memlat"
-	"bsched/internal/pipeline"
+	"bsched/internal/sched"
 	"bsched/internal/workload"
 )
 
@@ -27,14 +30,16 @@ func main() {
 	fmt.Printf("  (%s)\n\n", workload.About("MDG"))
 
 	// Compile once with each scheduler and inspect the static outcome.
-	tradRes, err := pipeline.CompileProgram(prog, pipeline.Traditional(2))
+	ctx := context.Background()
+	trad, err := compile.Run(ctx, prog, compile.Options{Policy: sched.PolicyTraditional, TradLatency: 2})
 	if err != nil {
 		panic(err)
 	}
-	balRes, err := pipeline.CompileProgram(prog, pipeline.Balanced())
+	bal, err := compile.Run(ctx, prog, compile.Options{Policy: sched.PolicyBalanced})
 	if err != nil {
 		panic(err)
 	}
+	tradRes, balRes := trad.Pipeline(), bal.Pipeline()
 	fmt.Printf("static schedules:  traditional(2): %.0fM instrs, %.2f%% spill\n",
 		tradRes.WeightedInstrs(), tradRes.SpillPct())
 	fmt.Printf("                   balanced:       %.0fM instrs, %.2f%% spill\n\n",

@@ -31,13 +31,17 @@ import (
 func main() {
 	l := paperdag.Figure1()
 	g := deps.Build(l.Block, deps.BuildOptions{})
+	schedule := func(w []float64) *sched.Result {
+		res, _ := sched.Schedule(g, w, sched.Heuristics{}, nil) // a nil budget never trips
+		return res
+	}
 	schedules := []struct {
 		name  string
 		order *sched.Result
 	}{
-		{"greedy (W=5)", sched.Schedule(g, sched.Traditional(5))},
-		{"lazy (W=1)", sched.Schedule(g, sched.Traditional(1))},
-		{"balanced", sched.Schedule(g, sched.Balanced(core.Options{}))},
+		{"greedy (W=5)", schedule(sched.TraditionalWeights(g, 5))},
+		{"lazy (W=1)", schedule(sched.TraditionalWeights(g, 1))},
+		{"balanced", schedule(core.Weights(g, core.Options{}))},
 	}
 	mem := memlat.Fixed{Latency: 3}
 

@@ -37,15 +37,20 @@ func main() {
 	}
 	fmt.Println()
 
-	// 2. Three schedules: greedy traditional (W=5), lazy traditional
-	// (W=1), balanced (W=3).
+	// 2. Three schedules from one list scheduler, differing only in the
+	// weights: greedy traditional (W=5), lazy traditional (W=1), and
+	// balanced (W=3) with the weights above.
+	schedule := func(w []float64) *sched.Result {
+		res, _ := sched.Schedule(g, w, sched.Heuristics{}, nil) // a nil budget never trips
+		return res
+	}
 	schedules := []struct {
 		name string
 		res  *sched.Result
 	}{
-		{"traditional W=5 (greedy)", sched.Schedule(g, sched.Traditional(5))},
-		{"traditional W=1 (lazy)", sched.Schedule(g, sched.Traditional(1))},
-		{"balanced (W=3)", sched.Schedule(g, sched.Balanced(core.Options{}))},
+		{"traditional W=5 (greedy)", schedule(sched.TraditionalWeights(g, 5))},
+		{"traditional W=1 (lazy)", schedule(sched.TraditionalWeights(g, 1))},
+		{"balanced (W=3)", schedule(weights)},
 	}
 	for _, s := range schedules {
 		fmt.Printf("%-26s %v\n", s.name+":", fig.Sequence(s.res.Order))

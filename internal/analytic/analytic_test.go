@@ -68,8 +68,8 @@ func TestLowerBoundInGeneral(t *testing.T) {
 	l := paperdag.Figure1()
 	g := deps.Build(l.Block, deps.BuildOptions{})
 	m := memlat.NewNormal(5, 3)
-	for _, w := range []sched.Weighter{sched.Traditional(1), sched.Traditional(5), sched.Balanced(core.Options{})} {
-		res := sched.Schedule(g, w)
+	for _, w := range [][]float64{sched.TraditionalWeights(g, 1), sched.TraditionalWeights(g, 5), core.Weights(g, core.Options{})} {
+		res, _ := sched.Schedule(g, w, sched.Heuristics{}, nil)
 		est, err := EstimateRuntime(res.Order, m)
 		if err != nil {
 			t.Fatal(err)
@@ -95,12 +95,12 @@ func TestAnalyticRanksSchedules(t *testing.T) {
 	g := deps.Build(l.Block, deps.BuildOptions{})
 	m := memlat.Fixed{Latency: 3}
 	stalls := map[string]float64{}
-	for name, w := range map[string]sched.Weighter{
-		"greedy":   sched.Traditional(5),
-		"lazy":     sched.Traditional(1),
-		"balanced": sched.Balanced(core.Options{}),
+	for name, w := range map[string][]float64{
+		"greedy":   sched.TraditionalWeights(g, 5),
+		"lazy":     sched.TraditionalWeights(g, 1),
+		"balanced": core.Weights(g, core.Options{}),
 	} {
-		res := sched.Schedule(g, w)
+		res, _ := sched.Schedule(g, w, sched.Heuristics{}, nil)
 		est, err := EstimateRuntime(res.Order, m)
 		if err != nil {
 			t.Fatal(err)

@@ -90,8 +90,8 @@ func PickScheduler(r *experiments.Runner, kind string, lat float64) (experiments
 }
 
 // CheckLatency validates a user-supplied optimistic load latency before
-// it reaches sched.Traditional, which treats a latency below 1 as a
-// programmer error and panics.
+// it reaches sched.TraditionalWeights, which treats a latency below 1 as
+// a programmer error and panics.
 func CheckLatency(lat float64) error {
 	if !(lat >= 1) { // also rejects NaN
 		return fmt.Errorf("load latency %g out of range [1, ∞)", lat)

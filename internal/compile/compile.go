@@ -1,8 +1,10 @@
-// Package compile is the hardened front door to the compiler pipeline:
-// the entry point user-facing tools (bsched, bsim, paperrepro) call
-// instead of wiring bsched/internal/pipeline themselves.
+// Package compile is the compiler driver: the one entry point through
+// which the tools (bsched, bsim, paperrepro), the bschedd daemon, the
+// experiments and the examples compile, running the two scheduling
+// passes around register allocation that bsched/internal/pipeline
+// describes.
 //
-// The package adds three guarantees the raw pipeline does not make:
+// Beyond running the passes, the driver makes three guarantees:
 //
 //   - Panic-free boundaries. A panic anywhere in dependence construction,
 //     weight computation, scheduling or register allocation is recovered
@@ -267,7 +269,7 @@ type Result struct {
 	Degradations []Event
 }
 
-// Pipeline converts the hardened result into the raw pipeline's result
+// Pipeline converts the result into bsched/internal/pipeline's result
 // type, for callers (the experiment runner, the measurement helpers)
 // whose downstream analysis is written against it.
 func (r *Result) Pipeline() *pipeline.ProgramResult {
@@ -536,7 +538,7 @@ func (c *blockCompiler) weights(g *deps.Graph, pass int) []float64 {
 		return w
 	}
 	c.event(pass, "weights", RungPolicyPrefix+policy, RungFixedLat, err)
-	return c.fixedWeights(g)
+	return sched.TraditionalWeights(g, c.opts.tradLatency())
 }
 
 // tryPolicyWeights runs one registry policy's weighting as a single
@@ -567,12 +569,6 @@ func (c *blockCompiler) tryPolicyWeights(g *deps.Graph, policy string) (w []floa
 	return w, nil
 }
 
-// fixedWeights is the ladder's floor: the traditional fixed-latency
-// weighting, linear in the block and unbudgeted.
-func (c *blockCompiler) fixedWeights(g *deps.Graph) []float64 {
-	return sched.Traditional(c.opts.tradLatency())(g)
-}
-
 // buildDeps constructs the code DAG under a budget rung.
 func (c *blockCompiler) buildDeps(work *ir.Block, pass int) (g *deps.Graph, err error) {
 	defer c.timeStage(StageDeps, pass)()
@@ -596,8 +592,7 @@ func (c *blockCompiler) schedule(g *deps.Graph, weights []float64, pass int) (re
 	}()
 	wb := c.fork()
 	defer func() { c.res.WorkUsed += wb.Used() }()
-	weigh := func(*deps.Graph) []float64 { return weights }
-	return sched.ScheduleBudgeted(g, weigh, c.opts.Heuristics, wb)
+	return sched.Schedule(g, weights, c.opts.Heuristics, wb)
 }
 
 // regalloc runs register allocation; its failures are hard errors

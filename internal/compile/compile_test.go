@@ -106,7 +106,7 @@ func ladderCosts(t *testing.T, blk *ir.Block) (*deps.Graph, int64) {
 		t.Fatalf("unlimited deps: %v", err)
 	}
 	sb := budget.New(nil, 0)
-	if _, err := sched.ScheduleBudgeted(g, func(*deps.Graph) []float64 { return w }, sched.Heuristics{}, sb); err != nil {
+	if _, err := sched.Schedule(g, w, sched.Heuristics{}, sb); err != nil {
 		t.Fatalf("unlimited schedule: %v", err)
 	}
 	// The test block must put the budget pressure in the weights stage:
@@ -205,32 +205,57 @@ func TestCancelledContextDegrades(t *testing.T) {
 	}
 }
 
-// TestFrontDoorMatchesPipeline: with no budget pressure the hardened
-// front door must produce byte-identical output to the raw pipeline.
+// TestFrontDoorMatchesPipeline: with no budget pressure the driver
+// produces byte-identical output to the driver it replaced
+// (refCompileBlock), over every block of workload.Corpus with 256 Rich
+// blocks (410 blocks; the full 600 take about 3 s). The options rotate
+// per block: both policies, both alias modes, both allocators,
+// SkipRegalloc, SkipPass2, each tie-break off in turn, and a 12/3
+// register file on every third block. When one side fails, both must.
 func TestFrontDoorMatchesPipeline(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 10; trial++ {
-		blk := workload.Random(rng, workload.DefaultRandomParams(10+rng.Intn(40)))
-		for _, s := range []string{sched.PolicyBalanced, sched.PolicyTraditional} {
-			popts := pipeline.Balanced()
-			if s == sched.PolicyTraditional {
-				popts = pipeline.Traditional(2)
-			}
-			want, err := pipeline.CompileBlock(blk, popts)
-			if err != nil {
-				t.Fatalf("pipeline: %v", err)
-			}
-			got, err := RunBlock(context.Background(), blk, Options{Policy: s})
-			if err != nil {
-				t.Fatalf("compile: %v", err)
-			}
-			if got.Degraded() {
-				t.Fatalf("default budget degraded: %v", got.Degradations)
-			}
-			if got.Block.String() != want.Block.String() {
-				t.Fatalf("trial %d %v: front door diverged from pipeline\nwant:\n%s\ngot:\n%s",
-					trial, s, want.Block, got.Block)
-			}
+	names, blocks := workload.Corpus(256)
+	for i, blk := range blocks {
+		opts := Options{Policy: sched.PolicyBalanced}
+		weigh := func(g *deps.Graph) []float64 { return core.Weights(g, core.Options{}) }
+		if i%2 == 1 {
+			opts.Policy = sched.PolicyTraditional
+			weigh = func(g *deps.Graph) []float64 { return sched.TraditionalWeights(g, 2) }
+		}
+		if i/2%2 == 1 {
+			opts.Alias = deps.AliasConservative
+		}
+		if i/4%2 == 1 {
+			opts.Allocator = pipeline.AllocColoring
+		}
+		switch i / 8 % 3 {
+		case 1:
+			opts.SkipRegalloc = true
+		case 2:
+			opts.SkipPass2 = true
+		}
+		switch i / 24 % 3 {
+		case 1:
+			opts.Heuristics.NoPressureTie = true
+		case 2:
+			opts.Heuristics.NoExposeTie = true
+		}
+		if i%3 == 2 {
+			opts.Regalloc = regalloc.Config{Regs: 12, SpillPool: 3}
+		}
+		want, wantErr := refCompileBlock(blk, weigh, opts)
+		got, err := RunBlock(context.Background(), blk, opts)
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("%s %+v: driver error %v, reference error %v", names[i], opts, err, wantErr)
+		}
+		if err != nil {
+			continue
+		}
+		if got.Degraded() {
+			t.Fatalf("%s %+v: default budget degraded: %v", names[i], opts, got.Degradations)
+		}
+		if got.Block.String() != want.Block.String() || got.Spill != want.Spill {
+			t.Fatalf("%s %+v: driver diverged from the reference\nwant (%+v):\n%s\ngot (%+v):\n%s",
+				names[i], opts, want.Spill, want.Block, got.Spill, got.Block)
 		}
 	}
 }

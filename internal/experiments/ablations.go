@@ -22,25 +22,18 @@ func ablationSystems() []memlat.System {
 	}
 }
 
-// derive clones the runner's measurement configuration with a fresh
-// compile cache, applying fn to adjust it.
+// derive copies the runner's configuration with a fresh compile cache and
+// degradation list, applying fn to adjust it. The copy forwards every
+// degradation it records to r.
 func derive(r *Runner, fn func(*Runner)) *Runner {
-	nr := &Runner{
-		Trials:       r.Trials,
-		Resamples:    r.Resamples,
-		Seed:         r.Seed,
-		Alias:        r.Alias,
-		Regalloc:     r.Regalloc,
-		SimOpts:      r.SimOpts,
-		BalancedOpts: r.BalancedOpts,
-		Heuristics:   r.Heuristics,
-		Allocator:    r.Allocator,
-		SkipPass2:    r.SkipPass2,
-	}
+	nr := *r
+	nr.Degradations = nil
+	nr.compiled = nil
+	nr.parent = r
 	if fn != nil {
-		fn(nr)
+		fn(&nr)
 	}
-	return nr
+	return &nr
 }
 
 // AblationAverageLLP (A1) reproduces the paper's §3 negative result: a

@@ -14,6 +14,13 @@ import (
 	"bsched/internal/sim"
 )
 
+// schedule list-schedules a paper DAG under the given weights, with every
+// tie-break heuristic and no work budget.
+func schedule(g *deps.Graph, weights []float64) *sched.Result {
+	res, _ := sched.Schedule(g, weights, sched.Heuristics{}, nil) // a nil budget never trips
+	return res
+}
+
 // Figure2 regenerates the three schedules of Figure 2 from the Figure 1
 // code DAG: traditional with W=5 (greedy), traditional with W=1 (lazy)
 // and balanced (W=3).
@@ -22,18 +29,17 @@ func Figure2() string {
 	g := deps.Build(l.Block, deps.BuildOptions{})
 	columns := []struct {
 		title string
-		w     sched.Weighter
+		w     []float64
 	}{
-		{"Traditional W=5", sched.Traditional(5)},
-		{"Traditional W=1", sched.Traditional(1)},
-		{"Balanced", sched.Balanced(core.Options{})},
+		{"Traditional W=5", sched.TraditionalWeights(g, 5)},
+		{"Traditional W=1", sched.TraditionalWeights(g, 1)},
+		{"Balanced", core.Weights(g, core.Options{})},
 	}
 	t := newTable("Figure 2: schedules generated from the Figure 1 code DAG",
 		columns[0].title, columns[1].title, columns[2].title)
 	var seqs [][]string
 	for _, c := range columns {
-		res := sched.Schedule(g, c.w)
-		seqs = append(seqs, l.Sequence(res.Order))
+		seqs = append(seqs, l.Sequence(schedule(g, c.w).Order))
 	}
 	for k := range seqs[0] {
 		t.add(seqs[0][k], seqs[1][k], seqs[2][k])
@@ -54,9 +60,9 @@ func Figure3(maxLatency int) []Figure3Row {
 	l := paperdag.Figure1()
 	g := deps.Build(l.Block, deps.BuildOptions{})
 	byName := map[string]*sched.Result{
-		"greedy":   sched.Schedule(g, sched.Traditional(5)),
-		"lazy":     sched.Schedule(g, sched.Traditional(1)),
-		"balanced": sched.Schedule(g, sched.Balanced(core.Options{})),
+		"greedy":   schedule(g, sched.TraditionalWeights(g, 5)),
+		"lazy":     schedule(g, sched.TraditionalWeights(g, 1)),
+		"balanced": schedule(g, core.Weights(g, core.Options{})),
 	}
 	rng := rand.New(rand.NewSource(1))
 	var rows []Figure3Row
@@ -89,7 +95,7 @@ func FormatFigure3(rows []Figure3Row) string {
 func Figure5() string {
 	l := paperdag.Figure4()
 	g := deps.Build(l.Block, deps.BuildOptions{})
-	res := sched.Schedule(g, sched.Balanced(core.Options{}))
+	res := schedule(g, core.Weights(g, core.Options{}))
 	var b strings.Builder
 	b.WriteString("Figure 5: balanced schedule of the Figure 4 code DAG\n")
 	for i, in := range res.Order {

@@ -60,6 +60,9 @@ type Runner struct {
 	Degradations []compile.Event
 
 	compiled map[string]*pipeline.ProgramResult
+	// parent is the runner this one was derived from; it receives every
+	// degradation this one records.
+	parent *Runner
 }
 
 // DefaultRunner returns the paper's configuration.
@@ -131,7 +134,9 @@ func (r *Runner) Compile(prog *ir.Program, kind SchedulerKind) *pipeline.Program
 		// The workloads are trusted inputs; a hard error here is a bug.
 		panic(fmt.Sprintf("experiments: compile %s: %v", key, err))
 	}
-	r.Degradations = append(r.Degradations, hardened.Degradations...)
+	for p := r; p != nil; p = p.parent {
+		p.Degradations = append(p.Degradations, hardened.Degradations...)
+	}
 	res := hardened.Pipeline()
 	r.compiled[key] = res
 	return res

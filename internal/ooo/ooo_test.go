@@ -53,8 +53,8 @@ func TestWideWindowReachesDataflowBound(t *testing.T) {
 	mem := memlat.Fixed{Latency: 4}
 	// Critical path: L0(4) -> L1(4) -> X4(1) = 9 cycles; issue width 1
 	// forces at least 7 issue cycles. Expected runtime 9-10.
-	for _, w := range []sched.Weighter{sched.Traditional(1), sched.Traditional(5), sched.Balanced(core.Options{})} {
-		res := sched.Schedule(g, w)
+	for _, w := range [][]float64{sched.TraditionalWeights(g, 1), sched.TraditionalWeights(g, 5), core.Weights(g, core.Options{})} {
+		res, _ := sched.Schedule(g, w, sched.Heuristics{}, nil)
 		o := Run(res.Order, Config{Window: 64}, mem, rng())
 		if o.Cycles > 10 {
 			t.Errorf("wide-window runtime %d exceeds dataflow bound", o.Cycles)
@@ -71,11 +71,11 @@ func TestSchedulesConvergeUnderWideWindow(t *testing.T) {
 	l := paperdag.Figure1()
 	g := deps.Build(l.Block, deps.BuildOptions{})
 	mem := memlat.Fixed{Latency: 3}
-	cycles := func(cfg Config, w sched.Weighter) int {
-		res := sched.Schedule(g, w)
+	cycles := func(cfg Config, w []float64) int {
+		res, _ := sched.Schedule(g, w, sched.Heuristics{}, nil)
 		return Run(res.Order, cfg, mem, rng()).Cycles
 	}
-	weighters := []sched.Weighter{sched.Traditional(1), sched.Traditional(5), sched.Balanced(core.Options{})}
+	weighters := [][]float64{sched.TraditionalWeights(g, 1), sched.TraditionalWeights(g, 5), core.Weights(g, core.Options{})}
 	// W=1: balanced strictly beats both (Figure 3 at latency 3).
 	narrow := Config{Window: 1}
 	if !(cycles(narrow, weighters[2]) < cycles(narrow, weighters[0]) &&

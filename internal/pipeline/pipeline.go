@@ -1,7 +1,8 @@
-// Package pipeline drives the compiler flow the paper embeds its schedulers
-// in (§4.1): instruction scheduling runs both before and after register
-// allocation, with the second pass integrating spill code into the final
-// schedule under the false dependences allocation introduced.
+// Package pipeline holds the result types of the compiler flow the paper
+// embeds its schedulers in (§4.1): instruction scheduling runs both
+// before and after register allocation, with the second pass integrating
+// spill code into the final schedule under the false dependences
+// allocation introduced.
 //
 //	source block (virtual registers)
 //	  └─ build code DAG (alias oracle)
@@ -10,44 +11,16 @@
 //	  └─ build code DAG (now with physical-register anti/output deps)
 //	  └─ scheduling pass 2
 //	  └─ final schedule
+//
+// bsched/internal/compile drives that flow; its Result.Pipeline converts
+// to the types here, which the experiments and the benchmark read.
 package pipeline
 
 import (
-	"fmt"
-
-	"bsched/internal/core"
-	"bsched/internal/deps"
 	"bsched/internal/ir"
 	"bsched/internal/regalloc"
 	"bsched/internal/sched"
 )
-
-// Options configures a compilation.
-type Options struct {
-	// Weighter supplies the scheduling weights; it distinguishes the
-	// traditional from the balanced compiler. Required.
-	Weighter sched.Weighter
-	// Alias selects the memory disambiguation mode (§4.2). The default,
-	// AliasDisjoint, models the paper's Fortran semantics.
-	Alias deps.AliasMode
-	// Regalloc sizes the register file. Zero value → regalloc.DefaultConfig.
-	Regalloc regalloc.Config
-	// SkipRegalloc compiles with scheduling pass 1 only, leaving virtual
-	// registers in place. The figure-level experiments use this to study
-	// pure scheduling behaviour.
-	SkipRegalloc bool
-	// Heuristics toggles the scheduler's tie-break heuristics (ablation
-	// A9). Zero value enables all of them.
-	Heuristics sched.Heuristics
-	// Allocator selects the register allocation backend (ablation A13).
-	Allocator AllocatorKind
-	// SkipPass2 leaves the post-allocation code order as allocation
-	// produced it (spill code unscheduled). GCC schedules twice because
-	// "the second scheduling pass serves to integrate these additional
-	// instructions into the final schedule" (§4.1); ablation A15 measures
-	// how much that matters.
-	SkipPass2 bool
-}
 
 // AllocatorKind selects a register allocation backend.
 type AllocatorKind int
@@ -69,13 +42,6 @@ func (k AllocatorKind) String() string {
 	return "local"
 }
 
-func (o Options) regallocConfig() regalloc.Config {
-	if o.Regalloc == (regalloc.Config{}) {
-		return regalloc.DefaultConfig()
-	}
-	return o.Regalloc
-}
-
 // BlockResult is the compilation outcome for one block.
 type BlockResult struct {
 	// Block is the final scheduled block. Its instructions are clones;
@@ -84,7 +50,7 @@ type BlockResult struct {
 	// Spill reports register-allocator activity.
 	Spill regalloc.Stats
 	// Pass1 and Pass2 are the scheduling results (Pass2 nil when
-	// SkipRegalloc is set).
+	// SkipRegalloc or SkipPass2 is set).
 	Pass1, Pass2 *sched.Result
 }
 
@@ -97,43 +63,6 @@ func (r *BlockResult) SpillInstrs() int {
 		}
 	}
 	return n
-}
-
-// CompileBlock compiles one basic block.
-func CompileBlock(b *ir.Block, opts Options) (*BlockResult, error) {
-	if opts.Weighter == nil {
-		return nil, fmt.Errorf("pipeline: no Weighter")
-	}
-	work := b.Clone()
-	ir.Renumber(work)
-	buildOpts := deps.BuildOptions{Alias: opts.Alias}
-
-	scheduled, pass1 := sched.ScheduleBlockWith(work, buildOpts, opts.Weighter, opts.Heuristics)
-	res := &BlockResult{Pass1: pass1}
-	if opts.SkipRegalloc {
-		res.Block = scheduled
-		return res, nil
-	}
-
-	ir.Renumber(scheduled)
-	alloc := regalloc.Run
-	if opts.Allocator == AllocColoring {
-		alloc = regalloc.RunColoring
-	}
-	spill, err := alloc(scheduled, opts.regallocConfig())
-	if err != nil {
-		return nil, fmt.Errorf("pipeline: block %s: %w", b.Label, err)
-	}
-	res.Spill = spill
-
-	if opts.SkipPass2 {
-		res.Block = scheduled
-		return res, nil
-	}
-	final, pass2 := sched.ScheduleBlockWith(scheduled, buildOpts, opts.Weighter, opts.Heuristics)
-	res.Block = final
-	res.Pass2 = pass2
-	return res, nil
 }
 
 // ProgramResult is the compilation outcome for a whole program.
@@ -170,34 +99,4 @@ func (r *ProgramResult) SpillPct() float64 {
 		return 0
 	}
 	return r.WeightedSpills() / ins * 100
-}
-
-// CompileProgram compiles every block of the program.
-func CompileProgram(p *ir.Program, opts Options) (*ProgramResult, error) {
-	out := &ProgramResult{Program: &ir.Program{Name: p.Name}}
-	for _, f := range p.Funcs {
-		nf := &ir.Func{Name: f.Name}
-		for _, b := range f.Blocks {
-			br, err := CompileBlock(b, opts)
-			if err != nil {
-				return nil, err
-			}
-			out.Blocks = append(out.Blocks, br)
-			nf.Blocks = append(nf.Blocks, br.Block)
-		}
-		out.Program.Funcs = append(out.Program.Funcs, nf)
-	}
-	return out, nil
-}
-
-// Traditional returns Options for the traditional compiler at the given
-// optimistic load latency.
-func Traditional(loadLatency float64) Options {
-	return Options{Weighter: sched.Traditional(loadLatency)}
-}
-
-// Balanced returns Options for the balanced compiler with default
-// algorithm settings (loads only, exact DP Chances, single-issue slots).
-func Balanced() Options {
-	return Options{Weighter: sched.Balanced(core.Options{})}
 }

@@ -1,23 +1,54 @@
-package pipeline
+package pipeline_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
 
+	"bsched/internal/compile"
 	"bsched/internal/deps"
 	"bsched/internal/interp"
 	"bsched/internal/ir"
+	"bsched/internal/pipeline"
 	"bsched/internal/regalloc"
 	"bsched/internal/sched"
 	"bsched/internal/workload"
 )
 
+// balanced and trad are the paper's two compilers, the traditional one
+// at a given optimistic load latency.
+var balanced = compile.Options{}
+
+func trad(lat float64) compile.Options {
+	return compile.Options{Policy: sched.PolicyTraditional, TradLatency: lat}
+}
+
+// compileProgram compiles through the driver and converts the result to
+// this package's types.
+func compileProgram(p *ir.Program, opts compile.Options) (*pipeline.ProgramResult, error) {
+	res, err := compile.Run(context.Background(), p, opts)
+	if err != nil {
+		return nil, err
+	}
+	return res.Pipeline(), nil
+}
+
+// compileBlock is compileProgram for a one-block program.
+func compileBlock(b *ir.Block, opts compile.Options) (*pipeline.BlockResult, error) {
+	p := &ir.Program{Name: "p", Funcs: []*ir.Func{{Name: "f", Blocks: []*ir.Block{b}}}}
+	res, err := compileProgram(p, opts)
+	if err != nil {
+		return nil, err
+	}
+	return res.Blocks[0], nil
+}
+
 func TestCompileBlockEndToEnd(t *testing.T) {
 	blk := workload.Saxpy("sx", 3, 4)
-	res, err := CompileBlock(blk, Traditional(2))
+	res, err := compileBlock(blk, trad(2))
 	if err != nil {
-		t.Fatalf("CompileBlock: %v", err)
+		t.Fatalf("compile: %v", err)
 	}
 	if res.Pass1 == nil || res.Pass2 == nil {
 		t.Fatalf("missing pass results")
@@ -52,19 +83,19 @@ func TestCompilePreservesSemantics(t *testing.T) {
 		if err != nil {
 			t.Fatalf("interp: %v", err)
 		}
-		coloring := Balanced()
-		coloring.Allocator = AllocColoring
-		tradColoring := Traditional(2)
-		tradColoring.Allocator = AllocColoring
-		for name, opts := range map[string]Options{
-			"trad2":         Traditional(2),
-			"trad30":        Traditional(30),
-			"bal":           Balanced(),
+		coloring := balanced
+		coloring.Allocator = pipeline.AllocColoring
+		tradColoring := trad(2)
+		tradColoring.Allocator = pipeline.AllocColoring
+		for name, opts := range map[string]compile.Options{
+			"trad2":         trad(2),
+			"trad30":        trad(30),
+			"bal":           balanced,
 			"bal/coloring":  coloring,
 			"trad/coloring": tradColoring,
 		} {
 			opts.Regalloc = regalloc.Config{Regs: 12, SpillPool: 3}
-			res, err := CompileBlock(blk, opts)
+			res, err := compileBlock(blk, opts)
 			if err != nil {
 				t.Fatalf("trial %d/%s: %v", trial, name, err)
 			}
@@ -82,9 +113,11 @@ func TestCompilePreservesSemantics(t *testing.T) {
 
 func TestSkipRegalloc(t *testing.T) {
 	blk := workload.Dot("d", 1, 2)
-	res, err := CompileBlock(blk, Options{Weighter: sched.Traditional(2), SkipRegalloc: true})
+	opts := trad(2)
+	opts.SkipRegalloc = true
+	res, err := compileBlock(blk, opts)
 	if err != nil {
-		t.Fatalf("CompileBlock: %v", err)
+		t.Fatalf("compile: %v", err)
 	}
 	if res.Pass2 != nil {
 		t.Errorf("pass 2 should be skipped")
@@ -100,17 +133,11 @@ func TestSkipRegalloc(t *testing.T) {
 	}
 }
 
-func TestMissingWeighterRejected(t *testing.T) {
-	if _, err := CompileBlock(&ir.Block{Label: "x"}, Options{}); err == nil {
-		t.Fatalf("nil weighter accepted")
-	}
-}
-
 func TestCompileProgramAggregates(t *testing.T) {
 	prog := workload.Benchmark("ADM")
-	res, err := CompileProgram(prog, Balanced())
+	res, err := compileProgram(prog, balanced)
 	if err != nil {
-		t.Fatalf("CompileProgram: %v", err)
+		t.Fatalf("compile: %v", err)
 	}
 	if len(res.Blocks) != len(prog.Blocks()) {
 		t.Fatalf("block count mismatch")
@@ -139,10 +166,9 @@ func TestCompileProgramAggregates(t *testing.T) {
 func TestSpillCodeGrowsWithOptimisticLatency(t *testing.T) {
 	blk := workload.MDForce("md", 1, 4)
 	spills := func(lat float64) int {
-		res, err := CompileBlock(blk, Options{
-			Weighter: sched.Traditional(lat),
-			Regalloc: regalloc.Config{Regs: 16, SpillPool: 3},
-		})
+		opts := trad(lat)
+		opts.Regalloc = regalloc.Config{Regs: 16, SpillPool: 3}
+		res, err := compileBlock(blk, opts)
 		if err != nil {
 			t.Fatalf("compile@%g: %v", lat, err)
 		}
@@ -164,17 +190,19 @@ func TestSecondPassRespectsAllocation(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	for trial := 0; trial < 10; trial++ {
 		blk := workload.Random(rng, workload.DefaultRandomParams(40))
-		res, err := CompileBlock(blk, Options{
-			Weighter: sched.Traditional(5),
-			Regalloc: regalloc.Config{Regs: 10, SpillPool: 3},
-		})
+		opts := trad(5)
+		opts.Regalloc = regalloc.Config{Regs: 10, SpillPool: 3}
+		res, err := compileBlock(blk, opts)
 		if err != nil {
 			t.Fatalf("compile: %v", err)
 		}
 		// Re-run pass 2 independently: schedule the allocated block again
 		// and compare semantics.
 		g := deps.Build(res.Block, deps.BuildOptions{})
-		re := sched.Schedule(g, sched.Traditional(5))
+		re, err := sched.Schedule(g, sched.TraditionalWeights(g, 5), sched.Heuristics{}, nil)
+		if err != nil {
+			t.Fatalf("schedule: %v", err)
+		}
 		a, _ := interp.Run(res.Block.Instrs, nil)
 		b, err := interp.Run(re.Order, nil)
 		if err != nil {
@@ -189,8 +217,8 @@ func TestSecondPassRespectsAllocation(t *testing.T) {
 func TestAllBenchmarksCompile(t *testing.T) {
 	for _, name := range workload.BenchmarkNames() {
 		prog := workload.Benchmark(name)
-		for kind, opts := range map[string]Options{"trad": Traditional(2), "bal": Balanced()} {
-			res, err := CompileProgram(prog, opts)
+		for kind, opts := range map[string]compile.Options{"trad": trad(2), "bal": balanced} {
+			res, err := compileProgram(prog, opts)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, kind, err)
 			}
@@ -205,11 +233,11 @@ func TestAllBenchmarksCompile(t *testing.T) {
 
 func TestDeterministicCompilation(t *testing.T) {
 	blk := workload.FFT("f", 1, 4)
-	a, err := CompileBlock(blk, Balanced())
+	a, err := compileBlock(blk, balanced)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := CompileBlock(blk, Balanced())
+	b, err := compileBlock(blk, balanced)
 	if err != nil {
 		t.Fatal(err)
 	}

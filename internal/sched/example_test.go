@@ -24,13 +24,13 @@ func ExampleSchedule() {
 	`)
 	g := deps.Build(block, deps.BuildOptions{})
 	for _, w := range []struct {
-		name string
-		fn   sched.Weighter
+		name    string
+		weights []float64
 	}{
-		{"traditional(5)", sched.Traditional(5)},
-		{"balanced      ", sched.Balanced(core.Options{})},
+		{"traditional(5)", sched.TraditionalWeights(g, 5)},
+		{"balanced      ", core.Weights(g, core.Options{})},
 	} {
-		res := sched.Schedule(g, w.fn)
+		res, _ := sched.Schedule(g, w.weights, sched.Heuristics{}, nil) // a nil budget never trips
 		fmt.Printf("%s:", w.name)
 		for _, in := range res.Order {
 			fmt.Printf(" %v", in.Dst)

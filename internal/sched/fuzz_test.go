@@ -47,8 +47,7 @@ func FuzzPolicySchedule(f *testing.F) {
 				if len(w) != n {
 					t.Fatalf("%s: %d weights for %d nodes", name, len(w), n)
 				}
-				res, err := ScheduleBudgeted(g, func(*deps.Graph) []float64 { return w },
-					Heuristics{}, budget.New(context.Background(), 1<<20))
+				res, err := Schedule(g, w, Heuristics{}, budget.New(context.Background(), 1<<20))
 				if err != nil {
 					continue
 				}

@@ -73,20 +73,6 @@ func PolicyNames() []string {
 	return names
 }
 
-// PolicyWeighter adapts a policy to the Weighter seam with an unlimited
-// budget, for callers (tools, tests, the differential harness) outside
-// the budgeted compile path. A nil budget cannot trip, so an error from
-// the policy is a programmer error and panics, mirroring Schedule.
-func PolicyWeighter(p Policy, cfg PolicyConfig) Weighter {
-	return func(g *deps.Graph) []float64 {
-		w, err := p.Weights(g, cfg, nil)
-		if err != nil {
-			panic("sched: unbudgeted policy weights failed: " + err.Error())
-		}
-		return w
-	}
-}
-
 // DecisionRuleVersion names the static decision rule's revision. It is
 // folded into the options fingerprint of "auto" requests, so changing
 // the rule re-keys every cached auto-selected schedule (a cached pick
@@ -137,7 +123,7 @@ func init() {
 		name: PolicyTraditional,
 		desc: "fixed-latency baseline: one constant latency per load (the cache hit time), 1 for everything else",
 		weights: func(g *deps.Graph, cfg PolicyConfig, _ *budget.Budget) ([]float64, error) {
-			return Traditional(cfg.tradLatency())(g), nil
+			return TraditionalWeights(g, cfg.tradLatency()), nil
 		},
 	}, {
 		name: PolicyAverage,

@@ -8,14 +8,16 @@ package policytest
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"bsched/internal/compile"
 	"bsched/internal/deps"
 	"bsched/internal/paperdag"
-	"bsched/internal/pipeline"
 	"bsched/internal/sched"
 	"bsched/internal/sched/features"
 )
@@ -28,7 +30,11 @@ func TestPolicyDependencySafety(t *testing.T) {
 		g := deps.Build(c.Build(), deps.BuildOptions{})
 		for _, name := range sched.PolicyNames() {
 			p, _ := sched.PolicyByName(name)
-			res := sched.Schedule(g, sched.PolicyWeighter(p, sched.PolicyConfig{}))
+			w, err := p.Weights(g, sched.PolicyConfig{}, nil)
+			if err != nil {
+				t.Fatalf("%s/%s: unbudgeted weights: %v", c.Name, name, err)
+			}
+			res, _ := sched.Schedule(g, w, sched.Heuristics{}, nil)
 			if err := CheckSchedule(g, res); err != nil {
 				t.Errorf("%s/%s: %v", c.Name, name, err)
 			}
@@ -106,14 +112,13 @@ func TestDecisionRuleRegret(t *testing.T) {
 
 // TestBalancedPolicyGolden pins the compatibility anchor two ways.
 // First, registry "balanced" reproduces the paper's figure schedules
-// exactly (the same pins sched's own tests hold for the legacy
-// Weighter). Second, across the whole corpus the forced "balanced"
-// policy through the hardened front door is byte-identical to the raw
-// balanced pipeline, the reference that predates the portfolio — the
+// exactly (the same pins sched's own tests hold for core.Weights).
+// Second, across the whole corpus the forced "balanced" policy through
+// the compile driver is byte-identical to testdata/balanced.golden, the
+// output of the raw balanced pipeline that predates the portfolio — the
 // portfolio changes nothing it did not intend to.
 func TestBalancedPolicyGolden(t *testing.T) {
 	bal, _ := sched.PolicyByName(sched.PolicyBalanced)
-	w := sched.PolicyWeighter(bal, sched.PolicyConfig{})
 	goldens := []struct {
 		dag  *paperdag.Labeled
 		want []string
@@ -123,23 +128,29 @@ func TestBalancedPolicyGolden(t *testing.T) {
 	}
 	for _, gold := range goldens {
 		g := deps.Build(gold.dag.Block, deps.BuildOptions{})
-		res := sched.Schedule(g, w)
+		w, err := bal.Weights(g, sched.PolicyConfig{}, nil)
+		if err != nil {
+			t.Fatalf("%s: unbudgeted weights: %v", gold.dag.Block.Label, err)
+		}
+		res, _ := sched.Schedule(g, w, sched.Heuristics{}, nil)
 		if got := gold.dag.Sequence(res.Order); !reflect.DeepEqual(got, gold.want) {
 			t.Errorf("%s: balanced policy schedule %v, want %v", gold.dag.Block.Label, got, gold.want)
 		}
 	}
 
+	var out strings.Builder
 	for _, c := range Corpus() {
-		legacy, err := pipeline.CompileBlock(c.Build(), pipeline.Balanced())
-		if err != nil {
-			t.Fatalf("%s pipeline: %v", c.Name, err)
-		}
 		forced, err := compile.RunBlock(context.Background(), c.Build(), compile.Options{Policy: sched.PolicyBalanced})
 		if err != nil {
 			t.Fatalf("%s forced: %v", c.Name, err)
 		}
-		if got, want := forced.Block.String(), legacy.Block.String(); got != want {
-			t.Errorf("%s: forced balanced differs from the raw pipeline:\n%s\nvs\n%s", c.Name, got, want)
-		}
+		fmt.Fprintf(&out, "# %s\n%s", c.Name, forced.Block)
+	}
+	want, err := os.ReadFile("testdata/balanced.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := out.String(); got != string(want) {
+		t.Errorf("forced balanced differs from the raw pipeline's testdata/balanced.golden:\n%s", got)
 	}
 }

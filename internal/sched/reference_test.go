@@ -35,21 +35,21 @@ func refUses(in *ir.Instr) []ir.Reg {
 	return out
 }
 
-// refScheduleBudgeted is ScheduleWith under a work budget: the selection
-// loop charges one unit per ready candidate considered per issue slot
-// (the quadratic term on wide blocks). When the budget or its context
-// trips, the partial schedule is discarded and the budget's error
-// returned; callers fall back to source order, which is always a valid
-// schedule (see bsched/internal/compile). A nil budget means unlimited.
+// refScheduleBudgeted is the list scheduler under a work budget: the
+// selection loop charges one unit per ready candidate considered per
+// issue slot (the quadratic term on wide blocks). When the budget or its
+// context trips, the partial schedule is discarded and the budget's
+// error returned; callers fall back to source order, which is always a
+// valid schedule (see bsched/internal/compile). A nil budget means
+// unlimited.
 //
 // Non-finite weights (NaN, ±Inf) are sanitized to 1 and weights above
-// maxWeight are clamped, so a hostile Weighter cannot wedge the slot
+// maxWeight are clamped, so hostile weights cannot wedge the slot
 // arithmetic.
-func refScheduleBudgeted(g *deps.Graph, weigh Weighter, h Heuristics, wb *budget.Budget) (*Result, error) {
+func refScheduleBudgeted(g *deps.Graph, weights []float64, h Heuristics, wb *budget.Budget) (*Result, error) {
 	n := g.N()
-	weights := weigh(g)
 	if len(weights) != n {
-		panic("sched: weighter returned wrong length")
+		panic("sched: weights of the wrong length")
 	}
 	for i, w := range weights {
 		if math.IsNaN(w) || math.IsInf(w, 0) {
@@ -250,11 +250,10 @@ type scheduleOutcome struct {
 	used int64
 }
 
-func runScheduler(schedule func(*deps.Graph, Weighter, Heuristics, *budget.Budget) (*Result, error),
+func runScheduler(schedule func(*deps.Graph, []float64, Heuristics, *budget.Budget) (*Result, error),
 	g *deps.Graph, weights []float64, h Heuristics, limit int64) scheduleOutcome {
 	wb := budget.New(context.Background(), limit)
-	weigh := func(*deps.Graph) []float64 { return append([]float64(nil), weights...) }
-	res, err := schedule(g, weigh, h, wb)
+	res, err := schedule(g, append([]float64(nil), weights...), h, wb)
 	out := scheduleOutcome{res: res, used: wb.Used()}
 	if err != nil {
 		out.err = err.Error()
@@ -276,7 +275,7 @@ func TestScheduleMatchesReference(t *testing.T) {
 	for i, b := range blocks {
 		for _, mode := range []deps.AliasMode{deps.AliasDisjoint, deps.AliasConservative} {
 			g := deps.Build(b, deps.BuildOptions{Alias: mode})
-			trad := Traditional(2)(g)
+			trad := TraditionalWeights(g, 2)
 			configs := []config{{trad, Heuristics{}}, {trad, Heuristics{NoPressureTie: true}}, {trad, Heuristics{NoExposeTie: true}}}
 			if mode == deps.AliasDisjoint {
 				configs = append(configs, config{core.Weights(g, core.Options{}), Heuristics{}})
@@ -292,7 +291,7 @@ func TestScheduleMatchesReference(t *testing.T) {
 					if limit > 0 {
 						want = runScheduler(refScheduleBudgeted, g, c.weights, c.h, limit)
 					}
-					got := runScheduler(ScheduleBudgeted, g, c.weights, c.h, limit)
+					got := runScheduler(Schedule, g, c.weights, c.h, limit)
 					if got.err != want.err || got.used != want.used {
 						t.Fatalf("%s (%v, config %d, limit %d): err %q used %d, reference err %q used %d",
 							names[i], mode, ci, limit, got.err, got.used, want.err, want.used)

@@ -2,7 +2,9 @@
 // and balanced schedulers (§4.1 of the paper).
 //
 // Both schedulers are the same list scheduler; they differ only in the
-// Weighter that assigns latency weights to instructions. The scheduler:
+// latency weights it is given: TraditionalWeights, the balanced weights
+// of bsched/internal/core, or any policy of the registry (policy.go).
+// The scheduler:
 //
 //   - defers adding an instruction to the ready list until each
 //     predecessor has exhausted its expected latency (latency-deferred
@@ -29,53 +31,31 @@ import (
 	"math"
 
 	"bsched/internal/budget"
-	"bsched/internal/core"
 	"bsched/internal/deps"
 	"bsched/internal/ir"
 )
 
-// Weighter assigns a latency weight to every node of a code DAG. A
-// consumer of node i's value must be scheduled at least weights[i] issue
-// slots after i.
-type Weighter func(g *deps.Graph) []float64
-
-// Fixed returns a Weighter that assigns latencyOf(instr) to every
-// instruction, honouring per-instruction KnownLatency overrides.
-func Fixed(latencyOf func(in *ir.Instr) float64) Weighter {
-	return func(g *deps.Graph) []float64 {
-		w := make([]float64, g.N())
-		for i := range w {
-			in := g.Instr(i)
-			if in.KnownLatency > 0 {
-				w[i] = in.KnownLatency
-			} else {
-				w[i] = latencyOf(in)
-			}
-		}
-		return w
-	}
-}
-
-// Traditional returns the traditional scheduler's Weighter: one constant,
-// implementation-defined latency for every load (e.g. the cache hit time),
-// weight 1 for everything else (§2). Fractional latencies such as 2.6 (an
-// effective access time) are allowed.
-func Traditional(loadLatency float64) Weighter {
+// TraditionalWeights is the traditional scheduler's weighting: one
+// constant, implementation-defined latency for every load (e.g. the cache
+// hit time), weight 1 for everything else (§2), honouring
+// per-instruction KnownLatency overrides. Fractional latencies such as
+// 2.6 (an effective access time) are allowed; one below 1 panics.
+func TraditionalWeights(g *deps.Graph, loadLatency float64) []float64 {
 	if loadLatency < 1 {
 		panic(fmt.Sprintf("sched: load latency %g < 1", loadLatency))
 	}
-	return Fixed(func(in *ir.Instr) float64 {
-		if in.Op.IsLoad() {
-			return loadLatency
+	w := make([]float64, g.N())
+	for i := range w {
+		switch in := g.Instr(i); {
+		case in.KnownLatency > 0:
+			w[i] = in.KnownLatency
+		case in.Op.IsLoad():
+			w[i] = loadLatency
+		default:
+			w[i] = 1
 		}
-		return 1
-	})
-}
-
-// Balanced returns the balanced scheduler's Weighter (the paper's
-// contribution; see bsched/internal/core).
-func Balanced(opts core.Options) Weighter {
-	return func(g *deps.Graph) []float64 { return core.Weights(g, opts) }
+	}
+	return w
 }
 
 // Result is a produced schedule.
@@ -108,43 +88,30 @@ type Heuristics struct {
 	NoExposeTie bool
 }
 
-// Schedule list-schedules the code DAG g using the given Weighter with
-// all heuristics enabled.
-func Schedule(g *deps.Graph, weigh Weighter) *Result {
-	return ScheduleWith(g, weigh, Heuristics{})
-}
-
-// ScheduleWith list-schedules with explicit heuristic toggles.
-func ScheduleWith(g *deps.Graph, weigh Weighter, h Heuristics) *Result {
-	res, err := ScheduleBudgeted(g, weigh, h, nil)
-	if err != nil {
-		// A nil budget never trips; this branch is unreachable.
-		panic("sched: unbudgeted schedule failed: " + err.Error())
-	}
-	return res
-}
-
 // maxWeight caps the latency weight a single instruction may carry.
 // Hostile inputs (e.g. "!lat=1e300") must not be able to push issue slots
 // anywhere near integer overflow; 1e12 slots is already ~16 minutes of
 // simulated time on a GHz machine, far beyond any sane schedule.
 const maxWeight = 1e12
 
-// ScheduleBudgeted is ScheduleWith under a work budget: the selection
-// loop charges one unit per ready candidate considered per issue slot
-// (the quadratic term on wide blocks). When the budget or its context
-// trips, the partial schedule is discarded and the budget's error
-// returned; callers fall back to source order, which is always a valid
-// schedule (see bsched/internal/compile). A nil budget means unlimited.
+// Schedule list-schedules the code DAG g under the given latency weights,
+// one per node (a consumer of node i's value issues at least weights[i]
+// slots after i), and heuristic toggles, within a work budget: the
+// selection loop charges one unit per ready candidate considered per
+// issue slot (the quadratic term on wide blocks). When the budget or its
+// context trips, the partial schedule is discarded and the budget's
+// error returned; callers fall back to source order, which is always a
+// valid schedule (see bsched/internal/compile). A nil budget never
+// trips, so with it the error is always nil.
 //
-// Non-finite weights (NaN, ±Inf) are sanitized to 1 and weights above
-// maxWeight are clamped, so a hostile Weighter cannot wedge the slot
-// arithmetic.
-func ScheduleBudgeted(g *deps.Graph, weigh Weighter, h Heuristics, wb *budget.Budget) (*Result, error) {
+// Non-finite weights (NaN, ±Inf) are set to 1 and weights above
+// maxWeight are clamped, in place: the caller's slice becomes
+// Result.Weights. So hostile weights cannot wedge the slot arithmetic.
+// A slice of the wrong length panics.
+func Schedule(g *deps.Graph, weights []float64, h Heuristics, wb *budget.Budget) (*Result, error) {
 	n := g.N()
-	weights := weigh(g)
 	if len(weights) != n {
-		panic("sched: weighter returned wrong length")
+		panic(fmt.Sprintf("sched: %d weights for %d nodes", len(weights), n))
 	}
 	for i, w := range weights {
 		if math.IsNaN(w) || math.IsInf(w, 0) {
@@ -338,26 +305,6 @@ func priorities(g *deps.Graph, weights []float64) []float64 {
 		prio[i] = weights[i] + m
 	}
 	return prio
-}
-
-// ScheduleBlock builds the DAG for b, schedules it with the Weighter and
-// returns a new block (sharing instruction pointers) in scheduled order,
-// along with the scheduling result.
-func ScheduleBlock(b *ir.Block, opts deps.BuildOptions, weigh Weighter) (*ir.Block, *Result) {
-	return ScheduleBlockWith(b, opts, weigh, Heuristics{})
-}
-
-// ScheduleBlockWith is ScheduleBlock with explicit heuristic toggles.
-func ScheduleBlockWith(b *ir.Block, opts deps.BuildOptions, weigh Weighter, h Heuristics) (*ir.Block, *Result) {
-	g := deps.Build(b, opts)
-	res := ScheduleWith(g, weigh, h)
-	nb := &ir.Block{
-		Label:   b.Label,
-		Freq:    b.Freq,
-		Instrs:  res.Order,
-		LiveOut: b.LiveOut,
-	}
-	return nb, res
 }
 
 // CriticalPath returns the schedule-independent lower bound on block

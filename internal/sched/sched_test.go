@@ -10,10 +10,41 @@ import (
 	"bsched/internal/paperdag"
 )
 
-func scheduleNames(t *testing.T, l *paperdag.Labeled, w Weighter) ([]string, *Result) {
+// weighting computes one scheduler's latency weights for a code DAG.
+type weighting func(g *deps.Graph) []float64
+
+func traditional(lat float64) weighting {
+	return func(g *deps.Graph) []float64 { return TraditionalWeights(g, lat) }
+}
+
+func balanced(opts core.Options) weighting {
+	return func(g *deps.Graph) []float64 { return core.Weights(g, opts) }
+}
+
+// registered weights with the named policy at its default configuration.
+func registered(name string) weighting {
+	return func(g *deps.Graph) []float64 {
+		w, err := policyReg[name].Weights(g, PolicyConfig{}, nil)
+		if err != nil {
+			panic(err) // a nil budget never trips
+		}
+		return w
+	}
+}
+
+// schedule list-schedules g under w with every heuristic and no budget.
+func schedule(g *deps.Graph, w weighting) *Result {
+	res, err := Schedule(g, w(g), Heuristics{}, nil)
+	if err != nil {
+		panic(err) // a nil budget never trips
+	}
+	return res
+}
+
+func scheduleNames(t *testing.T, l *paperdag.Labeled, w weighting) ([]string, *Result) {
 	t.Helper()
 	g := deps.Build(l.Block, deps.BuildOptions{})
-	res := Schedule(g, w)
+	res := schedule(g, w)
 	if len(res.Order) != len(l.Block.Instrs) {
 		t.Fatalf("scheduled %d of %d instructions", len(res.Order), len(l.Block.Instrs))
 	}
@@ -23,7 +54,7 @@ func scheduleNames(t *testing.T, l *paperdag.Labeled, w Weighter) ([]string, *Re
 // TestFigure2a: the traditional scheduler with load weight 5 produces the
 // greedy schedule of Figure 2a: L0 X0 X1 X2 X3 L1 X4.
 func TestFigure2a(t *testing.T) {
-	got, _ := scheduleNames(t, paperdag.Figure1(), Traditional(5))
+	got, _ := scheduleNames(t, paperdag.Figure1(), traditional(5))
 	want := []string{"L0", "X0", "X1", "X2", "X3", "L1", "X4"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("schedule = %v, want %v", got, want)
@@ -33,7 +64,7 @@ func TestFigure2a(t *testing.T) {
 // TestFigure2b: the traditional scheduler with load weight 1 produces the
 // lazy schedule of Figure 2b: L0 L1 X0 X1 X2 X3 X4.
 func TestFigure2b(t *testing.T) {
-	got, _ := scheduleNames(t, paperdag.Figure1(), Traditional(1))
+	got, _ := scheduleNames(t, paperdag.Figure1(), traditional(1))
 	want := []string{"L0", "L1", "X0", "X1", "X2", "X3", "X4"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("schedule = %v, want %v", got, want)
@@ -43,7 +74,7 @@ func TestFigure2b(t *testing.T) {
 // TestFigure2c: the balanced scheduler (weight 3 for both loads) produces
 // the schedule of Figure 2c: L0 X0 X1 L1 X2 X3 X4, with no starvation.
 func TestFigure2c(t *testing.T) {
-	got, res := scheduleNames(t, paperdag.Figure1(), Balanced(core.Options{}))
+	got, res := scheduleNames(t, paperdag.Figure1(), balanced(core.Options{}))
 	want := []string{"L0", "X0", "X1", "L1", "X2", "X3", "X4"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("schedule = %v, want %v", got, want)
@@ -56,7 +87,7 @@ func TestFigure2c(t *testing.T) {
 // TestFigure5: the balanced scheduler on the Figure 4 DAG produces
 // Figure 5's schedule: L0 L1 X0 X1 X2 X3 X4.
 func TestFigure5(t *testing.T) {
-	got, _ := scheduleNames(t, paperdag.Figure4(), Balanced(core.Options{}))
+	got, _ := scheduleNames(t, paperdag.Figure4(), balanced(core.Options{}))
 	want := []string{"L0", "L1", "X0", "X1", "X2", "X3", "X4"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("schedule = %v, want %v", got, want)
@@ -68,7 +99,7 @@ func TestFigure5(t *testing.T) {
 func TestVirtualNoOps(t *testing.T) {
 	l := paperdag.Figure1()
 	g := deps.Build(l.Block, deps.BuildOptions{})
-	res := Schedule(g, Traditional(5))
+	res := schedule(g, traditional(5))
 	if res.VNops != 4 {
 		t.Errorf("VNops = %d, want 4", res.VNops)
 	}
@@ -83,7 +114,7 @@ func TestVirtualNoOps(t *testing.T) {
 func TestPriorities(t *testing.T) {
 	l := paperdag.Figure1()
 	g := deps.Build(l.Block, deps.BuildOptions{})
-	res := Schedule(g, Traditional(5))
+	res := schedule(g, traditional(5))
 	byName := map[string]float64{}
 	for i, in := range l.Block.Instrs {
 		byName[l.Name(in)] = res.Priorities[i]
@@ -100,16 +131,16 @@ func TestPriorities(t *testing.T) {
 // weighting — each instruction appears exactly once and never before a
 // DAG predecessor.
 func TestScheduleRespectsDependences(t *testing.T) {
-	weighters := map[string]Weighter{
-		"trad1":    Traditional(1),
-		"trad5":    Traditional(5),
-		"balanced": Balanced(core.Options{}),
-		"average":  PolicyWeighter(policyReg[PolicyAverage], PolicyConfig{}),
+	weighters := map[string]weighting{
+		"trad1":    traditional(1),
+		"trad5":    traditional(5),
+		"balanced": balanced(core.Options{}),
+		"average":  registered(PolicyAverage),
 	}
 	for _, l := range []*paperdag.Labeled{paperdag.Figure1(), paperdag.Figure4(), paperdag.Figure7()} {
 		g := deps.Build(l.Block, deps.BuildOptions{})
 		for wn, w := range weighters {
-			res := Schedule(g, w)
+			res := schedule(g, w)
 			pos := make(map[int]int)
 			for k, node := range res.Perm {
 				if _, dup := pos[node]; dup {
@@ -143,7 +174,7 @@ func TestFractionalLatency(t *testing.T) {
 		v4 = addi v0, 1
 	`)
 	g := deps.Build(b, deps.BuildOptions{})
-	res := Schedule(g, Traditional(2.6))
+	res := schedule(g, traditional(2.6))
 	// The consumer of the load must sit at least ceil(2.6)=3 slots after
 	// it (the load issues first, at slot 0).
 	for k, in := range res.Order {
@@ -153,20 +184,6 @@ func TestFractionalLatency(t *testing.T) {
 	}
 	if res.VNops != 0 {
 		t.Errorf("unexpected starvation: %d vnops", res.VNops)
-	}
-}
-
-// TestScheduleBlockPreservesMetadata: label, freq and liveout carry over.
-func TestScheduleBlockPreservesMetadata(t *testing.T) {
-	b := ir.MustParseBlock(`
-		block k freq=42
-		liveout v0
-		v0 = load a[0]
-		end
-	`)
-	nb, _ := ScheduleBlock(b, deps.BuildOptions{}, Traditional(2))
-	if nb.Label != "k" || nb.Freq != 42 || len(nb.LiveOut) != 1 {
-		t.Errorf("metadata lost: %+v", nb)
 	}
 }
 
@@ -182,8 +199,8 @@ func TestTerminatorStaysLast(t *testing.T) {
 		end
 	`)
 	g := deps.Build(b, deps.BuildOptions{})
-	for _, w := range []Weighter{Traditional(1), Traditional(10), Balanced(core.Options{})} {
-		res := Schedule(g, w)
+	for _, w := range []weighting{traditional(1), traditional(10), balanced(core.Options{})} {
+		res := schedule(g, w)
 		if last := res.Order[len(res.Order)-1]; last.Op != ir.OpBr {
 			t.Errorf("terminator not last: %v", last)
 		}
@@ -193,7 +210,7 @@ func TestTerminatorStaysLast(t *testing.T) {
 // TestEmptySchedule: a zero-instruction block schedules to nothing.
 func TestEmptySchedule(t *testing.T) {
 	g := deps.Build(&ir.Block{Label: "e"}, deps.BuildOptions{})
-	res := Schedule(g, Traditional(2))
+	res := schedule(g, traditional(2))
 	if len(res.Order) != 0 || res.VNops != 0 {
 		t.Errorf("unexpected result: %+v", res)
 	}
@@ -204,10 +221,10 @@ func TestEmptySchedule(t *testing.T) {
 func TestCriticalPath(t *testing.T) {
 	l := paperdag.Figure1()
 	g := deps.Build(l.Block, deps.BuildOptions{})
-	if got := CriticalPath(g, Traditional(5)(g)); got != 11 {
+	if got := CriticalPath(g, TraditionalWeights(g, 5)); got != 11 {
 		t.Errorf("critical path = %g, want 11", got)
 	}
-	if got := CriticalPath(g, Balanced(core.Options{})(g)); got != 7 {
+	if got := CriticalPath(g, core.Weights(g, core.Options{})); got != 7 {
 		t.Errorf("balanced critical path = %g, want 7", got)
 	}
 }

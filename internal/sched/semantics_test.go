@@ -18,12 +18,12 @@ import (
 // for every register.
 func TestRandomSchedulesPreserveSemantics(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	weighters := map[string]Weighter{
-		"trad2":    Traditional(2),
-		"trad30":   Traditional(30),
-		"balanced": Balanced(core.Options{}),
-		"average":  PolicyWeighter(policyReg[PolicyAverage], PolicyConfig{}),
-		"ufchance": Balanced(core.Options{Chances: core.ChancesUnionFind}),
+	weighters := map[string]weighting{
+		"trad2":    traditional(2),
+		"trad30":   traditional(30),
+		"balanced": balanced(core.Options{}),
+		"average":  registered(PolicyAverage),
+		"ufchance": balanced(core.Options{Chances: core.ChancesUnionFind}),
 	}
 	for trial := 0; trial < 40; trial++ {
 		n := 8 + rng.Intn(60)
@@ -39,7 +39,8 @@ func TestRandomSchedulesPreserveSemantics(t *testing.T) {
 		regs := collectRegs(blk)
 		for wn, w := range weighters {
 			t.Run(fmt.Sprintf("t%d/%s", trial, wn), func(t *testing.T) {
-				nb, res := ScheduleBlock(blk, deps.BuildOptions{Alias: alias}, w)
+				res := schedule(deps.Build(blk, deps.BuildOptions{Alias: alias}), w)
+				nb := &ir.Block{Label: blk.Label, Instrs: res.Order}
 				if len(nb.Instrs) != len(blk.Instrs) {
 					t.Fatalf("lost instructions: %d vs %d", len(nb.Instrs), len(blk.Instrs))
 				}
@@ -83,9 +84,8 @@ func TestKernelSchedulesPreserveSemantics(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s(%d): %v", name, param, err)
 			}
-			for wn, w := range map[string]Weighter{"trad": Traditional(5), "bal": Balanced(core.Options{})} {
-				nb, _ := ScheduleBlock(blk, deps.BuildOptions{}, w)
-				got, err := interp.Run(nb.Instrs, nil)
+			for wn, w := range map[string]weighting{"trad": traditional(5), "bal": balanced(core.Options{})} {
+				got, err := interp.Run(schedule(deps.Build(blk, deps.BuildOptions{}), w).Order, nil)
 				if err != nil {
 					t.Fatalf("%s(%d)/%s: %v", name, param, wn, err)
 				}

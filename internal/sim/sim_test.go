@@ -19,14 +19,15 @@ func rng() *rand.Rand { return rand.New(rand.NewSource(1)) }
 func fig1Schedules(t *testing.T) map[string][]*ir.Instr {
 	t.Helper()
 	out := make(map[string][]*ir.Instr)
-	for name, w := range map[string]sched.Weighter{
-		"greedy":   sched.Traditional(5),
-		"lazy":     sched.Traditional(1),
-		"balanced": sched.Balanced(core.Options{}),
+	l := paperdag.Figure1()
+	g := deps.Build(l.Block, deps.BuildOptions{})
+	for name, w := range map[string][]float64{
+		"greedy":   sched.TraditionalWeights(g, 5),
+		"lazy":     sched.TraditionalWeights(g, 1),
+		"balanced": core.Weights(g, core.Options{}),
 	} {
-		l := paperdag.Figure1()
-		g := deps.Build(l.Block, deps.BuildOptions{})
-		out[name] = sched.Schedule(g, w).Order
+		res, _ := sched.Schedule(g, w, sched.Heuristics{}, nil)
+		out[name] = res.Order
 	}
 	return out
 }

@@ -67,12 +67,13 @@ func TestLivermoreSchedulesPreserveSemantics(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		for wn, w := range map[string]sched.Weighter{
-			"trad": sched.Traditional(5),
-			"bal":  sched.Balanced(core.Options{}),
+		g := deps.Build(blk, deps.BuildOptions{})
+		for wn, w := range map[string][]float64{
+			"trad": sched.TraditionalWeights(g, 5),
+			"bal":  core.Weights(g, core.Options{}),
 		} {
-			nb, _ := sched.ScheduleBlock(blk, deps.BuildOptions{}, w)
-			got, err := interp.Run(nb.Instrs, nil)
+			res, _ := sched.Schedule(g, w, sched.Heuristics{}, nil)
+			got, err := interp.Run(res.Order, nil)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, wn, err)
 			}
@@ -152,12 +153,13 @@ func TestIntKernelsSchedulePreservesSemantics(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		for wn, w := range map[string]sched.Weighter{
-			"trad": sched.Traditional(5),
-			"bal":  sched.Balanced(core.Options{}),
+		g := deps.Build(blk, deps.BuildOptions{})
+		for wn, w := range map[string][]float64{
+			"trad": sched.TraditionalWeights(g, 5),
+			"bal":  core.Weights(g, core.Options{}),
 		} {
-			nb, _ := sched.ScheduleBlock(blk, deps.BuildOptions{}, w)
-			got, err := interp.Run(nb.Instrs, nil)
+			res, _ := sched.Schedule(g, w, sched.Heuristics{}, nil)
+			got, err := interp.Run(res.Order, nil)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, wn, err)
 			}

@@ -20,7 +20,7 @@ import (
 // the process ends. The daemon prints its bound address on stdout.
 func startDaemon(t *testing.T, args ...string) (*exec.Cmd, string, <-chan error) {
 	t.Helper()
-	bin := buildTool(t, "bschedd")
+	bin := buildTool(t, "cmd/bschedd")
 	cmd := exec.Command(bin, append([]string{"-addr", "127.0.0.1:0"}, args...)...)
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
@@ -267,7 +267,7 @@ func TestBscheddRejectsBadConfig(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
 	}
-	bin := buildTool(t, "bschedd")
+	bin := buildTool(t, "cmd/bschedd")
 	for _, tc := range []struct {
 		name string
 		args []string
