@@ -6,6 +6,7 @@ import (
 
 	"bsched/internal/compile"
 	"bsched/internal/ir"
+	"bsched/internal/sched"
 )
 
 // TestScheduleBlockPreservesMetadata: a scheduling pass reorders the
@@ -17,7 +18,7 @@ func TestScheduleBlockPreservesMetadata(t *testing.T) {
 		v0 = load a[0]
 		end
 	`)
-	res, err := compile.RunBlock(context.Background(), b, compile.Options{Policy: "traditional", SkipRegalloc: true})
+	res, err := compile.RunBlock(context.Background(), b, compile.Options{Policy: sched.PolicyTraditional, SkipRegalloc: true})
 	if err != nil {
 		t.Fatal(err)
 	}
