@@ -12,13 +12,16 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"runtime"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"bsched/internal/compile"
+	"bsched/internal/engine"
 	"bsched/internal/ir"
 )
 
@@ -447,5 +450,133 @@ func TestBatchBadRequests(t *testing.T) {
 	}
 	if !sawError || !sawBlock {
 		t.Errorf("mixed batch stream incomplete: error=%v block=%v", sawError, sawBlock)
+	}
+}
+
+// readBatch posts a batch and reads its whole stream, through the done
+// frame.
+func readBatch(t *testing.T, url string, req BatchRequest) []BatchFrame {
+	t.Helper()
+	resp := postBatch(t, context.Background(), url, req)
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch status %d", resp.StatusCode)
+	}
+	rd := bufio.NewReader(resp.Body)
+	var frames []BatchFrame
+	for {
+		f := readFrame(t, rd)
+		frames = append(frames, f)
+		if f.Type == "done" {
+			return frames
+		}
+	}
+}
+
+// TestBatchMatchesCompile pins the batch endpoint to /v1/compile, whose
+// bytes are the reference. Each program goes once through a batch and
+// once through /v1/compile, each on a fresh server. A program that
+// compiles must stream the blocks the /v1/compile body carries (text,
+// summaries and degradations, in program order) and a trailer with the
+// same fingerprints; one that fails must stream an error frame with the
+// error, stage and block of the /v1/compile error body.
+func TestBatchMatchesCompile(t *testing.T) {
+	twoFunc := batchFunc("f", batchBlock("a", 1), batchBlock("b", 2)) + "\n" +
+		batchFunc("g", batchBlock("c", 3))
+	cases := []struct {
+		name   string
+		req    CompileRequest
+		status int
+	}{
+		{"demo", CompileRequest{Program: demoProgram}, http.StatusOK},
+		{"two-func", CompileRequest{Program: twoFunc}, http.StatusOK},
+		{"bad-options", CompileRequest{Program: demoProgram,
+			Options: RequestOptions{Scheduler: "quantum"}}, http.StatusBadRequest},
+		{"bad-priority", CompileRequest{Program: demoProgram, Priority: "urgent"}, http.StatusBadRequest},
+		{"parse-error", CompileRequest{Program: "block without func\n"}, http.StatusBadRequest},
+		{"regalloc", CompileRequest{Program: hardErrorProgram}, http.StatusUnprocessableEntity},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			_, ts := startServer(t, Config{})
+			status, want, wantErr := postCompile(t, ts.URL, c.req)
+			if status != c.status {
+				t.Fatalf("/v1/compile status %d, want %d (%+v)", status, c.status, wantErr)
+			}
+			_, bts := startServer(t, Config{})
+			frames := readBatch(t, bts.URL, BatchRequest{Programs: []CompileRequest{c.req}})
+
+			var blocks []*BatchFrame
+			var trailer, errFrame *BatchFrame
+			for i := range frames {
+				f := &frames[i]
+				switch f.Type {
+				case "block":
+					blocks = append(blocks, f)
+				case "program":
+					trailer = f
+				case "error":
+					errFrame = f
+				}
+			}
+			if wantErr != nil {
+				if errFrame == nil || trailer != nil {
+					t.Fatalf("batch streamed error %+v, trailer %+v; want only an error frame", errFrame, trailer)
+				}
+				got := ErrorResponse{Error: errFrame.Error, Stage: errFrame.Stage, Block: errFrame.BlockLabel}
+				if w := (ErrorResponse{Error: wantErr.Error, Stage: wantErr.Stage, Block: wantErr.Block}); got != w {
+					t.Errorf("batch error frame %+v, /v1/compile body %+v", got, w)
+				}
+				return
+			}
+			if errFrame != nil || trailer == nil {
+				t.Fatalf("batch streamed error %+v, trailer %+v; want a trailer and no error", errFrame, trailer)
+			}
+			if trailer.Fingerprint != want.Fingerprint || trailer.OptionsFingerprint != want.OptionsFingerprint {
+				t.Errorf("trailer fingerprints %s/%s, /v1/compile %s/%s", trailer.Fingerprint,
+					trailer.OptionsFingerprint, want.Fingerprint, want.OptionsFingerprint)
+			}
+			if len(blocks) != len(want.Blocks) {
+				t.Fatalf("batch streamed %d blocks, /v1/compile has %d", len(blocks), len(want.Blocks))
+			}
+			sort.Slice(blocks, func(i, j int) bool { return blocks[i].Index < blocks[j].Index })
+			var summaries []engine.BlockSummary
+			var degradations []engine.DegradationEvent
+			for i, f := range blocks {
+				if f.Index != i || f.Summary == nil {
+					t.Fatalf("block frame %d: index %d, summary %v", i, f.Index, f.Summary)
+				}
+				summaries = append(summaries, *f.Summary)
+				degradations = append(degradations, f.Degradations...)
+			}
+			if !reflect.DeepEqual(summaries, want.Blocks) {
+				t.Errorf("batch summaries %+v, /v1/compile %+v", summaries, want.Blocks)
+			}
+			if len(degradations) != len(want.Degradations) ||
+				(len(degradations) > 0 && !reflect.DeepEqual(degradations, want.Degradations)) {
+				t.Errorf("batch degradations %+v, /v1/compile %+v", degradations, want.Degradations)
+			}
+			// The /v1/compile text is the program's funcs around these
+			// block texts, in program order.
+			prog, err := ir.Parse(c.req.Program)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var text strings.Builder
+			i := 0
+			for fi, fn := range prog.Funcs {
+				if fi > 0 {
+					text.WriteByte('\n')
+				}
+				text.WriteString("func " + fn.Name + "\n")
+				for range fn.Blocks {
+					text.WriteString(blocks[i].Block)
+					i++
+				}
+			}
+			if text.String() != want.Program {
+				t.Errorf("batch blocks assemble to\n%s\n/v1/compile program\n%s", text.String(), want.Program)
+			}
+		})
 	}
 }
