@@ -56,6 +56,14 @@ const (
 	DefaultCacheShards = 16
 )
 
+// Stage labels the engine reports through Config.ObserveStage, beside
+// the compile.Stage* names it forwards from inside each compilation.
+const (
+	StageDisk    = "disk"    // persistent-cache probe after a memory miss
+	StageQueue   = "queue"   // enqueue → worker pickup wait
+	StageCompile = "compile" // the whole CompileFn call inside a worker
+)
+
 // ErrShutdown fails every Entry still queued when the engine closes.
 // The message is client-visible through the HTTP frontend, so it reads
 // as the daemon's, not the package's.
@@ -111,9 +119,8 @@ type Config struct {
 	// inert counters so the engine can run uninstrumented (tests).
 	DiskMetrics *DiskMetrics
 	// ObserveStage, when non-nil, receives per-stage latency samples for
-	// the stages the engine owns — "queue" (enqueue → worker pickup),
-	// "compile" (the whole CompileFn call) and "disk" (DiskGet) — and
-	// for the pipeline stages inside each compile (the compile.Stage*
+	// the stages the engine owns (StageDisk, StageQueue, StageCompile)
+	// and for the pipeline stages inside each compile (the compile.Stage*
 	// names), which the engine reads from compile.Options.SpanObserver.
 	ObserveStage func(stage string, d time.Duration)
 	// ObserveTier, when non-nil, receives worker-side compile time by
@@ -326,8 +333,8 @@ func (en *Engine) Install(key Key, resp *BlockResponse, persist bool) bool {
 	return true
 }
 
-// DiskGet probes the persistent layer for key, recording the "disk"
-// stage latency. It does not touch the memory cache: a leader holding a
+// DiskGet probes the persistent layer for key, recording the StageDisk
+// latency. It does not touch the memory cache: a leader holding a
 // fresh entry completes it with the result; the peer frontend serves
 // the record directly.
 func (en *Engine) DiskGet(key Key) (*BlockResponse, bool) {
@@ -336,7 +343,7 @@ func (en *Engine) DiskGet(key Key) (*BlockResponse, bool) {
 	}
 	start := time.Now()
 	resp, ok := en.disk.get(key)
-	en.observeStage("disk", time.Since(start))
+	en.observeStage(StageDisk, time.Since(start))
 	return resp, ok
 }
 
@@ -399,7 +406,7 @@ func (en *Engine) worker() {
 // from the cache (they must not be served to later requests) but still
 // complete the entry so coalesced waiters observe them.
 func (en *Engine) runJob(j *Job) {
-	en.observeStage("queue", time.Since(j.Enqueued))
+	en.observeStage(StageQueue, time.Since(j.Enqueued))
 	j.QueueSpan.End()
 	ctx, cancel := context.WithTimeout(en.ctx, j.Timeout)
 	defer cancel()
@@ -425,7 +432,7 @@ func (en *Engine) runJob(j *Job) {
 	compileStart := time.Now()
 	br, err := en.cfg.CompileFn(ctx, j.Block, opts)
 	elapsed := time.Since(compileStart)
-	en.observeStage("compile", elapsed)
+	en.observeStage(StageCompile, elapsed)
 	if en.cfg.ObserveTier != nil {
 		en.cfg.ObserveTier(j.Tier, elapsed)
 	}

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"bsched/internal/compile"
+	"bsched/internal/engine"
 	"bsched/internal/obs"
 )
 
@@ -425,7 +426,7 @@ func TestMetricsExpositionFormat(t *testing.T) {
 		}
 	}
 	for _, want := range []string{
-		stageParse, stageLookup, stageQueue, stageCompile,
+		stageParse, stageLookup, engine.StageQueue, engine.StageCompile,
 		compile.StageDeps, compile.StageWeights, compile.StageSchedule, compile.StageRegalloc,
 	} {
 		if !stages[want] {

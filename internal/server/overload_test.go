@@ -16,6 +16,7 @@ import (
 	"bsched/internal/admission"
 	"bsched/internal/chaos"
 	"bsched/internal/compile"
+	"bsched/internal/engine"
 	"bsched/internal/ir"
 	"bsched/internal/loadgen"
 )
@@ -481,9 +482,9 @@ func TestCoDelShedBeforeFull(t *testing.T) {
 	if after.QueueDepth >= after.QueueCapacity {
 		t.Errorf("queue depth %d at capacity %d — shed was not 'before full'", after.QueueDepth, after.QueueCapacity)
 	}
-	if after.Stages[stageQueue].Count != before.Stages[stageQueue].Count+1 {
+	if after.Stages[engine.StageQueue].Count != before.Stages[engine.StageQueue].Count+1 {
 		t.Errorf("queue-wait histogram count %d → %d: shed requests must be recorded",
-			before.Stages[stageQueue].Count, after.Stages[stageQueue].Count)
+			before.Stages[engine.StageQueue].Count, after.Stages[engine.StageQueue].Count)
 	}
 
 	close(gate)

@@ -8,15 +8,19 @@
 // single-flight, persistence and peer exchange is the *block*
 // (docs/CACHE-KEYS.md): a program request fans out into one cache
 // dispatch per block, and the program response is assembled at the edge
-// from the per-block results.
+// from the per-block results. Both compile endpoints run one request
+// path: the front (method, tenant quota, decode), the per-program step
+// (options, priority, parse, fingerprints, per-block dispatch) and the
+// per-block await.
 //
 //	POST /v1/compile
-//	   ├─ decode + validate + parse (in the handler goroutine)
+//	   ├─ front: method check, tenant quota, size-limited decode
+//	   ├─ per-program step: options + priority + parse
 //	   ├─ per block: content-addressed lookup,
 //	   │    Key{block fingerprint, options fingerprint}
 //	   │    ├─ completed entry  → memory hit for this block
 //	   │    ├─ in-flight entry  → coalesce: wait on that block's leader,
-//	   │    │                     bounded by this request's own deadline
+//	   │    │                     bounded by this program's own deadline
 //	   │    └─ absent           → leader: probe the persistent cache,
 //	   │         ├─ valid disk record → disk hit: decode, complete the
 //	   │         │                      entry (no compilation)
@@ -32,9 +36,10 @@
 //	   └─ the handler awaits its pending blocks and assembles the
 //	        program response in program order
 //
-// POST /v1/compile/batch accepts many programs at once and streams
-// per-block results back as NDJSON as each block completes (batch.go),
-// so a client sees early blocks before the slowest one finishes.
+// POST /v1/compile/batch runs the same front and, per program, the same
+// step and awaits, but streams per-block results back as NDJSON as each
+// block completes (batch.go), so a client sees early blocks before the
+// slowest one finishes.
 //
 // The cache is sharded and LRU-bounded; single-flight deduplication is
 // built into the lookup, so N concurrent requests for the same block
@@ -654,36 +659,25 @@ func (s *Server) peerServe(key engine.Key, e *engine.Entry, r *http.Request, tr 
 	return resp, true
 }
 
-// blockDisposition says how one block of a request resolved against the
-// engine cache.
-type blockDisposition int
-
-const (
-	blockHit       blockDisposition = iota // completed in-memory entry
-	blockDisk                              // decoded from the persistent layer
-	blockPeer                              // served by the block's ring owner
-	blockEnqueued                          // this request is the block's compile leader
-	blockCoalesced                         // joined another request's in-flight compile
-)
-
-// dispatchBlock resolves one block of a request against the engine:
-// hit/disk/peer resolve immediately (resp non-nil); enqueued and
-// coalesced return the entry the caller awaits. A non-nil error means
-// admission refused the block (infeasible deadline, sojourn shed, queue
-// full) — the entry is already failed and removed, and the caller owns
-// the HTTP error. Blocks the caller enqueued earlier keep compiling and
-// warm the cache regardless.
-func (s *Server) dispatchBlock(r *http.Request, tr *obs.Trace, b *ir.Block, key engine.Key,
-	opts compile.Options, deadline time.Duration, started time.Time,
-	tier string, prio admission.Priority) (*engine.BlockResponse, *engine.Entry, blockDisposition, error) {
+// dispatch resolves block i of p against the engine under key. A
+// memory, disk or peer hit lands in p.blocks; an entry this request
+// enqueued (as the block's leader) or joined (coalesced) lands in
+// p.pending. A non-nil error means admission refused the block
+// (infeasible deadline, sojourn shed, queue full): the entry is
+// already failed and removed. Blocks enqueued earlier keep compiling
+// and warm the cache regardless.
+func (s *Server) dispatch(r *http.Request, tr *obs.Trace, p *program, i int, b *ir.Block, key engine.Key, opts compile.Options) error {
 	e, leader := s.eng.Lookup(key)
 	if !leader {
 		if e.Completed() {
 			s.stats.blockHits.Inc()
-			return e.Resp, e, blockHit, nil
+			p.blocks[i] = e.Resp
+			return nil
 		}
 		s.stats.blockCoalesced.Inc()
-		return nil, e, blockCoalesced, nil
+		p.coalesced = true
+		p.addPending(i, e, false)
+		return nil
 	}
 	// Memory miss under this request's single-flight leadership for the
 	// block: probe the persistent layer, then the ring owner, before
@@ -691,11 +685,13 @@ func (s *Server) dispatchBlock(r *http.Request, tr *obs.Trace, b *ir.Block, key 
 	// block still cost one disk read / one probe / one compile.
 	if resp, ok := s.diskServe(key, e, tr); ok {
 		s.stats.blockDisk.Inc()
-		return resp, e, blockDisk, nil
+		p.blocks[i], p.disk = resp, true
+		return nil
 	}
 	if resp, ok := s.peerServe(key, e, r, tr); ok {
 		s.stats.blockPeer.Inc()
-		return resp, e, blockPeer, nil
+		p.blocks[i], p.peer = resp, true
+		return nil
 	}
 	s.stats.blockMisses.Inc()
 	// Deadline-aware admission, per block: when the tier's observed p99
@@ -703,16 +699,16 @@ func (s *Server) dispatchBlock(r *http.Request, tr *obs.Trace, b *ir.Block, key 
 	// queueing would only burn a worker on a result nobody waits for.
 	// The estimator reports zero (no opinion) until it has enough
 	// samples, so cold tiers always admit.
-	if est := s.eng.Estimate(tier, len(b.Instrs)); est > 0 && est > deadline-time.Since(started) {
+	if est := s.eng.Estimate(p.tier, len(b.Instrs)); est > 0 && est > p.deadline-time.Since(p.started) {
 		s.stats.infeasible.Inc()
 		tr.Root().Event("503-infeasible")
 		tr.Root().SetAttr("estimate_ms", fmt.Sprint(est.Milliseconds()))
 		s.eng.Remove(key, e)
 		e.Complete(nil, errInfeasible)
-		return nil, e, blockEnqueued, errInfeasible
+		return errInfeasible
 	}
-	j := &engine.Job{Block: b, Opts: opts, Timeout: deadline, Key: key, E: e,
-		Tier: tier, Priority: prio, Instrs: len(b.Instrs),
+	j := &engine.Job{Block: b, Opts: opts, Timeout: p.deadline, Key: key, E: e,
+		Tier: p.tier, Priority: p.prio, Instrs: len(b.Instrs),
 		Tr: tr, QueueSpan: tr.StartSpan(nil, "queue-wait")}
 	if err := s.eng.Enqueue(j); err != nil {
 		// Rejected at admission: CoDel shedding (the queue has room but
@@ -722,7 +718,7 @@ func (s *Server) dispatchBlock(r *http.Request, tr *obs.Trace, b *ir.Block, key 
 		// the queue-wait span *and* histogram for the shed block, so
 		// shedding is visible in traces and /stats rather than only in
 		// requests that eventually ran.
-		s.stats.stages.With(stageQueue).ObserveDuration(time.Since(j.Enqueued))
+		s.stats.stages.With(engine.StageQueue).ObserveDuration(time.Since(j.Enqueued))
 		j.QueueSpan.EndErr(err)
 		if errors.Is(err, admission.ErrShed) {
 			s.stats.shedSojourn.Inc()
@@ -736,10 +732,12 @@ func (s *Server) dispatchBlock(r *http.Request, tr *obs.Trace, b *ir.Block, key 
 		s.profiler.Event("shed-burst")
 		s.eng.Remove(key, e)
 		e.Complete(nil, errBusy)
-		return nil, e, blockEnqueued, err
+		return err
 	}
-	s.stats.queueReqs.With(prio.String()).Inc()
-	return nil, e, blockEnqueued, nil
+	s.stats.queueReqs.With(p.prio.String()).Inc()
+	p.compiled = true
+	p.addPending(i, e, true)
+	return nil
 }
 
 // Stats returns a point-in-time snapshot of the service counters.
@@ -822,19 +820,22 @@ func (s *Server) timeout(millis int64) time.Duration {
 	return d
 }
 
-func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
+// front is the request front both compile endpoints share: the method
+// check, the chaos delay, the tenant counters, the quota charge and the
+// size-limited JSON decode. /v1/compile pays its one quota token
+// before the body is read, so a tenant over its bucket costs the
+// daemon a header lookup and a counter bump, not a megabyte of JSON
+// decoding; a batch pays one token per program once it is decoded. It
+// returns the decoded programs and the request's start time, or nil
+// programs once it has answered with an error.
+func (s *Server) front(w http.ResponseWriter, r *http.Request, batch bool) ([]CompileRequest, time.Time) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		writeError(w, http.StatusMethodNotAllowed, &ErrorResponse{Error: "POST only"})
-		return
+		return nil, time.Time{}
 	}
 	s.cfg.Chaos.Delay(chaos.LatencySpike)
 	started := time.Now()
-	tr := obs.TraceFrom(r.Context())
-
-	// Tenant quota, before the body is even read: a tenant over its
-	// bucket costs the daemon a header lookup and a counter bump, not a
-	// megabyte of JSON decoding.
 	tenant := r.Header.Get("X-Tenant")
 	if tenant == "" {
 		tenant = admission.DefaultTenant
@@ -842,13 +843,61 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	tc := s.stats.tenant(tenant)
 	tc.requests.Inc()
 	note(r, "tenant", tenant)
-	if d := s.quota.Allow(tenant); !d.OK {
+	var reqs []CompileRequest
+	var body any
+	if batch {
+		body = new(BatchRequest)
+	} else {
+		if !s.charge(w, r, tenant, tc, 1) {
+			return nil, started
+		}
+		reqs = make([]CompileRequest, 1)
+		body = &reqs[0]
+	}
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes))
+	if err := dec.Decode(body); err != nil {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		s.respondError(w, &clientError{status: status, err: fmt.Errorf("decode request: %w", err)})
+		return nil, started
+	}
+	if b, ok := body.(*BatchRequest); ok {
+		if len(b.Programs) == 0 {
+			s.respondError(w, &clientError{status: http.StatusBadRequest,
+				err: errors.New("empty batch: programs is required")})
+			return nil, started
+		}
+		if !s.charge(w, r, tenant, tc, len(b.Programs)) {
+			return nil, started
+		}
+		reqs = b.Programs
+	}
+	return reqs, started
+}
+
+// charge takes n of the tenant's quota tokens, one per program, and
+// sets the rate-limit headers. A denial answers 429 and returns false;
+// tokens already taken stay taken, exactly as n sequential requests
+// would have spent them.
+func (s *Server) charge(w http.ResponseWriter, r *http.Request, tenant string, tc *tenantCounters, n int) bool {
+	h := w.Header()
+	for range n {
+		d := s.quota.Allow(tenant)
+		if d.OK {
+			if d.Remaining >= 0 {
+				h.Set("X-RateLimit-Limit", strconv.Itoa(d.Limit))
+				h.Set("X-RateLimit-Remaining", strconv.Itoa(d.Remaining))
+			}
+			continue
+		}
 		tc.rejected.Inc()
 		s.stats.quotaRejected.Inc()
 		s.stats.rejected.Add(1)
-		tr.Root().Event("429-quota")
+		obs.TraceFrom(r.Context()).Root().Event("429-quota")
 		retry := d.RetryAfterSeconds()
-		h := w.Header()
 		h.Set("X-RateLimit-Limit", strconv.Itoa(d.Limit))
 		h.Set("X-RateLimit-Remaining", strconv.Itoa(d.Remaining))
 		h.Set("Retry-After", strconv.Itoa(retry))
@@ -856,118 +905,169 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 			Error:             fmt.Sprintf("tenant %q over quota (%d req/s sustained)", tenant, int(s.cfg.TenantRate)),
 			RetryAfterSeconds: retry,
 		})
-		return
-	} else if d.Remaining >= 0 {
-		h := w.Header()
-		h.Set("X-RateLimit-Limit", strconv.Itoa(d.Limit))
-		h.Set("X-RateLimit-Remaining", strconv.Itoa(d.Remaining))
+		return false
 	}
+	return true
+}
 
-	var req CompileRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes))
-	if err := dec.Decode(&req); err != nil {
-		s.stats.clientErrors.Add(1)
-		status := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeError(w, status, &ErrorResponse{Error: fmt.Sprintf("decode request: %v", err)})
-		return
+// program is one program of a compile request after the per-program
+// step: its parse, keys and deadline, and where each block stands.
+type program struct {
+	prog     *ir.Program
+	fp       string // program fingerprint, 16 hex digits
+	optsFP   uint64
+	tier     string
+	prio     admission.Priority
+	started  time.Time
+	deadline time.Duration
+	// blocks holds each block's response in program order, nil while
+	// the block is pending.
+	blocks  []*engine.BlockResponse
+	pending []pendingBlock
+	// The dispositions among the blocks; the cache stamps take the worst.
+	compiled, coalesced, disk, peer bool
+}
+
+// pendingBlock is a block whose cache entry was in flight at dispatch:
+// one this request enqueued as its leader, or one it joined.
+type pendingBlock struct {
+	index  int
+	e      *engine.Entry
+	leader bool
+}
+
+// addPending records block i as pending on e. The list is sized on
+// first use for every block from i on, so a program allocates it at
+// most once and an all-hit program never.
+func (p *program) addPending(i int, e *engine.Entry, leader bool) {
+	if p.pending == nil {
+		p.pending = make([]pendingBlock, 0, len(p.blocks)-i)
 	}
+	p.pending = append(p.pending, pendingBlock{index: i, e: e, leader: leader})
+}
+
+// prepare is the per-program step both compile endpoints share. It
+// applies Config.ForcePolicy, lowers the options, resolves the priority
+// (the X-Priority header wins over the body's field; neither is part of
+// the cache key), parses the program and works out its tier, deadline
+// and fingerprints. Then it fans the program out into one cache
+// dispatch per block: each block's fingerprint plus the options
+// fingerprint is its own cache key (docs/CACHE-KEYS.md), so hits,
+// misses, single-flight coalescing, disk records and peer exchange are
+// all block-granular, and two programs sharing blocks share their
+// compilations. Parsing and dispatch record the "parse" and
+// "cache-lookup" spans and stage samples. A client error returns a
+// *clientError and no program; an admission refusal returns its error
+// beside the program, whose earlier blocks stay dispatched.
+func (s *Server) prepare(r *http.Request, req *CompileRequest, started time.Time) (*program, error) {
 	if s.cfg.ForcePolicy != "" {
 		req.Options.Policy = s.cfg.ForcePolicy
 	}
 	opts, err := req.Options.compileOptions()
 	if err != nil {
-		s.stats.clientErrors.Add(1)
-		writeError(w, http.StatusBadRequest, &ErrorResponse{Error: fmt.Sprintf("options: %v", err), Stage: "options"})
-		return
+		return nil, &clientError{status: http.StatusBadRequest, stage: "options", err: fmt.Errorf("options: %w", err)}
 	}
-	// Priority class: X-Priority header first, body field as fallback.
-	// Deliberately not part of the cache key — the schedule is identical
-	// either way; only the queueing differs.
 	prioTag := r.Header.Get("X-Priority")
 	if prioTag == "" {
 		prioTag = req.Priority
 	}
 	prio, err := admission.ParsePriority(prioTag)
 	if err != nil {
-		s.stats.clientErrors.Add(1)
-		writeError(w, http.StatusBadRequest, &ErrorResponse{Error: fmt.Sprintf("priority: %v", err)})
-		return
+		return nil, &clientError{status: http.StatusBadRequest, err: fmt.Errorf("priority: %w", err)}
 	}
+	tr := obs.TraceFrom(r.Context())
 	parseSpan := tr.StartSpan(nil, "parse")
 	parseStart := time.Now()
 	prog, err := ir.Parse(req.Program)
 	s.stats.stages.With(stageParse).ObserveDuration(time.Since(parseStart))
 	if err != nil {
 		parseSpan.EndErr(err)
-		s.stats.clientErrors.Add(1)
-		writeError(w, http.StatusBadRequest, &ErrorResponse{Error: fmt.Sprintf("parse program: %v", err), Stage: "parse"})
-		return
+		return nil, &clientError{status: http.StatusBadRequest, stage: "parse", err: fmt.Errorf("parse program: %w", err)}
 	}
 	parseSpan.End()
 
-	s.stats.requests.Add(1)
-	deadline := s.timeout(req.TimeoutMillis)
 	opts.Parallelism = s.eng.BlockParallelism()
-	tier := req.Options.Budget
-	if tier == "" {
-		tier = TierDefault
+	p := &program{prog: prog, optsFP: req.Options.fingerprint(), tier: req.Options.Budget,
+		prio: prio, started: started, deadline: s.timeout(req.TimeoutMillis)}
+	if p.tier == "" {
+		p.tier = TierDefault
 	}
-	optsFP := req.Options.fingerprint()
 	fp, blockFPs := prog.Fingerprints()
-	progFP := fmt.Sprintf("%016x", fp)
-	note(r, "fingerprint", progFP, "tier", tier, "priority", prio.String())
-	root := tr.Root()
-	root.SetAttr("fingerprint", progFP)
-	root.SetAttr("tier", tier)
-	root.SetAttr("priority", prio.String())
-
-	// Fan the program out into one cache dispatch per block: each
-	// block's fingerprint plus the options fingerprint is its own cache
-	// key (docs/CACHE-KEYS.md), so hits, misses, single-flight
-	// coalescing, disk records and peer exchange are all block-granular,
-	// and two programs sharing blocks share their compilations.
+	p.fp = fmt.Sprintf("%016x", fp)
 	blocks := prog.Blocks()
-	results := make([]*engine.BlockResponse, len(blocks))
-	type pendingWait struct {
-		idx int
-		e   *engine.Entry
-	}
-	var waits []pendingWait
-	var compiledAny, coalescedAny, diskAny, peerAny bool
+	p.blocks = make([]*engine.BlockResponse, len(blocks))
 	lookupSpan := tr.StartSpan(nil, "cache-lookup")
 	lookupStart := time.Now()
 	for i, b := range blocks {
-		key := engine.Key{Block: blockFPs[i], Opts: optsFP}
-		resp, e, disp, err := s.dispatchBlock(r, tr, b, key, opts, deadline, started, tier, prio)
+		err = s.dispatch(r, tr, p, i, b, engine.Key{Block: blockFPs[i], Opts: p.optsFP}, opts)
 		if err != nil {
-			s.stats.stages.With(stageLookup).ObserveDuration(time.Since(lookupStart))
-			lookupSpan.EndErr(err)
-			s.respondError(w, err)
-			return
-		}
-		switch disp {
-		case blockHit:
-			results[i] = resp
-		case blockDisk:
-			results[i] = resp
-			diskAny = true
-		case blockPeer:
-			results[i] = resp
-			peerAny = true
-		case blockEnqueued:
-			compiledAny = true
-			waits = append(waits, pendingWait{i, e})
-		case blockCoalesced:
-			coalescedAny = true
-			waits = append(waits, pendingWait{i, e})
+			break
 		}
 	}
 	s.stats.stages.With(stageLookup).ObserveDuration(time.Since(lookupStart))
-	lookupSpan.End()
+	lookupSpan.EndErr(err)
+	return p, err
+}
+
+// await resolves one pending block of p. A block the request leads
+// waits for its job, which the engine bounds by the program's deadline
+// (the compile degrades rather than fails). A coalesced block waits on
+// another request's leader, so here its wait is bounded by this
+// program's own deadline, not the leader's: a program asking for 100ms
+// must not block for an in-flight leader's 60s. Expiry fails only this
+// program with errDeadline; the shared entry completes for everyone
+// still waiting. A client that hangs up ends the wait with ctx's error.
+func (s *Server) await(ctx context.Context, p *program, b pendingBlock) (*engine.BlockResponse, error) {
+	var expire <-chan time.Time
+	var span *obs.Span
+	if !b.leader {
+		t := time.NewTimer(p.deadline - time.Since(p.started))
+		defer t.Stop()
+		expire = t.C
+		span = obs.TraceFrom(ctx).StartSpan(nil, "coalesced-wait")
+	}
+	var err error
+	select {
+	case <-b.e.Done:
+		err = b.e.Err
+	case <-expire:
+		err = errDeadline
+	case <-ctx.Done():
+		// The compilation still completes and populates the cache for
+		// the next asker. Its spans keep appending to this trace after
+		// the root finishes; the stored snapshot may miss them.
+		err = ctx.Err()
+	case <-s.eng.Done():
+		err = engine.ErrShutdown
+	}
+	span.EndErr(err)
+	if err != nil {
+		return nil, err
+	}
+	return b.e.Resp, nil
+}
+
+// handleCompile is the one-program case of the shared request path,
+// without streaming: it awaits the pending blocks in program order and
+// answers with the assembled program.
+func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
+	reqs, started := s.front(w, r, false)
+	if reqs == nil {
+		return
+	}
+	p, err := s.prepare(r, &reqs[0], started)
+	root := obs.TraceFrom(r.Context()).Root()
+	if p != nil {
+		s.stats.requests.Add(1)
+		note(r, "fingerprint", p.fp, "tier", p.tier, "priority", p.prio.String())
+		root.SetAttr("fingerprint", p.fp)
+		root.SetAttr("tier", p.tier)
+		root.SetAttr("priority", p.prio.String())
+	}
+	if err != nil {
+		s.respondError(w, err)
+		return
+	}
 
 	// The request-level cache disposition is the *worst* block's:
 	// compiling anything makes the response a miss, else waiting on
@@ -975,71 +1075,37 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	// decode beats calling it a pure memory hit. A single-block program
 	// reproduces the pre-batching program-granular accounting exactly.
 	switch {
-	case compiledAny:
+	case p.compiled:
 		s.stats.cacheMisses.Add(1)
 		note(r, "cache", "miss")
 		root.Event("cache-miss")
-	case coalescedAny:
+	case p.coalesced:
 		s.stats.coalesced.Add(1)
 		note(r, "cache", "coalesced")
 		root.Event("coalesced")
-	case diskAny:
+	case p.disk:
 		note(r, "cache", "disk")
-	case peerAny:
+	case p.peer:
 		note(r, "cache", "peer")
 	default:
 		s.stats.cacheHits.Add(1)
 		note(r, "cache", "hit")
 		root.Event("cache-hit")
 	}
-	cached := !compiledAny
-	respCoalesced := coalescedAny && !compiledAny
-
-	// A coalesced wait is bounded by this request's own clamped deadline,
-	// not the leader's: a request asking for 100ms must not block for an
-	// in-flight leader's 60s. Expiry responds 503 without failing the
-	// shared entries — the compilations complete for everyone still
-	// waiting. A request that is itself a leader for any block gets no
-	// such timer: its jobs compile under its own deadline and degrade
-	// rather than fail.
-	var waitC <-chan time.Time
-	var waitSpan *obs.Span
-	if respCoalesced && len(waits) > 0 {
-		wait := time.NewTimer(deadline - time.Since(started))
-		defer wait.Stop()
-		waitC = wait.C
-		waitSpan = tr.StartSpan(nil, "coalesced-wait")
-	}
-	for _, p := range waits {
-		select {
-		case <-p.e.Done:
-			if p.e.Err != nil {
-				waitSpan.End()
-				s.respondError(w, p.e.Err)
-				return
-			}
-			results[p.idx] = p.e.Resp
-		case <-waitC:
-			waitSpan.EndErr(errDeadline)
-			s.respondError(w, errDeadline)
-			return
-		case <-r.Context().Done():
-			// Client gone; the compilations still complete and populate
-			// the cache for the next asker. The leaders' compile and stage
-			// spans keep appending to this trace after the root finishes —
-			// the trace serializes that, and the late spans are simply
-			// absent from the stored snapshot (best-effort).
-			waitSpan.EndErr(r.Context().Err())
-			s.stats.clientErrors.Add(1)
-			return
-		case <-s.eng.Done():
-			waitSpan.EndErr(engine.ErrShutdown)
-			s.respondError(w, engine.ErrShutdown)
+	for _, b := range p.pending {
+		resp, err := s.await(r.Context(), p, b)
+		if err != nil && err == r.Context().Err() {
+			s.stats.clientErrors.Add(1) // client gone: nobody to answer
 			return
 		}
+		if err != nil {
+			s.respondError(w, err)
+			return
+		}
+		p.blocks[b.index] = resp
 	}
-	waitSpan.End()
-	s.respond(w, r, assembleResponse(prog, progFP, results, optsFP).Stamped(cached, respCoalesced, time.Since(started)))
+	cached := !p.compiled
+	s.respond(w, r, assembleResponse(p.prog, p.fp, p.blocks, p.optsFP).Stamped(cached, p.coalesced && cached, time.Since(started)))
 }
 
 // respond writes a 200 and records its service time. The histogram
@@ -1060,28 +1126,52 @@ func (s *Server) respond(w http.ResponseWriter, r *http.Request, resp *CompileRe
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// respondError maps a failure to a status code and error body. Every
-// 503 carries an adaptive Retry-After from the admission queue's
-// drain-rate estimate — backlog × observed per-item drain interval,
-// clamped — instead of a constant.
-func (s *Server) respondError(w http.ResponseWriter, err error) {
+// clientError is a request the client must change: a body that does
+// not decode, or a program whose options, priority or text are invalid.
+// Its text names the failed step ("parse program: …").
+type clientError struct {
+	status int    // 400 or 413
+	stage  string // "options", "parse", or "" when unattributed
+	err    error
+}
+
+func (e *clientError) Error() string { return e.err.Error() }
+
+// errorBody maps a failure to its status and error body: the one
+// mapping both compile endpoints use. /v1/compile answers with it; the
+// batch endpoint copies its error, stage and block into the program's
+// error frame. Every 503 carries an adaptive Retry-After from the
+// admission queue's drain-rate estimate — backlog × observed per-item
+// drain interval, clamped — instead of a constant.
+func (s *Server) errorBody(err error) (int, *ErrorResponse) {
+	var ce *clientError
+	var cpe *compile.Error
 	switch {
+	case errors.As(err, &ce):
+		return ce.status, &ErrorResponse{Error: err.Error(), Stage: ce.stage}
 	case errors.Is(err, errBusy), errors.Is(err, engine.ErrShutdown), errors.Is(err, errDeadline),
 		errors.Is(err, errInfeasible), errors.Is(err, admission.ErrShed), errors.Is(err, admission.ErrFull):
-		s.stats.rejected.Add(1)
-		retry := s.eng.RetryAfterSeconds()
-		w.Header().Set("Retry-After", strconv.Itoa(retry))
-		writeError(w, http.StatusServiceUnavailable, &ErrorResponse{Error: err.Error(), RetryAfterSeconds: retry})
-	default:
-		s.stats.compileErrors.Add(1)
-		resp := &ErrorResponse{Error: err.Error()}
-		var ce *compile.Error
-		if errors.As(err, &ce) {
-			resp.Stage = ce.Stage
-			resp.Block = ce.Block
-		}
-		writeError(w, http.StatusUnprocessableEntity, resp)
+		return http.StatusServiceUnavailable, &ErrorResponse{Error: err.Error(), RetryAfterSeconds: s.eng.RetryAfterSeconds()}
+	case errors.As(err, &cpe):
+		return http.StatusUnprocessableEntity, &ErrorResponse{Error: err.Error(), Stage: cpe.Stage, Block: cpe.Block}
 	}
+	return http.StatusUnprocessableEntity, &ErrorResponse{Error: err.Error()}
+}
+
+// respondError answers with err's status and body and counts the
+// outcome.
+func (s *Server) respondError(w http.ResponseWriter, err error) {
+	status, body := s.errorBody(err)
+	switch status {
+	case http.StatusServiceUnavailable:
+		s.stats.rejected.Add(1)
+		w.Header().Set("Retry-After", strconv.Itoa(body.RetryAfterSeconds))
+	case http.StatusUnprocessableEntity:
+		s.stats.compileErrors.Add(1)
+	default:
+		s.stats.clientErrors.Add(1)
+	}
+	writeError(w, status, body)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -13,14 +13,11 @@ import (
 )
 
 // Stage label values the server records itself, alongside the
-// compile.Stage* names (deps, weights, schedule, regalloc) the engine
-// reports from the pipeline's compile.Options.SpanObserver.
+// engine.Stage* names (disk, queue, compile) and the compile.Stage*
+// names (deps, weights, schedule, regalloc) the engine reports.
 const (
-	stageParse   = "parse"   // IR parsing in the handler goroutine
-	stageLookup  = "lookup"  // content-addressed cache lookup
-	stageDisk    = "disk"    // persistent-cache probe after a memory miss
-	stageQueue   = "queue"   // enqueue → worker pickup wait
-	stageCompile = "compile" // whole compileFn call inside a worker
+	stageParse  = "parse"  // IR parsing, per program
+	stageLookup = "lookup" // content-addressed cache lookup, per program
 )
 
 // Stats is the daemon's instrument panel, backed by an internal/obs
@@ -231,7 +228,7 @@ func newStats() *Stats {
 		hist: reg.Histogram("bschedd_request_duration_seconds",
 			"End-to-end service time of successful compile requests.", nil),
 		stages: reg.HistogramVec("bschedd_stage_duration_seconds",
-			"Latency by pipeline stage: parse, lookup, queue, compile, deps, weights, schedule, regalloc.",
+			"Latency by pipeline stage: parse, lookup, disk, queue, compile, deps, weights, schedule, regalloc.",
 			nil, "stage"),
 		tiers: reg.HistogramVec("bschedd_compile_duration_seconds",
 			"Worker-side compilation time by work-budget tier (small, default, large, unlimited).",

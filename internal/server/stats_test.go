@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"bsched/internal/compile"
+	"bsched/internal/engine"
 )
 
 func TestSnapshotCounters(t *testing.T) {
@@ -32,7 +33,7 @@ func TestSnapshotStageBreakdown(t *testing.T) {
 	}
 	s.observeStage(compile.StageWeights, 3*time.Millisecond)
 	s.observeStage(compile.StageWeights, 3*time.Millisecond)
-	s.stages.With(stageQueue).ObserveDuration(100 * time.Microsecond)
+	s.stages.With(engine.StageQueue).ObserveDuration(100 * time.Microsecond)
 	snap := s.snapshot()
 	w, ok := snap.Stages[compile.StageWeights]
 	if !ok || w.Count != 2 {
@@ -41,7 +42,7 @@ func TestSnapshotStageBreakdown(t *testing.T) {
 	if w.P50Millis < 2 || w.P50Millis > 5 {
 		t.Errorf("weights p50 = %gms, want within (2, 5]", w.P50Millis)
 	}
-	if q, ok := snap.Stages[stageQueue]; !ok || q.Count != 1 {
+	if q, ok := snap.Stages[engine.StageQueue]; !ok || q.Count != 1 {
 		t.Errorf("queue breakdown %+v", snap.Stages)
 	}
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"bsched/internal/compile"
+	"bsched/internal/ir"
 	"bsched/internal/obs"
 )
 
@@ -164,6 +166,75 @@ func TestTraceEndToEnd(t *testing.T) {
 	if snap.TracesRetained == 0 {
 		t.Error("stats traces_retained = 0")
 	}
+
+	// A two-program batch records the same edge spans per program, each
+	// parented on the batch's root.
+	bresp := postBatch(t, context.Background(), ts.URL, BatchRequest{Programs: []CompileRequest{
+		{Program: batchFunc("p", batchBlock("a", 1))}, {Program: batchFunc("q", batchBlock("b", 2))},
+	}})
+	io.Copy(io.Discard, bresp.Body)
+	bresp.Body.Close()
+	var btree obs.TraceView
+	if code := getJSON(t, ts.URL+"/v1/traces/"+bresp.Header.Get("X-Trace-ID")+"?format=tree", &btree); code != http.StatusOK {
+		t.Fatalf("GET batch trace tree: status %d", code)
+	}
+	byName = map[string][]obs.SpanView{}
+	for _, sp := range btree.Spans {
+		byName[sp.Name] = append(byName[sp.Name], sp)
+	}
+	if len(byName["POST /v1/compile/batch"]) != 1 {
+		t.Fatalf("want exactly one batch root span, got %v", byName)
+	}
+	broot := byName["POST /v1/compile/batch"][0]
+	for _, name := range []string{"parse", "cache-lookup", "queue-wait", "compile"} {
+		spans := byName[name]
+		if len(spans) != 2 {
+			t.Errorf("batch trace: want two %q spans, got %d", name, len(spans))
+		}
+		for _, sp := range spans {
+			if sp.Parent != broot.ID {
+				t.Errorf("batch %q span parented on %q, want root %q", name, sp.Parent, broot.ID)
+			}
+		}
+	}
+}
+
+// TestBatchTraceMarks: a batch trace is kept by tail-based retention
+// for what it streams. A block frame carrying degradations marks it
+// degraded, a cached block included; an error frame marks it errored,
+// whatever stage the program failed at.
+func TestBatchTraceMarks(t *testing.T) {
+	s, ts := startServer(t, Config{Workers: 1, TraceSampleEvery: 1 << 20})
+	s.compileFn = func(ctx context.Context, p *ir.Program, o compile.Options) (*compile.Result, error) {
+		res, err := compile.Run(ctx, p, o)
+		if err == nil {
+			// A budget degradation is deterministic, so it is cached.
+			res.Degradations = append(res.Degradations, compile.Event{Block: "body", Pass: 1,
+				Stage: "weights", From: compile.RungPolicyPrefix + "balanced", To: compile.RungFixedLat,
+				Reason: "budget exhausted"})
+		}
+		return res, err
+	}
+	if status, resp, _ := postCompile(t, ts.URL, CompileRequest{Program: demoProgram}); status != http.StatusOK || len(resp.Degradations) != 1 {
+		t.Fatalf("degraded compile: status %d, response %+v", status, resp)
+	}
+	batchTrace := func(req CompileRequest) obs.TraceView {
+		t.Helper()
+		resp := postBatch(t, context.Background(), ts.URL, BatchRequest{Programs: []CompileRequest{req}})
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		var tree obs.TraceView
+		if code := getJSON(t, ts.URL+"/v1/traces/"+resp.Header.Get("X-Trace-ID")+"?format=tree", &tree); code != http.StatusOK {
+			t.Fatalf("batch trace not retained: status %d", code)
+		}
+		return tree
+	}
+	if tree := batchTrace(CompileRequest{Program: demoProgram}); !tree.Degraded || tree.Status != "ok" {
+		t.Errorf("batch of a cached degraded block: trace degraded=%v status=%q, want true/ok", tree.Degraded, tree.Status)
+	}
+	if tree := batchTrace(CompileRequest{Program: demoProgram, Priority: "urgent"}); tree.Status != "error" {
+		t.Errorf("batch with a bad-priority program: trace status %q, want error", tree.Status)
+	}
 }
 
 func contains(ss []string, want string) bool {
@@ -301,11 +372,29 @@ func TestStageHistogramsUntraced(t *testing.T) {
 	}
 	after := s.Stats().Stages
 	want := map[string]int64{
+		stageParse: 1, stageLookup: 1,
 		compile.StageDeps: 2, compile.StageWeights: 2, compile.StageSchedule: 2, compile.StageRegalloc: 1,
 	}
 	for stage, n := range want {
 		if got := after[stage].Count - before[stage].Count; got != n {
 			t.Errorf("stage %s: %d new samples, want %d", stage, got, n)
+		}
+	}
+
+	// A two-program batch of two cold one-block programs adds the same
+	// samples per program.
+	before = after
+	for _, f := range readBatch(t, ts.URL, BatchRequest{Programs: []CompileRequest{
+		{Program: batchFunc("p", batchBlock("a", 1))}, {Program: batchFunc("q", batchBlock("b", 2))},
+	}}) {
+		if f.Type == "error" {
+			t.Fatalf("cold batch streamed an error: %+v", f)
+		}
+	}
+	after = s.Stats().Stages
+	for stage, n := range want {
+		if got := after[stage].Count - before[stage].Count; got != 2*n {
+			t.Errorf("batch stage %s: %d new samples, want %d", stage, got, 2*n)
 		}
 	}
 }
