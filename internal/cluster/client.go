@@ -16,28 +16,28 @@ import (
 	"bsched/internal/engine"
 )
 
-// Defaults for Config's zero fields.
+// DefaultProbeTimeout bounds one peer lookup round trip when
+// Config.ProbeTimeout is zero. It is a strict budget, not a deadline to
+// spend: a probe that misses it falls back to compiling locally, so the
+// worst case a peer adds to a client request is this long.
+const DefaultProbeTimeout = 250 * time.Millisecond
+
 const (
-	// DefaultProbeTimeout bounds one peer lookup round trip. It is a
-	// strict budget, not a deadline to spend: a probe that misses it
-	// falls back to compiling locally, so the worst case a peer adds to
-	// a client request is this long.
-	DefaultProbeTimeout = 250 * time.Millisecond
-	// DefaultOfferQueue buffers the write-behind offer channel; when the
-	// drain goroutine falls behind, further offers are dropped (and
-	// counted) rather than blocking a compilation worker.
-	DefaultOfferQueue = 256
-	// DefaultOfferAttempts is how many times one offer is tried before
-	// it is dropped.
-	DefaultOfferAttempts = 3
-	// DefaultOfferBackoff separates an offer's retry attempts
-	// (multiplied by the attempt number).
-	DefaultOfferBackoff = 50 * time.Millisecond
-	// DefaultMaxInflightProbes bounds concurrent probes per peer — the
-	// load bound behind the ring's bounded-load walk. Probes over the
-	// bound are skipped (local compile) instead of queueing on a peer
-	// that is already saturated.
-	DefaultMaxInflightProbes = 32
+	// offerQueue buffers the write-behind offer channel; when the drain
+	// goroutine falls behind, further offers are dropped (and counted)
+	// rather than blocking a compilation worker.
+	offerQueue = 256
+	// offerAttempts is how many times one offer is tried before it is
+	// dropped.
+	offerAttempts = 3
+	// offerBackoff separates an offer's retry attempts (multiplied by
+	// the attempt number).
+	offerBackoff = 50 * time.Millisecond
+	// maxInflightProbes bounds concurrent probes per peer — the load
+	// bound behind the ring's bounded-load walk. Probes over the bound
+	// are skipped (local compile) instead of queueing on a peer that is
+	// already saturated.
+	maxInflightProbes = 32
 	// maxPeerResponseBytes bounds a peer lookup's response body; a
 	// legitimate BlockResponse fits far under the disk layer's record
 	// bound, so anything larger is treated as a protocol error.
@@ -104,29 +104,13 @@ type Config struct {
 	// ProbeTimeout bounds one peer lookup; zero means
 	// DefaultProbeTimeout.
 	ProbeTimeout time.Duration
-	// OfferQueue / OfferAttempts / OfferBackoff tune the write-behind
-	// offer path; zeros mean the defaults above.
-	OfferQueue    int
-	OfferAttempts int
-	OfferBackoff  time.Duration
-	// MaxInflightProbes bounds concurrent probes per peer; zero means
-	// DefaultMaxInflightProbes.
-	MaxInflightProbes int
-	// BreakerThreshold / BreakerCooldown tune each peer's circuit
-	// breaker (consecutive failures to trip; time open before a
-	// half-open probe). Zeros mean the admission defaults.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-	// HTTPClient overrides the transport (tests); nil builds one with
-	// the probe timeout.
-	HTTPClient *http.Client
 	// Metrics receives event counts; the zero value counts nothing.
 	Metrics Metrics
 }
 
-// peerState is one remote node's health: a circuit breaker fed by
-// probe/offer outcomes, and the in-flight probe count behind the
-// bounded-load veto.
+// peerState is one remote node's health: a circuit breaker (the
+// admission defaults) fed by probe/offer outcomes, and the in-flight
+// probe count behind the bounded-load veto.
 type peerState struct {
 	brk      *admission.Breaker
 	inflight atomic.Int64
@@ -164,28 +148,13 @@ func New(cfg Config) (*Client, error) {
 	if cfg.ProbeTimeout <= 0 {
 		cfg.ProbeTimeout = DefaultProbeTimeout
 	}
-	if cfg.OfferQueue <= 0 {
-		cfg.OfferQueue = DefaultOfferQueue
-	}
-	if cfg.OfferAttempts <= 0 {
-		cfg.OfferAttempts = DefaultOfferAttempts
-	}
-	if cfg.OfferBackoff <= 0 {
-		cfg.OfferBackoff = DefaultOfferBackoff
-	}
-	if cfg.MaxInflightProbes <= 0 {
-		cfg.MaxInflightProbes = DefaultMaxInflightProbes
-	}
 	c := &Client{
 		cfg:    cfg,
 		ring:   NewRing(cfg.Replicas),
 		peers:  make(map[string]*peerState, len(cfg.Peers)),
-		hc:     cfg.HTTPClient,
-		offers: make(chan offerItem, cfg.OfferQueue),
+		hc:     &http.Client{Timeout: cfg.ProbeTimeout + time.Second},
+		offers: make(chan offerItem, offerQueue),
 		done:   make(chan struct{}),
-	}
-	if c.hc == nil {
-		c.hc = &http.Client{Timeout: cfg.ProbeTimeout + time.Second}
 	}
 	c.ring.Add(cfg.Self)
 	for _, p := range cfg.Peers {
@@ -196,10 +165,7 @@ func New(cfg Config) (*Client, error) {
 			continue
 		}
 		c.ring.Add(p)
-		c.peers[p] = &peerState{brk: admission.NewBreaker(admission.BreakerConfig{
-			Threshold: cfg.BreakerThreshold,
-			Cooldown:  cfg.BreakerCooldown,
-		})}
+		c.peers[p] = &peerState{brk: admission.NewBreaker(admission.BreakerConfig{})}
 	}
 	if len(c.peers) == 0 {
 		return nil, fmt.Errorf("cluster: peer list contains only this node")
@@ -245,7 +211,7 @@ func (c *Client) Probe(ctx context.Context, owner string, key engine.Key, tracep
 	if !ok {
 		return nil, ProbeOutcomeSkip
 	}
-	if ps.inflight.Load() >= int64(c.cfg.MaxInflightProbes) || !ps.brk.Allow() {
+	if ps.inflight.Load() >= maxInflightProbes || !ps.brk.Allow() {
 		inc(c.cfg.Metrics.ProbeSkip)
 		return nil, ProbeOutcomeSkip
 	}
@@ -355,12 +321,12 @@ func (c *Client) sendOffer(it offerItem) {
 		inc(c.cfg.Metrics.OfferDropped)
 		return
 	}
-	for attempt := 1; attempt <= c.cfg.OfferAttempts; attempt++ {
+	for attempt := 1; attempt <= offerAttempts; attempt++ {
 		if attempt > 1 {
 			select {
 			case <-c.done:
 				return
-			case <-time.After(time.Duration(attempt-1) * c.cfg.OfferBackoff):
+			case <-time.After(time.Duration(attempt-1) * offerBackoff):
 			}
 		}
 		if !ps.brk.Allow() {
@@ -406,7 +372,7 @@ func (c *Client) Fetch(ctx context.Context, peer, path string, header http.Heade
 	if !ok {
 		return nil, fmt.Errorf("cluster: unknown peer %q", peer)
 	}
-	if ps.inflight.Load() >= int64(c.cfg.MaxInflightProbes) {
+	if ps.inflight.Load() >= maxInflightProbes {
 		return nil, fmt.Errorf("cluster: peer %s at in-flight bound", peer)
 	}
 	if !ps.brk.Allow() {

@@ -52,9 +52,11 @@ const (
 	// DefaultCacheCapacity is the schedule-cache size, in entries, when
 	// Config.CacheCapacity is zero.
 	DefaultCacheCapacity = 1024
-	// DefaultCacheShards is how many ways the schedule cache is sharded.
-	DefaultCacheShards = 16
 )
+
+// cacheShards is how many ways the schedule cache is split to keep lock
+// hold times short.
+const cacheShards = 16
 
 // Stage labels the engine reports through Config.ObserveStage, beside
 // the compile.Stage* names it forwards from inside each compilation.
@@ -90,9 +92,6 @@ type Config struct {
 	// DefaultCacheCapacity; negative disables caching (and with it
 	// single-flight coalescing).
 	CacheCapacity int
-	// CacheShards splits the cache to keep lock hold times short. Zero
-	// means DefaultCacheShards.
-	CacheShards int
 	// CacheDir, when non-empty, enables the write-behind persistent
 	// schedule cache under this directory. Empty disables persistence.
 	CacheDir string
@@ -139,10 +138,11 @@ type Config struct {
 	// state changes.
 	OnBreakerTransition func(from, to admission.BreakerState)
 
-	// CompileFn is the compilation the workers run — one block at a
-	// time, since the block is the engine's unit of caching and
-	// single-flight; nil means compile.RunBlock. Tests substitute it to
-	// count invocations and to block the pool at will.
+	// CompileFn is the compilation the workers run, one Job's block per
+	// call: the block is the engine's unit of caching and single-flight,
+	// and a program's blocks run as separate jobs across the pool. Nil
+	// means compile.RunBlock. Tests substitute it to count invocations
+	// and to block the pool at will.
 	CompileFn func(context.Context, *ir.Block, compile.Options) (*compile.BlockResult, error)
 	// Peers, when non-nil, receives completed cacheable compilations
 	// (see PeerCache).
@@ -158,9 +158,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheCapacity == 0 {
 		c.CacheCapacity = DefaultCacheCapacity
-	}
-	if c.CacheShards <= 0 {
-		c.CacheShards = DefaultCacheShards
 	}
 	if c.DiskMetrics == nil {
 		c.DiskMetrics = unregisteredDiskMetrics()
@@ -186,9 +183,9 @@ func unregisteredDiskMetrics() *DiskMetrics {
 
 // Job is one queued compilation: a single block from the leader
 // request's parsed program plus its lowered options, bound for the
-// worker pool. A multi-block program fans out into one Job per missed
-// block, each with its own Entry; hits, misses and coalescing are all
-// per block.
+// worker pool, where one CompileFn call compiles it. A multi-block
+// program fans out into one Job per missed block, each with its own
+// Entry; hits, misses and coalescing are all per block.
 type Job struct {
 	Block   *ir.Block
 	Opts    compile.Options
@@ -223,10 +220,6 @@ type Engine struct {
 	chaos   *chaos.Injector
 	cache   *cache
 	disk    *diskCache // nil without Config.CacheDir
-	// blockPar is the per-job block parallelism: GOMAXPROCS split across
-	// the worker pool, so a saturated pool runs ~one block compilation
-	// per CPU instead of Workers × GOMAXPROCS goroutines.
-	blockPar int
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -241,10 +234,6 @@ type Engine struct {
 func New(cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
-	blockPar := runtime.GOMAXPROCS(0) / cfg.Workers
-	if blockPar < 1 {
-		blockPar = 1
-	}
 	en := &Engine{
 		cfg: cfg,
 		adm: admission.NewQueue[*Job](admission.Config{
@@ -253,12 +242,11 @@ func New(cfg Config) (*Engine, error) {
 			CoDelTarget:       cfg.CoDelTarget,
 			CoDelInterval:     cfg.CoDelInterval,
 		}),
-		est:      compile.NewCostEstimator(),
-		chaos:    cfg.Chaos,
-		cache:    newCache(cfg.CacheCapacity, cfg.CacheShards),
-		blockPar: blockPar,
-		ctx:      ctx,
-		cancel:   cancel,
+		est:    compile.NewCostEstimator(),
+		chaos:  cfg.Chaos,
+		cache:  newCache(cfg.CacheCapacity, cacheShards),
+		ctx:    ctx,
+		cancel: cancel,
 	}
 	en.breaker = admission.NewBreaker(admission.BreakerConfig{
 		Threshold:    cfg.BreakerThreshold,
@@ -362,11 +350,6 @@ func (en *Engine) Estimate(tier string, instrs int) time.Duration {
 	return en.est.Estimate(tier, instrs)
 }
 
-// BlockParallelism is the per-job block parallelism frontends should
-// set on compile options, sized so a saturated worker pool runs about
-// one block compilation per CPU.
-func (en *Engine) BlockParallelism() int { return en.blockPar }
-
 // Queue/breaker/cache accessors backing the frontend's gauges and
 // /stats fields.
 
@@ -415,8 +398,8 @@ func (en *Engine) runJob(j *Job) {
 	// The compiler reports each stage's block, pass, start and duration
 	// through the SpanObserver seam. Every record feeds the stage
 	// histograms; on a traced job it also becomes a child of the compile
-	// span. Records arrive concurrently when blocks compile in parallel:
-	// the histograms are atomic and the trace serializes appends.
+	// span. A program's jobs compile on several workers at once: the
+	// histograms are atomic and the trace serializes appends.
 	opts.SpanObserver = func(rec compile.StageSpan) {
 		en.observeStage(rec.Stage, rec.Duration)
 		if j.Tr == nil {

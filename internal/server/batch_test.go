@@ -88,11 +88,11 @@ func readFrame(t *testing.T, rd *bufio.Reader) BatchFrame {
 func TestBatchStreamsBeforeSlowBlock(t *testing.T) {
 	s, ts := startServer(t, Config{Workers: 4})
 	gate := make(chan struct{})
-	s.compileFn = func(ctx context.Context, p *ir.Program, o compile.Options) (*compile.Result, error) {
-		if p.Funcs[0].Blocks[0].Label == "slow" {
+	s.compileFn = func(ctx context.Context, b *ir.Block, o compile.Options) (*compile.BlockResult, error) {
+		if b.Label == "slow" {
 			<-gate
 		}
-		return compile.Run(ctx, p, o)
+		return compile.RunBlock(ctx, b, o)
 	}
 
 	prog := batchFunc("f",
@@ -184,10 +184,10 @@ func TestBatchClientDisconnectNoLeak(t *testing.T) {
 	s, ts := startServer(t, Config{Workers: 2})
 	gate := make(chan struct{})
 	var started atomic.Int64
-	s.compileFn = func(ctx context.Context, p *ir.Program, o compile.Options) (*compile.Result, error) {
+	s.compileFn = func(ctx context.Context, b *ir.Block, o compile.Options) (*compile.BlockResult, error) {
 		started.Add(1)
 		<-gate
-		return compile.Run(ctx, p, o)
+		return compile.RunBlock(ctx, b, o)
 	}
 
 	base := runtime.NumGoroutine()
@@ -249,9 +249,9 @@ func TestBatchSharedBlocksCompileOnce(t *testing.T) {
 	s, ts := startServer(t, Config{})
 	var calls atomic.Int64
 	inner := s.compileFn
-	s.compileFn = func(ctx context.Context, p *ir.Program, o compile.Options) (*compile.Result, error) {
+	s.compileFn = func(ctx context.Context, b *ir.Block, o compile.Options) (*compile.BlockResult, error) {
 		calls.Add(1)
-		return inner(ctx, p, o)
+		return inner(ctx, b, o)
 	}
 
 	shared := make([]string, 9)

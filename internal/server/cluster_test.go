@@ -60,9 +60,9 @@ func startFleet(t *testing.T, n int, base Config) []*fleetNode {
 		}
 		node := &fleetNode{s: s, url: urls[i]}
 		inner := s.compileFn
-		s.compileFn = func(ctx context.Context, p *ir.Program, o compile.Options) (*compile.Result, error) {
+		s.compileFn = func(ctx context.Context, b *ir.Block, o compile.Options) (*compile.BlockResult, error) {
 			node.compiles.Add(1)
-			return inner(ctx, p, o)
+			return inner(ctx, b, o)
 		}
 		ts := httptest.NewUnstartedServer(s.Handler())
 		ts.Listener.Close()

@@ -87,9 +87,9 @@ func TestOverloadGoodputUnderZipf(t *testing.T) {
 			CacheCapacity:     -1, // every request is a real leader
 			InteractiveWeight: 9,
 		})
-		s.compileFn = func(ctx context.Context, p *ir.Program, opts compile.Options) (*compile.Result, error) {
+		s.compileFn = func(ctx context.Context, b *ir.Block, opts compile.Options) (*compile.BlockResult, error) {
 			time.Sleep(service)
-			return compile.Run(ctx, p, compile.Options{})
+			return compile.RunBlock(ctx, b, compile.Options{})
 		}
 		return s, ts.URL
 	}
@@ -191,9 +191,9 @@ func TestPriorityNoStarvation(t *testing.T) {
 		CacheCapacity: -1,
 		CoDelTarget:   -1, // isolate the weighted discipline from shedding
 	})
-	s.compileFn = func(ctx context.Context, p *ir.Program, opts compile.Options) (*compile.Result, error) {
+	s.compileFn = func(ctx context.Context, b *ir.Block, opts compile.Options) (*compile.BlockResult, error) {
 		time.Sleep(5 * time.Millisecond)
-		return compile.Run(ctx, p, compile.Options{})
+		return compile.RunBlock(ctx, b, compile.Options{})
 	}
 
 	// Closed-loop interactive flood: 8 posters keep the interactive
@@ -433,13 +433,13 @@ func TestCoDelShedBeforeFull(t *testing.T) {
 	})
 	gate := make(chan struct{})
 	running := make(chan struct{}, 1)
-	s.compileFn = func(ctx context.Context, p *ir.Program, opts compile.Options) (*compile.Result, error) {
+	s.compileFn = func(ctx context.Context, b *ir.Block, opts compile.Options) (*compile.BlockResult, error) {
 		select {
 		case running <- struct{}{}:
 		default:
 		}
 		<-gate
-		return compile.Run(ctx, p, opts)
+		return compile.RunBlock(ctx, b, opts)
 	}
 
 	results := make(chan int, 3)
@@ -503,10 +503,10 @@ func TestRetryAfterBoundsAllPaths(t *testing.T) {
 	s, ts := startServer(t, Config{Workers: 1, QueueDepth: 1, CacheCapacity: -1, CoDelTarget: -1})
 	gate := make(chan struct{})
 	running := make(chan struct{}, 4)
-	s.compileFn = func(ctx context.Context, p *ir.Program, opts compile.Options) (*compile.Result, error) {
+	s.compileFn = func(ctx context.Context, b *ir.Block, opts compile.Options) (*compile.BlockResult, error) {
 		running <- struct{}{}
 		<-gate
-		return compile.Run(ctx, p, opts)
+		return compile.RunBlock(ctx, b, opts)
 	}
 
 	checkRA := func(resp *http.Response, raw []byte, path string) {
@@ -556,13 +556,13 @@ func TestRetryAfterBoundsAllPaths(t *testing.T) {
 	s2, ts2 := startServer(t, Config{Workers: 1})
 	gate2 := make(chan struct{})
 	running2 := make(chan struct{}, 1)
-	s2.compileFn = func(ctx context.Context, p *ir.Program, opts compile.Options) (*compile.Result, error) {
+	s2.compileFn = func(ctx context.Context, b *ir.Block, opts compile.Options) (*compile.BlockResult, error) {
 		select {
 		case running2 <- struct{}{}:
 		default:
 		}
 		<-gate2
-		return compile.Run(ctx, p, opts)
+		return compile.RunBlock(ctx, b, opts)
 	}
 	leaderDone := make(chan int, 1)
 	go func() {

@@ -205,17 +205,17 @@ func TestDiskCacheWarmRestart(t *testing.T) {
 func TestDiskCacheDeadlineDegradedNotPersisted(t *testing.T) {
 	dir := t.TempDir()
 	s1, ts1 := startServer(t, Config{CacheDir: dir})
-	s1.compileFn = func(ctx context.Context, p *ir.Program, opts compile.Options) (*compile.Result, error) {
-		res, err := compile.Run(ctx, p, opts)
+	s1.compileFn = func(ctx context.Context, b *ir.Block, opts compile.Options) (*compile.BlockResult, error) {
+		br, err := compile.RunBlock(ctx, b, opts)
 		if err != nil {
 			return nil, err
 		}
-		res.Degradations = append(res.Degradations, compile.Event{
+		br.Degradations = append(br.Degradations, compile.Event{
 			Block: "body", Pass: 1, Stage: "weights",
 			From: compile.RungPolicyPrefix + sched.PolicyBalanced, To: compile.RungFixedLat,
 			Reason: "context deadline exceeded after 8192 units", Deadline: true,
 		})
-		return res, nil
+		return br, nil
 	}
 	status, first, _ := postCompile(t, ts1.URL, CompileRequest{Program: demoProgram})
 	if status != http.StatusOK || len(first.Degradations) != 1 {

@@ -103,9 +103,6 @@ type Config struct {
 	// engine.DefaultCacheCapacity; negative disables caching (and with it
 	// single-flight coalescing).
 	CacheCapacity int
-	// CacheShards splits the cache to keep lock hold times short. Zero
-	// means engine.DefaultCacheShards.
-	CacheShards int
 	// CacheDir, when non-empty, enables the write-behind persistent
 	// schedule cache under this directory: cacheable compilations are
 	// appended to checksummed segment files by a background flusher, and
@@ -259,11 +256,12 @@ type Server struct {
 	profiler *profiler.Profiler // nil without Config.ProfileDir
 	start    time.Time
 
-	// compileFn is the compilation the engine's workers run; tests
-	// substitute it to count invocations and to block the pool at will.
-	// The engine reads it through a closure at call time, so assigning
-	// the field after New (before traffic) takes effect.
-	compileFn func(context.Context, *ir.Program, compile.Options) (*compile.Result, error)
+	// compileFn is engine.Config.CompileFn: the engine's workers call it
+	// once per block job. Tests substitute it to count invocations and to
+	// block the pool at will; the engine reads it through a closure at
+	// call time, so assigning the field after New (before traffic) takes
+	// effect.
+	compileFn func(context.Context, *ir.Block, compile.Options) (*compile.BlockResult, error)
 }
 
 // New builds the service and starts its worker pool. The failure modes
@@ -288,7 +286,7 @@ func New(cfg Config) (*Server, error) {
 		stats:     newStats(),
 		log:       cfg.Logger,
 		start:     time.Now(),
-		compileFn: compile.Run,
+		compileFn: compile.RunBlock,
 	}
 	if len(cfg.Peers) > 0 {
 		cl, err := cluster.New(cluster.Config{
@@ -330,7 +328,6 @@ func New(cfg Config) (*Server, error) {
 		Workers:           cfg.Workers,
 		QueueDepth:        cfg.QueueDepth,
 		CacheCapacity:     cfg.CacheCapacity,
-		CacheShards:       cfg.CacheShards,
 		CacheDir:          cfg.CacheDir,
 		CacheMaxBytes:     cfg.CacheMaxBytes,
 		InteractiveWeight: cfg.InteractiveWeight,
@@ -360,24 +357,7 @@ func New(cfg Config) (*Server, error) {
 			}
 		},
 		CompileFn: func(ctx context.Context, b *ir.Block, o compile.Options) (*compile.BlockResult, error) {
-			// Bridge the engine's per-block unit of work onto the
-			// program-level compileFn seam (tests substitute s.compileFn to
-			// gate the pool or count whole compilations): wrap the block in
-			// a one-block program, compile, and unwrap.
-			p := &ir.Program{Funcs: []*ir.Func{{Blocks: []*ir.Block{b}}}}
-			res, err := s.compileFn(ctx, p, o)
-			if err != nil {
-				return nil, err
-			}
-			if len(res.Blocks) != 1 {
-				return nil, fmt.Errorf("block compile returned %d block results", len(res.Blocks))
-			}
-			br := res.Blocks[0]
-			// The seam may append program-level degradations of its own
-			// (e.g. deadline events); for a one-block program they are this
-			// block's degradations.
-			br.Degradations = res.Degradations
-			return br, nil
+			return s.compileFn(ctx, b, o)
 		},
 	}
 	if s.cluster != nil {
@@ -986,7 +966,6 @@ func (s *Server) prepare(r *http.Request, req *CompileRequest, started time.Time
 	}
 	parseSpan.End()
 
-	opts.Parallelism = s.eng.BlockParallelism()
 	p := &program{prog: prog, optsFP: req.Options.fingerprint(), tier: req.Options.Budget,
 		prio: prio, started: started, deadline: s.timeout(req.TimeoutMillis)}
 	if p.tier == "" {

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -151,14 +150,14 @@ func TestSingleFlight(t *testing.T) {
 	var calls atomic.Int64
 	started := make(chan struct{}, 1)
 	gate := make(chan struct{})
-	s.compileFn = func(ctx context.Context, p *ir.Program, opts compile.Options) (*compile.Result, error) {
+	s.compileFn = func(ctx context.Context, b *ir.Block, opts compile.Options) (*compile.BlockResult, error) {
 		calls.Add(1)
 		select {
 		case started <- struct{}{}:
 		default:
 		}
 		<-gate
-		return compile.Run(ctx, p, opts)
+		return compile.RunBlock(ctx, b, opts)
 	}
 
 	const n = 16
@@ -209,10 +208,10 @@ func TestBackpressure(t *testing.T) {
 	s, ts := startServer(t, Config{Workers: 1, QueueDepth: 1, CacheCapacity: -1})
 	gate := make(chan struct{})
 	running := make(chan struct{}, 8)
-	s.compileFn = func(ctx context.Context, p *ir.Program, opts compile.Options) (*compile.Result, error) {
+	s.compileFn = func(ctx context.Context, b *ir.Block, opts compile.Options) (*compile.BlockResult, error) {
 		running <- struct{}{}
 		<-gate
-		return compile.Run(ctx, p, opts)
+		return compile.RunBlock(ctx, b, opts)
 	}
 
 	results := make(chan int, 2)
@@ -466,21 +465,21 @@ func TestRegisterFileBounds(t *testing.T) {
 func TestDeadlineDegradedNotCached(t *testing.T) {
 	s, ts := startServer(t, Config{})
 	var calls atomic.Int64
-	s.compileFn = func(ctx context.Context, p *ir.Program, opts compile.Options) (*compile.Result, error) {
+	s.compileFn = func(ctx context.Context, b *ir.Block, opts compile.Options) (*compile.BlockResult, error) {
 		n := calls.Add(1)
-		res, err := compile.Run(ctx, p, opts)
+		br, err := compile.RunBlock(ctx, b, opts)
 		if err != nil {
 			return nil, err
 		}
 		if n == 1 {
 			// Simulate the first compile blowing its deadline mid-ladder.
-			res.Degradations = append(res.Degradations, compile.Event{
+			br.Degradations = append(br.Degradations, compile.Event{
 				Block: "body", Pass: 1, Stage: "weights",
 				From: compile.RungPolicyPrefix + sched.PolicyBalanced, To: compile.RungFixedLat,
 				Reason: "context deadline exceeded after 8192 units", Deadline: true,
 			})
 		}
-		return res, nil
+		return br, nil
 	}
 	status, first, _ := postCompile(t, ts.URL, CompileRequest{Program: demoProgram})
 	if status != http.StatusOK {
@@ -519,13 +518,13 @@ func TestCoalescedWaitBounded(t *testing.T) {
 	s, ts := startServer(t, Config{Workers: 1})
 	gate := make(chan struct{})
 	running := make(chan struct{}, 1)
-	s.compileFn = func(ctx context.Context, p *ir.Program, opts compile.Options) (*compile.Result, error) {
+	s.compileFn = func(ctx context.Context, b *ir.Block, opts compile.Options) (*compile.BlockResult, error) {
 		select {
 		case running <- struct{}{}:
 		default:
 		}
 		<-gate
-		return compile.Run(ctx, p, opts)
+		return compile.RunBlock(ctx, b, opts)
 	}
 	leaderDone := make(chan int, 1)
 	go func() {
@@ -557,15 +556,15 @@ func TestCoalescedWaitBounded(t *testing.T) {
 	// deadline off the coalesced one.
 	s2, ts2 := startServer(t, Config{Workers: 2})
 	gate2 := make(chan struct{})
-	s2.compileFn = func(ctx context.Context, p *ir.Program, opts compile.Options) (*compile.Result, error) {
-		if p.Funcs[0].Blocks[0].Label == "body" {
+	s2.compileFn = func(ctx context.Context, b *ir.Block, opts compile.Options) (*compile.BlockResult, error) {
+		if b.Label == "body" {
 			select {
 			case running <- struct{}{}:
 			default:
 			}
 			<-gate2
 		}
-		return compile.Run(ctx, p, opts)
+		return compile.RunBlock(ctx, b, opts)
 	}
 	go func() {
 		status, _, _ := postCompile(t, ts2.URL, CompileRequest{Program: demoProgram})
@@ -597,34 +596,12 @@ func TestCoalescedWaitBounded(t *testing.T) {
 	}
 }
 
-// TestJobParallelism: server jobs split GOMAXPROCS across the worker
-// pool instead of letting every worker fan out to GOMAXPROCS
-// block-compile goroutines (P² oversubscription when saturated).
-func TestJobParallelism(t *testing.T) {
-	s, ts := startServer(t, Config{Workers: 2, CacheCapacity: -1})
-	var got atomic.Int64
-	s.compileFn = func(ctx context.Context, p *ir.Program, opts compile.Options) (*compile.Result, error) {
-		got.Store(int64(opts.Parallelism))
-		return compile.Run(ctx, p, opts)
-	}
-	if status, _, _ := postCompile(t, ts.URL, CompileRequest{Program: demoProgram}); status != http.StatusOK {
-		t.Fatal("compile failed")
-	}
-	want := runtime.GOMAXPROCS(0) / 2
-	if want < 1 {
-		want = 1
-	}
-	if int(got.Load()) != want {
-		t.Errorf("job Parallelism %d, want %d (GOMAXPROCS/Workers)", got.Load(), want)
-	}
-}
-
 // TestServerClose checks Close fails queued work instead of hanging it.
 func TestServerClose(t *testing.T) {
 	s, ts := startServer(t, Config{Workers: 1, QueueDepth: 4, CacheCapacity: -1})
 	gate := make(chan struct{})
 	running := make(chan struct{}, 1)
-	s.compileFn = func(ctx context.Context, p *ir.Program, opts compile.Options) (*compile.Result, error) {
+	s.compileFn = func(ctx context.Context, b *ir.Block, opts compile.Options) (*compile.BlockResult, error) {
 		select {
 		case running <- struct{}{}:
 		default:
@@ -633,7 +610,7 @@ func TestServerClose(t *testing.T) {
 		case <-gate:
 		case <-ctx.Done():
 		}
-		return compile.Run(ctx, p, opts)
+		return compile.RunBlock(ctx, b, opts)
 	}
 	done := make(chan int, 2)
 	for i := 0; i < 2; i++ {

@@ -205,15 +205,15 @@ func TestTraceEndToEnd(t *testing.T) {
 // whatever stage the program failed at.
 func TestBatchTraceMarks(t *testing.T) {
 	s, ts := startServer(t, Config{Workers: 1, TraceSampleEvery: 1 << 20})
-	s.compileFn = func(ctx context.Context, p *ir.Program, o compile.Options) (*compile.Result, error) {
-		res, err := compile.Run(ctx, p, o)
+	s.compileFn = func(ctx context.Context, b *ir.Block, o compile.Options) (*compile.BlockResult, error) {
+		br, err := compile.RunBlock(ctx, b, o)
 		if err == nil {
 			// A budget degradation is deterministic, so it is cached.
-			res.Degradations = append(res.Degradations, compile.Event{Block: "body", Pass: 1,
+			br.Degradations = append(br.Degradations, compile.Event{Block: "body", Pass: 1,
 				Stage: "weights", From: compile.RungPolicyPrefix + "balanced", To: compile.RungFixedLat,
 				Reason: "budget exhausted"})
 		}
-		return res, err
+		return br, err
 	}
 	if status, resp, _ := postCompile(t, ts.URL, CompileRequest{Program: demoProgram}); status != http.StatusOK || len(resp.Degradations) != 1 {
 		t.Fatalf("degraded compile: status %d, response %+v", status, resp)
