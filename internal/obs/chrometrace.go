@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"sort"
+	"time"
 )
 
 // ErrNoFragments is returned by WriteChromeTraceFleet with an empty
@@ -45,72 +46,8 @@ type chromeTrace struct {
 
 // WriteChromeTrace renders v as Chrome trace-event JSON.
 func WriteChromeTrace(w io.Writer, v TraceView) error {
-	const pid = 1
-	lanes := assignLanes(v.Spans)
-	nLanes := 0
-	for _, l := range lanes {
-		if l+1 > nLanes {
-			nLanes = l + 1
-		}
-	}
-
-	events := make([]chromeEvent, 0, 2*len(v.Spans)+nLanes+1)
-	events = append(events, chromeEvent{
-		Name: "process_name", Phase: "M", PID: pid, TID: 0,
-		Args: map[string]any{"name": "bschedd " + v.Name},
-	})
-	for lane := 0; lane < nLanes; lane++ {
-		name := "request"
-		if lane > 0 {
-			name = "workers"
-		}
-		events = append(events, chromeEvent{
-			Name: "thread_name", Phase: "M", PID: pid, TID: lane,
-			Args: map[string]any{"name": name},
-		})
-	}
-
-	for i, s := range v.Spans {
-		ts := float64(s.Start.Sub(v.Start).Nanoseconds()) / 1e3
-		dur := float64(s.Duration.Nanoseconds()) / 1e3
-		if dur <= 0 {
-			dur = 0.001 // zero-width spans are invisible in the viewers
-		}
-		args := map[string]any{"span_id": s.ID}
-		if s.Parent != "" {
-			args["parent"] = s.Parent
-		}
-		for _, a := range s.Attrs {
-			args[a.Key] = a.Value
-		}
-		if s.Err != "" {
-			args["error"] = s.Err
-		}
-		events = append(events, chromeEvent{
-			Name: s.Name, Cat: "span", Phase: "X",
-			TsUS: ts, DurUS: dur, PID: pid, TID: lanes[i], Args: args,
-		})
-		for _, ev := range s.Events {
-			events = append(events, chromeEvent{
-				Name: ev.Name, Cat: "event", Phase: "i", Scope: "t",
-				TsUS: float64(ev.Time.Sub(v.Start).Nanoseconds()) / 1e3,
-				PID:  pid, TID: lanes[i],
-			})
-		}
-	}
-
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	return enc.Encode(chromeTrace{
-		TraceEvents:     events,
-		DisplayTimeUnit: "ms",
-		OtherData: map[string]any{
-			"trace_id":   v.ID,
-			"request_id": v.RequestID,
-			"status":     v.Status,
-			"degraded":   v.Degraded,
-		},
-	})
+	events := appendFragment(nil, v, 1, "bschedd "+v.Name, v.Start, nil)
+	return encodeChromeTrace(w, events, chromeMeta(v))
 }
 
 // NodeTrace is one node's fragment of a cross-node trace: the node's
@@ -145,73 +82,93 @@ func WriteChromeTraceFleet(w io.Writer, frags []NodeTrace) error {
 	var events []chromeEvent
 	nodes := make([]string, 0, len(frags))
 	for fi, f := range frags {
-		pid := fi + 1
 		nodes = append(nodes, f.Node)
-		events = append(events, chromeEvent{
-			Name: "process_name", Phase: "M", PID: pid, TID: 0,
-			Args: map[string]any{"name": f.Node + " " + f.View.Name},
-		})
-		lanes := assignLanes(f.View.Spans)
-		nLanes := 0
-		for _, l := range lanes {
-			if l+1 > nLanes {
-				nLanes = l + 1
-			}
-		}
-		for lane := 0; lane < nLanes; lane++ {
-			name := "request"
-			if lane > 0 {
-				name = "workers"
-			}
-			events = append(events, chromeEvent{
-				Name: "thread_name", Phase: "M", PID: pid, TID: lane,
-				Args: map[string]any{"name": name},
-			})
-		}
-		for i, s := range f.View.Spans {
-			ts := float64(s.Start.Sub(t0).Nanoseconds()) / 1e3
-			dur := float64(s.Duration.Nanoseconds()) / 1e3
-			if dur <= 0 {
-				dur = 0.001
-			}
-			args := map[string]any{"span_id": s.ID, "node": f.Node}
-			if s.Parent != "" {
-				args["parent"] = s.Parent
-			}
-			for _, a := range s.Attrs {
-				args[a.Key] = a.Value
-			}
-			if s.Err != "" {
-				args["error"] = s.Err
-			}
-			events = append(events, chromeEvent{
-				Name: s.Name, Cat: "span", Phase: "X",
-				TsUS: ts, DurUS: dur, PID: pid, TID: lanes[i], Args: args,
-			})
-			for _, ev := range s.Events {
-				events = append(events, chromeEvent{
-					Name: ev.Name, Cat: "event", Phase: "i", Scope: "t",
-					TsUS: float64(ev.Time.Sub(t0).Nanoseconds()) / 1e3,
-					PID:  pid, TID: lanes[i],
-				})
-			}
+		events = appendFragment(events, f.View, fi+1, f.Node+" "+f.View.Name, t0,
+			map[string]any{"node": f.Node})
+	}
+	meta := chromeMeta(frags[0].View)
+	meta["nodes"] = nodes
+	return encodeChromeTrace(w, events, meta)
+}
+
+// appendFragment appends one trace fragment's events as process pid:
+// the process_name row (named process), one thread_name row per lane,
+// then each span as an "X" event followed by its instant events, with
+// times in microseconds from t0. Every span's args start from a copy of
+// base, then carry its ID, parent, attributes and error.
+func appendFragment(events []chromeEvent, v TraceView, pid int, process string, t0 time.Time, base map[string]any) []chromeEvent {
+	lanes := assignLanes(v.Spans)
+	nLanes := 0
+	for _, l := range lanes {
+		if l+1 > nLanes {
+			nLanes = l + 1
 		}
 	}
+	events = append(events, chromeEvent{
+		Name: "process_name", Phase: "M", PID: pid, TID: 0,
+		Args: map[string]any{"name": process},
+	})
+	for lane := 0; lane < nLanes; lane++ {
+		name := "request"
+		if lane > 0 {
+			name = "workers"
+		}
+		events = append(events, chromeEvent{
+			Name: "thread_name", Phase: "M", PID: pid, TID: lane,
+			Args: map[string]any{"name": name},
+		})
+	}
+	for i, s := range v.Spans {
+		ts := float64(s.Start.Sub(t0).Nanoseconds()) / 1e3
+		dur := float64(s.Duration.Nanoseconds()) / 1e3
+		if dur <= 0 {
+			dur = 0.001 // zero-width spans are invisible in the viewers
+		}
+		args := make(map[string]any, len(base)+len(s.Attrs)+3)
+		for k, a := range base {
+			args[k] = a
+		}
+		args["span_id"] = s.ID
+		if s.Parent != "" {
+			args["parent"] = s.Parent
+		}
+		for _, a := range s.Attrs {
+			args[a.Key] = a.Value
+		}
+		if s.Err != "" {
+			args["error"] = s.Err
+		}
+		events = append(events, chromeEvent{
+			Name: s.Name, Cat: "span", Phase: "X",
+			TsUS: ts, DurUS: dur, PID: pid, TID: lanes[i], Args: args,
+		})
+		for _, ev := range s.Events {
+			events = append(events, chromeEvent{
+				Name: ev.Name, Cat: "event", Phase: "i", Scope: "t",
+				TsUS: float64(ev.Time.Sub(t0).Nanoseconds()) / 1e3,
+				PID:  pid, TID: lanes[i],
+			})
+		}
+	}
+	return events
+}
 
-	root := frags[0].View
+// chromeMeta is the document metadata both exports carry, taken from
+// the (root) fragment's trace.
+func chromeMeta(v TraceView) map[string]any {
+	return map[string]any{
+		"trace_id":   v.ID,
+		"request_id": v.RequestID,
+		"status":     v.Status,
+		"degraded":   v.Degraded,
+	}
+}
+
+// encodeChromeTrace writes the top-level trace-event JSON object.
+func encodeChromeTrace(w io.Writer, events []chromeEvent, meta map[string]any) error {
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
-	return enc.Encode(chromeTrace{
-		TraceEvents:     events,
-		DisplayTimeUnit: "ms",
-		OtherData: map[string]any{
-			"trace_id":   root.ID,
-			"request_id": root.RequestID,
-			"status":     root.Status,
-			"degraded":   root.Degraded,
-			"nodes":      nodes,
-		},
-	})
+	return enc.Encode(chromeTrace{TraceEvents: events, DisplayTimeUnit: "ms", OtherData: meta})
 }
 
 // assignLanes maps each span (by index into spans) to a lane (tid) such

@@ -20,11 +20,13 @@
 //     per-tier breakdowns.
 //
 // Render everything with Registry.WriteText, or serve it directly with
-// Registry.Handler (the `GET /metrics` endpoint). Metric families
-// render in registration order; series within a labeled family render
-// in sorted label order, so the output is deterministic — tests can
-// parse it line by line. docs/OBSERVABILITY.md catalogs every metric
-// the daemon registers.
+// Registry.Handler (the `GET /metrics` endpoint). WriteText renders the
+// registry's snapshot through WriteSnapshotText, the one text writer,
+// which also renders the fleet-merged view (`GET /v1/fleet/metrics`).
+// Metric families render in registration order; series within a
+// labeled family render in sorted label order, so the output is
+// deterministic — tests can parse it line by line.
+// docs/OBSERVABILITY.md catalogs every metric the daemon registers.
 package obs
 
 import (
@@ -40,10 +42,9 @@ import (
 	"time"
 )
 
-// A metric family knows how to render itself in exposition format and
-// how to export a point-in-time snapshot for fleet-level merging.
+// A metric family exports a point-in-time snapshot, which both the
+// exposition writer and the fleet merge consume.
 type family interface {
-	render(w io.Writer)
 	snapshot() FamilySnapshot
 }
 
@@ -106,15 +107,7 @@ func validLabel(s string) bool {
 // exposition format: `# HELP` and `# TYPE` comments followed by one
 // line per series. Families appear in registration order, series
 // within a labeled family in sorted label order.
-func (r *Registry) WriteText(w io.Writer) {
-	r.mu.Lock()
-	fams := make([]family, len(r.families))
-	copy(fams, r.families)
-	r.mu.Unlock()
-	for _, f := range fams {
-		f.render(w)
-	}
-}
+func (r *Registry) WriteText(w io.Writer) { WriteSnapshotText(w, r.Snapshot()) }
 
 // Handler serves WriteText with the exposition-format content type —
 // mount it at GET /metrics.
@@ -190,15 +183,10 @@ func (c *Counter) Add(n int64) {
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// counterFamily renders one unlabeled counter.
+// counterFamily is one unlabeled counter.
 type counterFamily struct {
 	name, help string
 	c          *Counter
-}
-
-func (f *counterFamily) render(w io.Writer) {
-	writeHeader(w, f.name, f.help, "counter")
-	fmt.Fprintf(w, "%s %d\n", f.name, f.c.Value())
 }
 
 func (f *counterFamily) snapshot() FamilySnapshot {
@@ -252,16 +240,6 @@ func (v *CounterVec) With(values ...string) *Counter {
 	return c
 }
 
-func (v *CounterVec) render(w io.Writer) {
-	writeHeader(w, v.name, v.help, "counter")
-	for _, key := range v.sortedKeys() {
-		v.mu.RLock()
-		c := v.children[key]
-		v.mu.RUnlock()
-		fmt.Fprintf(w, "%s%s %d\n", v.name, formatLabels(v.labels, splitKey(key)), c.Value())
-	}
-}
-
 func (v *CounterVec) snapshot() FamilySnapshot {
 	fs := FamilySnapshot{Name: v.name, Help: v.help, Kind: KindCounter,
 		Labels: append([]string(nil), v.labels...)}
@@ -300,16 +278,10 @@ func splitKey(key string) []string { return strings.Split(key, "\x1f") }
 // ---------------------------------------------------------------------
 // Gauge
 
-// gaugeFamily renders one function-backed gauge, sampled at scrape
-// time.
+// gaugeFamily is one function-backed gauge, sampled at scrape time.
 type gaugeFamily struct {
 	name, help string
 	fn         func() float64
-}
-
-func (f *gaugeFamily) render(w io.Writer) {
-	writeHeader(w, f.name, f.help, "gauge")
-	fmt.Fprintf(w, "%s %s\n", f.name, formatFloat(f.fn()))
 }
 
 func (f *gaugeFamily) snapshot() FamilySnapshot {
@@ -323,16 +295,11 @@ func (r *Registry) Gauge(name, help string, fn func() float64) {
 	r.register(name, &gaugeFamily{name: name, help: help, fn: fn})
 }
 
-// infoFamily renders one info-style gauge: a constant 1 whose labels
-// carry the information (the `build_info` idiom).
+// infoFamily is one info-style gauge: a constant 1 whose labels carry
+// the information (the `build_info` idiom).
 type infoFamily struct {
 	name, help     string
 	labels, values []string
-}
-
-func (f *infoFamily) render(w io.Writer) {
-	writeHeader(w, f.name, f.help, "gauge")
-	fmt.Fprintf(w, "%s%s 1\n", f.name, formatLabels(f.labels, f.values))
 }
 
 func (f *infoFamily) snapshot() FamilySnapshot {
@@ -483,38 +450,10 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.bounds[len(h.bounds)-1]
 }
 
-// renderSeries writes one histogram's _bucket/_sum/_count lines; extra
-// label names/values (possibly empty) prefix the `le` label.
-func (h *Histogram) renderSeries(w io.Writer, name string, labelNames, labelValues []string) {
-	bucketNames := append(append(make([]string, 0, len(labelNames)+1), labelNames...), "le")
-	var cum int64
-	for i := range h.counts {
-		cum += h.counts[i].Load()
-		le := "+Inf"
-		if i < len(h.bounds) {
-			le = formatFloat(h.bounds[i])
-		}
-		bucketValues := append(append(make([]string, 0, len(labelValues)+1), labelValues...), le)
-		fmt.Fprintf(w, "%s_bucket%s %d\n", name,
-			formatLabels(bucketNames, bucketValues), cum)
-	}
-	suffix := formatLabels(labelNames, labelValues)
-	fmt.Fprintf(w, "%s_sum%s %s\n", name, suffix, formatFloat(h.Sum()))
-	fmt.Fprintf(w, "%s_count%s %d\n", name, suffix, cum)
-}
-
-// histogramFamily renders one unlabeled histogram.
+// histogramFamily is one unlabeled histogram.
 type histogramFamily struct {
 	name, help string
 	h          *Histogram
-}
-
-func (f *histogramFamily) render(w io.Writer) {
-	writeHeader(w, f.name, f.help, "histogram")
-	f.h.renderSeries(w, f.name, nil, nil)
-	if v, id, ok := f.h.Exemplar(); ok {
-		fmt.Fprintf(w, "# EXEMPLAR %s trace_id=\"%s\" %s\n", f.name, escapeLabel(id), formatFloat(v))
-	}
 }
 
 // series returns the histogram's per-bucket counts (non-cumulative,
@@ -535,8 +474,9 @@ func (h *Histogram) series(labelValues []string) SeriesSnapshot {
 
 func (f *histogramFamily) snapshot() FamilySnapshot {
 	return FamilySnapshot{Name: f.name, Help: f.help, Kind: KindHistogram,
-		Bounds: append([]float64(nil), f.h.bounds...),
-		Series: []SeriesSnapshot{f.h.series(nil)}}
+		Bounds:   append([]float64(nil), f.h.bounds...),
+		Series:   []SeriesSnapshot{f.h.series(nil)},
+		exemplar: f.h.ex.Load()}
 }
 
 // Histogram registers and returns an unlabeled histogram. Nil or empty
@@ -608,13 +548,6 @@ func (v *HistogramVec) Each(fn func(values []string, h *Histogram)) {
 		v.mu.RUnlock()
 		fn(splitKey(key), h)
 	}
-}
-
-func (v *HistogramVec) render(w io.Writer) {
-	writeHeader(w, v.name, v.help, "histogram")
-	v.Each(func(values []string, h *Histogram) {
-		h.renderSeries(w, v.name, v.labels, values)
-	})
 }
 
 func (v *HistogramVec) snapshot() FamilySnapshot {

@@ -3,15 +3,17 @@
 // closures) so one node can ship its whole registry to a peer over the
 // fleet endpoints; MergeFamilies folds the snapshots of N nodes into
 // one fleet view — counters sum, gauges become per-node series under a
-// "node" label, histograms add bucket-wise — and WriteSnapshotText
-// renders the merged result in the same text exposition format the
-// node-local /metrics speaks.
+// "node" label, histograms add bucket-wise. WriteSnapshotText is the
+// one Prometheus text writer: it renders the node-local registry for
+// /metrics (through Registry.WriteText) and the merged fleet view for
+// /v1/fleet/metrics alike.
 package obs
 
 import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -45,6 +47,9 @@ type FamilySnapshot struct {
 	Labels []string         `json:"labels,omitempty"`
 	Bounds []float64        `json:"bounds,omitempty"`
 	Series []SeriesSnapshot `json:"series,omitempty"`
+	// exemplar is an unlabeled histogram's last exemplar. It is
+	// node-local: not serialized, and dropped by MergeFamilies.
+	exemplar *exemplar
 }
 
 // Snapshot exports every registered family in registration order.
@@ -177,8 +182,10 @@ func equalBounds(a, b []float64) bool {
 }
 
 // WriteSnapshotText renders snapshots in Prometheus text exposition
-// format — the fleet-merged counterpart of Registry.WriteText. Exemplars
-// are node-local and do not survive merging, so none are emitted.
+// format: `# HELP` and `# TYPE` comments, then one line per series.
+// Counters print as integers. A node-local histogram's exemplar renders
+// as a `# EXEMPLAR` comment after its family; merged families carry
+// none.
 func WriteSnapshotText(w io.Writer, fams []FamilySnapshot) {
 	for _, fs := range fams {
 		writeHeader(w, fs.Name, fs.Help, fs.Kind)
@@ -199,9 +206,14 @@ func WriteSnapshotText(w io.Writer, fams []FamilySnapshot) {
 				suffix := formatLabels(fs.Labels, s.LabelValues)
 				fmt.Fprintf(w, "%s_sum%s %s\n", fs.Name, suffix, formatFloat(s.Sum))
 				fmt.Fprintf(w, "%s_count%s %d\n", fs.Name, suffix, s.Count)
+			case KindCounter:
+				fmt.Fprintf(w, "%s%s %s\n", fs.Name, formatLabels(fs.Labels, s.LabelValues), strconv.FormatFloat(s.Value, 'f', -1, 64))
 			default:
 				fmt.Fprintf(w, "%s%s %s\n", fs.Name, formatLabels(fs.Labels, s.LabelValues), formatFloat(s.Value))
 			}
+		}
+		if e := fs.exemplar; e != nil {
+			fmt.Fprintf(w, "# EXEMPLAR %s trace_id=\"%s\" %s\n", fs.Name, escapeLabel(e.traceID), formatFloat(e.value))
 		}
 	}
 }

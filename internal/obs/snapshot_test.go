@@ -134,3 +134,20 @@ func TestMergeFamiliesSkipsMismatchedBounds(t *testing.T) {
 		t.Fatalf("mismatched-bounds series was merged: %+v", h)
 	}
 }
+
+// TestMergedCountersPrintWhole: a merged counter renders as an integer,
+// as the node-local /metrics renders it, never in 'g' notation
+// (1.2e+06).
+func TestMergedCountersPrintWhole(t *testing.T) {
+	node := func(name string) NodeSnapshot {
+		r := NewRegistry()
+		r.Counter("big_total", "Events.").Add(600000)
+		return NodeSnapshot{Node: name, Families: r.Snapshot()}
+	}
+	var b strings.Builder
+	WriteSnapshotText(&b, MergeFamilies([]NodeSnapshot{node("a"), node("b")}))
+	want := "# HELP big_total Events.\n# TYPE big_total counter\nbig_total 1200000\n"
+	if b.String() != want {
+		t.Errorf("merged counter renders\n%s\nwant\n%s", b.String(), want)
+	}
+}

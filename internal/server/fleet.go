@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"sort"
 	"sync"
 
 	"bsched/internal/obs"
@@ -185,20 +186,13 @@ func (s *Server) handleFleetMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 		nodeUp.Series = append(nodeUp.Series, obs.SeriesSnapshot{LabelValues: []string{node}, Value: v})
 	}
-	sortSeries(nodeUp.Series)
+	sort.Slice(nodeUp.Series, func(i, j int) bool {
+		return nodeUp.Series[i].LabelValues[0] < nodeUp.Series[j].LabelValues[0]
+	})
 	merged = append(merged, nodeUp)
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	obs.WriteSnapshotText(w, merged)
-}
-
-// sortSeries orders series by label values for deterministic output.
-func sortSeries(series []obs.SeriesSnapshot) {
-	for i := 1; i < len(series); i++ {
-		for j := i; j > 0 && series[j].LabelValues[0] < series[j-1].LabelValues[0]; j-- {
-			series[j], series[j-1] = series[j-1], series[j]
-		}
-	}
 }
 
 // handleProfiles serves GET /v1/profiles: the continuous-profiling
