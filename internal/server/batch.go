@@ -91,11 +91,15 @@ type batchProgram struct {
 // sends the program trailer. A failed block never counts, so a failed
 // program gets no trailer.
 func (b *batchProgram) blockDone(frames chan<- BatchFrame) {
-	if b.remaining.Add(-1) != 0 {
-		return
+	if b.remaining.Add(-1) == 0 {
+		frames <- b.trailer()
 	}
+}
+
+// trailer renders the program's trailer frame.
+func (b *batchProgram) trailer() BatchFrame {
 	cached := !b.compiled
-	frames <- BatchFrame{
+	return BatchFrame{
 		Type:               "program",
 		Program:            b.index,
 		Fingerprint:        b.fp,
@@ -197,6 +201,10 @@ func (s *Server) dispatchBatch(r *http.Request, reqs []CompileRequest, frames ch
 		}
 		bp := &batchProgram{program: p, index: i}
 		bp.remaining.Store(int64(len(p.blocks)))
+		if len(p.blocks) == 0 {
+			// No block will count down to the trailer: send it now.
+			frames <- bp.trailer()
+		}
 		for bi, resp := range p.blocks {
 			if resp != nil {
 				frames <- blockFrame(i, bi, resp, true)

@@ -490,6 +490,7 @@ func TestBatchMatchesCompile(t *testing.T) {
 	}{
 		{"demo", CompileRequest{Program: demoProgram}, http.StatusOK},
 		{"two-func", CompileRequest{Program: twoFunc}, http.StatusOK},
+		{"zero-blocks", CompileRequest{Program: "func f\n"}, http.StatusOK},
 		{"bad-options", CompileRequest{Program: demoProgram,
 			Options: RequestOptions{Scheduler: "quantum"}}, http.StatusBadRequest},
 		{"bad-priority", CompileRequest{Program: demoProgram, Priority: "urgent"}, http.StatusBadRequest},
