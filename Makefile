@@ -26,7 +26,7 @@ race test-race:
 	$(GO) test -race ./...
 
 # Short fuzzing runs of the hostile-input targets; long enough to shake
-# out crashes in the parse→compile path without stalling CI.
+# out crashes in the decode→parse→compile path without stalling CI.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/ir
@@ -36,6 +36,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzPolicySchedule -fuzztime=$(FUZZTIME) ./internal/sched
 	$(GO) test -run='^$$' -fuzz=FuzzDepsReference -fuzztime=$(FUZZTIME) ./internal/deps
 	$(GO) test -run='^$$' -fuzz=FuzzKernelReference -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeRequest -fuzztime=$(FUZZTIME) ./internal/server
 
 # Documentation hygiene: the packages godoc renders without error (a
 # parse failure here means a malformed doc comment). gofmt-clean source

@@ -123,17 +123,46 @@ var opTable = [numOps]opInfo{
 	OpVNop: {name: "vnop"},
 }
 
-var opByName = func() map[string]Op {
-	m := make(map[string]Op, numOps)
+// opsByInitial lists the opcodes by their mnemonic's first letter, and
+// opKeys holds each mnemonic as an opKey, so OpByName compares a few
+// integers and hashes nothing.
+var (
+	opsByInitial [26][]Op
+	opKeys       [numOps]uint64
+)
+
+func init() {
 	for op := Op(1); op < numOps; op++ {
-		m[opTable[op].name] = op
+		name := opTable[op].name
+		opKeys[op] = opKey(name)
+		opsByInitial[name[0]-'a'] = append(opsByInitial[name[0]-'a'], op)
 	}
-	return m
-}()
+}
+
+// opKey packs a name of at most 7 bytes and its length into one
+// integer; distinct names get distinct keys.
+func opKey(name string) uint64 {
+	k := uint64(len(name))
+	for i := 0; i < len(name); i++ {
+		k = k<<8 | uint64(name[i])
+	}
+	return k
+}
 
 // OpByName returns the opcode with the given assembly mnemonic, or
 // OpInvalid if there is none.
-func OpByName(name string) Op { return opByName[name] }
+func OpByName(name string) Op {
+	if name == "" || len(name) > 7 || name[0] < 'a' || name[0] > 'z' {
+		return OpInvalid
+	}
+	k := opKey(name)
+	for _, op := range opsByInitial[name[0]-'a'] {
+		if opKeys[op] == k {
+			return op
+		}
+	}
+	return OpInvalid
+}
 
 // String returns the assembly mnemonic.
 func (op Op) String() string {

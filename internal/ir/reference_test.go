@@ -796,3 +796,72 @@ func TestCodecMatchesReference(t *testing.T) {
 		t.Fatalf("only %d of %d inputs parse; the differential check barely covers the accepting path", accepted, len(inputs))
 	}
 }
+
+// TestParseSlabChunks checks programs whose blocks outgrow one slab
+// chunk, so that the open block's instruction list moves to a new chunk
+// mid-block, against the reference: a 2,500-instruction block after two
+// of 700, under a 3,000-line program.
+func TestParseSlabChunks(t *testing.T) {
+	var sb strings.Builder
+	sb.WriteString("func f\n")
+	for bi, n := range []int{700, 700, 2500} {
+		fmt.Fprintf(&sb, "block b%d freq=1\n  v0 = const 1\n", bi)
+		for i := 1; i < n; i++ {
+			fmt.Fprintf(&sb, "  v%d = addi v%d, %d\n", i, i-1, i)
+		}
+		sb.WriteString("end\n")
+	}
+	checkParseAgainstReference(t, sb.String())
+}
+
+// TestParseUnicodeSpace checks the parser against the reference where
+// white space is not ASCII: the suite programs and docs/IR.md with other
+// characters unicode.IsSpace accepts put at the ends of lines, after
+// '=' and ',', and between a directive's fields. One variant in four
+// also draws a non-space rune or an invalid byte.
+func TestParseUnicodeSpace(t *testing.T) {
+	spaces := []string{"\t", "\v", "\f", "\r", "\u0085", "\u00a0", "\u2028", "\u3000", "\u202f", "é", "\xff"}
+	rng := rand.New(rand.NewSource(24))
+	inputs := irDocBlocks(t)
+	for _, p := range suitePrograms() {
+		inputs = append(inputs, p.String())
+	}
+	accepted, total := 0, 4*len(inputs)
+	for _, src := range inputs {
+		for variant := 0; variant < 4; variant++ {
+			choices := len(spaces) - 2
+			if variant == 3 {
+				choices = len(spaces)
+			}
+			lines := strings.Split(src, "\n")
+			for i, line := range lines {
+				sp := spaces[rng.Intn(choices)]
+				switch rng.Intn(6) {
+				case 1:
+					lines[i] = sp + line
+				case 2:
+					lines[i] = line + sp
+				case 3:
+					lines[i] = strings.Replace(line, "= ", "="+sp, 1)
+				case 4:
+					lines[i] = strings.Replace(line, ", ", ","+sp, 1)
+				case 5:
+					if f := strings.Fields(line); len(f) > 1 && (f[0] == "func" || f[0] == "block" || f[0] == "liveout") {
+						lines[i] = strings.Replace(line, f[0]+" ", f[0]+sp, 1)
+					}
+				}
+			}
+			mutated := strings.Join(lines, "\n")
+			checkParseAgainstReference(t, mutated)
+			if _, err := refParse(mutated); err == nil {
+				accepted++
+			}
+		}
+	}
+	// Most variants stay valid; make sure the accepting path, where
+	// fields must split where strings.Fields splits them, is covered.
+	t.Logf("%d of %d variants parse", accepted, total)
+	if accepted < total/2 {
+		t.Fatalf("only %d of %d variants parse", accepted, total)
+	}
+}

@@ -118,15 +118,22 @@ func (r *Registry) Handler() http.Handler {
 	})
 }
 
+// helpEscaper and labelEscaper escape HELP text and label values per the
+// exposition format. Built once: a strings.Replacer is safe for
+// concurrent use, and building one costs far more than a Replace.
+var (
+	helpEscaper  = strings.NewReplacer("\\", `\\`, "\n", `\n`)
+	labelEscaper = strings.NewReplacer("\\", `\\`, `"`, `\"`, "\n", `\n`)
+)
+
 // writeHeader emits the # HELP / # TYPE preamble of one family.
 func writeHeader(w io.Writer, name, help, typ string) {
-	esc := strings.NewReplacer("\\", `\\`, "\n", `\n`).Replace(help)
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, esc, name, typ)
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, helpEscaper.Replace(help), name, typ)
 }
 
 // escapeLabel escapes a label value per the exposition format.
 func escapeLabel(v string) string {
-	return strings.NewReplacer("\\", `\\`, `"`, `\"`, "\n", `\n`).Replace(v)
+	return labelEscaper.Replace(v)
 }
 
 // formatLabels renders {k1="v1",k2="v2"}, or "" with no labels.

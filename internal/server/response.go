@@ -60,6 +60,9 @@ func (r *CompileResponse) Stamped(cached, coalesced bool, service time.Duration)
 // the program fingerprint the handler already rendered.
 func assembleResponse(prog *ir.Program, progFP string, results []*engine.BlockResponse, optsFP uint64) *CompileResponse {
 	resp := &CompileResponse{
+		// Allocated even for a program without blocks, which answers
+		// "blocks":[] rather than null.
+		Blocks:             make([]engine.BlockSummary, 0, len(results)),
 		Fingerprint:        progFP,
 		OptionsFingerprint: fmt.Sprintf("%016x", optsFP),
 	}

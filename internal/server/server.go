@@ -802,12 +802,13 @@ func (s *Server) timeout(millis int64) time.Duration {
 
 // front is the request front both compile endpoints share: the method
 // check, the chaos delay, the tenant counters, the quota charge and the
-// size-limited JSON decode. /v1/compile pays its one quota token
+// size-limited decode (decode.go). /v1/compile pays its one quota token
 // before the body is read, so a tenant over its bucket costs the
 // daemon a header lookup and a counter bump, not a megabyte of JSON
-// decoding; a batch pays one token per program once it is decoded. It
-// returns the decoded programs and the request's start time, or nil
-// programs once it has answered with an error.
+// decoding; a batch pays one token per program once it is decoded. The
+// body is read whole before it is decoded, so 413 depends on its size
+// alone. It returns the decoded programs and the request's start time,
+// or nil programs once it has answered with an error.
 func (s *Server) front(w http.ResponseWriter, r *http.Request, batch bool) ([]CompileRequest, time.Time) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -834,8 +835,7 @@ func (s *Server) front(w http.ResponseWriter, r *http.Request, batch bool) ([]Co
 		reqs = make([]CompileRequest, 1)
 		body = &reqs[0]
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes))
-	if err := dec.Decode(body); err != nil {
+	if err := decodeBody(http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes), body); err != nil {
 		status := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {

@@ -325,6 +325,24 @@ func TestBadRequests(t *testing.T) {
 			t.Errorf("status %d, want 413", status)
 		}
 	})
+	// 413 depends on the body's size alone: the body is read whole
+	// before it is decoded, so neither a syntax error nor a complete
+	// request before the limit answers first.
+	for _, c := range []struct{ name, body string }{
+		{"malformed-over-limit", "{nope" + strings.Repeat(" ", 4096)},
+		{"trailing-over-limit", `{"program":"func f\n"}` + strings.Repeat(" ", 4096)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			resp, err := http.Post(ts.URL+"/v1/compile", "application/json", strings.NewReader(c.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusRequestEntityTooLarge {
+				t.Errorf("status %d, want 413", resp.StatusCode)
+			}
+		})
+	}
 	t.Run("wrong-method", func(t *testing.T) {
 		resp, err := http.Get(ts.URL + "/v1/compile")
 		if err != nil {
@@ -338,6 +356,24 @@ func TestBadRequests(t *testing.T) {
 
 	if snap := s.Stats(); snap.ClientErrors < 4 {
 		t.Errorf("client error counter %d, want >= 4", snap.ClientErrors)
+	}
+}
+
+// TestZeroBlockProgramBlocksArray checks a program without blocks
+// answers "blocks":[], the array docs/API.md documents, not null.
+func TestZeroBlockProgramBlocksArray(t *testing.T) {
+	_, ts := startServer(t, Config{})
+	resp, err := http.Post(ts.URL+"/v1/compile", "application/json", strings.NewReader(`{"program":"func f\n"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || !bytes.Contains(raw, []byte(`"blocks":[]`)) {
+		t.Fatalf("status %d, body %s; want 200 with \"blocks\":[]", resp.StatusCode, raw)
 	}
 }
 
