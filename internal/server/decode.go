@@ -4,7 +4,8 @@ package server
 // the fixed shape json.Marshal writes for a CompileRequest or a
 // BatchRequest, which is what every client in this repository sends, is
 // decoded by a hand-written reader in one pass; any other body goes to
-// encoding/json, which then supplies the value or the error text. The
+// json.Unmarshal, which then supplies the value or the error text and
+// rejects any text after the value. The
 // fast path accepts only input that encoding/json decodes without error
 // to the same value, so the two paths never disagree
 // (FuzzDecodeRequest).
@@ -54,7 +55,7 @@ func decodeBody(r io.Reader, v any) error {
 	if decodeFast(body, v, &bb.scratch) {
 		return nil
 	}
-	return json.NewDecoder(bytes.NewReader(body)).Decode(v)
+	return json.Unmarshal(body, v)
 }
 
 // decodeFast decodes body into v, a *CompileRequest or a *BatchRequest,
