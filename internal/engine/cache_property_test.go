@@ -181,10 +181,12 @@ func TestCacheSingleFlightLeaderUnique(t *testing.T) {
 			go func() {
 				<-start
 				e, leader := c.lookup(k)
-				entries <- e
+				// The leader reports itself before its entry, so once every
+				// entry has arrived len(leaders) is final.
 				if leader {
 					leaders <- e
 				}
+				entries <- e
 			}()
 		}
 		close(start)
