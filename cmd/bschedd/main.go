@@ -26,14 +26,14 @@
 //	GET  /v1/peer/lookup/{key}  peer-cache read (fleet protocol, docs/CLUSTER.md)
 //	PUT  /v1/peer/offer/{key}   peer-cache write-behind fill (fleet protocol)
 //	GET  /healthz         liveness probe (degraded field under fleet/disk trouble)
-//	GET  /stats           service counters and latency breakdowns (JSON)
+//	GET  /stats           every metric family /metrics renders, as JSON data
 //	GET  /metrics         Prometheus text exposition (docs/OBSERVABILITY.md)
 //	GET  /v1/traces       index of retained request traces (JSON)
 //	GET  /v1/traces/{id}  one trace as Chrome trace-event JSON (Perfetto);
 //	                      ?format=tree for the raw span tree, ?fleet=1 to
 //	                      stitch in remote fragments from ring peers
 //	GET  /v1/peer/trace/{id}  this node's fragment of a trace (fleet protocol)
-//	GET  /v1/fleet/stats  cluster-wide /stats aggregation from any node
+//	GET  /v1/fleet/stats  every node's /stats and their merge, from any node
 //	GET  /v1/fleet/metrics  cluster-wide merged Prometheus exposition
 //	GET  /v1/profiles     continuous-profiling ring index (with -profile-dir);
 //	                      /v1/profiles/{name} downloads one pprof capture

@@ -1,13 +1,14 @@
 // Command bschedtop is a live terminal dashboard for a bschedd fleet —
 // top(1) for the scheduling service. It polls one node's GET
-// /v1/fleet/stats (that node fans out to its ring peers, so pointing
-// bschedtop at ANY node shows the whole fleet) and redraws a per-node
-// table plus fleet totals every interval:
+// /v1/fleet/stats (that node fetches each ring peer's /stats, so
+// pointing bschedtop at ANY node shows the whole fleet) and redraws a
+// per-node table plus fleet totals every interval:
 //
 //	bschedtop -addr http://10.0.0.1:8370
 //	bschedtop -once          # one snapshot, no screen control
 //
-// Columns, per node: request rate since the previous poll (QPS),
+// Columns, per node, each read from the node's metric families
+// (docs/OBSERVABILITY.md): request rate since the previous poll (QPS),
 // lifetime requests, p99 service time, block-cache hit rate across all
 // tiers (memory + disk + peer, as a fraction of block dispatches),
 // queue occupancy against its bound, admission sheds (CoDel sojourn +
@@ -15,7 +16,7 @@
 // Unreachable nodes stay listed with their error — the fleet view
 // degrades, it does not vanish.
 //
-// The tool is stdlib-only and read-only: it issues nothing but GETs.
+// The tool is read-only: it issues nothing but GETs.
 package main
 
 import (
@@ -28,43 +29,27 @@ import (
 	"strings"
 	"text/tabwriter"
 	"time"
+
+	"bsched/internal/admission"
+	"bsched/internal/obs"
 )
 
-// nodeStats mirrors the slice of the bschedd /stats JSON the dashboard
-// renders. Decoding into a local struct keeps the binary decoupled
-// from the server package: unknown fields are ignored, missing ones
-// are zero.
-type nodeStats struct {
-	Requests       int64   `json:"requests"`
-	OK             int64   `json:"ok"`
-	Rejected       int64   `json:"rejected"`
-	BlockHits      int64   `json:"block_hits"`
-	BlockMisses    int64   `json:"block_misses"`
-	BlockDisk      int64   `json:"block_disk"`
-	BlockPeer      int64   `json:"block_peer"`
-	QueueDepth     int     `json:"queue_depth"`
-	QueueCapacity  int     `json:"queue_capacity"`
-	P99Millis      float64 `json:"p99_ms"`
-	ShedSojourn    int64   `json:"shed_sojourn"`
-	ShedFull       int64   `json:"shed_full"`
-	BreakerState   string  `json:"breaker_state"`
-	TracesRetained int     `json:"traces_retained"`
-}
-
-// fleetNode and fleetStats mirror the GET /v1/fleet/stats shape.
+// fleetNode and fleetStats mirror the GET /v1/fleet/stats shape. Only
+// the families' plain-data form is shared with the daemon, which keeps
+// the binary decoupled from the server package.
 type fleetNode struct {
-	Node      string     `json:"node"`
-	Self      bool       `json:"self"`
-	Reachable bool       `json:"reachable"`
-	Error     string     `json:"error"`
-	Stats     *nodeStats `json:"stats"`
+	Node      string               `json:"node"`
+	Self      bool                 `json:"self"`
+	Reachable bool                 `json:"reachable"`
+	Error     string               `json:"error"`
+	Families  []obs.FamilySnapshot `json:"families"`
 }
 
 type fleetStats struct {
-	Self      string           `json:"self"`
-	Nodes     []fleetNode      `json:"nodes"`
-	Reachable int              `json:"reachable"`
-	Totals    map[string]int64 `json:"totals"`
+	Self      string               `json:"self"`
+	Nodes     []fleetNode          `json:"nodes"`
+	Reachable int                  `json:"reachable"`
+	Totals    []obs.FamilySnapshot `json:"totals"`
 }
 
 // poll fetches one fleet snapshot.
@@ -85,15 +70,49 @@ func poll(client *http.Client, addr string) (*fleetStats, error) {
 	return &fs, nil
 }
 
+// value is the value of family name's series with the given label
+// values, as an integer; 0 when the snapshot has no such series.
+func value(fams []obs.FamilySnapshot, name string, labels ...string) int64 {
+	s, _, _ := obs.Find(fams, name, labels...)
+	return int64(s.Value)
+}
+
+// blockEvents is one outcome of bschedd_block_cache_events_total.
+func blockEvents(fams []obs.FamilySnapshot, outcome string) int64 {
+	return value(fams, "bschedd_block_cache_events_total", outcome)
+}
+
+// sheds counts admission sheds: CoDel sojourn plus queue-full.
+func sheds(fams []obs.FamilySnapshot) int64 {
+	return value(fams, "bschedd_admission_total", "shed_sojourn") + value(fams, "bschedd_admission_total", "shed_full")
+}
+
 // hitRate is the all-tier block cache hit fraction: every dispatch
 // that avoided a compile (memory, disk or peer) over all dispatches.
-func hitRate(s *nodeStats) float64 {
-	served := s.BlockHits + s.BlockDisk + s.BlockPeer
-	total := served + s.BlockMisses
+func hitRate(fams []obs.FamilySnapshot) float64 {
+	served := blockEvents(fams, "hit") + blockEvents(fams, "disk") + blockEvents(fams, "peer")
+	total := served + blockEvents(fams, "miss")
 	if total == 0 {
 		return 0
 	}
 	return float64(served) / float64(total)
+}
+
+// p99Millis is the p99 service time of successful compiles, in
+// milliseconds, from the request-duration histogram's buckets.
+func p99Millis(fams []obs.FamilySnapshot) float64 {
+	s, bounds, _ := obs.Find(fams, "bschedd_request_duration_seconds")
+	return 1000 * s.Quantile(bounds, 0.99)
+}
+
+// breakerState names the disk circuit breaker's position, "-" when the
+// node does not report one.
+func breakerState(fams []obs.FamilySnapshot) string {
+	s, _, ok := obs.Find(fams, "bschedd_breaker_state")
+	if !ok {
+		return "-"
+	}
+	return admission.BreakerState(s.Value).String()
 }
 
 // render draws one frame. prev carries the previous poll's per-node
@@ -109,7 +128,7 @@ func render(w io.Writer, fs *fleetStats, prev map[string]int64, elapsed time.Dur
 		if n.Self {
 			name += " *"
 		}
-		if !n.Reachable || n.Stats == nil {
+		if !n.Reachable {
 			reason := n.Error
 			if i := strings.IndexByte(reason, ':'); i >= 0 && len(reason) > 40 {
 				reason = reason[:i]
@@ -117,28 +136,24 @@ func render(w io.Writer, fs *fleetStats, prev map[string]int64, elapsed time.Dur
 			fmt.Fprintf(tw, "%s\tDOWN\t-\t-\t-\t-\t-\t-\t-\t%s\n", name, reason)
 			continue
 		}
-		s := n.Stats
+		f := n.Families
+		reqs := value(f, "bschedd_requests_total")
 		qps := ""
 		if last, ok := prev[n.Node]; ok && elapsed > 0 {
-			qps = fmt.Sprintf("%.1f", float64(s.Requests-last)/elapsed.Seconds())
-		}
-		brkr := s.BreakerState
-		if brkr == "" {
-			brkr = "-"
+			qps = fmt.Sprintf("%.1f", float64(reqs-last)/elapsed.Seconds())
 		}
 		fmt.Fprintf(tw, "%s\tup\t%s\t%d\t%.2f\t%.1f\t%d/%d\t%d\t%s\t%d\n",
-			name, qps, s.Requests, s.P99Millis, 100*hitRate(s),
-			s.QueueDepth, s.QueueCapacity, s.ShedSojourn+s.ShedFull,
-			brkr, s.TracesRetained)
+			name, qps, reqs, p99Millis(f), 100*hitRate(f),
+			value(f, "bschedd_queue_depth"), value(f, "bschedd_queue_capacity"), sheds(f),
+			breakerState(f), value(f, "bschedd_traces_retained"))
 	}
 	tw.Flush()
 
 	t := fs.Totals
-	served := t["block_hits"] + t["block_disk"] + t["block_peer"]
+	served := blockEvents(t, "hit") + blockEvents(t, "disk") + blockEvents(t, "peer")
 	fmt.Fprintf(w, "\nfleet totals: %d requests, %d ok, %d rejected, %d block hits (mem %d / disk %d / peer %d), %d sheds\n",
-		t["requests"], t["ok"], t["rejected"],
-		served, t["block_hits"], t["block_disk"], t["block_peer"],
-		t["shed_sojourn"]+t["shed_full"])
+		value(t, "bschedd_requests_total"), value(t, "bschedd_responses_total", "ok"), value(t, "bschedd_responses_total", "rejected"),
+		served, blockEvents(t, "hit"), blockEvents(t, "disk"), blockEvents(t, "peer"), sheds(t))
 }
 
 func main() {
@@ -175,8 +190,8 @@ func main() {
 			}
 			fmt.Print(buf.String())
 			for _, n := range fs.Nodes {
-				if n.Stats != nil {
-					prev[n.Node] = n.Stats.Requests
+				if n.Reachable {
+					prev[n.Node] = value(n.Families, "bschedd_requests_total")
 				}
 			}
 			lastPoll = now

@@ -102,10 +102,6 @@ func TestQueueFull(t *testing.T) {
 	}
 	// Batch still has room: the bounds are per class.
 	mustPush(t, q, Batch, 4)
-	snap := q.Snapshot()
-	if snap.FullsInteractive != 1 || snap.FullsBatch != 0 {
-		t.Errorf("full counters %+v", snap)
-	}
 }
 
 // TestQueueCoDelShedBeforeFull: when dequeued items have waited past
@@ -161,10 +157,6 @@ func TestQueueCoDelShedBeforeFull(t *testing.T) {
 	}
 	if err := q.Push(Interactive, 101); err != nil {
 		t.Fatalf("push after recovery: %v", err)
-	}
-	snap := q.Snapshot()
-	if snap.ShedsInteractive != 1 {
-		t.Errorf("shed counter %d, want 1", snap.ShedsInteractive)
 	}
 }
 

@@ -212,9 +212,6 @@ type Queue[T any] struct {
 	lastPop      time.Time
 	ewmaInterval float64 // seconds; 0 until two pops happened
 
-	sheds [numPriorities]int64 // ErrShed rejections, for snapshots
-	fulls [numPriorities]int64 // ErrFull rejections
-
 	ready  chan struct{} // one token per queued item
 	closed chan struct{}
 	once   sync.Once
@@ -247,12 +244,10 @@ func (q *Queue[T]) Push(p Priority, v T) error {
 		head = (*cls)[0].at
 	}
 	if q.ctl[p].shouldShed(now, head) {
-		q.sheds[p]++
 		q.mu.Unlock()
 		return ErrShed
 	}
 	if len(*cls) >= q.cfg.Depth {
-		q.fulls[p]++
 		q.mu.Unlock()
 		return ErrFull
 	}
@@ -407,30 +402,6 @@ func (q *Queue[T]) Shedding(p Priority) bool {
 		head = q.classes[p][0].at
 	}
 	return q.ctl[p].shouldShed(now, head)
-}
-
-// QueueSnapshot is a point-in-time view of the queue for /stats.
-type QueueSnapshot struct {
-	Interactive, Batch           int   // current backlog per class
-	ShedsInteractive, ShedsBatch int64 // ErrShed rejections per class
-	FullsInteractive, FullsBatch int64 // ErrFull rejections per class
-	RetryAfterSeconds            int
-}
-
-// Snapshot returns the current counters and backlog.
-func (q *Queue[T]) Snapshot() QueueSnapshot {
-	retry := q.RetryAfterSeconds()
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return QueueSnapshot{
-		Interactive:       len(q.classes[Interactive]),
-		Batch:             len(q.classes[Batch]),
-		ShedsInteractive:  q.sheds[Interactive],
-		ShedsBatch:        q.sheds[Batch],
-		FullsInteractive:  q.fulls[Interactive],
-		FullsBatch:        q.fulls[Batch],
-		RetryAfterSeconds: retry,
-	}
 }
 
 // Close releases every blocked Pop. Items still queued remain

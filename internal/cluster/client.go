@@ -362,12 +362,13 @@ func (c *Client) putOffer(owner string, key engine.Key, body []byte) bool {
 
 // Fetch performs a budgeted GET of path on one peer, with the same
 // breaker and in-flight accounting as a probe — the transport behind
-// the fleet observability fan-out (/v1/fleet/*, /v1/peer/trace). The
+// the fleet observability fan-out (each peer's /stats for /v1/fleet/*,
+// and /v1/peer/trace). The
 // response body is returned up to maxBytes; any transport failure or
 // non-200 status is an error and feeds the peer's breaker, so a dead
 // node stops being fetched after a few attempts the same way it stops
 // being probed.
-func (c *Client) Fetch(ctx context.Context, peer, path string, header http.Header, maxBytes int64) ([]byte, error) {
+func (c *Client) Fetch(ctx context.Context, peer, path string, maxBytes int64) ([]byte, error) {
 	ps, ok := c.peers[peer]
 	if !ok {
 		return nil, fmt.Errorf("cluster: unknown peer %q", peer)
@@ -387,11 +388,6 @@ func (c *Client) Fetch(ctx context.Context, peer, path string, header http.Heade
 	if err != nil {
 		ps.brk.Failure()
 		return nil, err
-	}
-	for k, vs := range header {
-		for _, v := range vs {
-			req.Header.Add(k, v)
-		}
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
@@ -426,8 +422,7 @@ func (c *Client) Fetch(ctx context.Context, peer, path string, header http.Heade
 var ErrNotFound = fmt.Errorf("cluster: not found on peer")
 
 // PeerHealth is one peer's reachability as the local breakers see it —
-// the single source of truth shared by /healthz, the fleet endpoints,
-// and bschedtop.
+// what /healthz reports under "peers".
 type PeerHealth struct {
 	URL       string `json:"url"`
 	Reachable bool   `json:"reachable"`
@@ -449,9 +444,6 @@ func (c *Client) Health() []PeerHealth {
 	return out
 }
 
-// Self returns this node's advertised URL.
-func (c *Client) Self() string { return c.cfg.Self }
-
 // Peers returns the configured peer URLs, sorted.
 func (c *Client) Peers() []string {
 	out := make([]string, 0, len(c.peers))
@@ -465,16 +457,3 @@ func (c *Client) Peers() []string {
 // RingNodes is the fleet size the ring currently places keys over
 // (self included).
 func (c *Client) RingNodes() int { return c.ring.Len() }
-
-// Unreachable returns the peers whose circuit breaker is currently
-// open — the health view behind /healthz's degraded field.
-func (c *Client) Unreachable() []string {
-	var out []string
-	for p, ps := range c.peers {
-		if ps.brk.State() == admission.BreakerOpen {
-			out = append(out, p)
-		}
-	}
-	sort.Strings(out)
-	return out
-}

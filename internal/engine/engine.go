@@ -350,17 +350,12 @@ func (en *Engine) Estimate(tier string, instrs int) time.Duration {
 	return en.est.Estimate(tier, instrs)
 }
 
-// Queue/breaker/cache accessors backing the frontend's gauges and
-// /stats fields.
+// Queue/breaker/cache accessors backing the frontend's gauges.
 
-func (en *Engine) QueueLen() int          { return en.adm.Len() }
-func (en *Engine) QueueCapacity() int     { return en.adm.Capacity() }
-func (en *Engine) RetryAfterSeconds() int { return en.adm.RetryAfterSeconds() }
-func (en *Engine) QueueSnapshot() admission.QueueSnapshot {
-	return en.adm.Snapshot()
-}
+func (en *Engine) QueueLen() int                        { return en.adm.Len() }
+func (en *Engine) QueueCapacity() int                   { return en.adm.Capacity() }
+func (en *Engine) RetryAfterSeconds() int               { return en.adm.RetryAfterSeconds() }
 func (en *Engine) BreakerState() admission.BreakerState { return en.breaker.State() }
-func (en *Engine) BreakerTrips() int64                  { return en.breaker.Trips() }
 func (en *Engine) CacheLen() int                        { return en.cache.len() }
 func (en *Engine) DiskEntries() int                     { return en.disk.entries() }
 func (en *Engine) DiskBytes() int64                     { return en.disk.bytes() }

@@ -347,8 +347,8 @@ var DefaultLatencyBuckets = []float64{
 }
 
 // Histogram is a fixed-bucket distribution, safe for concurrent use.
-// Observe costs two atomic operations; quantile estimation interpolates
-// linearly within the containing bucket.
+// Observe costs two atomic operations; SeriesSnapshot.Quantile
+// estimates quantiles from its snapshot.
 type Histogram struct {
 	bounds  []float64 // sorted upper bounds; +Inf implicit
 	counts  []atomic.Int64
@@ -396,21 +396,11 @@ func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 
 // ObserveExemplar records one sample and remembers it, tagged with a
 // trace id, as the histogram's last exemplar. The exemplar renders as a
-// `# EXEMPLAR` comment after the family (comments are ignored by strict
-// text-format 0.0.4 parsers, so the exposition stays compatible) and is
-// also surfaced in the /stats JSON.
+// `# EXEMPLAR` comment after the family; comments are ignored by strict
+// text-format 0.0.4 parsers, so the exposition stays compatible.
 func (h *Histogram) ObserveExemplar(v float64, traceID string) {
 	h.Observe(v)
 	h.ex.Store(&exemplar{value: v, traceID: traceID})
-}
-
-// Exemplar returns the last exemplar-tagged observation, if any.
-func (h *Histogram) Exemplar() (value float64, traceID string, ok bool) {
-	e := h.ex.Load()
-	if e == nil {
-		return 0, "", false
-	}
-	return e.value, e.traceID, true
 }
 
 // Count returns the number of observations.
@@ -418,44 +408,6 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
-
-// Quantile estimates the q-quantile (0 < q < 1) by linear interpolation
-// within the containing bucket. It returns 0 with no observations; the
-// +Inf bucket reports the largest finite bound rather than inventing an
-// upper one.
-func (h *Histogram) Quantile(q float64) float64 {
-	counts := make([]int64, len(h.counts))
-	var total int64
-	for i := range h.counts {
-		counts[i] = h.counts[i].Load()
-		total += counts[i]
-	}
-	if total == 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	var cum int64
-	for i, c := range counts {
-		if float64(cum+c) < rank {
-			cum += c
-			continue
-		}
-		if i == len(h.bounds) {
-			return h.bounds[len(h.bounds)-1]
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = h.bounds[i-1]
-		}
-		hi := h.bounds[i]
-		frac := 0.0
-		if c > 0 {
-			frac = (rank - float64(cum)) / float64(c)
-		}
-		return lo + frac*(hi-lo)
-	}
-	return h.bounds[len(h.bounds)-1]
-}
 
 // histogramFamily is one unlabeled histogram.
 type histogramFamily struct {
@@ -540,8 +492,11 @@ func (v *HistogramVec) With(values ...string) *Histogram {
 	return h
 }
 
-// Each calls fn for every populated child in sorted label order.
-func (v *HistogramVec) Each(fn func(values []string, h *Histogram)) {
+// snapshot exports every populated child in sorted label order.
+func (v *HistogramVec) snapshot() FamilySnapshot {
+	fs := FamilySnapshot{Name: v.name, Help: v.help, Kind: KindHistogram,
+		Labels: append([]string(nil), v.labels...),
+		Bounds: append([]float64(nil), v.bounds...)}
 	v.mu.RLock()
 	keys := make([]string, 0, len(v.children))
 	for k := range v.children {
@@ -553,16 +508,7 @@ func (v *HistogramVec) Each(fn func(values []string, h *Histogram)) {
 		v.mu.RLock()
 		h := v.children[key]
 		v.mu.RUnlock()
-		fn(splitKey(key), h)
+		fs.Series = append(fs.Series, h.series(splitKey(key)))
 	}
-}
-
-func (v *HistogramVec) snapshot() FamilySnapshot {
-	fs := FamilySnapshot{Name: v.name, Help: v.help, Kind: KindHistogram,
-		Labels: append([]string(nil), v.labels...),
-		Bounds: append([]float64(nil), v.bounds...)}
-	v.Each(func(values []string, h *Histogram) {
-		fs.Series = append(fs.Series, h.series(values))
-	})
 	return fs
 }

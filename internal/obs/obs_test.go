@@ -75,7 +75,7 @@ func TestGaugeSampledAtScrape(t *testing.T) {
 // test: 90 fast requests at ~0.8ms, 10 slow at ~150ms.
 func TestHistogramQuantiles(t *testing.T) {
 	h := newHistogram(nil)
-	if q := h.Quantile(0.5); q != 0 {
+	if q := quantile(h, 0.5); q != 0 {
 		t.Errorf("empty histogram p50 = %g, want 0", q)
 	}
 	for i := 0; i < 90; i++ {
@@ -84,10 +84,10 @@ func TestHistogramQuantiles(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		h.ObserveDuration(150 * time.Millisecond)
 	}
-	if p50 := h.Quantile(0.50); p50 < 500e-6 || p50 > 1e-3 {
+	if p50 := quantile(h, 0.50); p50 < 500e-6 || p50 > 1e-3 {
 		t.Errorf("p50 = %gs, want within (0.0005, 0.001]", p50)
 	}
-	if p99 := h.Quantile(0.99); p99 < 0.1 || p99 > 0.2 {
+	if p99 := quantile(h, 0.99); p99 < 0.1 || p99 > 0.2 {
 		t.Errorf("p99 = %gs, want within (0.1, 0.2]", p99)
 	}
 	if h.Count() != 100 {
@@ -106,7 +106,7 @@ func TestHistogramOverflowBucket(t *testing.T) {
 	}
 	// The +Inf bucket reports the largest finite bound rather than
 	// inventing an upper one.
-	if q := h.Quantile(0.5); q != 10 {
+	if q := quantile(h, 0.5); q != 10 {
 		t.Errorf("overflow p50 = %gs, want 10 (largest finite bound)", q)
 	}
 }
@@ -140,12 +140,12 @@ func TestHistogramVecSeparatesLabels(t *testing.T) {
 	v.With("parse", "small").Observe(0.5)
 	v.With("parse", "default").Observe(2)
 	var got []string
-	v.Each(func(values []string, h *Histogram) {
-		got = append(got, strings.Join(values, "/"))
-		if h.Count() != 1 {
-			t.Errorf("%v count = %d, want 1", values, h.Count())
+	for _, s := range v.snapshot().Series {
+		got = append(got, strings.Join(s.LabelValues, "/"))
+		if s.Count != 1 {
+			t.Errorf("%v count = %d, want 1", s.LabelValues, s.Count)
 		}
-	})
+	}
 	if len(got) != 2 || got[0] != "parse/default" || got[1] != "parse/small" {
 		t.Errorf("children %v, want [parse/default parse/small]", got)
 	}

@@ -1,17 +1,20 @@
 // Fleet-mergeable metric snapshots. Registry.Snapshot exports every
 // registered family as plain data (JSON-serializable, no atomics, no
-// closures) so one node can ship its whole registry to a peer over the
-// fleet endpoints; MergeFamilies folds the snapshots of N nodes into
-// one fleet view — counters sum, gauges become per-node series under a
-// "node" label, histograms add bucket-wise. WriteSnapshotText is the
-// one Prometheus text writer: it renders the node-local registry for
-// /metrics (through Registry.WriteText) and the merged fleet view for
-// /v1/fleet/metrics alike.
+// closures): it is the daemon's GET /stats, the one JSON form of its
+// metrics, which the fleet endpoints fetch from every peer.
+// MergeFamilies folds the snapshots of N nodes into one fleet view —
+// counters sum, gauges become per-node series under a "node" label,
+// histograms add bucket-wise. WriteSnapshotText is the one Prometheus
+// text writer: it renders the node-local registry for /metrics (through
+// Registry.WriteText) and the merged fleet view for /v1/fleet/metrics
+// alike. Find and SeriesSnapshot.Quantile read numbers back out of a
+// snapshot.
 package obs
 
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -63,6 +66,60 @@ func (r *Registry) Snapshot() []FamilySnapshot {
 		out[i] = f.snapshot()
 	}
 	return out
+}
+
+// Find returns the series of the family called name whose label values
+// are values, with the family's bucket bounds (nil unless it is a
+// histogram); ok is false when fams holds no such series.
+func Find(fams []FamilySnapshot, name string, values ...string) (s SeriesSnapshot, bounds []float64, ok bool) {
+	for _, f := range fams {
+		if f.Name != name {
+			continue
+		}
+		for _, s := range f.Series {
+			if slices.Equal(s.LabelValues, values) {
+				return s, f.Bounds, true
+			}
+		}
+		break
+	}
+	return SeriesSnapshot{}, nil, false
+}
+
+// Quantile estimates the q-quantile (0 < q < 1) of a histogram series
+// with the given bucket bounds, by linear interpolation within the
+// containing bucket. It returns 0 with no observations; the +Inf bucket
+// reports the largest finite bound rather than inventing an upper one.
+func (s SeriesSnapshot) Quantile(bounds []float64, q float64) float64 {
+	var total int64
+	for _, c := range s.BucketCounts {
+		total += c
+	}
+	if total == 0 {
+		return 0
+	}
+	rank := q * float64(total)
+	var cum int64
+	for i, c := range s.BucketCounts {
+		if float64(cum+c) < rank {
+			cum += c
+			continue
+		}
+		if i == len(bounds) {
+			return bounds[len(bounds)-1]
+		}
+		lo := 0.0
+		if i > 0 {
+			lo = bounds[i-1]
+		}
+		hi := bounds[i]
+		frac := 0.0
+		if c > 0 {
+			frac = (rank - float64(cum)) / float64(c)
+		}
+		return lo + frac*(hi-lo)
+	}
+	return bounds[len(bounds)-1]
 }
 
 // NodeSnapshot is one node's full registry snapshot, tagged with the

@@ -56,6 +56,27 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFind looks series up by family name and label values: a labeled
+// counter, an unlabeled histogram with its bounds, and the misses.
+func TestFind(t *testing.T) {
+	fams := buildTestRegistry(3).Snapshot()
+	if s, bounds, ok := Find(fams, "snap_by_kind_total", "b"); !ok || s.Value != 6 || bounds != nil {
+		t.Errorf("Find(snap_by_kind_total, b) = %+v, %v, %v", s, bounds, ok)
+	}
+	s, bounds, ok := Find(fams, "snap_latency_seconds")
+	if !ok || s.Count != 9 || len(bounds) != 2 {
+		t.Fatalf("Find(snap_latency_seconds) = %+v, %v, %v", s, bounds, ok)
+	}
+	if p50 := s.Quantile(bounds, 0.5); p50 != 1.5 {
+		t.Errorf("p50 = %v, want 1.5 (mid second bucket)", p50)
+	}
+	for _, miss := range [][]string{{"snap_by_kind_total", "c"}, {"snap_by_kind_total"}, {"snap_missing"}} {
+		if _, _, ok := Find(fams, miss[0], miss[1:]...); ok {
+			t.Errorf("Find(%q) found a series", miss)
+		}
+	}
+}
+
 func TestMergeFamilies(t *testing.T) {
 	nodes := []NodeSnapshot{
 		{Node: "node-a", Families: buildTestRegistry(2).Snapshot()},

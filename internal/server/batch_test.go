@@ -166,12 +166,11 @@ func TestBatchStreamsBeforeSlowBlock(t *testing.T) {
 		t.Fatal("stream did not end after the done frame")
 	}
 
-	snap := s.Stats()
-	if snap.BatchRequests != 1 {
-		t.Errorf("batch_requests = %d, want 1", snap.BatchRequests)
+	if n := s.stats.batchRequests.Value(); n != 1 {
+		t.Errorf("batch requests = %d, want 1", n)
 	}
-	if snap.BlocksStreamed != 4 {
-		t.Errorf("blocks_streamed = %d, want 4", snap.BlocksStreamed)
+	if n := s.stats.blocksStreamed.Value(); n != 4 {
+		t.Errorf("blocks streamed = %d, want 4", n)
 	}
 }
 
@@ -241,7 +240,7 @@ func TestBatchClientDisconnectNoLeak(t *testing.T) {
 // TestBatchSharedBlocksCompileOnce is the headline block-reuse
 // guarantee: a two-program batch whose programs share 90% of their
 // blocks compiles each shared block exactly once, visible in the
-// compile-call count (single-flight leaders) and the /stats block
+// compile-call count (single-flight leaders) and the block-cache
 // counters. The stream itself must carry every (program, index) pair
 // exactly once, a fingerprinted trailer per program, and nothing after
 // the done frame.
@@ -316,13 +315,12 @@ func TestBatchSharedBlocksCompileOnce(t *testing.T) {
 	if got := calls.Load(); got != 11 {
 		t.Errorf("compile calls = %d, want 11 (shared blocks compiled more than once)", got)
 	}
-	snap := s.Stats()
-	if snap.BlockMisses != 11 {
-		t.Errorf("block misses = %d, want 11", snap.BlockMisses)
+	if n := s.stats.blockMisses.Value(); n != 11 {
+		t.Errorf("block misses = %d, want 11", n)
 	}
-	if reused := snap.BlockHits + snap.BlockCoalesced; reused != 9 {
-		t.Errorf("block hits+coalesced = %d+%d = %d, want 9",
-			snap.BlockHits, snap.BlockCoalesced, reused)
+	hits, coalesced := s.stats.blockHits.Value(), s.stats.blockCoalesced.Value()
+	if hits+coalesced != 9 {
+		t.Errorf("block hits+coalesced = %d+%d = %d, want 9", hits, coalesced, hits+coalesced)
 	}
 }
 
@@ -330,8 +328,8 @@ func TestBatchSharedBlocksCompileOnce(t *testing.T) {
 // proof: program B, whose blocks are partly served from program A's
 // cached per-block schedules, must produce byte-identical output to B
 // compiled standalone on a fresh server — and to a direct compile.Run.
-// The sharing must also be visible in /stats as cross-program block
-// hits.
+// The sharing must also be visible in the block-cache counters as
+// cross-program block hits.
 func TestBlockDifferentialEquivalence(t *testing.T) {
 	shared := make([]string, 5)
 	for i := range shared {
@@ -352,8 +350,8 @@ func TestBlockDifferentialEquivalence(t *testing.T) {
 	if respB.Cached {
 		t.Error("B has a unique block; its response must not be fully cached")
 	}
-	if snap := s1.Stats(); snap.BlockHits < 5 {
-		t.Errorf("cross-program block hits = %d, want >= 5", snap.BlockHits)
+	if n := s1.stats.blockHits.Value(); n < 5 {
+		t.Errorf("cross-program block hits = %d, want >= 5", n)
 	}
 
 	// Fresh server: B standalone, nothing shared, nothing warm.
@@ -473,6 +471,25 @@ func readBatch(t *testing.T, url string, req BatchRequest) []BatchFrame {
 	}
 }
 
+// compileCases are one request for each outcome of the shared request
+// path (compiled, zero blocks, each client error, a compile error), with
+// the status /v1/compile answers it with.
+var compileCases = []struct {
+	name   string
+	req    CompileRequest
+	status int
+}{
+	{"demo", CompileRequest{Program: demoProgram}, http.StatusOK},
+	{"two-func", CompileRequest{Program: batchFunc("f", batchBlock("a", 1), batchBlock("b", 2)) + "\n" +
+		batchFunc("g", batchBlock("c", 3))}, http.StatusOK},
+	{"zero-blocks", CompileRequest{Program: "func f\n"}, http.StatusOK},
+	{"bad-options", CompileRequest{Program: demoProgram,
+		Options: RequestOptions{Scheduler: "quantum"}}, http.StatusBadRequest},
+	{"bad-priority", CompileRequest{Program: demoProgram, Priority: "urgent"}, http.StatusBadRequest},
+	{"parse-error", CompileRequest{Program: "block without func\n"}, http.StatusBadRequest},
+	{"regalloc", CompileRequest{Program: hardErrorProgram}, http.StatusUnprocessableEntity},
+}
+
 // TestBatchMatchesCompile pins the batch endpoint to /v1/compile, whose
 // bytes are the reference. Each program goes once through a batch and
 // once through /v1/compile, each on a fresh server. A program that
@@ -481,23 +498,7 @@ func readBatch(t *testing.T, url string, req BatchRequest) []BatchFrame {
 // same fingerprints; one that fails must stream an error frame with the
 // error, stage and block of the /v1/compile error body.
 func TestBatchMatchesCompile(t *testing.T) {
-	twoFunc := batchFunc("f", batchBlock("a", 1), batchBlock("b", 2)) + "\n" +
-		batchFunc("g", batchBlock("c", 3))
-	cases := []struct {
-		name   string
-		req    CompileRequest
-		status int
-	}{
-		{"demo", CompileRequest{Program: demoProgram}, http.StatusOK},
-		{"two-func", CompileRequest{Program: twoFunc}, http.StatusOK},
-		{"zero-blocks", CompileRequest{Program: "func f\n"}, http.StatusOK},
-		{"bad-options", CompileRequest{Program: demoProgram,
-			Options: RequestOptions{Scheduler: "quantum"}}, http.StatusBadRequest},
-		{"bad-priority", CompileRequest{Program: demoProgram, Priority: "urgent"}, http.StatusBadRequest},
-		{"parse-error", CompileRequest{Program: "block without func\n"}, http.StatusBadRequest},
-		{"regalloc", CompileRequest{Program: hardErrorProgram}, http.StatusUnprocessableEntity},
-	}
-	for _, c := range cases {
+	for _, c := range compileCases {
 		t.Run(c.name, func(t *testing.T) {
 			_, ts := startServer(t, Config{})
 			status, want, wantErr := postCompile(t, ts.URL, c.req)

@@ -132,15 +132,11 @@ func TestFleetDeduplicatesCompiles(t *testing.T) {
 	// probe hit fleet-wide, and no probe error inside a healthy fleet.
 	var probeHits, probeErrors, offersSent int64
 	for _, n := range nodes {
-		snap := n.s.Stats()
-		if snap.Cluster == nil {
-			t.Fatalf("node %s: /stats has no cluster section", n.url)
-		}
-		probeHits += snap.Cluster.ProbeHits
-		probeErrors += snap.Cluster.ProbeErrors
-		offersSent += snap.Cluster.OffersSent
-		if snap.Cluster.RingNodes != 3 {
-			t.Errorf("node %s: ring_nodes = %d, want 3", n.url, snap.Cluster.RingNodes)
+		probeHits += n.s.stats.probeHit.Value()
+		probeErrors += n.s.stats.probeError.Value()
+		offersSent += n.s.stats.offerSent.Value()
+		if v := statValue(getStats(t, n.url), "bschedd_peer_ring_nodes"); v != 3 {
+			t.Errorf("node %s: bschedd_peer_ring_nodes = %g, want 3", n.url, v)
 		}
 	}
 	if probeHits == 0 {
@@ -195,25 +191,32 @@ func TestFleetNodeKillNoClientErrors(t *testing.T) {
 }
 
 // TestStandaloneUnchanged pins the compatibility contract: a server
-// with no Peers exposes no cluster surface — /stats has no "cluster"
-// key and a healthy /healthz body has exactly the original two fields.
+// with no Peers shows no cluster traffic — its ring is itself, every
+// peer probe and offer counter in /stats reads 0 — and a healthy
+// /healthz body has exactly the original two fields.
 func TestStandaloneUnchanged(t *testing.T) {
 	_, ts := startServer(t, Config{})
 	if status, _, _ := postCompile(t, ts.URL, CompileRequest{Program: demoProgram}); status != http.StatusOK {
 		t.Fatal("compile failed")
 	}
-	resp, err := http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
+	fams := getStats(t, ts.URL)
+	if v := statValue(fams, "bschedd_peer_ring_nodes"); v != 1 {
+		t.Errorf("standalone bschedd_peer_ring_nodes = %g, want 1", v)
 	}
-	var raw map[string]json.RawMessage
-	err = json.NewDecoder(resp.Body).Decode(&raw)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
+	peerSeries := 0
+	for _, f := range fams {
+		if f.Name != "bschedd_peer_probes_total" && f.Name != "bschedd_peer_offers_total" {
+			continue
+		}
+		for _, s := range f.Series {
+			peerSeries++
+			if s.Value != 0 {
+				t.Errorf("standalone %s%v = %g, want 0", f.Name, s.LabelValues, s.Value)
+			}
+		}
 	}
-	if _, ok := raw["cluster"]; ok {
-		t.Error("standalone /stats contains a cluster section")
+	if peerSeries != 6 {
+		t.Errorf("standalone /stats has %d peer probe and offer series, want 6", peerSeries)
 	}
 
 	hresp, err := http.Get(ts.URL + "/healthz")
@@ -308,12 +311,12 @@ func TestPeerLookupAndOfferEndpoints(t *testing.T) {
 	if oresp.StatusCode != http.StatusNoContent {
 		t.Fatalf("offer: status %d, want 204", oresp.StatusCode)
 	}
-	before := s.Stats().CacheMisses
+	before := s.stats.cacheMisses.Value()
 	status, cached, _ := postCompile(t, ts.URL, CompileRequest{Program: fresh})
 	if status != http.StatusOK || !cached.Cached {
 		t.Fatalf("offered key not served as a cache hit (status %d, cached %v)", status, cached != nil && cached.Cached)
 	}
-	if s.Stats().CacheMisses != before {
+	if s.stats.cacheMisses.Value() != before {
 		t.Error("offered key still produced a compile miss")
 	}
 }

@@ -298,6 +298,23 @@ func scrapeMetrics(t *testing.T, url string) string {
 	return string(raw)
 }
 
+// getStats fetches GET /stats: the registry snapshot.
+func getStats(t *testing.T, url string) []obs.FamilySnapshot {
+	t.Helper()
+	var fams []obs.FamilySnapshot
+	if status := getJSON(t, url+"/stats", &fams); status != http.StatusOK {
+		t.Fatalf("GET /stats: status %d", status)
+	}
+	return fams
+}
+
+// statValue returns the value of one series in a snapshot, 0 when the
+// snapshot has no such series.
+func statValue(fams []obs.FamilySnapshot, name string, labels ...string) float64 {
+	s, _, _ := obs.Find(fams, name, labels...)
+	return s.Value
+}
+
 // metricValue returns the value of one series in a /metrics scrape,
 // the series written as it appears before its value (name plus label
 // set). A missing series fails the test.
@@ -437,9 +454,9 @@ func TestMetricsExpositionFormat(t *testing.T) {
 
 // TestPerTierHistogramsSeparate: a small-tier request and a
 // default-tier request must land in separate tier histograms, in both
-// /metrics and the /stats JSON breakdown.
+// /metrics and /stats.
 func TestPerTierHistogramsSeparate(t *testing.T) {
-	s, ts := startServer(t, Config{})
+	_, ts := startServer(t, Config{})
 	if status, _, _ := postCompile(t, ts.URL, CompileRequest{Program: demoProgram,
 		Options: RequestOptions{Budget: TierSmall}}); status != http.StatusOK {
 		t.Fatalf("small-tier compile: %d", status)
@@ -448,12 +465,11 @@ func TestPerTierHistogramsSeparate(t *testing.T) {
 		t.Fatalf("default-tier compile: %d", status)
 	}
 
-	snap := s.Stats()
-	if got := snap.Tiers[TierSmall].Count; got != 1 {
-		t.Errorf("small tier count = %d, want 1 (tiers %v)", got, snap.Tiers)
-	}
-	if got := snap.Tiers[TierDefault].Count; got != 1 {
-		t.Errorf("default tier count = %d, want 1 (tiers %v)", got, snap.Tiers)
+	fams := getStats(t, ts.URL)
+	for _, tier := range []string{TierSmall, TierDefault} {
+		if h, _, _ := obs.Find(fams, "bschedd_compile_duration_seconds", tier); h.Count != 1 {
+			t.Errorf("%s tier count = %d, want 1", tier, h.Count)
+		}
 	}
 
 	families := parseExposition(t, scrapeMetrics(t, ts.URL))

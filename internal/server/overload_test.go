@@ -175,9 +175,8 @@ func TestOverloadGoodputUnderZipf(t *testing.T) {
 		t.Errorf("interactive completions %d under overload, want ≥%.0f (80%% of single-priority capacity %.1f/s over %v)",
 			res.Interactive.OK, wantOK, capacity, overloadWindow)
 	}
-	snap := s2.Stats()
-	if snap.ShedSojourn+snap.ShedFull == 0 {
-		t.Errorf("stats record no sheds: %+v", snap)
+	if s2.stats.shedSojourn.Value()+s2.stats.shedFull.Value() == 0 {
+		t.Error("stats record no sheds")
 	}
 }
 
@@ -219,12 +218,13 @@ func TestPriorityNoStarvation(t *testing.T) {
 		}()
 	}
 
-	// Let the flood establish a standing interactive backlog.
+	// Let the flood establish a standing interactive backlog (the only
+	// work queued so far).
 	deadline := time.Now().Add(2 * time.Second)
-	for s.Stats().QueueInteractive < 4 && time.Now().Before(deadline) {
+	for s.eng.QueueLen() < 4 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if got := s.Stats().QueueInteractive; got < 4 {
+	if got := s.eng.QueueLen(); got < 4 {
 		t.Fatalf("interactive backlog %d never established", got)
 	}
 
@@ -253,7 +253,7 @@ func TestPriorityNoStarvation(t *testing.T) {
 // verifies an innocent tenant is untouched, then waits for refill and
 // confirms service resumes. Counters must land in /stats and /metrics.
 func TestTenantQuotaExhaustRefill(t *testing.T) {
-	s, ts := startServer(t, Config{TenantRate: 2, TenantBurst: 2})
+	_, ts := startServer(t, Config{TenantRate: 2, TenantBurst: 2})
 
 	// Warm the cache so quota requests are cheap cache hits.
 	if status, _, _ := postCompile(t, ts.URL, CompileRequest{Program: demoProgram}); status != http.StatusOK {
@@ -305,18 +305,18 @@ func TestTenantQuotaExhaustRefill(t *testing.T) {
 		t.Fatalf("alice never refilled: status %d", resp.StatusCode)
 	}
 
-	snap := s.Stats()
-	if snap.QuotaRejected < 1 {
-		t.Errorf("QuotaRejected %d, want ≥1", snap.QuotaRejected)
+	fams := getStats(t, ts.URL)
+	if v := statValue(fams, "bschedd_admission_total", "quota"); v < 1 {
+		t.Errorf("quota rejections %g, want ≥1", v)
 	}
-	if snap.Tenants["alice"].Rejected < 1 {
-		t.Errorf("alice's rejection missing from tenant stats: %+v", snap.Tenants)
+	if v := statValue(fams, "bschedd_tenant_rejected_total", "alice"); v < 1 {
+		t.Errorf("alice's rejections %g, want ≥1", v)
 	}
-	if snap.Tenants["bob"].Requests < 1 || snap.Tenants["bob"].Rejected != 0 {
-		t.Errorf("bob's tenant stats wrong: %+v", snap.Tenants["bob"])
+	if req, rej := statValue(fams, "bschedd_tenant_requests_total", "bob"), statValue(fams, "bschedd_tenant_rejected_total", "bob"); req < 1 || rej != 0 {
+		t.Errorf("bob's tenant counters: %g requests, %g rejected; want ≥1 and 0", req, rej)
 	}
-	if snap.QuotaTenants < 2 {
-		t.Errorf("QuotaTenants %d, want ≥2", snap.QuotaTenants)
+	if v := statValue(fams, "bschedd_quota_tenants"); v < 2 {
+		t.Errorf("quota tenants %g, want ≥2", v)
 	}
 	text := scrapeMetrics(t, ts.URL)
 	for _, series := range []string{
@@ -364,48 +364,43 @@ func TestBreakerTripRecover(t *testing.T) {
 	for time.Now().Before(deadline) {
 		post(i)
 		i++
-		snap := s.Stats()
-		if snap.BreakerTrips >= 1 {
+		if s.stats.breakerTrip.Value() >= 1 {
 			tripped = true
 		}
 		// Recovered: faults exhausted, a probe succeeded, breaker closed.
-		if tripped && inj.Fired(chaos.DiskError) >= 4 && snap.BreakerState == "closed" {
+		if tripped && inj.Fired(chaos.DiskError) >= 4 && s.eng.BreakerState() == admission.BreakerClosed {
 			break
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	snap := s.Stats()
+	trips, ioErrors := s.stats.breakerTrip.Value(), s.stats.disk.IOErrors.Value()
 	if !tripped {
-		t.Fatalf("breaker never tripped after %d requests: %+v", i, snap)
+		t.Fatalf("breaker never tripped after %d requests (io errors %d)", i, ioErrors)
 	}
-	if snap.BreakerState != "closed" {
-		t.Fatalf("breaker state %q after faults exhausted, want closed (trips %d, io errors %d)",
-			snap.BreakerState, snap.BreakerTrips, snap.DiskIOErrors)
+	if st := s.eng.BreakerState(); st != admission.BreakerClosed {
+		t.Fatalf("breaker state %q after faults exhausted, want closed (trips %d, io errors %d)", st, trips, ioErrors)
 	}
-	if snap.DiskIOErrors < 2 {
-		t.Errorf("DiskIOErrors %d, want ≥2 (threshold that tripped)", snap.DiskIOErrors)
+	if ioErrors < 2 {
+		t.Errorf("disk I/O errors %d, want ≥2 (threshold that tripped)", ioErrors)
 	}
 
 	// Closed again: the next distinct compile must actually reach disk.
-	start := s.Stats().DiskWrites
+	start := s.stats.disk.Writes.Value()
 	post(i)
 	writeDeadline := time.Now().Add(5 * time.Second)
-	for s.Stats().DiskWrites <= start && time.Now().Before(writeDeadline) {
+	for s.stats.disk.Writes.Value() <= start && time.Now().Before(writeDeadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
-	if got := s.Stats().DiskWrites; got <= start {
+	if got := s.stats.disk.Writes.Value(); got <= start {
 		t.Errorf("no disk write after recovery (writes %d)", got)
 	}
 	if inj.Fired(chaos.SlowCompile) == 0 {
 		t.Error("slow-compile fault never fired")
 	}
 
-	var stats struct {
-		RetryAfterSeconds int `json:"retry_after_s"`
-	}
-	if status := getJSON(t, ts.URL+"/stats", &stats); status != http.StatusOK || stats.RetryAfterSeconds < 1 {
-		t.Errorf("/stats retry_after_s = %d (status %d), want >= 1", stats.RetryAfterSeconds, status)
+	if v := statValue(getStats(t, ts.URL), "bschedd_retry_after_seconds"); v < 1 {
+		t.Errorf("/stats bschedd_retry_after_seconds = %g, want >= 1", v)
 	}
 	text := scrapeMetrics(t, ts.URL)
 	for _, series := range []string{
@@ -452,16 +447,17 @@ func TestCoDelShedBeforeFull(t *testing.T) {
 	go post(1) // parks at the head of the queue
 	go post(2)
 	deadline := time.Now().Add(2 * time.Second)
-	for s.Stats().QueueDepth < 2 && time.Now().Before(deadline) {
+	for s.eng.QueueLen() < 2 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if got := s.Stats().QueueDepth; got != 2 {
+	if got := s.eng.QueueLen(); got != 2 {
 		t.Fatalf("queue depth %d, want 2", got)
 	}
 
 	// Let the head's sojourn exceed target+interval (drain stalled).
 	time.Sleep(60 * time.Millisecond)
-	before := s.Stats()
+	queueWait := s.stats.stages.With(engine.StageQueue)
+	shedsBefore, waitsBefore := s.stats.shedSojourn.Value(), queueWait.Count()
 
 	resp, raw := postRaw(t, ts.URL, CompileRequest{Program: demoVariant(3)}, nil)
 	if resp.StatusCode != http.StatusServiceUnavailable {
@@ -472,19 +468,17 @@ func TestCoDelShedBeforeFull(t *testing.T) {
 		t.Errorf("shed Retry-After %q outside [1, %d]", resp.Header.Get("Retry-After"), admission.MaxRetryAfterSeconds)
 	}
 
-	after := s.Stats()
-	if after.ShedSojourn != before.ShedSojourn+1 {
-		t.Errorf("ShedSojourn %d → %d, want +1", before.ShedSojourn, after.ShedSojourn)
+	if got := s.stats.shedSojourn.Value(); got != shedsBefore+1 {
+		t.Errorf("sojourn sheds %d → %d, want +1", shedsBefore, got)
 	}
-	if after.ShedFull != 0 {
-		t.Errorf("ShedFull %d — the queue was nowhere near its depth bound", after.ShedFull)
+	if got := s.stats.shedFull.Value(); got != 0 {
+		t.Errorf("queue-full sheds %d — the queue was nowhere near its depth bound", got)
 	}
-	if after.QueueDepth >= after.QueueCapacity {
-		t.Errorf("queue depth %d at capacity %d — shed was not 'before full'", after.QueueDepth, after.QueueCapacity)
+	if depth, capacity := s.eng.QueueLen(), s.eng.QueueCapacity(); depth >= capacity {
+		t.Errorf("queue depth %d at capacity %d — shed was not 'before full'", depth, capacity)
 	}
-	if after.Stages[engine.StageQueue].Count != before.Stages[engine.StageQueue].Count+1 {
-		t.Errorf("queue-wait histogram count %d → %d: shed requests must be recorded",
-			before.Stages[engine.StageQueue].Count, after.Stages[engine.StageQueue].Count)
+	if got := queueWait.Count(); got != waitsBefore+1 {
+		t.Errorf("queue-wait histogram count %d → %d: shed requests must be recorded", waitsBefore, got)
 	}
 
 	close(gate)
@@ -535,7 +529,7 @@ func TestRetryAfterBoundsAllPaths(t *testing.T) {
 		done <- status
 	}()
 	deadline := time.Now().Add(2 * time.Second)
-	for s.Stats().QueueDepth < 1 && time.Now().Before(deadline) {
+	for s.eng.QueueLen() < 1 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	resp, raw := postRaw(t, ts.URL, CompileRequest{Program: demoVariant(2)}, nil)

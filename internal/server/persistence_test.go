@@ -96,8 +96,8 @@ func TestDiskCacheEquivalence(t *testing.T) {
 	s1.Close() // flushes the write-behind queue
 
 	s2, ts2 := startServer(t, Config{CacheDir: dir})
-	if s2.Stats().DiskWarmEntries != corpusBlocks {
-		t.Fatalf("warm entries %d, want %d", s2.Stats().DiskWarmEntries, corpusBlocks)
+	if n := s2.eng.DiskWarmEntries(); n != corpusBlocks {
+		t.Fatalf("warm entries %d, want %d", n, corpusBlocks)
 	}
 	for i, req := range corpus {
 		status, disk, errResp := postCompile(t, ts2.URL, req)
@@ -115,7 +115,7 @@ func TestDiskCacheEquivalence(t *testing.T) {
 			t.Errorf("corpus[%d]: disk-warmed response differs from cold compile:\n%s\n%s", i, c, dk)
 		}
 	}
-	if hits := s2.Stats().DiskHits; hits != int64(corpusBlocks) {
+	if hits := s2.stats.disk.Hits.Value(); hits != int64(corpusBlocks) {
 		t.Errorf("disk hits %d, want %d", hits, corpusBlocks)
 	}
 }
@@ -123,7 +123,8 @@ func TestDiskCacheEquivalence(t *testing.T) {
 // TestDiskCacheWarmRestart is the end-to-end warm-restart check at the
 // server level: compile, restart on the same directory, and the next
 // identical request must be a disk hit — visible in /stats
-// (disk_hits >= 1) and in the request's trace (a disk-hit span event).
+// (bschedd_diskcache_events_total{event="hit"} >= 1) and in the
+// request's trace (a disk-hit span event).
 func TestDiskCacheWarmRestart(t *testing.T) {
 	dir := t.TempDir()
 	s1, ts1 := startServer(t, Config{CacheDir: dir})
@@ -153,21 +154,12 @@ func TestDiskCacheWarmRestart(t *testing.T) {
 	}
 
 	// /stats must show the disk hit.
-	sresp, err := http.Get(ts2.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
+	fams := getStats(t, ts2.URL)
+	if v := statValue(fams, "bschedd_diskcache_events_total", "hit"); v < 1 {
+		t.Errorf("stats disk hits = %g, want >= 1", v)
 	}
-	var snap Snapshot
-	err = json.NewDecoder(sresp.Body).Decode(&snap)
-	sresp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.DiskHits < 1 {
-		t.Errorf("stats disk_hits = %d, want >= 1", snap.DiskHits)
-	}
-	if snap.CacheMisses != 0 {
-		t.Errorf("disk hit also counted as a compile miss (misses=%d)", snap.CacheMisses)
+	if v := statValue(fams, "bschedd_cache_events_total", "miss"); v != 0 {
+		t.Errorf("disk hit also counted as a compile miss (misses=%g)", v)
 	}
 
 	// The trace must carry the disk-hit event on the root span.
@@ -225,7 +217,7 @@ func TestDiskCacheDeadlineDegradedNotPersisted(t *testing.T) {
 	s1.Close()
 
 	s2, _ := startServer(t, Config{CacheDir: dir})
-	if n := s2.Stats().DiskWarmEntries; n != 0 {
+	if n := s2.eng.DiskWarmEntries(); n != 0 {
 		t.Errorf("deadline-degraded schedule was persisted (%d warm entries)", n)
 	}
 }
@@ -270,7 +262,7 @@ func TestDiskCacheCorruptOnDiskNeverServed(t *testing.T) {
 	if resp.Program != clean.Program {
 		t.Error("recompile after corruption produced a different schedule")
 	}
-	if s2.Stats().DiskCorruptRecords == 0 {
+	if s2.stats.disk.Corrupt.Value() == 0 {
 		t.Error("corruption was not counted")
 	}
 }

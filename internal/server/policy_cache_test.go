@@ -19,6 +19,7 @@ import (
 	"bsched/internal/compile"
 	"bsched/internal/engine"
 	"bsched/internal/ir"
+	"bsched/internal/obs"
 	"bsched/internal/sched"
 )
 
@@ -170,20 +171,15 @@ func TestPolicyCacheMemorySoundness(t *testing.T) {
 			again.Cached, again.Program == first[sched.PolicyTraditional].Program)
 	}
 
-	var stats struct {
-		PolicyBlocks map[string]int64        `json:"policy_blocks"`
-		PolicyCycles map[string]CycleSummary `json:"policy_cycles"`
-	}
-	if status := getJSON(t, ts.URL+"/stats", &stats); status != http.StatusOK {
-		t.Fatalf("GET /stats: status %d", status)
-	}
+	fams := getStats(t, ts.URL)
 	for _, name := range sched.PolicyNames() {
-		if stats.PolicyBlocks[name] < 1 {
-			t.Errorf("/stats policy_blocks[%s] = %d, want >= 1", name, stats.PolicyBlocks[name])
+		if v := statValue(fams, "bschedd_policy_blocks_total", name); v < 1 {
+			t.Errorf("/stats bschedd_policy_blocks_total[%s] = %g, want >= 1", name, v)
 		}
 	}
-	if cs := stats.PolicyCycles[sched.PolicyBalanced]; cs.Count < 1 || cs.P50Slots <= 0 {
-		t.Errorf("balanced cycle summary = %+v, want count >= 1 and positive p50", cs)
+	cs, bounds, _ := obs.Find(fams, "bschedd_policy_cycles", sched.PolicyBalanced)
+	if p50 := cs.Quantile(bounds, 0.5); cs.Count < 1 || p50 <= 0 {
+		t.Errorf("balanced cycles: count %d, p50 %g; want count >= 1 and positive p50", cs.Count, p50)
 	}
 	series := `bschedd_policy_blocks_total{policy="critical-path"}`
 	if v := metricValue(t, scrapeMetrics(t, ts.URL), series); v < 1 {
@@ -222,7 +218,7 @@ func TestPolicyCacheDiskSoundness(t *testing.T) {
 	if trad.Blocks[0].Policy != sched.PolicyTraditional {
 		t.Fatalf("disk-path traditional response names policy %q", trad.Blocks[0].Policy)
 	}
-	if got := s2.Stats().PolicyBlocks[sched.PolicyTraditional]; got != 1 {
+	if got := s2.stats.policyBlocks.With(sched.PolicyTraditional).Value(); got != 1 {
 		t.Errorf("traditional blocks compiled after restart = %d, want 1", got)
 	}
 }

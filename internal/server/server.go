@@ -57,9 +57,9 @@
 // Observability (see docs/OBSERVABILITY.md for the full catalog): every
 // counter, gauge and latency histogram lives in an internal/obs
 // registry. GET /metrics renders it in Prometheus text exposition
-// format; GET /stats serves the same instruments as a JSON snapshot
-// (p50/p99 plus per-stage and per-tier latency breakdowns); GET
-// /healthz is a liveness probe that also reports fleet degradation.
+// format; GET /stats serves the registry's snapshot, the same families
+// as JSON data (bucket counts, not quantiles); GET /healthz is a
+// liveness probe that also reports fleet degradation.
 // Per-stage timings cover the whole request path — parse, cache lookup,
 // queue wait, worker-side compile — and, through the engine's
 // compile.Options.SpanObserver, the pipeline stages inside a
@@ -696,8 +696,8 @@ func (s *Server) dispatch(r *http.Request, tr *obs.Trace, p *program, i int, b *
 		// bound. Either way, fail the entry so coalesced requests that
 		// raced in behind us reject too instead of hanging — and record
 		// the queue-wait span *and* histogram for the shed block, so
-		// shedding is visible in traces and /stats rather than only in
-		// requests that eventually ran.
+		// shedding is visible in traces and the stage histogram rather
+		// than only in requests that eventually ran.
 		s.stats.stages.With(engine.StageQueue).ObserveDuration(time.Since(j.Enqueued))
 		j.QueueSpan.EndErr(err)
 		if errors.Is(err, admission.ErrShed) {
@@ -718,30 +718,6 @@ func (s *Server) dispatch(r *http.Request, tr *obs.Trace, p *program, i int, b *
 	p.compiled = true
 	p.addPending(i, e, true)
 	return nil
-}
-
-// Stats returns a point-in-time snapshot of the service counters.
-func (s *Server) Stats() Snapshot {
-	snap := s.stats.snapshot()
-	q := s.eng.QueueSnapshot()
-	snap.QueueDepth = q.Interactive + q.Batch
-	snap.QueueCapacity = s.eng.QueueCapacity()
-	snap.QueueInteractive = q.Interactive
-	snap.QueueBatch = q.Batch
-	snap.RetryAfterSeconds = q.RetryAfterSeconds
-	snap.BreakerState = s.eng.BreakerState().String()
-	snap.BreakerTrips = s.eng.BreakerTrips()
-	snap.QuotaTenants = s.quota.Tenants()
-	snap.Workers = s.cfg.Workers
-	snap.CacheEntries = s.eng.CacheLen()
-	snap.TracesRetained = s.tracer.Store().Len()
-	snap.DiskEntries = s.eng.DiskEntries()
-	snap.DiskBytes = s.eng.DiskBytes()
-	snap.DiskWarmEntries = s.eng.DiskWarmEntries()
-	if s.cluster != nil {
-		snap.Cluster = s.stats.clusterSummary(s.cluster)
-	}
-	return snap
 }
 
 // handleHealthz is the liveness probe. A healthy standalone daemon
@@ -784,8 +760,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, body)
 }
 
+// handleStats serves GET /stats: the registry's snapshot as JSON, every
+// family /metrics renders, as plain data (obs.FamilySnapshot).
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Stats())
+	writeJSON(w, http.StatusOK, s.stats.reg.Snapshot())
 }
 
 // timeout clamps a request's deadline to the configured range.

@@ -21,13 +21,13 @@ const (
 )
 
 // Stats is the daemon's instrument panel, backed by an internal/obs
-// registry so that the exact same instruments serve both GET /stats
-// (JSON snapshot) and GET /metrics (Prometheus text exposition).
-// Counters cost one atomic add; a Snapshot is a consistent-enough
-// point-in-time copy for monitoring (individual counters are exact,
-// cross-counter invariants like hits+misses == lookups may be
-// momentarily off by in-flight requests). docs/OBSERVABILITY.md
-// catalogs every registered metric.
+// registry whose snapshot is the one view of the metrics: GET /stats
+// serves it as JSON, GET /metrics renders it as Prometheus text, and the
+// fleet endpoints merge the peers' /stats. Counters cost one atomic
+// add; a snapshot is a consistent-enough point-in-time copy for
+// monitoring (individual counters are exact, cross-counter invariants
+// like hits+misses == lookups may be momentarily off by in-flight
+// requests). docs/OBSERVABILITY.md catalogs every registered metric.
 type Stats struct {
 	reg *obs.Registry
 
@@ -92,8 +92,8 @@ type Stats struct {
 	// Per-tenant counters, label-bounded: the first maxTenantLabels
 	// distinct tenants get their own label value; the rest aggregate
 	// under "_other" so a tenant-id cardinality attack cannot balloon
-	// /metrics. The tenants map mirrors the vec children so /stats can
-	// enumerate them (CounterVec has no iterator).
+	// /metrics. The tenants map counts the labels handed out, which is
+	// what enforces the bound, and caches each tenant's pair of counters.
 	tenantReqs     *obs.CounterVec // bschedd_tenant_requests_total{tenant}
 	tenantRejects  *obs.CounterVec // bschedd_tenant_rejected_total{tenant}
 	tenantMu       sync.Mutex
@@ -311,174 +311,6 @@ func (s *Stats) observeStage(stage string, d time.Duration) {
 	s.stages.With(stage).ObserveDuration(d)
 }
 
-// LatencySummary is the JSON shape of one per-stage or per-tier latency
-// breakdown inside a Snapshot.
-type LatencySummary struct {
-	// Count is the number of samples recorded.
-	Count int64 `json:"count"`
-	// P50Millis / P99Millis are fixed-bucket quantile estimates in
-	// milliseconds.
-	P50Millis float64 `json:"p50_ms"`
-	P99Millis float64 `json:"p99_ms"`
-}
-
-// Snapshot is the JSON shape of GET /stats. Every field present before
-// the observability PR is unchanged; Stages and Tiers are additive.
-type Snapshot struct {
-	Requests      int64 `json:"requests"`
-	OK            int64 `json:"ok"`
-	ClientErrors  int64 `json:"client_errors"`
-	CompileErrors int64 `json:"compile_errors"`
-	Rejected      int64 `json:"rejected"`
-	CacheHits     int64 `json:"cache_hits"`
-	CacheMisses   int64 `json:"cache_misses"`
-	Coalesced     int64 `json:"coalesced"`
-	Degradations  int64 `json:"degradations"`
-	// Block-granular cache dispatch outcomes (one per block, versus the
-	// per-program counters above). BlockHits minus per-program hits is
-	// the cross-program block reuse the block-keyed cache buys.
-	BlockHits      int64 `json:"block_hits"`
-	BlockMisses    int64 `json:"block_misses"`
-	BlockCoalesced int64 `json:"block_coalesced"`
-	BlockDisk      int64 `json:"block_disk"`
-	BlockPeer      int64 `json:"block_peer"`
-	// Batch-endpoint counters: batches accepted and per-block NDJSON
-	// frames streamed.
-	BatchRequests  int64 `json:"batch_requests"`
-	BlocksStreamed int64 `json:"blocks_streamed"`
-	QueueDepth     int   `json:"queue_depth"`
-	QueueCapacity  int   `json:"queue_capacity"`
-	Workers        int   `json:"workers"`
-	CacheEntries   int   `json:"cache_entries"`
-	// Persistent (disk) schedule-cache counters — all zero when the
-	// daemon runs without -cache-dir. DiskHits counts requests served by
-	// decoding a record from disk after a memory miss; DiskWarmEntries is
-	// the warm-start figure: records indexed from segment replay when the
-	// process started.
-	DiskHits           int64 `json:"disk_hits"`
-	DiskMisses         int64 `json:"disk_misses"`
-	DiskWrites         int64 `json:"disk_writes"`
-	DiskEvictions      int64 `json:"disk_evictions"`
-	DiskRecordsLoaded  int64 `json:"disk_records_loaded"`
-	DiskCorruptRecords int64 `json:"disk_corrupt_records"`
-	// DiskStaleRecords counts healthy records in the retired
-	// program-keyed format skipped at replay (docs/CACHE-KEYS.md).
-	DiskStaleRecords int64 `json:"disk_stale_records"`
-	DiskEntries      int   `json:"disk_entries"`
-	DiskBytes        int64 `json:"disk_bytes"`
-	DiskWarmEntries  int   `json:"disk_warm_entries"`
-	// P50/P99 service time of successful compilations, in milliseconds,
-	// estimated from a fixed-bucket histogram
-	// (obs.DefaultLatencyBuckets).
-	P50Millis float64 `json:"p50_ms"`
-	P99Millis float64 `json:"p99_ms"`
-	// Stages breaks latency down by pipeline stage (parse, lookup,
-	// queue, compile, deps, weights, schedule, regalloc); Tiers breaks
-	// worker-side compile time down by work-budget tier. Both are empty
-	// until the first request flows through.
-	Stages map[string]LatencySummary `json:"stages,omitempty"`
-	Tiers  map[string]LatencySummary `json:"tiers,omitempty"`
-	// LastTraceID is the trace id of the most recent successful compile
-	// response (the request-duration histogram's exemplar) — a concrete
-	// GET /v1/traces/{id} starting point. TracesRetained counts traces
-	// currently held by the tail-based sampler. Empty/zero when tracing
-	// is disabled.
-	LastTraceID    string `json:"last_trace_id,omitempty"`
-	TracesRetained int    `json:"traces_retained,omitempty"`
-	// Admission-control counters (see docs/ROBUSTNESS.md, "Overload
-	// behavior"): ShedSojourn/ShedFull are 503s from the CoDel controller
-	// and the hard queue bound; QuotaRejected are 429s; DeadlineRejected
-	// are fail-fast 503s for requests whose remaining deadline was below
-	// the tier's p99 compile estimate.
-	ShedSojourn      int64 `json:"shed_sojourn"`
-	ShedFull         int64 `json:"shed_full"`
-	QuotaRejected    int64 `json:"quota_rejected"`
-	DeadlineRejected int64 `json:"deadline_rejected"`
-	// QueueInteractive/QueueBatch are the per-class backlogs behind
-	// QueueDepth (their sum); RetryAfterSeconds is the adaptive estimate
-	// a 503 would carry right now.
-	QueueInteractive  int `json:"queue_interactive"`
-	QueueBatch        int `json:"queue_batch"`
-	RetryAfterSeconds int `json:"retry_after_s"`
-	// Disk circuit breaker: state is "closed", "open" or "half-open";
-	// trips counts lifetime openings; DiskIOErrors counts the I/O
-	// failures that feed it.
-	BreakerState string `json:"breaker_state"`
-	BreakerTrips int64  `json:"breaker_trips"`
-	DiskIOErrors int64  `json:"disk_io_errors"`
-	// QuotaTenants is how many tenant token buckets are tracked; Tenants
-	// is the per-tenant request/rejection breakdown (label-bounded, so
-	// heavy cardinality aggregates under "_other").
-	QuotaTenants int                      `json:"quota_tenants"`
-	Tenants      map[string]TenantSummary `json:"tenants,omitempty"`
-	// PolicyBlocks counts compiled blocks per scheduling policy;
-	// PolicyCycles is the per-policy schedule-length breakdown, in issue
-	// slots (docs/POLICIES.md). Policies with no blocks yet are omitted.
-	PolicyBlocks map[string]int64        `json:"policy_blocks,omitempty"`
-	PolicyCycles map[string]CycleSummary `json:"policy_cycles,omitempty"`
-	// Cluster is this node's fleet view (docs/CLUSTER.md); absent for a
-	// standalone daemon, so single-node /stats output is unchanged.
-	Cluster *ClusterSummary `json:"cluster,omitempty"`
-}
-
-// CycleSummary is one policy's schedule-length breakdown inside a
-// Snapshot — counts and quantiles in issue slots, not milliseconds.
-type CycleSummary struct {
-	Count    int64   `json:"count"`
-	P50Slots float64 `json:"p50_slots"`
-	P99Slots float64 `json:"p99_slots"`
-}
-
-// policySummaries snapshots the per-policy counters for /stats,
-// dropping policies that have compiled nothing so an idle daemon's
-// /stats output stays unchanged.
-func (s *Stats) policySummaries() (map[string]int64, map[string]CycleSummary) {
-	blocks := make(map[string]int64)
-	for _, name := range sched.PolicyNames() {
-		if v := s.policyBlocks.With(name).Value(); v > 0 {
-			blocks[name] = v
-		}
-	}
-	cycles := make(map[string]CycleSummary)
-	s.policyCycles.Each(func(values []string, h *obs.Histogram) {
-		if h.Count() == 0 {
-			return
-		}
-		cycles[values[0]] = CycleSummary{
-			Count:    h.Count(),
-			P50Slots: h.Quantile(0.50),
-			P99Slots: h.Quantile(0.99),
-		}
-	})
-	if len(blocks) == 0 {
-		blocks = nil
-	}
-	if len(cycles) == 0 {
-		cycles = nil
-	}
-	return blocks, cycles
-}
-
-// ClusterSummary is the fleet slice of a Snapshot.
-type ClusterSummary struct {
-	// Self is this node's advertised URL; Peers the configured peer
-	// URLs; RingNodes the real nodes the ring places keys over
-	// (self included).
-	Self      string   `json:"self"`
-	Peers     []string `json:"peers"`
-	RingNodes int      `json:"ring_nodes"`
-	// Unreachable lists peers whose circuit breaker is currently open.
-	Unreachable []string `json:"unreachable,omitempty"`
-	// Probe and offer counters, mirroring bschedd_peer_probes_total and
-	// bschedd_peer_offers_total.
-	ProbeHits     int64 `json:"probe_hits"`
-	ProbeMisses   int64 `json:"probe_misses"`
-	ProbeErrors   int64 `json:"probe_errors"`
-	ProbeSkips    int64 `json:"probe_skips"`
-	OffersSent    int64 `json:"offers_sent"`
-	OffersDropped int64 `json:"offers_dropped"`
-}
-
 // clusterMetrics adapts the peer counters to the cluster package's
 // metric seam.
 func (s *Stats) clusterMetrics() cluster.Metrics {
@@ -490,148 +322,4 @@ func (s *Stats) clusterMetrics() cluster.Metrics {
 		OfferSent:    s.offerSent,
 		OfferDropped: s.offerDropped,
 	}
-}
-
-// clusterSummary snapshots the fleet view for /stats.
-func (s *Stats) clusterSummary(cl *cluster.Client) *ClusterSummary {
-	return &ClusterSummary{
-		Self:          cl.Self(),
-		Peers:         cl.Peers(),
-		RingNodes:     cl.RingNodes(),
-		Unreachable:   cl.Unreachable(),
-		ProbeHits:     s.probeHit.Value(),
-		ProbeMisses:   s.probeMiss.Value(),
-		ProbeErrors:   s.probeError.Value(),
-		ProbeSkips:    s.probeSkip.Value(),
-		OffersSent:    s.offerSent.Value(),
-		OffersDropped: s.offerDropped.Value(),
-	}
-}
-
-// TenantSummary is one tenant's slice of the Snapshot.
-type TenantSummary struct {
-	Requests int64 `json:"requests"`
-	Rejected int64 `json:"rejected"`
-}
-
-// tenantSummaries snapshots the per-tenant counters for /stats.
-func (s *Stats) tenantSummaries() map[string]TenantSummary {
-	s.tenantMu.Lock()
-	defer s.tenantMu.Unlock()
-	if len(s.tenantCounters) == 0 {
-		return nil
-	}
-	out := make(map[string]TenantSummary, len(s.tenantCounters))
-	for name, tc := range s.tenantCounters {
-		out[name] = TenantSummary{Requests: tc.requests.Value(), Rejected: tc.rejected.Value()}
-	}
-	return out
-}
-
-// snapshot copies the counters and summarizes the histograms;
-// queue/worker/cache/trace gauges are filled in by the server, which
-// owns them.
-func (s *Stats) snapshot() Snapshot {
-	lastTrace := ""
-	if _, id, ok := s.hist.Exemplar(); ok {
-		lastTrace = id
-	}
-	policyBlocks, policyCycles := s.policySummaries()
-	return Snapshot{
-		PolicyBlocks:       policyBlocks,
-		PolicyCycles:       policyCycles,
-		LastTraceID:        lastTrace,
-		Requests:           s.requests.Value(),
-		OK:                 s.ok.Value(),
-		ClientErrors:       s.clientErrors.Value(),
-		CompileErrors:      s.compileErrors.Value(),
-		Rejected:           s.rejected.Value(),
-		CacheHits:          s.cacheHits.Value(),
-		CacheMisses:        s.cacheMisses.Value(),
-		Coalesced:          s.coalesced.Value(),
-		Degradations:       s.degradations.Value(),
-		BlockHits:          s.blockHits.Value(),
-		BlockMisses:        s.blockMisses.Value(),
-		BlockCoalesced:     s.blockCoalesced.Value(),
-		BlockDisk:          s.blockDisk.Value(),
-		BlockPeer:          s.blockPeer.Value(),
-		BatchRequests:      s.batchRequests.Value(),
-		BlocksStreamed:     s.blocksStreamed.Value(),
-		DiskHits:           s.disk.Hits.Value(),
-		DiskMisses:         s.disk.Misses.Value(),
-		DiskWrites:         s.disk.Writes.Value(),
-		DiskEvictions:      s.disk.Evictions.Value(),
-		DiskRecordsLoaded:  s.disk.Loaded.Value(),
-		DiskCorruptRecords: s.disk.Corrupt.Value(),
-		DiskStaleRecords:   s.disk.Stale.Value(),
-		DiskIOErrors:       s.disk.IOErrors.Value(),
-		ShedSojourn:        s.shedSojourn.Value(),
-		ShedFull:           s.shedFull.Value(),
-		QuotaRejected:      s.quotaRejected.Value(),
-		DeadlineRejected:   s.infeasible.Value(),
-		Tenants:            s.tenantSummaries(),
-		P50Millis:          s.hist.Quantile(0.50) * 1000,
-		P99Millis:          s.hist.Quantile(0.99) * 1000,
-		Stages:             summarize(s.stages),
-		Tiers:              summarize(s.tiers),
-	}
-}
-
-// CounterTotals returns the Snapshot's monotonically increasing
-// counter fields keyed by their JSON names — the fields the fleet
-// aggregation endpoint sums across nodes. Gauges (queue depth, cache
-// entries, quantile estimates) are deliberately absent: summing
-// instantaneous values across scrape moments would manufacture numbers
-// no node ever reported. This is the list
-// TestFleetStatsTotalsMatchNodeLocal asserts "fleet totals == sum of
-// node-local /stats" over.
-func (s *Snapshot) CounterTotals() map[string]int64 {
-	return map[string]int64{
-		"requests":             s.Requests,
-		"ok":                   s.OK,
-		"client_errors":        s.ClientErrors,
-		"compile_errors":       s.CompileErrors,
-		"rejected":             s.Rejected,
-		"cache_hits":           s.CacheHits,
-		"cache_misses":         s.CacheMisses,
-		"coalesced":            s.Coalesced,
-		"degradations":         s.Degradations,
-		"block_hits":           s.BlockHits,
-		"block_misses":         s.BlockMisses,
-		"block_coalesced":      s.BlockCoalesced,
-		"block_disk":           s.BlockDisk,
-		"block_peer":           s.BlockPeer,
-		"batch_requests":       s.BatchRequests,
-		"blocks_streamed":      s.BlocksStreamed,
-		"disk_hits":            s.DiskHits,
-		"disk_misses":          s.DiskMisses,
-		"disk_writes":          s.DiskWrites,
-		"disk_evictions":       s.DiskEvictions,
-		"disk_records_loaded":  s.DiskRecordsLoaded,
-		"disk_corrupt_records": s.DiskCorruptRecords,
-		"disk_stale_records":   s.DiskStaleRecords,
-		"disk_io_errors":       s.DiskIOErrors,
-		"shed_sojourn":         s.ShedSojourn,
-		"shed_full":            s.ShedFull,
-		"quota_rejected":       s.QuotaRejected,
-		"deadline_rejected":    s.DeadlineRejected,
-		"breaker_trips":        s.BreakerTrips,
-	}
-}
-
-// summarize flattens a one-label histogram vec into the Snapshot's
-// breakdown maps.
-func summarize(v *obs.HistogramVec) map[string]LatencySummary {
-	out := make(map[string]LatencySummary)
-	v.Each(func(values []string, h *obs.Histogram) {
-		out[values[0]] = LatencySummary{
-			Count:     h.Count(),
-			P50Millis: h.Quantile(0.50) * 1000,
-			P99Millis: h.Quantile(0.99) * 1000,
-		}
-	})
-	if len(out) == 0 {
-		return nil
-	}
-	return out
 }

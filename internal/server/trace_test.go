@@ -143,8 +143,8 @@ func TestTraceEndToEnd(t *testing.T) {
 	}
 
 	// The trace index lists it (the GETs above traced themselves too, so
-	// search rather than assume position), and the exemplar surfaces it
-	// in /stats.
+	// search rather than assume position), and the request-duration
+	// exemplar in /metrics names it.
 	var index struct {
 		Traces []obs.TraceIndexEntry `json:"traces"`
 	}
@@ -158,13 +158,12 @@ func TestTraceEndToEnd(t *testing.T) {
 	if !indexed {
 		t.Errorf("trace index %v missing %q", index.Traces, traceID)
 	}
-	var snap Snapshot
-	getJSON(t, ts.URL+"/stats", &snap)
-	if snap.LastTraceID != traceID {
-		t.Errorf("stats last_trace_id = %q, want %q", snap.LastTraceID, traceID)
+	exemplar := `# EXEMPLAR bschedd_request_duration_seconds trace_id="` + traceID + `" `
+	if text := scrapeMetrics(t, ts.URL); !strings.Contains(text, exemplar) {
+		t.Errorf("/metrics lacks %q", exemplar)
 	}
-	if snap.TracesRetained == 0 {
-		t.Error("stats traces_retained = 0")
+	if statValue(getStats(t, ts.URL), "bschedd_traces_retained") == 0 {
+		t.Error("stats bschedd_traces_retained = 0")
 	}
 
 	// A two-program batch records the same edge spans per program, each
@@ -365,18 +364,25 @@ func TestTracingDisabled(t *testing.T) {
 // sample to the stage histograms.
 func TestStageHistogramsUntraced(t *testing.T) {
 	s, ts := startServer(t, Config{Workers: 1, TraceCapacity: -1})
-	before := s.Stats().Stages
-	status, resp, _ := postCompile(t, ts.URL, CompileRequest{Program: demoProgram})
-	if status != http.StatusOK || resp == nil || resp.Cached {
-		t.Fatalf("cold compile with tracing disabled: status %d, resp %+v", status, resp)
-	}
-	after := s.Stats().Stages
 	want := map[string]int64{
 		stageParse: 1, stageLookup: 1,
 		compile.StageDeps: 2, compile.StageWeights: 2, compile.StageSchedule: 2, compile.StageRegalloc: 1,
 	}
+	counts := func() map[string]int64 {
+		m := make(map[string]int64, len(want))
+		for stage := range want {
+			m[stage] = s.stats.stages.With(stage).Count()
+		}
+		return m
+	}
+	before := counts()
+	status, resp, _ := postCompile(t, ts.URL, CompileRequest{Program: demoProgram})
+	if status != http.StatusOK || resp == nil || resp.Cached {
+		t.Fatalf("cold compile with tracing disabled: status %d, resp %+v", status, resp)
+	}
+	after := counts()
 	for stage, n := range want {
-		if got := after[stage].Count - before[stage].Count; got != n {
+		if got := after[stage] - before[stage]; got != n {
 			t.Errorf("stage %s: %d new samples, want %d", stage, got, n)
 		}
 	}
@@ -391,9 +397,9 @@ func TestStageHistogramsUntraced(t *testing.T) {
 			t.Fatalf("cold batch streamed an error: %+v", f)
 		}
 	}
-	after = s.Stats().Stages
+	after = counts()
 	for stage, n := range want {
-		if got := after[stage].Count - before[stage].Count; got != 2*n {
+		if got := after[stage] - before[stage]; got != 2*n {
 			t.Errorf("batch stage %s: %d new samples, want %d", stage, got, 2*n)
 		}
 	}

@@ -13,6 +13,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"bsched/internal/obs"
 )
 
 // startDaemon launches a freshly built bschedd on an ephemeral port and
@@ -92,6 +94,27 @@ func postProgram(t *testing.T, base, program string) daemonResponse {
 	return out
 }
 
+// daemonStats fetches the daemon's GET /stats, its metric families.
+func daemonStats(t *testing.T, base string) []obs.FamilySnapshot {
+	t.Helper()
+	resp, err := http.Get(base + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var fams []obs.FamilySnapshot
+	if err := json.NewDecoder(resp.Body).Decode(&fams); err != nil {
+		t.Fatal(err)
+	}
+	return fams
+}
+
+// statValue returns one series' value in a snapshot, 0 when absent.
+func statValue(fams []obs.FamilySnapshot, name string, labels ...string) float64 {
+	s, _, _ := obs.Find(fams, name, labels...)
+	return s.Value
+}
+
 // TestBscheddDaemon is the CLI integration test of the compilation
 // service: start the daemon on a random port, POST the example program,
 // verify a well-formed response and a cache hit on the identical second
@@ -136,21 +159,10 @@ func TestBscheddDaemon(t *testing.T) {
 	}
 
 	// Stats must agree with what just happened.
-	sresp, err := http.Get(base + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stats struct {
-		Requests  int64 `json:"requests"`
-		CacheHits int64 `json:"cache_hits"`
-	}
-	err = json.NewDecoder(sresp.Body).Decode(&stats)
-	sresp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Requests != 2 || stats.CacheHits != 1 {
-		t.Errorf("stats requests=%d hits=%d, want 2/1", stats.Requests, stats.CacheHits)
+	stats := daemonStats(t, base)
+	reqs, hits := statValue(stats, "bschedd_requests_total"), statValue(stats, "bschedd_cache_events_total", "hit")
+	if reqs != 2 || hits != 1 {
+		t.Errorf("stats requests=%g hits=%g, want 2/1", reqs, hits)
 	}
 
 	// Clean shutdown on SIGTERM: exit code 0, promptly.
@@ -171,7 +183,7 @@ func TestBscheddDaemon(t *testing.T) {
 // persistent cache, against the real binary: compile under -cache-dir,
 // SIGTERM, restart on the same directory, and the previously compiled
 // program must come back as a hit — visible in the response (cached),
-// in /stats (disk_hits >= 1) and in the request's trace (a disk-hit
+// in /stats (a disk-hit count >= 1) and in the request's trace (a disk-hit
 // span event).
 func TestBscheddWarmRestart(t *testing.T) {
 	if testing.Short() {
@@ -221,24 +233,12 @@ func TestBscheddWarmRestart(t *testing.T) {
 		t.Error("restarted daemon recompiled instead of serving from the persistent cache")
 	}
 
-	sresp, err := http.Get(base2 + "/stats")
-	if err != nil {
-		t.Fatal(err)
+	stats := daemonStats(t, base2)
+	if v := statValue(stats, "bschedd_diskcache_events_total", "hit"); v < 1 {
+		t.Errorf("stats disk hits = %g, want >= 1", v)
 	}
-	var stats struct {
-		DiskHits        int64 `json:"disk_hits"`
-		DiskWarmEntries int   `json:"disk_warm_entries"`
-	}
-	err = json.NewDecoder(sresp.Body).Decode(&stats)
-	sresp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.DiskHits < 1 {
-		t.Errorf("stats disk_hits = %d, want >= 1", stats.DiskHits)
-	}
-	if stats.DiskWarmEntries < 1 {
-		t.Errorf("stats disk_warm_entries = %d, want >= 1", stats.DiskWarmEntries)
+	if v := statValue(stats, "bschedd_diskcache_warm_entries"); v < 1 {
+		t.Errorf("stats disk warm entries = %g, want >= 1", v)
 	}
 
 	traceID := hresp.Header.Get("X-Trace-ID")
