@@ -129,11 +129,8 @@ func render(w io.Writer, fs *fleetStats, prev map[string]int64, elapsed time.Dur
 			name += " *"
 		}
 		if !n.Reachable {
-			reason := n.Error
-			if i := strings.IndexByte(reason, ':'); i >= 0 && len(reason) > 40 {
-				reason = reason[:i]
-			}
-			fmt.Fprintf(tw, "%s\tDOWN\t-\t-\t-\t-\t-\t-\t-\t%s\n", name, reason)
+			// The error is the row's last column, so it prints whole.
+			fmt.Fprintf(tw, "%s\tDOWN\t-\t-\t-\t-\t-\t-\t-\t%s\n", name, n.Error)
 			continue
 		}
 		f := n.Families

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -24,7 +25,7 @@ func frameRow(t *testing.T, frame, node string) map[string]string {
 		switch {
 		case strings.HasPrefix(line, "NODE"):
 			header = strings.Fields(line)
-		case strings.HasPrefix(line, node):
+		case strings.HasPrefix(line, node+" "):
 			row = strings.Fields(strings.Replace(line, node+" *", node, 1))
 		}
 	}
@@ -100,36 +101,62 @@ func TestRenderFrame(t *testing.T) {
 	}
 }
 
-// TestRenderDownNode renders a node the fleet endpoint reports
-// unreachable as a DOWN row carrying its error, beside the node that
-// answered. The response is the daemon's own FleetStats type, encoded,
-// so the dashboard's mirror of it is checked too.
+// TestRenderDownNode polls a node whose one peer's listener is closed.
+// The fleet endpoint reports the peer unreachable with the transport
+// error its /stats fetch met, and the frame shows the peer as a DOWN
+// row carrying that error whole, beside the node that answered.
 func TestRenderDownNode(t *testing.T) {
-	const peerErr = "cluster: peer http://b:8370 breaker open"
-	raw, err := json.Marshal(server.FleetStats{Self: "http://a:8370", Reachable: 1, Nodes: []server.FleetNode{
-		{Node: "http://a:8370", Self: true, Reachable: true},
-		{Node: "http://b:8370", Error: peerErr},
-	}})
+	listen := func() net.Listener {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ln
+	}
+	closed := listen()
+	dead := "http://" + closed.Addr().String()
+	closed.Close()
+	ln := listen()
+	self := "http://" + ln.Addr().String()
+	s, err := server.New(server.Config{SelfURL: self, Peers: []string{dead}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var fs fleetStats
-	if err := json.Unmarshal(raw, &fs); err != nil {
+	ts := httptest.NewUnstartedServer(s.Handler())
+	ts.Listener.Close()
+	ts.Listener = ln
+	ts.Start()
+	t.Cleanup(func() {
+		ts.Close()
+		s.Close()
+	})
+
+	fs, err := poll(ts.Client(), ts.URL)
+	if err != nil {
 		t.Fatal(err)
 	}
+	var peerErr string
+	for _, n := range fs.Nodes {
+		if n.Node == dead {
+			peerErr = n.Error
+		}
+	}
+	if peerErr == "" {
+		t.Fatalf("fleet stats carry no error for the closed peer: %+v", fs.Nodes)
+	}
 	var buf strings.Builder
-	render(&buf, &fs, map[string]int64{"http://a:8370": 0}, time.Second)
+	render(&buf, fs, map[string]int64{self: 0}, time.Second)
 	frame := buf.String()
 	if !strings.Contains(frame, "— 1/2 nodes up —") {
 		t.Errorf("title line:\n%s", frame)
 	}
-	if row := frameRow(t, frame, "http://a:8370"); row["UP"] != "up" {
+	if row := frameRow(t, frame, self); row["UP"] != "up" {
 		t.Errorf("answering node UP = %q\n%s", row["UP"], frame)
 	}
-	if row := frameRow(t, frame, "http://b:8370"); row["UP"] != "DOWN" || row["REQS"] != "-" {
+	if row := frameRow(t, frame, dead); row["UP"] != "DOWN" || row["REQS"] != "-" {
 		t.Errorf("unreachable node row %v\n%s", row, frame)
 	}
-	if !strings.Contains(frame, "DOWN") || !strings.Contains(frame, peerErr+"\n") {
+	if !strings.Contains(frame, " "+peerErr+"\n") {
 		t.Errorf("DOWN row lacks the error %q:\n%s", peerErr, frame)
 	}
 }

@@ -381,28 +381,8 @@ func (q *Queue[T]) Len() int {
 	return len(q.classes[Interactive]) + len(q.classes[Batch])
 }
 
-// LenClass reports one class's backlog.
-func (q *Queue[T]) LenClass(p Priority) int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.classes[p])
-}
-
 // Capacity reports the summed depth bound across classes.
 func (q *Queue[T]) Capacity() int { return numPriorities * q.cfg.Depth }
-
-// Shedding reports whether the class's sojourn controller is currently
-// refusing new arrivals.
-func (q *Queue[T]) Shedding(p Priority) bool {
-	now := q.cfg.Now()
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	var head time.Time
-	if len(q.classes[p]) > 0 {
-		head = q.classes[p][0].at
-	}
-	return q.ctl[p].shouldShed(now, head)
-}
 
 // Close releases every blocked Pop. Items still queued remain
 // drainable via TryPop. Safe to call twice.

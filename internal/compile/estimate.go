@@ -92,17 +92,3 @@ func (e *CostEstimator) Estimate(tier string, instrs int) time.Duration {
 	perInstr := te.meanNs + 3*math.Sqrt(te.varNs)
 	return time.Duration(perInstr * float64(instrs))
 }
-
-// Samples reports how many observations the named tier has, for /stats.
-func (e *CostEstimator) Samples(tier string) int64 {
-	if e == nil {
-		return 0
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	te, ok := e.tiers[tier]
-	if !ok {
-		return 0
-	}
-	return te.samples
-}

@@ -66,8 +66,8 @@ func TestEstimatorTiersIndependent(t *testing.T) {
 	if s, l := e.Estimate("small", 10), e.Estimate("large", 10); l < 10*s {
 		t.Fatalf("tiers bleed together: small=%v large=%v", s, l)
 	}
-	if got := e.Samples("small"); got != 20 {
-		t.Fatalf("Samples = %d, want 20", got)
+	if got := e.tiers["small"].samples; got != 20 {
+		t.Fatalf("small tier samples = %d, want 20", got)
 	}
 }
 
@@ -76,9 +76,6 @@ func TestEstimatorNilSafe(t *testing.T) {
 	e.Observe("t", 10, time.Millisecond)
 	if got := e.Estimate("t", 10); got != 0 {
 		t.Fatalf("nil Estimate = %v", got)
-	}
-	if got := e.Samples("t"); got != 0 {
-		t.Fatalf("nil Samples = %d", got)
 	}
 }
 
@@ -96,7 +93,7 @@ func TestEstimatorConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := e.Samples("t"); got != 1600 {
-		t.Fatalf("Samples = %d, want 1600", got)
+	if got := e.tiers["t"].samples; got != 1600 {
+		t.Fatalf("samples = %d, want 1600", got)
 	}
 }

@@ -9,10 +9,10 @@
 // protocol (GET /v1/peer/lookup, PUT /v1/peer/offer) both drive the same
 // Engine, so a schedule compiled for a remote peer is indistinguishable
 // from one compiled for a local client. A frontend supplies its
-// observability seams (stage/tier latency observers, degradation and
-// breaker-transition hooks) through Config; the engine itself owns no
-// metrics registry, no logger and no tracer — it only annotates the
-// *obs.Trace a Job carries.
+// observability seams through Config: the stage histogram its stages
+// are timed on, the tier observer and the degradation, policy and
+// breaker hooks. The engine owns no registry, logger or tracer; it
+// records its stages as spans of the *obs.Trace a Job carries.
 //
 // One compilation's lifetime through the engine:
 //
@@ -58,11 +58,10 @@ const (
 // hold times short.
 const cacheShards = 16
 
-// Stage labels the engine reports through Config.ObserveStage, beside
-// the compile.Stage* names it forwards from inside each compilation.
+// Labels of the engine's stages on Config.Stages, beside the
+// compile.Stage* names it forwards from inside each compilation.
 const (
-	StageDisk    = "disk"    // persistent-cache probe after a memory miss
-	StageQueue   = "queue"   // enqueue → worker pickup wait
+	StageQueue   = "queue"   // enqueue → worker pickup wait (Job.Queue)
 	StageCompile = "compile" // the whole CompileFn call inside a worker
 )
 
@@ -117,11 +116,10 @@ type Config struct {
 	// DiskMetrics receives the persistent layer's counters; nil installs
 	// inert counters so the engine can run uninstrumented (tests).
 	DiskMetrics *DiskMetrics
-	// ObserveStage, when non-nil, receives per-stage latency samples for
-	// the stages the engine owns (StageDisk, StageQueue, StageCompile)
-	// and for the pipeline stages inside each compile (the compile.Stage*
-	// names), which the engine reads from compile.Options.SpanObserver.
-	ObserveStage func(stage string, d time.Duration)
+	// Stages is the stage histogram for StageCompile and the compile.Stage*
+	// records read from compile.Options.SpanObserver. Nil installs an
+	// unregistered family.
+	Stages *obs.HistogramVec
 	// ObserveTier, when non-nil, receives worker-side compile time by
 	// work-budget tier.
 	ObserveTier func(tier string, d time.Duration)
@@ -162,6 +160,9 @@ func (c Config) withDefaults() Config {
 	if c.DiskMetrics == nil {
 		c.DiskMetrics = unregisteredDiskMetrics()
 	}
+	if c.Stages == nil {
+		c.Stages = obs.NewRegistry().HistogramVec("stages", "stages", nil, "stage")
+	}
 	if c.CompileFn == nil {
 		c.CompileFn = compile.RunBlock
 	}
@@ -192,21 +193,19 @@ type Job struct {
 	Timeout time.Duration
 	Key     Key
 	E       *Entry
-	// Tier labels the per-tier compile-duration observation; Enqueued
-	// feeds the queue-wait stage timing (set by Enqueue).
-	Tier     string
-	Enqueued time.Time
+	// Tier labels the per-tier compile-duration observation.
+	Tier string
 	// Priority is the admission class to queue under; Instrs is the
 	// block's instruction count, which feeds the per-tier cost
 	// estimator after the compile.
 	Priority admission.Priority
 	Instrs   int
-	// Tr is the leader request's trace and QueueSpan its open queue-wait
-	// span; the worker closes the span at pickup and hangs the compile
-	// (and per-block stage) spans off the same trace. Both nil when
-	// tracing is disabled.
-	Tr        *obs.Trace
-	QueueSpan *obs.Span
+	// Tr is the leader request's trace (nil when tracing is disabled),
+	// which the compile and per-block stage spans hang off. Queue is the
+	// open StageQueue stage: the worker ends it at pickup, the caller
+	// with the error when Enqueue refuses the job.
+	Tr    *obs.Trace
+	Queue obs.Stage
 }
 
 // Engine is the compilation kernel. Create with New, drive it through
@@ -321,26 +320,16 @@ func (en *Engine) Install(key Key, resp *BlockResponse, persist bool) bool {
 	return true
 }
 
-// DiskGet probes the persistent layer for key, recording the StageDisk
-// latency. It does not touch the memory cache: a leader holding a
-// fresh entry completes it with the result; the peer frontend serves
-// the record directly.
-func (en *Engine) DiskGet(key Key) (*BlockResponse, bool) {
-	if en.disk == nil {
-		return nil, false
-	}
-	start := time.Now()
-	resp, ok := en.disk.get(key)
-	en.observeStage(StageDisk, time.Since(start))
-	return resp, ok
-}
+// DiskGet probes the persistent layer, if any, for key. It does not
+// touch the memory cache: a leader holding a fresh entry completes it
+// with the result; the peer frontend serves the record directly.
+func (en *Engine) DiskGet(key Key) (*BlockResponse, bool) { return en.disk.get(key) }
 
-// Enqueue stamps the job's enqueue time and submits it to the admission
-// queue. On rejection (admission.ErrShed / admission.ErrFull) the
-// caller owns the entry's failure path; on success a worker will
+// Enqueue submits the job to the admission queue. On rejection
+// (admission.ErrShed / admission.ErrFull) the caller owns the entry's
+// failure path and the job's queue stage; on success a worker will
 // publish the entry.
 func (en *Engine) Enqueue(j *Job) error {
-	j.Enqueued = time.Now()
 	return en.adm.Push(j.Priority, j)
 }
 
@@ -361,12 +350,6 @@ func (en *Engine) DiskEntries() int                     { return en.disk.entries
 func (en *Engine) DiskBytes() int64                     { return en.disk.bytes() }
 func (en *Engine) DiskWarmEntries() int                 { return en.disk.warmEntries() }
 
-func (en *Engine) observeStage(stage string, d time.Duration) {
-	if en.cfg.ObserveStage != nil {
-		en.cfg.ObserveStage(stage, d)
-	}
-}
-
 // worker drains the admission queue until shutdown, taking jobs in
 // weighted-priority order.
 func (en *Engine) worker() {
@@ -384,33 +367,28 @@ func (en *Engine) worker() {
 // from the cache (they must not be served to later requests) but still
 // complete the entry so coalesced waiters observe them.
 func (en *Engine) runJob(j *Job) {
-	en.observeStage(StageQueue, time.Since(j.Enqueued))
-	j.QueueSpan.End()
+	j.Queue.End(nil)
 	ctx, cancel := context.WithTimeout(en.ctx, j.Timeout)
 	defer cancel()
-	opts := j.Opts
-	compileSpan := j.Tr.StartSpan(nil, "compile")
+	en.chaos.Delay(chaos.SlowCompile)
+	stage := en.cfg.Stages.StartStage(j.Tr, nil, StageCompile)
+	compileSpan := stage.Span()
 	// The compiler reports each stage's block, pass, start and duration
-	// through the SpanObserver seam. Every record feeds the stage
-	// histograms; on a traced job it also becomes a child of the compile
+	// through the SpanObserver seam. Every record is a sample of the
+	// stage histogram; on a traced job it is also a child of the compile
 	// span. A program's jobs compile on several workers at once: the
 	// histograms are atomic and the trace serializes appends.
+	opts := j.Opts
 	opts.SpanObserver = func(rec compile.StageSpan) {
-		en.observeStage(rec.Stage, rec.Duration)
-		if j.Tr == nil {
-			return
-		}
-		sp := j.Tr.SpanAt(compileSpan, rec.Stage, rec.Start, rec.Duration)
-		sp.SetAttr("block", rec.Block)
-		if rec.Pass > 0 {
-			sp.SetAttr("pass", fmt.Sprint(rec.Pass))
+		if sp := en.cfg.Stages.StageAt(j.Tr, compileSpan, rec.Stage, rec.Start, rec.Duration); sp != nil {
+			sp.SetAttr("block", rec.Block)
+			if rec.Pass > 0 {
+				sp.SetAttr("pass", fmt.Sprint(rec.Pass))
+			}
 		}
 	}
-	en.chaos.Delay(chaos.SlowCompile)
-	compileStart := time.Now()
 	br, err := en.cfg.CompileFn(ctx, j.Block, opts)
-	elapsed := time.Since(compileStart)
-	en.observeStage(StageCompile, elapsed)
+	elapsed := stage.End(err)
 	if en.cfg.ObserveTier != nil {
 		en.cfg.ObserveTier(j.Tier, elapsed)
 	}
@@ -421,7 +399,6 @@ func (en *Engine) runJob(j *Job) {
 		en.est.Observe(j.Tier, j.Instrs, elapsed)
 	}
 	if err != nil {
-		compileSpan.EndErr(err)
 		en.cache.remove(j.Key, j.E)
 		j.E.Complete(nil, err)
 		return
@@ -436,7 +413,6 @@ func (en *Engine) runJob(j *Job) {
 	if br.Policy != "" {
 		compileSpan.SetAttr("policy", br.Policy)
 	}
-	compileSpan.End()
 	resp := buildBlockResponse(br, j.Key)
 	if en.cfg.ObservePolicy != nil && resp.Summary.Policy != "" {
 		en.cfg.ObservePolicy(resp.Summary.Policy, resp.Summary.Instrs+resp.Summary.VNops1)

@@ -159,11 +159,11 @@ type SpanEvent struct {
 }
 
 // Span is one timed operation inside a trace. Spans are created by
-// Trace.StartSpan (live, ended by End/EndErr) or Trace.SpanAt
-// (retroactive, already complete — how the compiler's per-stage timings
-// become spans). All mutation goes through methods, which serialize on
-// the owning trace's lock; a nil *Span is valid and inert, so call
-// sites never need to guard for disabled tracing.
+// Trace.StartSpan (live, ended by End), by Trace.SpanAt (retroactive,
+// already complete) or by a request stage (HistogramVec.StartStage,
+// ended by Stage.End). All mutation goes through methods, which
+// serialize on the owning trace's lock; a nil *Span is valid and inert,
+// so call sites never need to guard for disabled tracing.
 type Span struct {
 	ID       SpanID
 	Parent   SpanID // zero for the root span
@@ -179,23 +179,20 @@ type Span struct {
 
 // End closes the span, recording its duration.
 func (s *Span) End() {
-	if s == nil {
-		return
+	if s != nil {
+		s.end(time.Since(s.Start), nil)
 	}
-	s.t.mu.Lock()
-	defer s.t.mu.Unlock()
-	s.Duration = time.Since(s.Start)
 }
 
-// EndErr closes the span as failed and marks the trace erroring (so the
-// tail-based sampler always retains it).
-func (s *Span) EndErr(err error) {
+// end closes the span with duration d. A non-nil err marks the span
+// failed and the trace erroring, which tail-based retention keeps.
+func (s *Span) end(d time.Duration, err error) {
 	if s == nil {
 		return
 	}
 	s.t.mu.Lock()
 	defer s.t.mu.Unlock()
-	s.Duration = time.Since(s.Start)
+	s.Duration = d
 	if err != nil {
 		s.Err = err.Error()
 		s.t.errored = true
@@ -255,7 +252,7 @@ func (t *Trace) Root() *Span {
 }
 
 // StartSpan opens a live child span under parent (nil parent means the
-// root span). End it with End or EndErr.
+// root span). End it with End.
 func (t *Trace) StartSpan(parent *Span, name string) *Span {
 	if t == nil {
 		return nil
@@ -265,9 +262,8 @@ func (t *Trace) StartSpan(parent *Span, name string) *Span {
 	return t.addLocked(parent, name, time.Now(), 0)
 }
 
-// SpanAt records an already-completed span — the shape the compiler's
-// stage observer reports, where start and duration are known only after
-// the fact.
+// SpanAt records an already-completed span, where start and duration
+// are known only after the fact.
 func (t *Trace) SpanAt(parent *Span, name string, start time.Time, d time.Duration) *Span {
 	if t == nil {
 		return nil

@@ -66,8 +66,6 @@ type TraceStore struct {
 	sampleSeq   uint64
 
 	byID map[TraceID]*Trace
-
-	added, dropped uint64
 }
 
 // NewTraceStore builds a store bounded to capacity traces in total,
@@ -106,7 +104,6 @@ func (s *TraceStore) Add(t *Trace) string {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.added++
 	switch {
 	case t.errorOrDegraded():
 		if old := s.errors.push(t); old != nil {
@@ -129,7 +126,6 @@ func (s *TraceStore) Add(t *Trace) string {
 	default:
 		s.sampleSeq++
 		if s.sampleSeq%uint64(s.sampleEvery) != 1 && s.sampleEvery > 1 {
-			s.dropped++
 			return RetentionDropped
 		}
 		if old := s.sampled.push(t); old != nil {
@@ -159,13 +155,6 @@ func (s *TraceStore) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.byID)
-}
-
-// Counts reports lifetime admitted/dropped totals.
-func (s *TraceStore) Counts() (added, dropped uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.added, s.dropped
 }
 
 // TraceIndexEntry is one row of the trace index (GET /v1/traces).

@@ -306,30 +306,3 @@ func priorities(g *deps.Graph, weights []float64) []float64 {
 	}
 	return prio
 }
-
-// CriticalPath returns the schedule-independent lower bound on block
-// runtime implied by the weights: the longest weighted path through the
-// DAG, counting one slot for the final instruction. Diagnostics and tests
-// use it.
-func CriticalPath(g *deps.Graph, weights []float64) float64 {
-	n := g.N()
-	dist := make([]float64, n)
-	best := 0.0
-	for i := n - 1; i >= 0; i-- {
-		m := 0.0
-		for _, e := range g.Succs[i] {
-			gap := 1.0
-			if e.Kind == deps.True {
-				gap = weights[i]
-			}
-			if d := gap + dist[e.To]; d > m {
-				m = d
-			}
-		}
-		dist[i] = m
-		if d := dist[i] + 1; d > best {
-			best = d
-		}
-	}
-	return best
-}

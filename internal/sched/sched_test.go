@@ -215,16 +215,3 @@ func TestEmptySchedule(t *testing.T) {
 		t.Errorf("unexpected result: %+v", res)
 	}
 }
-
-// TestCriticalPath: on Figure 1 with weight 5 loads the weighted critical
-// path is L0 →5→ L1 →5→ X4 → 11 slots.
-func TestCriticalPath(t *testing.T) {
-	l := paperdag.Figure1()
-	g := deps.Build(l.Block, deps.BuildOptions{})
-	if got := CriticalPath(g, TraditionalWeights(g, 5)); got != 11 {
-		t.Errorf("critical path = %g, want 11", got)
-	}
-	if got := CriticalPath(g, core.Weights(g, core.Options{})); got != 7 {
-		t.Errorf("balanced critical path = %g, want 7", got)
-	}
-}

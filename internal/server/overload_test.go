@@ -416,7 +416,7 @@ func TestBreakerTripRecover(t *testing.T) {
 
 // TestCoDelShedBeforeFull stalls the drain and checks the sojourn
 // controller rejects a new arrival while the queue still has plenty of
-// room — and that the shed is recorded in the queue-wait stage
+// room — and that the shed is recorded in the queue stage
 // histogram (sheds must not be invisible in latency observability).
 func TestCoDelShedBeforeFull(t *testing.T) {
 	s, ts := startServer(t, Config{
@@ -478,7 +478,7 @@ func TestCoDelShedBeforeFull(t *testing.T) {
 		t.Errorf("queue depth %d at capacity %d — shed was not 'before full'", depth, capacity)
 	}
 	if got := queueWait.Count(); got != waitsBefore+1 {
-		t.Errorf("queue-wait histogram count %d → %d: shed requests must be recorded", waitsBefore, got)
+		t.Errorf("queue stage count %d → %d: shed requests must be recorded", waitsBefore, got)
 	}
 
 	close(gate)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"bsched/internal/engine"
+	"bsched/internal/obs"
 )
 
 // Peer-protocol endpoints (docs/CLUSTER.md). These are the cluster
@@ -69,7 +70,7 @@ func (s *Server) handlePeerLookup(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, &ErrorResponse{Error: "key not cached"})
 		return
 	}
-	if resp, ok := s.eng.DiskGet(key); ok {
+	if resp, ok := s.diskGet(key, obs.TraceFrom(r.Context())); ok {
 		note(r, "cache", "disk")
 		writeJSON(w, http.StatusOK, resp)
 		return

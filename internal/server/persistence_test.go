@@ -179,8 +179,8 @@ func TestDiskCacheWarmRestart(t *testing.T) {
 	if !strings.Contains(string(tree), `"disk-hit"`) {
 		t.Errorf("trace %s has no disk-hit event:\n%s", traceID, tree)
 	}
-	if !strings.Contains(string(tree), `"disk-lookup"`) {
-		t.Errorf("trace %s has no disk-lookup span:\n%s", traceID, tree)
+	if !strings.Contains(string(tree), `"name":"disk"`) {
+		t.Errorf("trace %s has no disk span:\n%s", traceID, tree)
 	}
 
 	// A second identical request is now a plain memory hit: the disk

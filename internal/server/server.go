@@ -60,13 +60,13 @@
 // format; GET /stats serves the registry's snapshot, the same families
 // as JSON data (bucket counts, not quantiles); GET /healthz is a
 // liveness probe that also reports fleet degradation.
-// Per-stage timings cover the whole request path — parse, cache lookup,
-// queue wait, worker-side compile — and, through the engine's
-// compile.Options.SpanObserver, the pipeline stages inside a
-// compilation (deps, weights, schedule, regalloc). When Config.Logger
-// is set, every request additionally emits one structured log line
-// carrying a process-unique request ID (also returned in the
-// X-Request-ID response header).
+// Stages (parse, lookup, disk, peer, queue, coalesced, compile, and the
+// compiler's deps, weights, schedule, regalloc via the engine's
+// compile.Options.SpanObserver) are each timed once, as a stage
+// histogram sample and its span (obs.Stage). When Config.Logger is set,
+// every request additionally emits one structured log line carrying a
+// process-unique request ID (also returned in the X-Request-ID response
+// header).
 package server
 
 import (
@@ -337,7 +337,7 @@ func New(cfg Config) (*Server, error) {
 		BreakerCooldown:   cfg.BreakerCooldown,
 		Chaos:             cfg.Chaos,
 		DiskMetrics:       s.stats.disk,
-		ObserveStage:      s.stats.observeStage,
+		Stages:            s.stats.stages,
 		ObserveTier: func(tier string, d time.Duration) {
 			s.stats.tiers.With(tier).ObserveDuration(d)
 		},
@@ -584,6 +584,15 @@ func (s *Server) logged(h http.Handler) http.Handler {
 	})
 }
 
+// diskGet is the disk stage: a persistent-cache probe, when there is a cache.
+func (s *Server) diskGet(key engine.Key, tr *obs.Trace) (*engine.BlockResponse, bool) {
+	if s.cfg.CacheDir == "" {
+		return nil, false
+	}
+	defer s.stats.stages.StartStage(tr, nil, stageDisk).End(nil) // starts now, ends at return
+	return s.eng.DiskGet(key)
+}
+
 // diskServe completes a block leader's entry from the persistent
 // cache, when there is one and it holds a valid record for the key. The
 // served response also becomes the completed in-memory entry, so
@@ -591,12 +600,7 @@ func (s *Server) logged(h http.Handler) http.Handler {
 // span gets a disk-hit event so traces distinguish the dispositions
 // (memory hit, disk hit, peer hit, miss).
 func (s *Server) diskServe(key engine.Key, e *engine.Entry, tr *obs.Trace) (*engine.BlockResponse, bool) {
-	if s.cfg.CacheDir == "" {
-		return nil, false
-	}
-	span := tr.StartSpan(nil, "disk-lookup")
-	resp, ok := s.eng.DiskGet(key)
-	span.End()
+	resp, ok := s.diskGet(key, tr)
 	if !ok {
 		return nil, false
 	}
@@ -619,7 +623,8 @@ func (s *Server) peerServe(key engine.Key, e *engine.Entry, r *http.Request, tr 
 	if self {
 		return nil, false
 	}
-	span := tr.StartSpan(nil, "peer-probe")
+	stage := s.stats.stages.StartStage(tr, nil, stagePeer)
+	span := stage.Span()
 	span.SetAttr("owner", owner)
 	traceparent := ""
 	if tr != nil {
@@ -629,11 +634,10 @@ func (s *Server) peerServe(key engine.Key, e *engine.Entry, r *http.Request, tr 
 	}
 	resp, outcome := s.cluster.Probe(r.Context(), owner, key, traceparent)
 	span.SetAttr("outcome", outcome.String())
+	stage.End(nil)
 	if resp == nil {
-		span.End()
 		return nil, false
 	}
-	span.End()
 	tr.Root().Event("peer-hit")
 	e.Complete(resp, nil)
 	return resp, true
@@ -689,17 +693,15 @@ func (s *Server) dispatch(r *http.Request, tr *obs.Trace, p *program, i int, b *
 	}
 	j := &engine.Job{Block: b, Opts: opts, Timeout: p.deadline, Key: key, E: e,
 		Tier: p.tier, Priority: p.prio, Instrs: len(b.Instrs),
-		Tr: tr, QueueSpan: tr.StartSpan(nil, "queue-wait")}
+		Tr: tr, Queue: s.stats.stages.StartStage(tr, nil, engine.StageQueue)}
 	if err := s.eng.Enqueue(j); err != nil {
 		// Rejected at admission: CoDel shedding (the queue has room but
 		// accepted work is already waiting past target) or the hard depth
 		// bound. Either way, fail the entry so coalesced requests that
-		// raced in behind us reject too instead of hanging — and record
-		// the queue-wait span *and* histogram for the shed block, so
-		// shedding is visible in traces and the stage histogram rather
-		// than only in requests that eventually ran.
-		s.stats.stages.With(engine.StageQueue).ObserveDuration(time.Since(j.Enqueued))
-		j.QueueSpan.EndErr(err)
+		// raced in behind us reject too instead of hanging — and end the
+		// queue stage with the error, so shedding is visible in traces and
+		// the stage histogram rather than only in requests that ran.
+		j.Queue.End(err)
 		if errors.Is(err, admission.ErrShed) {
 			s.stats.shedSojourn.Inc()
 			tr.Root().Event("503-shed")
@@ -913,8 +915,8 @@ func (p *program) addPending(i int, e *engine.Entry, leader bool) {
 // fingerprint is its own cache key (docs/CACHE-KEYS.md), so hits,
 // misses, single-flight coalescing, disk records and peer exchange are
 // all block-granular, and two programs sharing blocks share their
-// compilations. Parsing and dispatch record the "parse" and
-// "cache-lookup" spans and stage samples. A client error returns a
+// compilations. Parsing and dispatch are the parse and lookup stages.
+// A client error returns a
 // *clientError and no program; an admission refusal returns its error
 // beside the program, whose earlier blocks stay dispatched.
 func (s *Server) prepare(r *http.Request, req *CompileRequest, started time.Time) (*program, error) {
@@ -934,15 +936,12 @@ func (s *Server) prepare(r *http.Request, req *CompileRequest, started time.Time
 		return nil, &clientError{status: http.StatusBadRequest, err: fmt.Errorf("priority: %w", err)}
 	}
 	tr := obs.TraceFrom(r.Context())
-	parseSpan := tr.StartSpan(nil, "parse")
-	parseStart := time.Now()
+	parse := s.stats.stages.StartStage(tr, nil, stageParse)
 	prog, err := ir.Parse(req.Program)
-	s.stats.stages.With(stageParse).ObserveDuration(time.Since(parseStart))
+	parse.End(err)
 	if err != nil {
-		parseSpan.EndErr(err)
 		return nil, &clientError{status: http.StatusBadRequest, stage: "parse", err: fmt.Errorf("parse program: %w", err)}
 	}
-	parseSpan.End()
 
 	p := &program{prog: prog, optsFP: req.Options.fingerprint(), tier: req.Options.Budget,
 		prio: prio, started: started, deadline: s.timeout(req.TimeoutMillis)}
@@ -953,16 +952,14 @@ func (s *Server) prepare(r *http.Request, req *CompileRequest, started time.Time
 	p.fp = fmt.Sprintf("%016x", fp)
 	blocks := prog.Blocks()
 	p.blocks = make([]*engine.BlockResponse, len(blocks))
-	lookupSpan := tr.StartSpan(nil, "cache-lookup")
-	lookupStart := time.Now()
+	lookup := s.stats.stages.StartStage(tr, nil, stageLookup)
 	for i, b := range blocks {
 		err = s.dispatch(r, tr, p, i, b, engine.Key{Block: blockFPs[i], Opts: p.optsFP}, opts)
 		if err != nil {
 			break
 		}
 	}
-	s.stats.stages.With(stageLookup).ObserveDuration(time.Since(lookupStart))
-	lookupSpan.EndErr(err)
+	lookup.End(err)
 	return p, err
 }
 
@@ -976,12 +973,12 @@ func (s *Server) prepare(r *http.Request, req *CompileRequest, started time.Time
 // still waiting. A client that hangs up ends the wait with ctx's error.
 func (s *Server) await(ctx context.Context, p *program, b pendingBlock) (*engine.BlockResponse, error) {
 	var expire <-chan time.Time
-	var span *obs.Span
+	var stage obs.Stage
 	if !b.leader {
 		t := time.NewTimer(p.deadline - time.Since(p.started))
 		defer t.Stop()
 		expire = t.C
-		span = obs.TraceFrom(ctx).StartSpan(nil, "coalesced-wait")
+		stage = s.stats.stages.StartStage(obs.TraceFrom(ctx), nil, stageCoalesced)
 	}
 	var err error
 	select {
@@ -997,7 +994,7 @@ func (s *Server) await(ctx context.Context, p *program, b pendingBlock) (*engine
 	case <-s.eng.Done():
 		err = engine.ErrShutdown
 	}
-	span.EndErr(err)
+	stage.End(err)
 	if err != nil {
 		return nil, err
 	}

@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
-	"time"
 
 	"bsched/internal/cluster"
 	"bsched/internal/engine"
@@ -12,12 +11,15 @@ import (
 	"bsched/internal/sched"
 )
 
-// Stage label values the server records itself, alongside the
-// engine.Stage* names (disk, queue, compile) and the compile.Stage*
+// Labels (and span names) of the stages the server times itself,
+// beside the engine.Stage* names (queue, compile) and the compile.Stage*
 // names (deps, weights, schedule, regalloc) the engine reports.
 const (
-	stageParse  = "parse"  // IR parsing, per program
-	stageLookup = "lookup" // content-addressed cache lookup, per program
+	stageParse     = "parse"     // IR parsing, per program
+	stageLookup    = "lookup"    // content-addressed cache lookup, per program
+	stageDisk      = "disk"      // persistent-cache probe, per block leader and peer lookup
+	stagePeer      = "peer"      // ring-owner probe, per foreign block leader
+	stageCoalesced = "coalesced" // wait on another request's leader, per block
 )
 
 // Stats is the daemon's instrument panel, backed by an internal/obs
@@ -228,7 +230,7 @@ func newStats() *Stats {
 		hist: reg.Histogram("bschedd_request_duration_seconds",
 			"End-to-end service time of successful compile requests.", nil),
 		stages: reg.HistogramVec("bschedd_stage_duration_seconds",
-			"Latency by pipeline stage: parse, lookup, disk, queue, compile, deps, weights, schedule, regalloc.",
+			"Latency by request stage: parse, lookup, disk, peer, queue, coalesced, compile, deps, weights, schedule, regalloc. Each sample is also its stage's span on a traced request.",
 			nil, "stage"),
 		tiers: reg.HistogramVec("bschedd_compile_duration_seconds",
 			"Worker-side compilation time by work-budget tier (small, default, large, unlimited).",
@@ -302,13 +304,6 @@ func registerRuntimeMetrics(reg *obs.Registry) {
 			runtime.ReadMemStats(&m)
 			return float64(m.HeapAlloc)
 		})
-}
-
-// observeStage records one per-stage latency sample; it is the
-// engine's Config.ObserveStage, which also receives the pipeline's
-// stage timings. Safe for concurrent use.
-func (s *Stats) observeStage(stage string, d time.Duration) {
-	s.stages.With(stage).ObserveDuration(d)
 }
 
 // clusterMetrics adapts the peer counters to the cluster package's

@@ -33,15 +33,16 @@ func TestSnapshotCounters(t *testing.T) {
 }
 
 // TestSnapshotStageBreakdown: per-stage samples recorded through the
-// engine's ObserveStage seam surface as series of the stage histogram.
+// stage histogram's StageAt, as the engine records the compiler's
+// stages, surface as series of the stage histogram.
 func TestSnapshotStageBreakdown(t *testing.T) {
 	s := newStats()
 	const stages = "bschedd_stage_duration_seconds"
 	if _, _, ok := obs.Find(s.reg.Snapshot(), stages, compile.StageWeights); ok {
 		t.Error("empty stats carry a weights stage series")
 	}
-	s.observeStage(compile.StageWeights, 3*time.Millisecond)
-	s.observeStage(compile.StageWeights, 3*time.Millisecond)
+	s.stages.StageAt(nil, nil, compile.StageWeights, time.Now(), 3*time.Millisecond)
+	s.stages.StageAt(nil, nil, compile.StageWeights, time.Now(), 3*time.Millisecond)
 	s.stages.With(engine.StageQueue).ObserveDuration(100 * time.Microsecond)
 	fams := s.reg.Snapshot()
 	w, bounds, ok := obs.Find(fams, stages, compile.StageWeights)

@@ -9,9 +9,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"bsched/internal/compile"
+	"bsched/internal/engine"
 	"bsched/internal/ir"
 	"bsched/internal/obs"
 )
@@ -39,7 +42,7 @@ func getJSON(t *testing.T, url string, out any) int {
 
 // TestTraceEndToEnd: one compile request yields a retrievable trace
 // whose span tree covers the whole request path — the root request
-// span, parse, cache-lookup, queue-wait and compile spans, and inside
+// span, parse, lookup, queue and compile spans, and inside
 // compile one span per pipeline stage per block (deps, weights,
 // schedule twice for the two passes; regalloc once).
 func TestTraceEndToEnd(t *testing.T) {
@@ -77,7 +80,7 @@ func TestTraceEndToEnd(t *testing.T) {
 	if root.Parent != "" {
 		t.Errorf("root span has parent %q", root.Parent)
 	}
-	for _, name := range []string{"parse", "cache-lookup", "queue-wait", "compile"} {
+	for _, name := range []string{"parse", "lookup", "queue", "compile"} {
 		spans := byName[name]
 		if len(spans) != 1 {
 			t.Fatalf("want one %q span, got %d", name, len(spans))
@@ -136,7 +139,7 @@ func TestTraceEndToEnd(t *testing.T) {
 			complete[e.Name]++
 		}
 	}
-	for _, name := range []string{"POST /v1/compile", "parse", "cache-lookup", "queue-wait", "compile", "deps", "schedule", "regalloc"} {
+	for _, name := range []string{"POST /v1/compile", "parse", "lookup", "queue", "compile", "deps", "schedule", "regalloc"} {
 		if complete[name] == 0 {
 			t.Errorf("chrome trace has no %q complete event", name)
 		}
@@ -185,7 +188,7 @@ func TestTraceEndToEnd(t *testing.T) {
 		t.Fatalf("want exactly one batch root span, got %v", byName)
 	}
 	broot := byName["POST /v1/compile/batch"][0]
-	for _, name := range []string{"parse", "cache-lookup", "queue-wait", "compile"} {
+	for _, name := range []string{"parse", "lookup", "queue", "compile"} {
 		spans := byName[name]
 		if len(spans) != 2 {
 			t.Errorf("batch trace: want two %q spans, got %d", name, len(spans))
@@ -358,14 +361,16 @@ func TestTracingDisabled(t *testing.T) {
 	}
 }
 
-// TestStageHistogramsUntraced: with tracing off the engine still
-// installs its SpanObserver, so one cold single-block compile adds one
-// deps/weights/schedule sample per scheduling pass and one regalloc
-// sample to the stage histograms.
+// TestStageHistogramsUntraced: with tracing off every stage still
+// samples. One cold single-block compile adds one parse and one lookup
+// sample, one queue sample (the worker ends the queue stage the server
+// opened), one compile sample, and, through the engine's SpanObserver,
+// one deps/weights/schedule sample per scheduling pass and one
+// regalloc sample.
 func TestStageHistogramsUntraced(t *testing.T) {
 	s, ts := startServer(t, Config{Workers: 1, TraceCapacity: -1})
 	want := map[string]int64{
-		stageParse: 1, stageLookup: 1,
+		stageParse: 1, stageLookup: 1, engine.StageQueue: 1, engine.StageCompile: 1,
 		compile.StageDeps: 2, compile.StageWeights: 2, compile.StageSchedule: 2, compile.StageRegalloc: 1,
 	}
 	counts := func() map[string]int64 {
@@ -401,6 +406,129 @@ func TestStageHistogramsUntraced(t *testing.T) {
 	for stage, n := range want {
 		if got := after[stage] - before[stage]; got != 2*n {
 			t.Errorf("batch stage %s: %d new samples, want %d", stage, got, 2*n)
+		}
+	}
+}
+
+// TestStageSamplesMatchSpans: each stage is timed once, so for every
+// stage label with samples the stage histogram's count equals the
+// number of spans of that name in the retained traces, and its sum
+// equals their summed durations. The traffic reaches every stage a
+// standalone node has: a cold compile and its hit, a two-program cold
+// batch, a wait coalesced on a gated leader, and a disk hit after a
+// restart on the same cache directory.
+func TestStageSamplesMatchSpans(t *testing.T) {
+	cfg := Config{Workers: 1, TraceSampleEvery: 1, TraceCapacity: 1024, CacheDir: t.TempDir()}
+	s, ts := startServer(t, cfg)
+	for range 2 {
+		if status, _, _ := postCompile(t, ts.URL, CompileRequest{Program: demoProgram}); status != http.StatusOK {
+			t.Fatalf("compile: status %d", status)
+		}
+	}
+	for _, f := range readBatch(t, ts.URL, BatchRequest{Programs: []CompileRequest{
+		{Program: batchFunc("p", batchBlock("a", 1))}, {Program: batchFunc("q", batchBlock("b", 2))},
+	}}) {
+		if f.Type == "error" {
+			t.Fatalf("cold batch streamed an error: %+v", f)
+		}
+	}
+	gate := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(release) // runs before the server's Close, which waits for the gated worker
+	running := make(chan struct{}, 1)
+	s.compileFn = func(ctx context.Context, b *ir.Block, o compile.Options) (*compile.BlockResult, error) {
+		select {
+		case running <- struct{}{}:
+		default:
+		}
+		<-gate
+		return compile.RunBlock(ctx, b, o)
+	}
+	statuses := make(chan int, 2)
+	body, _ := json.Marshal(CompileRequest{Program: demoVariant(1)})
+	post := func() {
+		resp, err := http.Post(ts.URL+"/v1/compile", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			statuses <- 0
+			return
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		statuses <- resp.StatusCode
+	}
+	go post()
+	<-running // the leader holds the entry in flight
+	go post()
+	for deadline := time.Now().Add(5 * time.Second); s.stats.blockCoalesced.Value() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the second request never coalesced on the gated leader")
+		}
+	}
+	release()
+	for range 2 {
+		if status := <-statuses; status != http.StatusOK {
+			t.Fatalf("gated pair: status %d", status)
+		}
+	}
+	checkStageSpans(t, s, 5, stageParse, stageLookup, stageDisk, engine.StageQueue, stageCoalesced,
+		engine.StageCompile, compile.StageDeps, compile.StageWeights, compile.StageSchedule, compile.StageRegalloc)
+	ts.Close()
+	s.Close()
+
+	s2, ts2 := startServer(t, cfg)
+	if status, resp, _ := postCompile(t, ts2.URL, CompileRequest{Program: demoProgram}); status != http.StatusOK || !resp.Cached {
+		t.Fatalf("compile after restart: status %d, want a disk hit", status)
+	}
+	checkStageSpans(t, s2, 1, stageParse, stageLookup, stageDisk)
+}
+
+// checkStageSpans compares s's stage histogram with the spans of its
+// retained traces, once n traces are retained: per stage label, as many
+// spans as samples, and the same summed duration within 1ns per sample.
+// Each stage in want must have samples.
+func checkStageSpans(t *testing.T, s *Server, n int, want ...string) {
+	t.Helper()
+	store := s.tracer.Store()
+	// A response can reach the client just before its trace is stored.
+	for deadline := time.Now().Add(5 * time.Second); store.Len() < n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d traces retained, want %d", store.Len(), n)
+		}
+	}
+	spans := map[string]int64{}
+	durations := map[string]time.Duration{}
+	for _, e := range store.List() {
+		id, _ := obs.ParseTraceID(e.ID)
+		tr, ok := store.Get(id)
+		if !ok {
+			t.Fatalf("listed trace %s not retained", e.ID)
+		}
+		for _, sp := range tr.View().Spans {
+			spans[sp.Name]++
+			durations[sp.Name] += sp.Duration
+		}
+	}
+	var family obs.FamilySnapshot
+	for _, f := range s.stats.reg.Snapshot() {
+		if f.Name == "bschedd_stage_duration_seconds" {
+			family = f
+		}
+	}
+	sampled := map[string]bool{}
+	for _, series := range family.Series {
+		stage := series.LabelValues[0]
+		sampled[stage] = series.Count > 0
+		if spans[stage] != series.Count {
+			t.Errorf("stage %s: %d samples, %d spans", stage, series.Count, spans[stage])
+		}
+		if diff := series.Sum*1e9 - float64(durations[stage]); diff > float64(series.Count) || -diff > float64(series.Count) {
+			t.Errorf("stage %s: samples sum to %gs, spans to %v", stage, series.Sum, durations[stage])
+		}
+	}
+	for _, stage := range want {
+		if !sampled[stage] {
+			t.Errorf("stage %s has no samples", stage)
 		}
 	}
 }

@@ -22,21 +22,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// StdDev returns the sample standard deviation of xs (0 for n < 2).
-func StdDev(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(n-1))
-}
-
 // Percentile returns the p-th percentile (0 <= p <= 100) of sorted xs
 // using linear interpolation. It panics if xs is empty or unsorted calls
 // are the caller's responsibility.
