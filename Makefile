@@ -27,6 +27,8 @@ race test-race:
 
 # Short fuzzing runs of the hostile-input targets; long enough to shake
 # out crashes in the decode→parse→compile path without stalling CI.
+# FuzzExposition caps input minimization at 200 runs: under the default
+# 60s cap, minimizing its first new input takes the whole run.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/ir
@@ -37,6 +39,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDepsReference -fuzztime=$(FUZZTIME) ./internal/deps
 	$(GO) test -run='^$$' -fuzz=FuzzKernelReference -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRequest -fuzztime=$(FUZZTIME) ./internal/server
+	$(GO) test -run='^$$' -fuzz=FuzzExposition -fuzztime=$(FUZZTIME) -fuzzminimizetime=200x ./internal/obs
 
 # Documentation hygiene: the packages godoc renders without error (a
 # parse failure here means a malformed doc comment). gofmt-clean source

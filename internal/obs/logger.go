@@ -96,12 +96,15 @@ func (l *Logger) Log(event string, kv ...any) {
 	io.WriteString(l.w, b.String())
 }
 
-// kvValue renders one logfmt value, quoting only when the plain form
-// would be ambiguous (spaces, quotes, equals signs, control bytes).
+// kvValue renders one logfmt value, quoting it when the plain form
+// would be ambiguous (empty, a space, an equals sign) or when
+// strconv.Quote would change it: quotes, backslashes, control bytes
+// such as a CR or a terminal escape, and invalid UTF-8 never reach the
+// log raw.
 func kvValue(v any) string {
 	s := formatValue(v)
-	if s == "" || strings.ContainsAny(s, " \"=\n\t") {
-		return strconv.Quote(s)
+	if q := strconv.Quote(s); s == "" || strings.ContainsAny(s, " =") || q[1:len(q)-1] != s {
+		return q
 	}
 	return s
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -23,6 +24,16 @@ func TestLoggerKV(t *testing.T) {
 	want := `ts=2026-08-05T10:30:00.123Z event=request id=abc-1 status=200 dur_ms=1.500 note="two words"` + "\n"
 	if b.String() != want {
 		t.Errorf("kv line:\n%q\nwant:\n%q", b.String(), want)
+	}
+	// Client bytes that strconv.Quote escapes, a CR, a terminal's
+	// clear-screen and invalid UTF-8 among them, are quoted, never
+	// written raw.
+	for _, path := range []string{"/x\ry", "/x\x1b[2Jy", "/x\xffy"} {
+		b.Reset()
+		l.Log("http", "path", path)
+		if want := "ts=2026-08-05T10:30:00.123Z event=http path=" + strconv.Quote(path) + "\n"; b.String() != want {
+			t.Errorf("kv line:\n%q\nwant:\n%q", b.String(), want)
+		}
 	}
 }
 

@@ -167,6 +167,10 @@ func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
+// formatCounter renders a counter value as a plain decimal, never in
+// 'g' notation (1.2e+06).
+func formatCounter(v float64) string { return strconv.FormatFloat(v, 'f', -1, 64) }
+
 // ---------------------------------------------------------------------
 // Counter
 

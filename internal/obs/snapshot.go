@@ -7,8 +7,8 @@
 // histograms add bucket-wise. WriteSnapshotText is the one Prometheus
 // text writer: it renders the node-local registry for /metrics (through
 // Registry.WriteText) and the merged fleet view for /v1/fleet/metrics
-// alike. Find and SeriesSnapshot.Quantile read numbers back out of a
-// snapshot.
+// alike, and ParseText (parse.go) is its inverse. Find and
+// SeriesSnapshot.Quantile read numbers back out of a snapshot.
 package obs
 
 import (
@@ -16,7 +16,6 @@ import (
 	"io"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -264,7 +263,7 @@ func WriteSnapshotText(w io.Writer, fams []FamilySnapshot) {
 				fmt.Fprintf(w, "%s_sum%s %s\n", fs.Name, suffix, formatFloat(s.Sum))
 				fmt.Fprintf(w, "%s_count%s %d\n", fs.Name, suffix, s.Count)
 			case KindCounter:
-				fmt.Fprintf(w, "%s%s %s\n", fs.Name, formatLabels(fs.Labels, s.LabelValues), strconv.FormatFloat(s.Value, 'f', -1, 64))
+				fmt.Fprintf(w, "%s%s %s\n", fs.Name, formatLabels(fs.Labels, s.LabelValues), formatCounter(s.Value))
 			default:
 				fmt.Fprintf(w, "%s%s %s\n", fs.Name, formatLabels(fs.Labels, s.LabelValues), formatFloat(s.Value))
 			}

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -133,11 +134,8 @@ func TestMergeFamilies(t *testing.T) {
 
 	var b strings.Builder
 	WriteSnapshotText(&b, merged)
-	if err := ValidateExposition(strings.NewReader(b.String())); err != nil {
-		t.Fatalf("merged exposition invalid: %v\n%s", err, b.String())
-	}
-	if !strings.Contains(b.String(), `snap_depth{node="node-a"} 2`) {
-		t.Fatalf("missing per-node gauge series:\n%s", b.String())
+	if parsed, err := ParseText(strings.NewReader(b.String())); err != nil || !reflect.DeepEqual(parsed, merged) {
+		t.Fatalf("merged exposition parses to %+v, %v; want the merged families\n%s", parsed, err, b.String())
 	}
 }
 

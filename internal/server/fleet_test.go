@@ -38,14 +38,14 @@ func postTraced(t *testing.T, url, program string) string {
 }
 
 // counterSeries adds every counter series of a snapshot into sum, keyed
-// by seriesKey.
+// by its family's name and its quoted label values.
 func counterSeries(sum map[string]float64, fams []obs.FamilySnapshot) {
 	for _, f := range fams {
 		if f.Kind != obs.KindCounter {
 			continue
 		}
 		for _, s := range f.Series {
-			sum[seriesKey(f.Name, labelMap(f.Labels, s.LabelValues))] += s.Value
+			sum[fmt.Sprintf("%s%q", f.Name, s.LabelValues)] += s.Value
 		}
 	}
 }
@@ -106,8 +106,8 @@ func fleetTotalsDiff(t *testing.T, nodes []*fleetNode) []string {
 	for _, n := range nodes {
 		counterSeries(want, n.s.stats.reg.Snapshot())
 	}
-	if want["bschedd_requests_total"] != 30 {
-		t.Fatalf("node-local requests sum to %g, want 30", want["bschedd_requests_total"])
+	if reqs := want["bschedd_requests_total[]"]; reqs != 30 {
+		t.Fatalf("node-local requests sum to %g, want 30", reqs)
 	}
 	var diffs []string
 	for _, n := range nodes {
@@ -125,14 +125,8 @@ func fleetTotalsDiff(t *testing.T, nodes []*fleetNode) []string {
 		counterSeries(totals, fs.Totals)
 		diffs = append(diffs, diffSeries("fleet totals from "+n.url, want, totals)...)
 		printed := map[string]float64{}
-		for _, f := range parseExposition(t, scrapeMetrics(t, n.url+"/v1/fleet")) {
-			if f.typ != obs.KindCounter {
-				continue
-			}
-			for _, smp := range f.samples {
-				printed[seriesKey(smp.name, smp.labels)] = smp.value
-			}
-		}
+		fams, _ := scrapeMetrics(t, n.url+"/v1/fleet")
+		counterSeries(printed, fams)
 		diffs = append(diffs, diffSeries("/v1/fleet/metrics counters from "+n.url, want, printed)...)
 	}
 	return diffs
@@ -201,40 +195,27 @@ func TestFleetStatsDegradedOnNodeKill(t *testing.T) {
 }
 
 // TestFleetMetricsMergedExposition checks /v1/fleet/metrics: the merged
-// output parses under the strict exposition validator, carries the
+// output parses under obs.ParseText, carries the
 // synthetic per-node reachability gauge, and splits gauges per node.
 func TestFleetMetricsMergedExposition(t *testing.T) {
 	nodes := startFleet(t, 3, obsFleet)
 	for i := 0; i < 9; i++ {
 		postTraced(t, nodes[i%3].url, fleetProgram(i))
 	}
-	resp, err := http.Get(nodes[1].url + "/v1/fleet/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("fleet metrics: status %d err %v", resp.StatusCode, err)
-	}
-	if err := obs.ValidateExposition(bytes.NewReader(raw)); err != nil {
-		t.Fatalf("merged exposition invalid: %v\n%s", err, raw)
-	}
-	text := string(raw)
+	fams, _ := scrapeMetrics(t, nodes[1].url+"/v1/fleet")
 	for _, n := range nodes {
-		if !strings.Contains(text, fmt.Sprintf("bschedd_fleet_node_up{node=%q} 1", n.url)) {
-			t.Errorf("missing node_up=1 for %s", n.url)
+		if up, _, _ := obs.Find(fams, "bschedd_fleet_node_up", n.url); up.Value != 1 {
+			t.Errorf("node_up for %s = %g, want 1", n.url, up.Value)
 		}
-		if !strings.Contains(text, fmt.Sprintf("go_goroutines{node=%q}", n.url)) {
+		if _, _, ok := obs.Find(fams, "go_goroutines", n.url); !ok {
 			t.Errorf("gauge not split per node for %s", n.url)
 		}
 	}
-	// Counters merged: the fleet-wide request total must be >= the
-	// traffic we just sent (a single un-merged node would show ~3).
-	if !strings.Contains(text, "bschedd_requests_total 9") {
-		// The exact value can exceed 9 only if something else compiled;
-		// nothing else does in this test.
-		t.Errorf("fleet request counter not summed:\n%s", text)
+	// Counters merged: the fleet-wide request total is the traffic sent
+	// to all three nodes (a single un-merged node would show 3), and
+	// nothing else compiles in this test.
+	if v := statValue(fams, "bschedd_requests_total"); v != 9 {
+		t.Errorf("fleet bschedd_requests_total = %g, want 9", v)
 	}
 }
 
@@ -382,20 +363,9 @@ func TestStandaloneFleetEndpoints(t *testing.T) {
 	if v := statValue(fs.Totals, "bschedd_requests_total"); v != 1 {
 		t.Errorf("standalone totals bschedd_requests_total = %g, want 1", v)
 	}
-	resp, err := http.Get(ts.URL + "/v1/fleet/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("standalone fleet metrics: status %d err %v", resp.StatusCode, err)
-	}
-	if err := obs.ValidateExposition(bytes.NewReader(raw)); err != nil {
-		t.Fatalf("standalone merged exposition invalid: %v", err)
-	}
-	if !strings.Contains(string(raw), `bschedd_fleet_node_up{node="standalone"} 1`) {
-		t.Error("standalone node_up gauge missing")
+	fams, _ := scrapeMetrics(t, ts.URL+"/v1/fleet")
+	if up, _, _ := obs.Find(fams, "bschedd_fleet_node_up", "standalone"); up.Value != 1 {
+		t.Errorf("standalone node_up = %g, want 1", up.Value)
 	}
 }
 
@@ -448,16 +418,11 @@ func TestProfilesEndpoints(t *testing.T) {
 	}
 
 	// The capture counter and ring gauge surface in /metrics.
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	fams, _ := scrapeMetrics(t, ts.URL)
+	if v := statValue(fams, "bschedd_profile_captures_total", "cpu", "test"); v != 1 {
+		t.Errorf("/metrics bschedd_profile_captures_total{cpu,test} = %g, want 1", v)
 	}
-	raw, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if !strings.Contains(string(raw), `bschedd_profile_captures_total{kind="cpu",reason="test"} 1`) {
-		t.Error("profile capture counter missing from /metrics")
-	}
-	if !strings.Contains(string(raw), "bschedd_profiles_retained 2") {
-		t.Error("profiles_retained gauge missing from /metrics")
+	if v := statValue(fams, "bschedd_profiles_retained"); v != 2 {
+		t.Errorf("/metrics bschedd_profiles_retained = %g, want 2", v)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -318,14 +319,22 @@ func TestTenantQuotaExhaustRefill(t *testing.T) {
 	if v := statValue(fams, "bschedd_quota_tenants"); v < 2 {
 		t.Errorf("quota tenants %g, want ≥2", v)
 	}
-	text := scrapeMetrics(t, ts.URL)
-	for _, series := range []string{
-		`bschedd_admission_total{outcome="quota"}`,
-		`bschedd_tenant_rejected_total{tenant="alice"}`,
-	} {
-		if v := metricValue(t, text, series); v < 1 {
-			t.Errorf("%s = %g, want >= 1", series, v)
-		}
+	metrics, _ := scrapeMetrics(t, ts.URL)
+	if quota, alice := statValue(metrics, "bschedd_admission_total", "quota"),
+		statValue(metrics, "bschedd_tenant_rejected_total", "alice"); quota < 1 || alice < 1 {
+		t.Errorf("/metrics quota rejections %g, alice's %g; want >= 1 each", quota, alice)
+	}
+}
+
+// TestTenantQuotaFractionalRate: the 429 names the sustained rate as
+// configured, a fraction included, not truncated to an integer.
+func TestTenantQuotaFractionalRate(t *testing.T) {
+	_, ts := startServer(t, Config{TenantRate: 0.5})
+	carol := map[string]string{"X-Tenant": "carol"}
+	postRaw(t, ts.URL, CompileRequest{Program: demoProgram}, carol) // spends the one-token burst
+	resp, raw := postRaw(t, ts.URL, CompileRequest{Program: demoProgram}, carol)
+	if resp.StatusCode != http.StatusTooManyRequests || !strings.Contains(string(raw), "(0.5 req/s sustained)") {
+		t.Errorf("over quota at 0.5 req/s: status %d, body %s", resp.StatusCode, raw)
 	}
 }
 
@@ -402,14 +411,14 @@ func TestBreakerTripRecover(t *testing.T) {
 	if v := statValue(getStats(t, ts.URL), "bschedd_retry_after_seconds"); v < 1 {
 		t.Errorf("/stats bschedd_retry_after_seconds = %g, want >= 1", v)
 	}
-	text := scrapeMetrics(t, ts.URL)
-	for _, series := range []string{
-		`bschedd_breaker_events_total{event="trip"}`,
-		`bschedd_breaker_events_total{event="recover"}`,
-		"bschedd_diskcache_io_errors_total",
+	metrics, _ := scrapeMetrics(t, ts.URL)
+	for _, series := range [][]string{
+		{"bschedd_breaker_events_total", "trip"},
+		{"bschedd_breaker_events_total", "recover"},
+		{"bschedd_diskcache_io_errors_total"},
 	} {
-		if v := metricValue(t, text, series); v < 1 {
-			t.Errorf("%s = %g, want >= 1", series, v)
+		if v := statValue(metrics, series[0], series[1:]...); v < 1 {
+			t.Errorf("/metrics %q = %g, want >= 1", series, v)
 		}
 	}
 }

@@ -181,9 +181,9 @@ func TestPolicyCacheMemorySoundness(t *testing.T) {
 	if p50 := cs.Quantile(bounds, 0.5); cs.Count < 1 || p50 <= 0 {
 		t.Errorf("balanced cycles: count %d, p50 %g; want count >= 1 and positive p50", cs.Count, p50)
 	}
-	series := `bschedd_policy_blocks_total{policy="critical-path"}`
-	if v := metricValue(t, scrapeMetrics(t, ts.URL), series); v < 1 {
-		t.Errorf("%s = %g, want >= 1", series, v)
+	metrics, _ := scrapeMetrics(t, ts.URL)
+	if v := statValue(metrics, "bschedd_policy_blocks_total", sched.PolicyCriticalPath); v < 1 {
+		t.Errorf("/metrics bschedd_policy_blocks_total[%s] = %g, want >= 1", sched.PolicyCriticalPath, v)
 	}
 }
 

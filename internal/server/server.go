@@ -797,7 +797,12 @@ func (s *Server) front(w http.ResponseWriter, r *http.Request, batch bool) ([]Co
 	}
 	s.cfg.Chaos.Delay(chaos.LatencySpike)
 	started := time.Now()
-	tenant := r.Header.Get("X-Tenant")
+	// The tenant is the one client-chosen label value, and Go's server
+	// passes header bytes >= 0x80 through. The text format forbids
+	// invalid UTF-8, so such bytes become U+FFFD, as encoding/json
+	// writes them in /stats; the quota bucket, the counters, the log and
+	// the trace then all see one name.
+	tenant := strings.ToValidUTF8(r.Header.Get("X-Tenant"), "\uFFFD")
 	if tenant == "" {
 		tenant = admission.DefaultTenant
 	}
@@ -862,7 +867,7 @@ func (s *Server) charge(w http.ResponseWriter, r *http.Request, tenant string, t
 		h.Set("X-RateLimit-Remaining", strconv.Itoa(d.Remaining))
 		h.Set("Retry-After", strconv.Itoa(retry))
 		writeError(w, http.StatusTooManyRequests, &ErrorResponse{
-			Error:             fmt.Sprintf("tenant %q over quota (%d req/s sustained)", tenant, int(s.cfg.TenantRate)),
+			Error:             fmt.Sprintf("tenant %q over quota (%g req/s sustained)", tenant, s.cfg.TenantRate),
 			RetryAfterSeconds: retry,
 		})
 		return false

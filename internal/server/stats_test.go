@@ -1,7 +1,8 @@
 package server
 
 import (
-	"strconv"
+	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -83,58 +84,31 @@ func TestStatsExposition(t *testing.T) {
 	s.degradations.Add(2)
 	var b strings.Builder
 	s.reg.WriteText(&b)
-	out := b.String()
-	for _, want := range []string{
-		"bschedd_requests_total 1",
-		`bschedd_responses_total{outcome="rejected"} 1`,
-		"bschedd_degradations_total 2",
-		"# TYPE bschedd_request_duration_seconds histogram",
-		"# TYPE bschedd_stage_duration_seconds histogram",
-		"# TYPE bschedd_compile_duration_seconds histogram",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("exposition missing %q", want)
+	fams, err := obs.ParseText(strings.NewReader(b.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reqs, rej, degr := statValue(fams, "bschedd_requests_total"), statValue(fams, "bschedd_responses_total", "rejected"),
+		statValue(fams, "bschedd_degradations_total"); reqs != 1 || rej != 1 || degr != 2 {
+		t.Errorf("requests %g, rejected %g, degradations %g; want 1, 1, 2", reqs, rej, degr)
+	}
+	kinds := map[string]string{}
+	for _, f := range fams {
+		kinds[f.Name] = f.Kind
+	}
+	for _, name := range []string{"bschedd_request_duration_seconds", "bschedd_stage_duration_seconds", "bschedd_compile_duration_seconds"} {
+		if kinds[name] != obs.KindHistogram {
+			t.Errorf("%s renders as %q, want a histogram", name, kinds[name])
 		}
 	}
 }
 
-// seriesKey names one series for comparing /stats with /metrics: the
-// sample name, then its labels sorted by name, an "le" bound written as
-// strconv writes floats.
-func seriesKey(name string, labels map[string]string) string {
-	names := make([]string, 0, len(labels))
-	for l := range labels {
-		names = append(names, l)
-	}
-	var b strings.Builder
-	b.WriteString(name)
-	for _, l := range sortStrings(names) {
-		v := labels[l]
-		if l == "le" {
-			f, _ := strconv.ParseFloat(v, 64)
-			v = strconv.FormatFloat(f, 'g', -1, 64)
-		}
-		b.WriteString("|" + l + "=" + v)
-	}
-	return b.String()
-}
-
-// labelMap pairs a series' label names with its values.
-func labelMap(names, values []string) map[string]string {
-	m := make(map[string]string, len(names)+1)
-	for i, l := range names {
-		m[l] = values[i]
-	}
-	return m
-}
-
-// TestStatsMatchMetrics sends every compileCases request twice, then
-// one batch of them all, and holds /stats to /metrics: both carry the
-// same families, of the same kinds; each counter series, and each
-// histogram series' cumulative bucket counts and count, in the /stats
-// snapshot equals the same series parsed from /metrics; and /metrics
-// has no counter or histogram series /stats lacks. Gauge values are
-// sampled per scrape, so only their families are compared.
+// TestStatsMatchMetrics sends every compileCases request twice, one
+// request from a tenant whose name is not valid UTF-8, then one batch
+// of them all, and holds /stats to /metrics: the /stats snapshot must
+// equal the parsed /metrics, family for family, down to HELP text,
+// label names, bucket bounds and every histogram's sum. Gauge values
+// are sampled per scrape, so only their series' labels are compared.
 func TestStatsMatchMetrics(t *testing.T) {
 	_, ts := startServer(t, Config{})
 	var batch BatchRequest
@@ -146,62 +120,42 @@ func TestStatsMatchMetrics(t *testing.T) {
 		}
 		batch.Programs = append(batch.Programs, c.req)
 	}
+	if resp, raw := postRaw(t, ts.URL, CompileRequest{Program: demoProgram}, map[string]string{"X-Tenant": "a\xffb"}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("non-UTF-8 tenant: status %d\n%s", resp.StatusCode, raw)
+	}
 	readBatch(t, ts.URL, batch)
 
-	fams := getStats(t, ts.URL)
-	expo := parseExposition(t, scrapeMetrics(t, ts.URL))
-	if len(expo) != len(fams) {
-		t.Errorf("/metrics has %d families, /stats %d", len(expo), len(fams))
-	}
-	for _, f := range fams {
-		if e := expo[f.Name]; e == nil || e.typ != f.Kind {
-			t.Errorf("/stats %s family %s is not one in /metrics", f.Kind, f.Name)
-		}
-	}
-	metrics := map[string]float64{}
-	for _, f := range expo {
-		if f.typ == obs.KindGauge {
-			continue
-		}
-		for _, smp := range f.samples {
-			if !strings.HasSuffix(smp.name, "_sum") {
-				metrics[seriesKey(smp.name, smp.labels)] = smp.value
+	stats := getStats(t, ts.URL)
+	metrics, _ := scrapeMetrics(t, ts.URL)
+	for _, fams := range [][]obs.FamilySnapshot{stats, metrics} {
+		for i, f := range fams {
+			if len(f.Series) == 0 {
+				fams[i].Labels = nil // text cannot carry them
 			}
-		}
-	}
-	check := func(key string, want float64) {
-		t.Helper()
-		got, ok := metrics[key]
-		if !ok || got != want {
-			t.Errorf("%s: /stats %g, /metrics %g (present %v)", key, want, got, ok)
-		}
-		delete(metrics, key)
-	}
-	for _, f := range fams {
-		for _, s := range f.Series {
-			labels := labelMap(f.Labels, s.LabelValues)
-			switch f.Kind {
-			case obs.KindCounter:
-				check(seriesKey(f.Name, labels), s.Value)
-			case obs.KindHistogram:
-				var cum int64
-				for i, c := range s.BucketCounts {
-					cum += c
-					labels["le"] = "+Inf"
-					if i < len(f.Bounds) {
-						labels["le"] = strconv.FormatFloat(f.Bounds[i], 'g', -1, 64)
-					}
-					check(seriesKey(f.Name+"_bucket", labels), float64(cum))
+			if f.Kind == obs.KindGauge {
+				for j := range f.Series {
+					f.Series[j].Value = 0
 				}
-				delete(labels, "le")
-				check(seriesKey(f.Name+"_count", labels), float64(s.Count))
 			}
 		}
 	}
-	for key := range metrics {
-		t.Errorf("/metrics series %s is not in /stats", key)
+	if !reflect.DeepEqual(stats, metrics) {
+		t.Error("/stats is not the parsed /metrics")
+		inMetrics := map[string]obs.FamilySnapshot{}
+		for _, f := range metrics {
+			inMetrics[f.Name] = f
+		}
+		for _, f := range stats {
+			if m := inMetrics[f.Name]; !reflect.DeepEqual(f, m) {
+				t.Errorf("/stats %+v\n/metrics %+v", f, m)
+			}
+			delete(inMetrics, f.Name)
+		}
+		for name := range inMetrics {
+			t.Errorf("/metrics family %s is not in /stats", name)
+		}
 	}
-	if statValue(fams, "bschedd_requests_total") == 0 || statValue(fams, "bschedd_batch_requests_total") != 1 {
+	if statValue(stats, "bschedd_requests_total") == 0 || statValue(stats, "bschedd_batch_requests_total") != 1 {
 		t.Fatal("the request sequence left no trace in /stats")
 	}
 }

@@ -162,7 +162,7 @@ func TestTraceEndToEnd(t *testing.T) {
 		t.Errorf("trace index %v missing %q", index.Traces, traceID)
 	}
 	exemplar := `# EXEMPLAR bschedd_request_duration_seconds trace_id="` + traceID + `" `
-	if text := scrapeMetrics(t, ts.URL); !strings.Contains(text, exemplar) {
+	if _, text := scrapeMetrics(t, ts.URL); !strings.Contains(text, exemplar) {
 		t.Errorf("/metrics lacks %q", exemplar)
 	}
 	if statValue(getStats(t, ts.URL), "bschedd_traces_retained") == 0 {
