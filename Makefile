@@ -2,18 +2,18 @@
 
 GO ?= go
 
-.PHONY: all build test bench-vet race test-race fuzz-smoke doc-lint bench bench-json bench-diff repro repro-quick examples vet fmt cover clean
+.PHONY: all build test bench-vet race test-race fuzz-smoke bench bench-json bench-diff repro repro-quick examples vet fmt cover clean
 
 all: build test
 
 build:
 	$(GO) build ./...
 
-# The default test path runs go vet, the documentation lint, then the
-# whole suite. Everything else `make test` checks — the daemon's HTTP
-# end to end, the metric catalog, docs coverage, the benchmark module's
-# vet — is an ordinary test under `go test ./...`.
-test: vet doc-lint
+# The default test path runs go vet, then the whole suite. Everything
+# else `make test` checks — the daemon's HTTP end to end, the metric
+# catalog, docs coverage, gofmt-clean source and doc comments, the
+# benchmark module's vet — is an ordinary test under `go test ./...`.
+test: vet
 	$(GO) test ./...
 
 # bench/ is its own Go module, so `go test ./...` does not compile it;
@@ -40,14 +40,6 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzKernelReference -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRequest -fuzztime=$(FUZZTIME) ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzExposition -fuzztime=$(FUZZTIME) -fuzzminimizetime=200x ./internal/obs
-
-# Documentation hygiene: the packages godoc renders without error (a
-# parse failure here means a malformed doc comment). gofmt-clean source
-# and docs coverage of the policy registry and the HTTP endpoints are
-# checked by docs_test.go; vet runs as its own `make test` prerequisite.
-doc-lint:
-	@for pkg in ./internal/obs ./internal/server ./internal/engine ./internal/cluster ./internal/compile; do \
-		$(GO) doc $$pkg >/dev/null || exit 1; done
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

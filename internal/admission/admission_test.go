@@ -330,14 +330,19 @@ func TestQuotaDisabled(t *testing.T) {
 
 // TestBreakerLifecycle walks the full state machine: consecutive
 // failures trip it, the cooldown gates a single probe, and the probe's
-// outcome closes or re-opens.
+// outcome closes or re-opens. Trips are counted through OnTransition,
+// as the engine counts them.
 func TestBreakerLifecycle(t *testing.T) {
 	clk := newFakeClock()
 	var transitions []string
+	trips := 0
 	b := NewBreaker(BreakerConfig{
 		Threshold: 3, Cooldown: time.Second, Now: clk.now,
 		OnTransition: func(from, to BreakerState) {
 			transitions = append(transitions, from.String()+"->"+to.String())
+			if to == BreakerOpen {
+				trips++
+			}
 		},
 	})
 	// Non-consecutive failures never trip.
@@ -350,8 +355,8 @@ func TestBreakerLifecycle(t *testing.T) {
 		t.Fatal("tripped without threshold consecutive failures")
 	}
 	b.Failure()
-	if b.State() != BreakerOpen || b.Trips() != 1 {
-		t.Fatalf("state %v trips %d after 3 consecutive failures, want open/1", b.State(), b.Trips())
+	if b.State() != BreakerOpen || trips != 1 {
+		t.Fatalf("state %v trips %d after 3 consecutive failures, want open/1", b.State(), trips)
 	}
 	if b.Allow() {
 		t.Fatal("open breaker allowed before cooldown")
@@ -369,8 +374,8 @@ func TestBreakerLifecycle(t *testing.T) {
 	}
 	// Probe fails → re-open, cooldown restarts.
 	b.Failure()
-	if b.State() != BreakerOpen || b.Trips() != 2 {
-		t.Fatalf("state %v trips %d after failed probe, want open/2", b.State(), b.Trips())
+	if b.State() != BreakerOpen || trips != 2 {
+		t.Fatalf("state %v trips %d after failed probe, want open/2", b.State(), trips)
 	}
 	clk.advance(time.Second)
 	if !b.Allow() {
@@ -409,7 +414,7 @@ func TestBreakerNil(t *testing.T) {
 	}
 	b.Success()
 	b.Failure()
-	if b.State() != BreakerClosed || b.Trips() != 0 {
+	if b.State() != BreakerClosed {
 		t.Fatal("nil breaker has state")
 	}
 }

@@ -70,7 +70,6 @@ type Breaker struct {
 	failures int
 	openedAt time.Time
 	probing  bool // a half-open probe is outstanding
-	trips    int64
 }
 
 // NewBreaker builds a closed breaker.
@@ -170,7 +169,6 @@ func (b *Breaker) Failure() {
 			from, to = b.state, BreakerOpen
 			b.state = BreakerOpen
 			b.openedAt = b.now()
-			b.trips++
 			trans = b.onTransition
 		}
 	case BreakerHalfOpen:
@@ -179,7 +177,6 @@ func (b *Breaker) Failure() {
 		b.openedAt = b.now()
 		b.probing = false
 		b.failures = b.threshold // still at the threshold: one more failure re-trips
-		b.trips++
 		trans = b.onTransition
 	case BreakerOpen:
 		// Late failure report from before the trip; nothing to do.
@@ -198,14 +195,4 @@ func (b *Breaker) State() BreakerState {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.state
-}
-
-// Trips returns how many times the breaker has opened.
-func (b *Breaker) Trips() int64 {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.trips
 }

@@ -83,13 +83,6 @@ func (s *Set) Count() int {
 	return c
 }
 
-// Clear removes all elements, keeping capacity.
-func (s *Set) Clear() {
-	for i := range s.words {
-		s.words[i] = 0
-	}
-}
-
 // Fill adds every index in [0, n).
 func (s *Set) Fill() {
 	for i := range s.words {
@@ -110,14 +103,6 @@ func (s *Set) Union(o *Set) {
 	s.checkSame(o)
 	for i, w := range o.words {
 		s.words[i] |= w
-	}
-}
-
-// Intersect removes from s every element not in o.
-func (s *Set) Intersect(o *Set) {
-	s.checkSame(o)
-	for i, w := range o.words {
-		s.words[i] &= w
 	}
 }
 
@@ -142,16 +127,6 @@ func (s *Set) Equal(o *Set) bool {
 	return true
 }
 
-// Empty reports whether the set has no elements.
-func (s *Set) Empty() bool {
-	for _, w := range s.words {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // ForEach calls fn for every element in ascending order.
 func (s *Set) ForEach(fn func(i int)) {
 	for wi, w := range s.words {
@@ -161,13 +136,6 @@ func (s *Set) ForEach(fn func(i int)) {
 			w &= w - 1
 		}
 	}
-}
-
-// Members returns the elements in ascending order.
-func (s *Set) Members() []int {
-	out := make([]int, 0, s.Count())
-	s.ForEach(func(i int) { out = append(out, i) })
-	return out
 }
 
 // Next returns the smallest element >= i, or -1 if there is none.

@@ -8,13 +8,13 @@ import (
 
 func TestBasicOps(t *testing.T) {
 	s := New(130)
-	if !s.Empty() || s.Count() != 0 || s.Len() != 130 {
+	if s.Count() != 0 || s.Len() != 130 {
 		t.Fatalf("new set not empty")
 	}
 	for _, i := range []int{0, 63, 64, 65, 129} {
 		s.Add(i)
 	}
-	if s.Count() != 5 || s.Empty() {
+	if s.Count() != 5 {
 		t.Errorf("Count = %d, want 5", s.Count())
 	}
 	for _, i := range []int{0, 63, 64, 65, 129} {
@@ -28,10 +28,6 @@ func TestBasicOps(t *testing.T) {
 	s.Remove(64)
 	if s.Has(64) || s.Count() != 4 {
 		t.Errorf("remove failed")
-	}
-	s.Clear()
-	if !s.Empty() {
-		t.Errorf("clear failed")
 	}
 }
 
@@ -56,17 +52,12 @@ func TestSetAlgebra(t *testing.T) {
 	}
 	u := a.Clone()
 	u.Union(b)
-	inter := a.Clone()
-	inter.Intersect(b)
 	diff := a.Clone()
 	diff.Subtract(b)
 	for i := 0; i < 100; i++ {
 		even, byThree := i%2 == 0, i%3 == 0
 		if u.Has(i) != (even || byThree) {
 			t.Errorf("union wrong at %d", i)
-		}
-		if inter.Has(i) != (even && byThree) {
-			t.Errorf("intersect wrong at %d", i)
 		}
 		if diff.Has(i) != (even && !byThree) {
 			t.Errorf("subtract wrong at %d", i)
@@ -80,8 +71,13 @@ func TestMembersAndForEachAgree(t *testing.T) {
 	for k := 0; k < 80; k++ {
 		s.Add(rng.Intn(300))
 	}
-	members := s.Members()
-	var walked []int
+	// ForEach visits exactly the members Has reports, in ascending order.
+	var members, walked []int
+	for i := 0; i < s.Len(); i++ {
+		if s.Has(i) {
+			members = append(members, i)
+		}
+	}
 	s.ForEach(func(i int) { walked = append(walked, i) })
 	if len(members) != len(walked) {
 		t.Fatalf("length mismatch %d vs %d", len(members), len(walked))
@@ -89,9 +85,6 @@ func TestMembersAndForEachAgree(t *testing.T) {
 	for i := range members {
 		if members[i] != walked[i] {
 			t.Fatalf("order mismatch at %d", i)
-		}
-		if i > 0 && members[i] <= members[i-1] {
-			t.Fatalf("not ascending at %d", i)
 		}
 	}
 }

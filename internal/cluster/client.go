@@ -14,6 +14,7 @@ import (
 
 	"bsched/internal/admission"
 	"bsched/internal/engine"
+	"bsched/internal/obs"
 )
 
 // DefaultProbeTimeout bounds one peer lookup round trip when
@@ -73,18 +74,15 @@ func (o ProbeOutcome) String() string {
 	}
 }
 
-// Counter is the metric seam — satisfied by *obs.Counter — so the
-// package needs no registry of its own. All Metrics fields are
-// optional; nil fields are simply not counted.
-type Counter interface{ Inc() }
-
-// Metrics receives the client's event counts.
+// Metrics are the offer counters, which only the drain goroutine can
+// update: it alone sees an offer's outcome. Probe outcomes are counted
+// by Probe's caller, which gets each one back. Nil fields count
+// nothing.
 type Metrics struct {
-	ProbeHit, ProbeMiss, ProbeError, ProbeSkip Counter
-	OfferSent, OfferDropped                    Counter
+	OfferSent, OfferDropped *obs.Counter
 }
 
-func inc(c Counter) {
+func inc(c *obs.Counter) {
 	if c != nil {
 		c.Inc()
 	}
@@ -201,18 +199,18 @@ func (c *Client) Owner(key engine.Key) (node string, self bool) {
 	return node, node == c.cfg.Self
 }
 
-// Probe asks owner for key: GET /v1/peer/lookup/{key}. It never
-// returns an error to propagate — a failed probe is an outcome, and
-// the caller's fallback is always a local compile. traceparent, when
-// non-empty, rides the request so the owner's spans join the caller's
-// trace.
+// Probe asks owner, a foreign node Owner returned, for key: GET
+// /v1/peer/lookup/{key}. It never returns an error to propagate — a
+// failed probe is an outcome, and the caller's fallback is always a
+// local compile. traceparent, when non-empty, rides the request so the
+// owner's spans join the caller's trace.
 func (c *Client) Probe(ctx context.Context, owner string, key engine.Key, traceparent string) (*engine.BlockResponse, ProbeOutcome) {
 	ps, ok := c.peers[owner]
 	if !ok {
+		// Not reached from Owner: every ring node but Self is a peer.
 		return nil, ProbeOutcomeSkip
 	}
 	if ps.inflight.Load() >= maxInflightProbes || !ps.brk.Allow() {
-		inc(c.cfg.Metrics.ProbeSkip)
 		return nil, ProbeOutcomeSkip
 	}
 	ps.inflight.Add(1)
@@ -227,7 +225,6 @@ func (c *Client) Probe(ctx context.Context, owner string, key engine.Key, tracep
 	url := fmt.Sprintf("%s/v1/peer/lookup/%s?wait_ms=%d", owner, key, waitMS)
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
-		inc(c.cfg.Metrics.ProbeError)
 		ps.brk.Failure()
 		return nil, ProbeOutcomeError
 	}
@@ -236,7 +233,6 @@ func (c *Client) Probe(ctx context.Context, owner string, key engine.Key, tracep
 	}
 	httpResp, err := c.hc.Do(req)
 	if err != nil {
-		inc(c.cfg.Metrics.ProbeError)
 		ps.brk.Failure()
 		return nil, ProbeOutcomeError
 	}
@@ -249,19 +245,15 @@ func (c *Client) Probe(ctx context.Context, owner string, key engine.Key, tracep
 		var resp engine.BlockResponse
 		dec := json.NewDecoder(io.LimitReader(httpResp.Body, maxPeerResponseBytes))
 		if err := dec.Decode(&resp); err != nil || !resp.Matches(key) {
-			inc(c.cfg.Metrics.ProbeError)
 			ps.brk.Failure()
 			return nil, ProbeOutcomeError
 		}
 		ps.brk.Success()
-		inc(c.cfg.Metrics.ProbeHit)
 		return &resp, ProbeOutcomeHit
 	case http.StatusNotFound:
 		ps.brk.Success()
-		inc(c.cfg.Metrics.ProbeMiss)
 		return nil, ProbeOutcomeMiss
 	default:
-		inc(c.cfg.Metrics.ProbeError)
 		ps.brk.Failure()
 		return nil, ProbeOutcomeError
 	}

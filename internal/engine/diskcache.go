@@ -16,28 +16,18 @@ import (
 	"bsched/internal/obs"
 )
 
-// DiskMetrics groups the persistent cache's instruments. The counters
-// are registered unconditionally by the frontend's stats layer, so the
-// metric catalog is identical with and without a cache directory; they
-// simply stay at zero when the disk layer is off.
-type DiskMetrics struct {
-	Hits      *obs.Counter // record decoded from disk and served after a memory miss
-	Misses    *obs.Counter // memory miss with no (valid) disk record either
-	Writes    *obs.Counter // record appended to the active segment
-	Evictions *obs.Counter // cold record dropped at compaction
-	Loaded    *obs.Counter // valid records indexed during startup replay
-	Corrupt   *obs.Counter // torn or corrupt records skipped, never served
-	Stale     *obs.Counter // healthy records in the retired program-keyed format, skipped at replay
-	IOErrors  *obs.Counter // I/O-layer read/append failures (feeds the breaker)
-	Rejects   *obs.Counter // disk operations skipped while the breaker was open
-}
-
-// breakerReject counts one skipped disk operation; nil-safe for tests
-// that build a bare DiskMetrics.
-func (m *DiskMetrics) breakerReject() {
-	if m.Rejects != nil {
-		m.Rejects.Inc()
-	}
+// diskMetrics groups the persistent cache's instruments (newMetrics
+// registers them).
+type diskMetrics struct {
+	hits      *obs.Counter // record decoded from disk and served after a memory miss
+	misses    *obs.Counter // memory miss with no (valid) disk record either
+	writes    *obs.Counter // record appended to the active segment
+	evictions *obs.Counter // cold record dropped at compaction
+	loaded    *obs.Counter // valid records indexed during startup replay
+	corrupt   *obs.Counter // torn or corrupt records skipped, never served
+	stale     *obs.Counter // healthy records in the retired program-keyed format, skipped at replay
+	ioErrors  *obs.Counter // I/O-layer read/append failures (feeds the breaker)
+	rejects   *obs.Counter // disk operations skipped while the breaker was open
 }
 
 // errDiskIO marks a failure at the I/O layer — the disk itself
@@ -100,7 +90,7 @@ type diskCache struct {
 	dir         string
 	maxBytes    int64
 	segMaxBytes int64
-	met         *DiskMetrics
+	met         *diskMetrics
 	// brk is the disk circuit breaker: repeated I/O failures trip it
 	// open and reads/appends are skipped (the daemon degrades to
 	// memory-only) until a half-open probe succeeds. chaos injects
@@ -130,7 +120,7 @@ type diskCache struct {
 // segment into the index, and starts the write-behind flusher. Corrupt
 // data is never an error — damaged records are counted and skipped —
 // but an unusable directory is.
-func openDiskCache(dir string, maxBytes int64, met *DiskMetrics, brk *admission.Breaker, inj *chaos.Injector) (*diskCache, error) {
+func openDiskCache(dir string, maxBytes int64, met *diskMetrics, brk *admission.Breaker, inj *chaos.Injector) (*diskCache, error) {
 	if maxBytes <= 0 {
 		maxBytes = DefaultCacheMaxBytes
 	}
@@ -208,13 +198,13 @@ func (d *diskCache) replay() error {
 func (d *diskCache) replaySegment(name string) {
 	data, err := os.ReadFile(filepath.Join(d.dir, name))
 	if err != nil {
-		d.met.Corrupt.Inc()
+		d.met.corrupt.Inc()
 		return
 	}
 	d.totalBytes += int64(len(data))
 	rest, err := checkSegmentHeader(data)
 	if err != nil {
-		d.met.Corrupt.Inc()
+		d.met.corrupt.Inc()
 		return
 	}
 	off := int64(SegHeaderLen)
@@ -223,7 +213,7 @@ func (d *diskCache) replaySegment(name string) {
 		switch {
 		case err == nil:
 			d.indexLocked(&diskItem{key: k, seg: name, off: off, size: int64(n)})
-			d.met.Loaded.Inc()
+			d.met.loaded.Inc()
 		case errors.Is(err, errStaleRecord):
 			// A checksummed-valid record from the retired program-granular
 			// format: its length field is trustworthy, so skip exactly this
@@ -231,16 +221,16 @@ func (d *diskCache) replaySegment(name string) {
 			// bytes are healthy, just keyed in the wrong space — and never
 			// indexed, so an old cache directory warms nothing but starts
 			// cleanly and compaction reclaims it.
-			d.met.Stale.Inc()
+			d.met.stale.Inc()
 		case errors.Is(err, errTornRecord) || n == 0:
 			// Torn tail, or a length field too corrupt to resync past:
 			// everything from here on in this segment is unreachable.
-			d.met.Corrupt.Inc()
+			d.met.corrupt.Inc()
 			return
 		default:
 			// Bad checksum or unknown version under a plausible length:
 			// skip just this record and keep scanning.
-			d.met.Corrupt.Inc()
+			d.met.corrupt.Inc()
 		}
 		off += int64(n)
 		rest = rest[n:]
@@ -284,20 +274,20 @@ func (d *diskCache) get(k Key) (*BlockResponse, bool) {
 	defer d.mu.Unlock()
 	el, ok := d.index[k]
 	if !ok {
-		d.met.Misses.Inc()
+		d.met.misses.Inc()
 		return nil, false
 	}
 	if !d.brk.Allow() {
-		d.met.breakerReject()
-		d.met.Misses.Inc()
+		d.met.rejects.Inc()
+		d.met.misses.Inc()
 		return nil, false
 	}
 	it := el.Value.(*diskItem)
 	raw, err := d.readRawLocked(it)
 	if errors.Is(err, errDiskIO) {
-		d.met.IOErrors.Inc()
+		d.met.ioErrors.Inc()
 		d.brk.Failure()
-		d.met.Misses.Inc()
+		d.met.misses.Inc()
 		return nil, false
 	}
 	d.brk.Success()
@@ -306,14 +296,14 @@ func (d *diskCache) get(k Key) (*BlockResponse, bool) {
 		_, payload, _, _ := decodeRecord(raw) // readRawLocked validated it
 		if jerr := json.Unmarshal(payload, &resp); jerr == nil {
 			d.ll.MoveToFront(el)
-			d.met.Hits.Inc()
+			d.met.hits.Inc()
 			return &resp, true
 		}
 		err = errCorruptRecord
 	}
-	d.met.Corrupt.Inc()
+	d.met.corrupt.Inc()
 	d.dropLocked(el)
-	d.met.Misses.Inc()
+	d.met.misses.Inc()
 	return nil, false
 }
 
@@ -397,11 +387,11 @@ func (d *diskCache) flush(batch []diskWrite) {
 		if !d.brk.Allow() {
 			// Breaker open: drop the write instead of poking the sick disk.
 			// This is a cache — the entry is still served from memory.
-			d.met.breakerReject()
+			d.met.rejects.Inc()
 			continue
 		}
 		if d.appendLocked(w.key, appendRecord(nil, w.key, w.payload)) {
-			d.met.Writes.Inc()
+			d.met.writes.Inc()
 		}
 	}
 	if d.totalBytes > d.maxBytes {
@@ -419,7 +409,7 @@ func (d *diskCache) appendLocked(k Key, rec []byte) bool {
 	if err := d.inj.Err(chaos.DiskError); err != nil {
 		// Injected write fault: account it like a failed Write, but keep
 		// the segment — the bytes on disk are untouched.
-		d.met.IOErrors.Inc()
+		d.met.ioErrors.Inc()
 		d.brk.Failure()
 		return false
 	}
@@ -434,7 +424,7 @@ func (d *diskCache) appendLocked(k Key, rec []byte) bool {
 	d.activeSize += int64(n)
 	d.totalBytes += int64(n)
 	if err != nil || n != len(rec) {
-		d.met.IOErrors.Inc()
+		d.met.ioErrors.Inc()
 		d.brk.Failure()
 		d.rotateLocked()
 		return false
@@ -480,7 +470,7 @@ func (d *diskCache) compactLocked() {
 	target := d.maxBytes * 3 / 4
 	for d.liveBytes > target && d.ll.Len() > 0 {
 		d.dropLocked(d.ll.Back())
-		d.met.Evictions.Inc()
+		d.met.evictions.Inc()
 	}
 	items := make([]*diskItem, 0, d.ll.Len())
 	for el := d.ll.Back(); el != nil; el = el.Prev() { // coldest first
@@ -501,10 +491,10 @@ func (d *diskCache) compactLocked() {
 		raw, err := d.readRawLocked(it)
 		if err != nil {
 			if errors.Is(err, errDiskIO) {
-				d.met.IOErrors.Inc()
+				d.met.ioErrors.Inc()
 				d.brk.Failure()
 			} else {
-				d.met.Corrupt.Inc()
+				d.met.corrupt.Inc()
 			}
 			continue
 		}
@@ -549,7 +539,7 @@ func (d *diskCache) close() {
 }
 
 // entries, bytes and warmEntries back the disk-cache gauges; all are
-// nil-safe so the frontend registers them unconditionally.
+// nil-safe so the engine registers them unconditionally.
 func (d *diskCache) entries() int {
 	if d == nil {
 		return 0

@@ -17,23 +17,12 @@ import (
 	"bsched/internal/obs"
 )
 
-// testDiskMetrics builds a full set of counters on a throwaway registry
-// so tests can assert on them without a server's stats layer.
-func testDiskMetrics() *DiskMetrics {
-	reg := obs.NewRegistry()
-	c := func(name string) *obs.Counter { return reg.Counter(name, name) }
-	return &DiskMetrics{
-		Hits: c("hits"), Misses: c("misses"), Writes: c("writes"),
-		Evictions: c("evictions"), Loaded: c("loaded"), Corrupt: c("corrupt"),
-		Stale: c("stale"), IOErrors: c("io_errors"), Rejects: c("rejects"),
-	}
-}
-
-// openTestDiskCache opens a store backed by fresh metrics and returns
-// both, failing the test on error.
-func openTestDiskCache(t *testing.T, dir string, maxBytes int64) (*diskCache, *DiskMetrics) {
+// openTestDiskCache opens a store whose counters are the engine's own,
+// registered on a throwaway registry, and returns both, failing the test
+// on error.
+func openTestDiskCache(t *testing.T, dir string, maxBytes int64) (*diskCache, *diskMetrics) {
 	t.Helper()
-	met := testDiskMetrics()
+	met := &newMetrics(obs.NewRegistry()).disk
 	d, err := openDiskCache(dir, maxBytes, met, nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -51,12 +40,12 @@ func diskResp(i int) *BlockResponse {
 // waitFlushed polls until the store has written (at least) want records
 // or the deadline passes — put is write-behind, so tests that reopen
 // the directory must first let the flusher catch up.
-func waitFlushed(t *testing.T, met *DiskMetrics, want int64) {
+func waitFlushed(t *testing.T, met *diskMetrics, want int64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for met.Writes.Value() < want {
+	for met.writes.Value() < want {
 		if time.Now().After(deadline) {
-			t.Fatalf("flusher wrote %d records, want %d", met.Writes.Value(), want)
+			t.Fatalf("flusher wrote %d records, want %d", met.writes.Value(), want)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -86,10 +75,10 @@ func TestDiskCachePutGetReopen(t *testing.T) {
 
 	d2, met2 := openTestDiskCache(t, dir, 1<<20)
 	defer d2.close()
-	if got := met2.Loaded.Value(); got != n {
+	if got := met2.loaded.Value(); got != n {
 		t.Fatalf("replay loaded %d records, want %d", got, n)
 	}
-	if got := met2.Corrupt.Value(); got != 0 {
+	if got := met2.corrupt.Value(); got != 0 {
 		t.Fatalf("replay counted %d corrupt records in a clean directory", got)
 	}
 	if d2.warmEntries() != n {
@@ -151,10 +140,10 @@ func TestDiskCacheCrashRecovery(t *testing.T) {
 
 	d2, met2 := openTestDiskCache(t, dir, 1<<20)
 	defer d2.close()
-	if got := met2.Loaded.Value(); got != n {
+	if got := met2.loaded.Value(); got != n {
 		t.Errorf("loaded %d records, want %d", got, n)
 	}
-	if got := met2.Corrupt.Value(); got != 1 {
+	if got := met2.corrupt.Value(); got != 1 {
 		t.Errorf("corrupt counter %d, want 1 (the torn tail)", got)
 	}
 	for i := 0; i < n; i++ {
@@ -190,10 +179,10 @@ func TestDiskCacheCorruptMiddleRecordSkipped(t *testing.T) {
 
 	d, met := openTestDiskCache(t, dir, 1<<20)
 	defer d.close()
-	if got := met.Loaded.Value(); got != 2 {
+	if got := met.loaded.Value(); got != 2 {
 		t.Errorf("loaded %d records, want 2", got)
 	}
-	if got := met.Corrupt.Value(); got != 1 {
+	if got := met.corrupt.Value(); got != 1 {
 		t.Errorf("corrupt counter %d, want 1", got)
 	}
 	for _, i := range []int{0, 2} {
@@ -243,13 +232,13 @@ func TestDiskCacheMixedFormatSegment(t *testing.T) {
 
 	d, met := openTestDiskCache(t, dir, 1<<20)
 	defer d.close()
-	if got := met.Loaded.Value(); got != 2 {
+	if got := met.loaded.Value(); got != 2 {
 		t.Errorf("loaded %d records, want 2 (the block-keyed ones)", got)
 	}
-	if got := met.Stale.Value(); got != 2 {
+	if got := met.stale.Value(); got != 2 {
 		t.Errorf("stale counter %d, want 2 (the legacy records)", got)
 	}
-	if got := met.Corrupt.Value(); got != 0 {
+	if got := met.corrupt.Value(); got != 0 {
 		t.Errorf("corrupt counter %d, want 0 — legacy is stale, not corrupt", got)
 	}
 	// The current record whose key halves the legacy one reused must
@@ -275,16 +264,16 @@ func TestDiskCacheGarbageFileTolerated(t *testing.T) {
 	}
 	d, met := openTestDiskCache(t, dir, 1<<20)
 	defer d.close()
-	if got := met.Corrupt.Value(); got == 0 {
+	if got := met.corrupt.Value(); got == 0 {
 		t.Error("garbage segment not counted corrupt")
 	}
-	if got := met.Loaded.Value(); got != 0 {
+	if got := met.loaded.Value(); got != 0 {
 		t.Errorf("loaded %d records from garbage", got)
 	}
 	d.put(Key{Block: 1}, diskResp(1))
 	// The store must still function for writes after meeting garbage.
 	deadline := time.Now().Add(5 * time.Second)
-	for met.Writes.Value() < 1 && time.Now().Before(deadline) {
+	for met.writes.Value() < 1 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	if _, ok := d.get(Key{Block: 1}); !ok {
@@ -331,7 +320,7 @@ func TestDiskCacheEviction(t *testing.T) {
 	}
 	waitFlushed(t, met, writes)
 	d.close()
-	if met.Evictions.Value() == 0 {
+	if met.evictions.Value() == 0 {
 		t.Fatal("no evictions despite writing far past the byte bound")
 	}
 	var total int64
@@ -402,14 +391,14 @@ func TestDiskCacheConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	d.close()
-	if met.Corrupt.Value() != 0 {
-		t.Errorf("%d corrupt records during a clean concurrent run", met.Corrupt.Value())
+	if met.corrupt.Value() != 0 {
+		t.Errorf("%d corrupt records during a clean concurrent run", met.corrupt.Value())
 	}
 
 	d2, met2 := openTestDiskCache(t, dir, 64<<10)
 	defer d2.close()
-	if met2.Corrupt.Value() != 0 {
-		t.Errorf("%d corrupt records at replay after clean close", met2.Corrupt.Value())
+	if met2.corrupt.Value() != 0 {
+		t.Errorf("%d corrupt records at replay after clean close", met2.corrupt.Value())
 	}
 	hits := 0
 	for k := 0; k < keys; k++ {

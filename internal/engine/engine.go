@@ -8,11 +8,14 @@
 // one kernel: internal/server's public HTTP API and the cluster peer
 // protocol (GET /v1/peer/lookup, PUT /v1/peer/offer) both drive the same
 // Engine, so a schedule compiled for a remote peer is indistinguishable
-// from one compiled for a local client. A frontend supplies its
-// observability seams through Config: the stage histogram its stages
-// are timed on, the tier observer and the degradation, policy and
-// breaker hooks. The engine owns no registry, logger or tracer; it
-// records its stages as spans of the *obs.Trace a Job carries.
+// from one compiled for a local client. A frontend hands the engine its
+// *obs.Registry through Config, and the engine registers there the
+// families only it updates: the disk-cache and breaker counters, the
+// per-tier compile histogram, degradations, the per-policy outcomes and
+// the gauges over its queue, cache, breaker and disk. The frontend's
+// stage histogram (Config.Stages) is the one family both sides record
+// on. The engine owns no logger or tracer; it records its stages as
+// spans of the *obs.Trace a Job carries.
 //
 // One compilation's lifetime through the engine:
 //
@@ -42,6 +45,7 @@ import (
 	"bsched/internal/compile"
 	"bsched/internal/ir"
 	"bsched/internal/obs"
+	"bsched/internal/obs/profiler"
 )
 
 // Defaults for Config's zero fields.
@@ -112,29 +116,17 @@ type Config struct {
 	BreakerCooldown  time.Duration
 	// Chaos, when non-nil, is the fault-injection seam.
 	Chaos *chaos.Injector
+	// Profiler, when non-nil, captures a profile when the disk breaker
+	// opens.
+	Profiler *profiler.Profiler
 
-	// DiskMetrics receives the persistent layer's counters; nil installs
-	// inert counters so the engine can run uninstrumented (tests).
-	DiskMetrics *DiskMetrics
+	// Registry receives the engine's metric families (see metrics.go).
+	// Nil installs a private registry.
+	Registry *obs.Registry
 	// Stages is the stage histogram for StageCompile and the compile.Stage*
 	// records read from compile.Options.SpanObserver. Nil installs an
 	// unregistered family.
 	Stages *obs.HistogramVec
-	// ObserveTier, when non-nil, receives worker-side compile time by
-	// work-budget tier.
-	ObserveTier func(tier string, d time.Duration)
-	// OnDegradations, when non-nil, is called with the degradation-event
-	// count of each successfully compiled job that had any.
-	OnDegradations func(n int)
-	// ObservePolicy, when non-nil, receives the scheduling policy each
-	// successfully compiled block landed on plus the block's schedule
-	// length in issue slots (instructions + pass-1 starvation no-ops) —
-	// the deterministic cycle estimate behind the per-policy outcome
-	// metrics.
-	ObservePolicy func(policy string, scheduleSlots int)
-	// OnBreakerTransition, when non-nil, observes disk circuit-breaker
-	// state changes.
-	OnBreakerTransition func(from, to admission.BreakerState)
 
 	// CompileFn is the compilation the workers run, one Job's block per
 	// call: the block is the engine's unit of caching and single-flight,
@@ -157,8 +149,8 @@ func (c Config) withDefaults() Config {
 	if c.CacheCapacity == 0 {
 		c.CacheCapacity = DefaultCacheCapacity
 	}
-	if c.DiskMetrics == nil {
-		c.DiskMetrics = unregisteredDiskMetrics()
+	if c.Registry == nil {
+		c.Registry = obs.NewRegistry()
 	}
 	if c.Stages == nil {
 		c.Stages = obs.NewRegistry().HistogramVec("stages", "stages", nil, "stage")
@@ -169,30 +161,20 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// unregisteredDiskMetrics builds counters attached to no registry, so
-// the disk layer's unconditional met.X.Inc() calls stay nil-safe when
-// the frontend did not supply instruments.
-func unregisteredDiskMetrics() *DiskMetrics {
-	reg := obs.NewRegistry()
-	c := func(name string) *obs.Counter { return reg.Counter(name, name) }
-	return &DiskMetrics{
-		Hits: c("hits"), Misses: c("misses"), Writes: c("writes"),
-		Evictions: c("evictions"), Loaded: c("loaded"), Corrupt: c("corrupt"),
-		Stale: c("stale"), IOErrors: c("io_errors"), Rejects: c("rejects"),
-	}
-}
-
 // Job is one queued compilation: a single block from the leader
 // request's parsed program plus its lowered options, bound for the
 // worker pool, where one CompileFn call compiles it. A multi-block
 // program fans out into one Job per missed block, each with its own
 // Entry; hits, misses and coalescing are all per block.
 type Job struct {
-	Block   *ir.Block
-	Opts    compile.Options
-	Timeout time.Duration
-	Key     Key
-	E       *Entry
+	Block *ir.Block
+	Opts  compile.Options
+	// Deadline is the leader request's: its start plus its clamped
+	// timeout. Queue wait and the request's earlier blocks count against
+	// it.
+	Deadline time.Time
+	Key      Key
+	E        *Entry
 	// Tier labels the per-tier compile-duration observation.
 	Tier string
 	// Priority is the admission class to queue under; Instrs is the
@@ -219,6 +201,7 @@ type Engine struct {
 	chaos   *chaos.Injector
 	cache   *cache
 	disk    *diskCache // nil without Config.CacheDir
+	met     *metrics
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -244,16 +227,18 @@ func New(cfg Config) (*Engine, error) {
 		est:    compile.NewCostEstimator(),
 		chaos:  cfg.Chaos,
 		cache:  newCache(cfg.CacheCapacity, cacheShards),
+		met:    newMetrics(cfg.Registry),
 		ctx:    ctx,
 		cancel: cancel,
 	}
+	en.registerGauges(cfg.Registry)
 	en.breaker = admission.NewBreaker(admission.BreakerConfig{
 		Threshold:    cfg.BreakerThreshold,
 		Cooldown:     cfg.BreakerCooldown,
-		OnTransition: cfg.OnBreakerTransition,
+		OnTransition: en.onBreakerTransition,
 	})
 	if cfg.CacheDir != "" {
-		d, err := openDiskCache(cfg.CacheDir, cfg.CacheMaxBytes, cfg.DiskMetrics, en.breaker, en.chaos)
+		d, err := openDiskCache(cfg.CacheDir, cfg.CacheMaxBytes, &en.met.disk, en.breaker, en.chaos)
 		if err != nil {
 			cancel()
 			return nil, err
@@ -339,16 +324,13 @@ func (en *Engine) Estimate(tier string, instrs int) time.Duration {
 	return en.est.Estimate(tier, instrs)
 }
 
-// Queue/breaker/cache accessors backing the frontend's gauges.
+// RetryAfterSeconds is the adaptive Retry-After of a 503, from the
+// admission queue's drain-rate estimate.
+func (en *Engine) RetryAfterSeconds() int { return en.adm.RetryAfterSeconds() }
 
-func (en *Engine) QueueLen() int                        { return en.adm.Len() }
-func (en *Engine) QueueCapacity() int                   { return en.adm.Capacity() }
-func (en *Engine) RetryAfterSeconds() int               { return en.adm.RetryAfterSeconds() }
+// BreakerState is the disk circuit breaker's position, which /healthz
+// reports.
 func (en *Engine) BreakerState() admission.BreakerState { return en.breaker.State() }
-func (en *Engine) CacheLen() int                        { return en.cache.len() }
-func (en *Engine) DiskEntries() int                     { return en.disk.entries() }
-func (en *Engine) DiskBytes() int64                     { return en.disk.bytes() }
-func (en *Engine) DiskWarmEntries() int                 { return en.disk.warmEntries() }
 
 // worker drains the admission queue until shutdown, taking jobs in
 // weighted-priority order.
@@ -368,7 +350,7 @@ func (en *Engine) worker() {
 // complete the entry so coalesced waiters observe them.
 func (en *Engine) runJob(j *Job) {
 	j.Queue.End(nil)
-	ctx, cancel := context.WithTimeout(en.ctx, j.Timeout)
+	ctx, cancel := context.WithDeadline(en.ctx, j.Deadline)
 	defer cancel()
 	en.chaos.Delay(chaos.SlowCompile)
 	stage := en.cfg.Stages.StartStage(j.Tr, nil, StageCompile)
@@ -389,35 +371,36 @@ func (en *Engine) runJob(j *Job) {
 	}
 	br, err := en.cfg.CompileFn(ctx, j.Block, opts)
 	elapsed := stage.End(err)
-	if en.cfg.ObserveTier != nil {
-		en.cfg.ObserveTier(j.Tier, elapsed)
-	}
-	if err == nil {
-		// Feed the per-tier cost model that deadline-aware admission
-		// compares deadlines against. Failed compiles are excluded: their
-		// elapsed time measures the failure, not the tier's cost.
-		en.est.Observe(j.Tier, j.Instrs, elapsed)
-	}
+	en.met.tiers.With(j.Tier).ObserveDuration(elapsed)
 	if err != nil {
 		en.cache.remove(j.Key, j.E)
 		j.E.Complete(nil, err)
 		return
 	}
-	if len(br.Degradations) > 0 {
+	byDeadline := deadlineDegraded(br)
+	if !byDeadline {
+		// Feed the per-tier cost model that deadline-aware admission
+		// compares deadlines against. Failed and deadline-degraded
+		// compiles are excluded: their elapsed time measures the failure
+		// or the deadline, not the tier's cost.
+		en.est.Observe(j.Tier, j.Instrs, elapsed)
+	}
+	if n := len(br.Degradations); n > 0 {
 		compileSpan.Event("degraded")
 		j.Tr.SetDegraded()
-		if en.cfg.OnDegradations != nil {
-			en.cfg.OnDegradations(len(br.Degradations))
-		}
+		en.met.degradations.Add(int64(n))
 	}
 	if br.Policy != "" {
 		compileSpan.SetAttr("policy", br.Policy)
 	}
 	resp := buildBlockResponse(br, j.Key)
-	if en.cfg.ObservePolicy != nil && resp.Summary.Policy != "" {
-		en.cfg.ObservePolicy(resp.Summary.Policy, resp.Summary.Instrs+resp.Summary.VNops1)
+	if policy := resp.Summary.Policy; policy != "" {
+		// The block's schedule length in issue slots (instructions plus
+		// pass-1 starvation no-ops): the deterministic per-policy outcome.
+		en.met.policyBlocks.With(policy).Inc()
+		en.met.policyCycles.With(policy).Observe(float64(resp.Summary.Instrs + resp.Summary.VNops1))
 	}
-	if deadlineDegraded(br) {
+	if byDeadline {
 		// The schedule is valid for the request whose deadline forced the
 		// cheap rungs, but not for the key: the deadline is not part of
 		// the key, so caching it would serve the degraded schedule to

@@ -30,6 +30,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"bsched/internal/obs"
 )
 
 // Defaults for zero Config fields.
@@ -53,11 +55,11 @@ type Config struct {
 	Cooldown       time.Duration
 	BurstThreshold int
 	BurstWindow    time.Duration
-	// OnCapture, when set, is called once per captured profile file
-	// (kind "cpu" or "heap") — the metrics hook.
-	OnCapture func(kind, reason string)
-	// Logf, when set, receives capture failures.
-	Logf func(format string, args ...any)
+	// Captures, when set, counts each captured profile file by kind
+	// ("cpu" or "heap") and reason, labeled in that order.
+	Captures *obs.CounterVec
+	// Logger, when set, receives capture failures.
+	Logger *obs.Logger
 }
 
 // Entry is one retained profile in the ring, newest first in Index.
@@ -125,9 +127,7 @@ func New(cfg Config) (*Profiler, error) {
 }
 
 func (p *Profiler) logf(format string, args ...any) {
-	if p.cfg.Logf != nil {
-		p.cfg.Logf(format, args...)
-	}
+	p.cfg.Logger.Log("profiler", "msg", fmt.Sprintf(format, args...))
 }
 
 // adoptExisting indexes profile files left by a previous process.
@@ -233,8 +233,11 @@ func (p *Profiler) Event(reason string) {
 
 // capture writes one heap profile and one CPU profile. Captures are
 // serialized: a capture arriving while one runs is dropped (the running
-// one describes the same moment).
+// one describes the same moment). The reason is sanitized here, once,
+// so the file name, the index entry and the counter's label agree with
+// what a restart reads back from the name.
 func (p *Profiler) capture(reason string) {
+	reason = sanitizeReason(reason)
 	p.mu.Lock()
 	if p.capturing || p.closed {
 		p.mu.Unlock()
@@ -301,13 +304,14 @@ func (p *Profiler) create(kind, reason string) (string, *os.File, error) {
 	p.seq++
 	seq := p.seq
 	p.mu.Unlock()
-	reason = sanitizeReason(reason)
 	name := fmt.Sprintf("%d-%04d-%s-%s.pprof", time.Now().UnixNano(), seq, kind, reason)
 	f, err := os.Create(filepath.Join(p.cfg.Dir, name))
 	return name, f, err
 }
 
-// sanitizeReason keeps reasons filename- and URL-safe.
+// sanitizeReason keeps reasons filename- and URL-safe: every byte
+// outside [A-Za-z0-9_.] becomes '_', so "breaker-open" is captured as
+// "breaker_open".
 func sanitizeReason(reason string) string {
 	var b strings.Builder
 	for _, c := range reason {
@@ -336,8 +340,8 @@ func (p *Profiler) record(name, kind, reason string) {
 	})
 	p.pruneLocked()
 	p.mu.Unlock()
-	if p.cfg.OnCapture != nil {
-		p.cfg.OnCapture(kind, reason)
+	if p.cfg.Captures != nil {
+		p.cfg.Captures.With(kind, reason).Inc()
 	}
 }
 

@@ -3,9 +3,10 @@ package profiler
 import (
 	"os"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
+
+	"bsched/internal/obs"
 )
 
 func waitFor(t *testing.T, d time.Duration, cond func() bool) {
@@ -20,56 +21,82 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool) {
 	t.Fatalf("condition not met within %v", d)
 }
 
+// newCaptures is a capture counter family on a throwaway registry.
+func newCaptures() (*obs.Registry, *obs.CounterVec) {
+	reg := obs.NewRegistry()
+	return reg, reg.CounterVec("captures", "Profiles captured.", "kind", "reason")
+}
+
+// counted sums the capture counter's cpu and heap series under reason.
+func counted(v *obs.CounterVec, reason string) int64 {
+	return v.With("cpu", reason).Value() + v.With("heap", reason).Value()
+}
+
+// TestTriggerCapturesCPUAndHeap: a trigger captures one CPU and one heap
+// profile, and its reason has one spelling, "breaker_open" for
+// "breaker-open", in the counter, in the index and in the index a
+// reopened ring reads back from the file names.
 func TestTriggerCapturesCPUAndHeap(t *testing.T) {
 	dir := t.TempDir()
-	var captured []string
+	reg, captures := newCaptures()
 	p, err := New(Config{
 		Dir: dir, Interval: -1, CPUDuration: 20 * time.Millisecond,
-		Cooldown: time.Millisecond,
-		OnCapture: func(kind, reason string) {
-			captured = append(captured, kind+":"+reason)
-		},
+		Cooldown: time.Millisecond, Captures: captures,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer p.Close()
 	p.Trigger("breaker-open")
 	waitFor(t, 5*time.Second, func() bool { return p.Len() >= 2 })
-	kinds := map[string]bool{}
-	for _, e := range p.Index() {
-		kinds[e.Kind] = true
-		if e.Reason != "breaker_open" && e.Reason != "breaker-open" {
-			t.Fatalf("unexpected reason %q", e.Reason)
+	checkIndex := func(what string, p *Profiler) {
+		t.Helper()
+		kinds := map[string]bool{}
+		for _, e := range p.Index() {
+			kinds[e.Kind] = true
+			if e.Reason != "breaker_open" {
+				t.Errorf("%s: %s has reason %q, want breaker_open", what, e.Name, e.Reason)
+			}
+			if e.SizeBytes <= 0 {
+				t.Errorf("%s: profile %s has size %d", what, e.Name, e.SizeBytes)
+			}
 		}
-		if e.SizeBytes <= 0 {
-			t.Fatalf("profile %s has size %d", e.Name, e.SizeBytes)
+		if !kinds["cpu"] || !kinds["heap"] {
+			t.Errorf("%s: missing kinds: %v", what, kinds)
 		}
 	}
-	if !kinds["cpu"] || !kinds["heap"] {
-		t.Fatalf("missing kinds: %v", kinds)
+	checkIndex("index", p)
+	p.Close() // waits for the capture, so both counts have landed
+	fams := reg.Snapshot()
+	for _, s := range fams[0].Series {
+		if s.LabelValues[1] != "breaker_open" || s.Value != 1 {
+			t.Errorf("capture series %v = %g, want one each of cpu and heap under breaker_open", s.LabelValues, s.Value)
+		}
 	}
+	if len(fams[0].Series) != 2 {
+		t.Errorf("capture series %+v, want cpu and heap", fams[0].Series)
+	}
+	reopened, err := New(Config{Dir: dir, Interval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	checkIndex("reopened index", reopened)
 }
 
 // TestPeriodicCapture: with a positive Interval, Start's loop lands
-// captures on its own and reports each through OnCapture with reason
-// "periodic".
+// captures on its own and counts each under reason "periodic".
 func TestPeriodicCapture(t *testing.T) {
-	var periodic atomic.Int64
+	_, captures := newCaptures()
 	p, err := New(Config{
 		Dir: t.TempDir(), Interval: 20 * time.Millisecond, CPUDuration: 10 * time.Millisecond,
-		OnCapture: func(kind, reason string) {
-			if reason == "periodic" {
-				periodic.Add(1)
-			}
-		},
+		Captures: captures,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
 	p.Start()
-	waitFor(t, 5*time.Second, func() bool { return periodic.Load() >= 2 })
+	waitFor(t, 5*time.Second, func() bool { return counted(captures, "periodic") >= 2 })
 	for _, e := range p.Index() {
 		if e.Reason != "periodic" {
 			t.Fatalf("periodic loop captured %s with reason %q", e.Name, e.Reason)
@@ -116,17 +143,16 @@ func TestEventBurstEscalates(t *testing.T) {
 
 func TestRingBoundAndAdoption(t *testing.T) {
 	dir := t.TempDir()
-	var captures atomic.Int64
+	_, captures := newCaptures()
 	p, err := New(Config{Dir: dir, Interval: -1, CPUDuration: 5 * time.Millisecond,
-		MaxFiles: 3, Cooldown: time.Millisecond,
-		OnCapture: func(kind, reason string) { captures.Add(1) }})
+		MaxFiles: 3, Cooldown: time.Millisecond, Captures: captures})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
 		p.Trigger("fill")
 		want := int64(2 * (i + 1))
-		waitFor(t, 5*time.Second, func() bool { return captures.Load() >= want })
+		waitFor(t, 5*time.Second, func() bool { return counted(captures, "fill") >= want })
 		time.Sleep(5 * time.Millisecond) // clear cooldown
 	}
 	if p.Len() > 3 {

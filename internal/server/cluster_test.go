@@ -130,10 +130,11 @@ func TestFleetDeduplicatesCompiles(t *testing.T) {
 
 	// The protocol must actually have carried traffic: at least one
 	// probe hit fleet-wide, and no probe error inside a healthy fleet.
-	var probeHits, probeErrors, offersSent int64
+	var probeHits, probeErrors float64
+	var offersSent int64
 	for _, n := range nodes {
-		probeHits += n.s.stats.probeHit.Value()
-		probeErrors += n.s.stats.probeError.Value()
+		probeHits += metric(n.s, "bschedd_peer_probes_total", "hit")
+		probeErrors += metric(n.s, "bschedd_peer_probes_total", "error")
 		offersSent += n.s.stats.offerSent.Value()
 		if v := statValue(getStats(t, n.url), "bschedd_peer_ring_nodes"); v != 3 {
 			t.Errorf("node %s: bschedd_peer_ring_nodes = %g, want 3", n.url, v)
@@ -143,7 +144,7 @@ func TestFleetDeduplicatesCompiles(t *testing.T) {
 		t.Error("no peer probe hits across the whole run")
 	}
 	if probeErrors != 0 {
-		t.Errorf("%d peer probe errors inside a healthy fleet", probeErrors)
+		t.Errorf("%g peer probe errors inside a healthy fleet", probeErrors)
 	}
 	if offersSent == 0 {
 		t.Error("no peer offers sent across the whole run")

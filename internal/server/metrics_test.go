@@ -61,6 +61,12 @@ func statValue(fams []obs.FamilySnapshot, name string, labels ...string) float64
 	return s.Value
 }
 
+// metric reads one series of s's registry, the snapshot /stats
+// serves, 0 when there is no such series.
+func metric(s *Server, name string, labels ...string) float64 {
+	return statValue(s.stats.reg.Snapshot(), name, labels...)
+}
+
 // metricCatalog reads the metric catalog tables of docs/OBSERVABILITY.md
 // (### Counters, ### Histograms, ### Gauges) and returns each
 // documented family's type.
@@ -101,9 +107,27 @@ func metricCatalog(t *testing.T) map[string]string {
 // and holds the whole /metrics payload to the writer's grammar through
 // obs.ParseText (HELP and TYPE on every family, label escaping,
 // histogram bucket invariants), then matches it one to one with the
-// docs/OBSERVABILITY.md catalog.
+// docs/OBSERVABILITY.md catalog, on a default daemon and on one per
+// optional subsystem: the catalog has one shape whatever the flags.
 func TestMetricsExpositionFormat(t *testing.T) {
-	_, ts := startServer(t, Config{})
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"default", Config{}},
+		{"cache-dir", Config{CacheDir: t.TempDir()}},
+		{"peers", Config{Peers: []string{"http://127.0.0.1:1"}, SelfURL: "http://self.invalid"}},
+		{"profile-dir", Config{ProfileDir: t.TempDir(), ProfileInterval: -1}},
+		{"no-traces", Config{TraceCapacity: -1}},
+		{"tenant-rate", Config{TenantRate: 100}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { checkExposition(t, tc.cfg) })
+	}
+}
+
+// checkExposition is TestMetricsExpositionFormat on one configuration.
+func checkExposition(t *testing.T, cfg Config) {
+	_, ts := startServer(t, cfg)
 	// One miss, one hit, one client error, one per-tier small compile.
 	postCompile(t, ts.URL, CompileRequest{Program: demoProgram})
 	postCompile(t, ts.URL, CompileRequest{Program: demoProgram})
@@ -114,8 +138,8 @@ func TestMetricsExpositionFormat(t *testing.T) {
 	fams, text := scrapeMetrics(t, ts.URL)
 	// The request-duration histogram carries its last trace id as an
 	// exemplar comment line — ignored by 0.0.4 parsers, chased by
-	// humans.
-	if !strings.Contains(text, "# EXEMPLAR bschedd_request_duration_seconds trace_id=\"") {
+	// humans. Without tracing there is no trace id to carry.
+	if cfg.TraceCapacity >= 0 && !strings.Contains(text, "# EXEMPLAR bschedd_request_duration_seconds trace_id=\"") {
 		t.Error("no EXEMPLAR comment for bschedd_request_duration_seconds")
 	}
 	// docs/OBSERVABILITY.md is the one list of exported families, in

@@ -22,6 +22,42 @@ import (
 	"bsched/internal/loadgen"
 )
 
+// TestDeadlineInfeasibleAdmission: once a tier's cost estimate is warm,
+// a block whose remaining deadline is below the estimate is refused at
+// admission — 503 with a Retry-After, counted as deadline_infeasible —
+// without reaching a worker.
+func TestDeadlineInfeasibleAdmission(t *testing.T) {
+	s, ts := startServer(t, Config{Workers: 1})
+	var calls atomic.Int64
+	s.compileFn = func(ctx context.Context, b *ir.Block, opts compile.Options) (*compile.BlockResult, error) {
+		calls.Add(1)
+		time.Sleep(20 * time.Millisecond)
+		return compile.RunBlock(ctx, b, opts)
+	}
+	for i := range compile.EstimatorMinSamples {
+		if status, _, errResp := postCompile(t, ts.URL, CompileRequest{Program: demoVariant(i)}); status != http.StatusOK {
+			t.Fatalf("warm-up compile %d: status %d (%+v)", i, status, errResp)
+		}
+	}
+	resp, raw := postRaw(t, ts.URL, CompileRequest{Program: demoVariant(compile.EstimatorMinSamples), TimeoutMillis: 1}, nil)
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("status %d, want 503\n%s", resp.StatusCode, raw)
+	}
+	var body ErrorResponse
+	if err := json.Unmarshal(raw, &body); err != nil {
+		t.Fatal(err)
+	}
+	if body.Error != errInfeasible.Error() || body.RetryAfterSeconds != 1 || resp.Header.Get("Retry-After") != "1" {
+		t.Errorf("body %+v, Retry-After %q; want %q with 1 s", body, resp.Header.Get("Retry-After"), errInfeasible)
+	}
+	if n := calls.Load(); n != compile.EstimatorMinSamples {
+		t.Errorf("%d compile calls, want the %d warm-ups only", n, compile.EstimatorMinSamples)
+	}
+	if n := metric(s, "bschedd_admission_total", "deadline_infeasible"); n != 1 {
+		t.Errorf("deadline_infeasible admissions = %g, want 1", n)
+	}
+}
+
 // demoVariant renders a distinct-but-similar program: same shape as
 // demoProgram, different constant, so each index is its own cache key.
 func demoVariant(i int) string {
@@ -222,11 +258,11 @@ func TestPriorityNoStarvation(t *testing.T) {
 	// Let the flood establish a standing interactive backlog (the only
 	// work queued so far).
 	deadline := time.Now().Add(2 * time.Second)
-	for s.eng.QueueLen() < 4 && time.Now().Before(deadline) {
+	for metric(s, "bschedd_queue_depth") < 4 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if got := s.eng.QueueLen(); got < 4 {
-		t.Fatalf("interactive backlog %d never established", got)
+	if got := metric(s, "bschedd_queue_depth"); got < 4 {
+		t.Fatalf("interactive backlog %g never established", got)
 	}
 
 	for i := 0; i < 3; i++ {
@@ -373,7 +409,7 @@ func TestBreakerTripRecover(t *testing.T) {
 	for time.Now().Before(deadline) {
 		post(i)
 		i++
-		if s.stats.breakerTrip.Value() >= 1 {
+		if metric(s, "bschedd_breaker_events_total", "trip") >= 1 {
 			tripped = true
 		}
 		// Recovered: faults exhausted, a probe succeeded, breaker closed.
@@ -383,26 +419,27 @@ func TestBreakerTripRecover(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	trips, ioErrors := s.stats.breakerTrip.Value(), s.stats.disk.IOErrors.Value()
+	trips, ioErrors := metric(s, "bschedd_breaker_events_total", "trip"), metric(s, "bschedd_diskcache_io_errors_total")
 	if !tripped {
-		t.Fatalf("breaker never tripped after %d requests (io errors %d)", i, ioErrors)
+		t.Fatalf("breaker never tripped after %d requests (io errors %g)", i, ioErrors)
 	}
 	if st := s.eng.BreakerState(); st != admission.BreakerClosed {
-		t.Fatalf("breaker state %q after faults exhausted, want closed (trips %d, io errors %d)", st, trips, ioErrors)
+		t.Fatalf("breaker state %q after faults exhausted, want closed (trips %g, io errors %g)", st, trips, ioErrors)
 	}
 	if ioErrors < 2 {
-		t.Errorf("disk I/O errors %d, want ≥2 (threshold that tripped)", ioErrors)
+		t.Errorf("disk I/O errors %g, want ≥2 (threshold that tripped)", ioErrors)
 	}
 
 	// Closed again: the next distinct compile must actually reach disk.
-	start := s.stats.disk.Writes.Value()
+	writes := func() float64 { return metric(s, "bschedd_diskcache_events_total", "write") }
+	start := writes()
 	post(i)
 	writeDeadline := time.Now().Add(5 * time.Second)
-	for s.stats.disk.Writes.Value() <= start && time.Now().Before(writeDeadline) {
+	for writes() <= start && time.Now().Before(writeDeadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
-	if got := s.stats.disk.Writes.Value(); got <= start {
-		t.Errorf("no disk write after recovery (writes %d)", got)
+	if got := writes(); got <= start {
+		t.Errorf("no disk write after recovery (writes %g)", got)
 	}
 	if inj.Fired(chaos.SlowCompile) == 0 {
 		t.Error("slow-compile fault never fired")
@@ -456,11 +493,11 @@ func TestCoDelShedBeforeFull(t *testing.T) {
 	go post(1) // parks at the head of the queue
 	go post(2)
 	deadline := time.Now().Add(2 * time.Second)
-	for s.eng.QueueLen() < 2 && time.Now().Before(deadline) {
+	for metric(s, "bschedd_queue_depth") < 2 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if got := s.eng.QueueLen(); got != 2 {
-		t.Fatalf("queue depth %d, want 2", got)
+	if got := metric(s, "bschedd_queue_depth"); got != 2 {
+		t.Fatalf("queue depth %g, want 2", got)
 	}
 
 	// Let the head's sojourn exceed target+interval (drain stalled).
@@ -483,8 +520,8 @@ func TestCoDelShedBeforeFull(t *testing.T) {
 	if got := s.stats.shedFull.Value(); got != 0 {
 		t.Errorf("queue-full sheds %d — the queue was nowhere near its depth bound", got)
 	}
-	if depth, capacity := s.eng.QueueLen(), s.eng.QueueCapacity(); depth >= capacity {
-		t.Errorf("queue depth %d at capacity %d — shed was not 'before full'", depth, capacity)
+	if depth, capacity := metric(s, "bschedd_queue_depth"), metric(s, "bschedd_queue_capacity"); depth >= capacity {
+		t.Errorf("queue depth %g at capacity %g — shed was not 'before full'", depth, capacity)
 	}
 	if got := queueWait.Count(); got != waitsBefore+1 {
 		t.Errorf("queue stage count %d → %d: shed requests must be recorded", waitsBefore, got)
@@ -538,7 +575,7 @@ func TestRetryAfterBoundsAllPaths(t *testing.T) {
 		done <- status
 	}()
 	deadline := time.Now().Add(2 * time.Second)
-	for s.eng.QueueLen() < 1 && time.Now().Before(deadline) {
+	for metric(s, "bschedd_queue_depth") < 1 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	resp, raw := postRaw(t, ts.URL, CompileRequest{Program: demoVariant(2)}, nil)

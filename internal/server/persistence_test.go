@@ -96,8 +96,8 @@ func TestDiskCacheEquivalence(t *testing.T) {
 	s1.Close() // flushes the write-behind queue
 
 	s2, ts2 := startServer(t, Config{CacheDir: dir})
-	if n := s2.eng.DiskWarmEntries(); n != corpusBlocks {
-		t.Fatalf("warm entries %d, want %d", n, corpusBlocks)
+	if n := metric(s2, "bschedd_diskcache_warm_entries"); n != corpusBlocks {
+		t.Fatalf("warm entries %g, want %d", n, corpusBlocks)
 	}
 	for i, req := range corpus {
 		status, disk, errResp := postCompile(t, ts2.URL, req)
@@ -115,8 +115,8 @@ func TestDiskCacheEquivalence(t *testing.T) {
 			t.Errorf("corpus[%d]: disk-warmed response differs from cold compile:\n%s\n%s", i, c, dk)
 		}
 	}
-	if hits := s2.stats.disk.Hits.Value(); hits != int64(corpusBlocks) {
-		t.Errorf("disk hits %d, want %d", hits, corpusBlocks)
+	if hits := metric(s2, "bschedd_diskcache_events_total", "hit"); hits != corpusBlocks {
+		t.Errorf("disk hits %g, want %d", hits, corpusBlocks)
 	}
 }
 
@@ -217,8 +217,8 @@ func TestDiskCacheDeadlineDegradedNotPersisted(t *testing.T) {
 	s1.Close()
 
 	s2, _ := startServer(t, Config{CacheDir: dir})
-	if n := s2.eng.DiskWarmEntries(); n != 0 {
-		t.Errorf("deadline-degraded schedule was persisted (%d warm entries)", n)
+	if n := metric(s2, "bschedd_diskcache_warm_entries"); n != 0 {
+		t.Errorf("deadline-degraded schedule was persisted (%g warm entries)", n)
 	}
 }
 
@@ -262,7 +262,7 @@ func TestDiskCacheCorruptOnDiskNeverServed(t *testing.T) {
 	if resp.Program != clean.Program {
 		t.Error("recompile after corruption produced a different schedule")
 	}
-	if s2.stats.disk.Corrupt.Value() == 0 {
+	if metric(s2, "bschedd_diskcache_corrupt_records_total") == 0 {
 		t.Error("corruption was not counted")
 	}
 }

@@ -218,8 +218,8 @@ func TestPolicyCacheDiskSoundness(t *testing.T) {
 	if trad.Blocks[0].Policy != sched.PolicyTraditional {
 		t.Fatalf("disk-path traditional response names policy %q", trad.Blocks[0].Policy)
 	}
-	if got := s2.stats.policyBlocks.With(sched.PolicyTraditional).Value(); got != 1 {
-		t.Errorf("traditional blocks compiled after restart = %d, want 1", got)
+	if got := metric(s2, "bschedd_policy_blocks_total", sched.PolicyTraditional); got != 1 {
+		t.Errorf("traditional blocks compiled after restart = %g, want 1", got)
 	}
 }
 

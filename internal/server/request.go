@@ -56,13 +56,14 @@ type CompileRequest struct {
 	// Options selects the scheduling configuration; the zero value is a
 	// default balanced compilation.
 	Options RequestOptions `json:"options"`
-	// TimeoutMillis bounds this request's wall-clock time — the
-	// compilation itself, or the wait on an identical in-flight
-	// compilation when the request coalesces. Zero means the server
-	// default; values above the server maximum are clamped. The deadline
-	// is not part of the cache key: a slower identical request is happy
-	// to reuse a faster one's schedule, and a result the deadline
-	// degraded is served to its own requester but never cached.
+	// TimeoutMillis bounds this request's wall-clock time from its
+	// arrival: queue wait, the compilation of each block it leads and
+	// any wait on an identical in-flight compilation all count against
+	// the one deadline. Zero means the server default; values above the
+	// server maximum are clamped. The deadline is not part of the cache
+	// key: a slower identical request is happy to reuse a faster one's
+	// schedule, and a result the deadline degraded is served to its own
+	// requester but never cached.
 	TimeoutMillis int64 `json:"timeout_ms,omitempty"`
 	// Priority is the admission class: "interactive" (default) or
 	// "batch". The X-Priority header, when present, wins over this

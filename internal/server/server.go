@@ -55,11 +55,17 @@
 // complete HTTP surface reference.
 //
 // Observability (see docs/OBSERVABILITY.md for the full catalog): every
-// counter, gauge and latency histogram lives in an internal/obs
-// registry. GET /metrics renders it in Prometheus text exposition
-// format; GET /stats serves the registry's snapshot, the same families
-// as JSON data (bucket counts, not quantiles); GET /healthz is a
-// liveness probe that also reports fleet degradation.
+// counter, gauge and latency histogram lives in one internal/obs
+// registry, and each family is registered by the package that updates
+// it: this package registers the request-side families (the peer and
+// profile ones included, so the catalog does not depend on flags) and
+// hands the registry to the engine, which registers its own (disk
+// cache, breaker, compile tiers, degradations, policies, and the gauges
+// over its queue, cache, breaker and disk). GET /metrics renders it in
+// Prometheus text exposition format; GET /stats serves the registry's
+// snapshot, the same families as JSON data (bucket counts, not
+// quantiles); GET /healthz is a liveness probe that also reports fleet
+// degradation.
 // Stages (parse, lookup, disk, peer, queue, coalesced, compile, and the
 // compiler's deps, weights, schedule, regalloc via the engine's
 // compile.Options.SpanObserver) are each timed once, as a stage
@@ -187,7 +193,7 @@ type Config struct {
 	PeerProbeTimeout time.Duration
 
 	// ProfileDir, when non-empty, enables continuous profiling: periodic
-	// and incident-triggered (breaker-open, shed-burst) CPU/heap pprof
+	// and incident-triggered (breaker_open, shed_burst) CPU/heap pprof
 	// profiles captured into a bounded on-disk ring under this directory,
 	// indexed by GET /v1/profiles. Empty disables profiling.
 	ProfileDir string
@@ -294,7 +300,7 @@ func New(cfg Config) (*Server, error) {
 			Peers:        cfg.Peers,
 			Replicas:     cfg.RingReplicas,
 			ProbeTimeout: cfg.PeerProbeTimeout,
-			Metrics:      s.stats.clusterMetrics(),
+			Metrics:      cluster.Metrics{OfferSent: s.stats.offerSent, OfferDropped: s.stats.offerDropped},
 		})
 		if err != nil {
 			return nil, err
@@ -306,14 +312,8 @@ func New(cfg Config) (*Server, error) {
 			Dir:         cfg.ProfileDir,
 			Interval:    cfg.ProfileInterval,
 			CPUDuration: cfg.ProfileCPUDuration,
-			OnCapture: func(kind, reason string) {
-				s.stats.profileCaptures.With(kind, reason).Inc()
-			},
-			Logf: func(format string, args ...any) {
-				if s.log != nil {
-					s.log.Log("profiler", "msg", fmt.Sprintf(format, args...))
-				}
-			},
+			Captures:    s.stats.profileCaptures,
+			Logger:      cfg.Logger,
 		})
 		if err != nil {
 			if s.cluster != nil {
@@ -336,26 +336,9 @@ func New(cfg Config) (*Server, error) {
 		BreakerThreshold:  cfg.BreakerThreshold,
 		BreakerCooldown:   cfg.BreakerCooldown,
 		Chaos:             cfg.Chaos,
-		DiskMetrics:       s.stats.disk,
+		Profiler:          s.profiler,
+		Registry:          s.stats.reg,
 		Stages:            s.stats.stages,
-		ObserveTier: func(tier string, d time.Duration) {
-			s.stats.tiers.With(tier).ObserveDuration(d)
-		},
-		OnDegradations: func(n int) { s.stats.degradations.Add(int64(n)) },
-		ObservePolicy:  s.stats.observePolicy,
-		OnBreakerTransition: func(from, to admission.BreakerState) {
-			switch {
-			case to == admission.BreakerOpen:
-				s.stats.breakerTrip.Inc()
-				// An opening breaker is an incident: capture a profile of
-				// the moment (rate-limited by the profiler's cooldown).
-				s.profiler.Trigger("breaker-open")
-			case to == admission.BreakerHalfOpen:
-				s.stats.breakerProbe.Inc()
-			case to == admission.BreakerClosed && from == admission.BreakerHalfOpen:
-				s.stats.breakerClose.Inc()
-			}
-		},
 		CompileFn: func(ctx context.Context, b *ir.Block, o compile.Options) (*compile.BlockResult, error) {
 			return s.compileFn(ctx, b, o)
 		},
@@ -378,44 +361,21 @@ func New(cfg Config) (*Server, error) {
 		s.tracer = obs.NewTracer(obs.NewTraceStore(cfg.TraceCapacity, cfg.TraceSampleEvery))
 	}
 	// Gauges are function-backed: sampled at scrape time from the state
-	// the engine owns, so they can never drift from the truth.
+	// the server owns, so they can never drift from the truth. The
+	// engine registered the gauges over its own state.
 	reg := s.stats.reg
-	reg.Gauge("bschedd_queue_depth",
-		"Accepted-but-unstarted compilations currently waiting, summed across both priority classes.",
-		func() float64 { return float64(s.eng.QueueLen()) })
-	reg.Gauge("bschedd_queue_capacity",
-		"Capacity of the admission queue: per-class depth (-queue) times the two priority classes.",
-		func() float64 { return float64(s.eng.QueueCapacity()) })
-	reg.Gauge("bschedd_retry_after_seconds",
-		"The adaptive Retry-After a 503 rejection would carry right now, from the admission queue's drain-rate estimate.",
-		func() float64 { return float64(s.eng.RetryAfterSeconds()) })
-	reg.Gauge("bschedd_breaker_state",
-		"Disk-cache circuit-breaker position: 0 closed, 1 open, 2 half-open.",
-		func() float64 { return float64(s.eng.BreakerState()) })
 	reg.Gauge("bschedd_quota_tenants",
 		"Tenant token buckets currently tracked; 0 with quotas disabled (-tenant-rate 0).",
 		func() float64 { return float64(s.quota.Tenants()) })
 	reg.Gauge("bschedd_workers",
 		"Size of the compilation worker pool (-workers).",
 		func() float64 { return float64(cfg.Workers) })
-	reg.Gauge("bschedd_cache_entries",
-		"Entries resident in the schedule cache across all shards.",
-		func() float64 { return float64(s.eng.CacheLen()) })
 	reg.Gauge("bschedd_uptime_seconds",
 		"Seconds since the service started.",
 		func() float64 { return time.Since(s.start).Seconds() })
 	reg.Gauge("bschedd_traces_retained",
 		"Completed request traces currently retained by the tail-based sampler.",
 		func() float64 { return float64(s.tracer.Store().Len()) })
-	reg.Gauge("bschedd_diskcache_entries",
-		"Records currently indexed (servable) in the persistent schedule cache; 0 without -cache-dir.",
-		func() float64 { return float64(s.eng.DiskEntries()) })
-	reg.Gauge("bschedd_diskcache_bytes",
-		"Bytes of live (indexed) records in the persistent schedule cache; 0 without -cache-dir.",
-		func() float64 { return float64(s.eng.DiskBytes()) })
-	reg.Gauge("bschedd_diskcache_warm_entries",
-		"Records indexed from segment replay when this process started — the warm-start figure; 0 without -cache-dir.",
-		func() float64 { return float64(s.eng.DiskWarmEntries()) })
 	reg.Gauge("bschedd_profiles_retained",
 		"Profiles currently held in the continuous-profiling on-disk ring; 0 without -profile-dir.",
 		func() float64 { return float64(s.profiler.Len()) })
@@ -633,6 +593,7 @@ func (s *Server) peerServe(key engine.Key, e *engine.Entry, r *http.Request, tr 
 		traceparent = obs.FormatTraceparent(tr.ID, span.ID)
 	}
 	resp, outcome := s.cluster.Probe(r.Context(), owner, key, traceparent)
+	s.stats.peerProbes.With(outcome.String()).Inc()
 	span.SetAttr("outcome", outcome.String())
 	stage.End(nil)
 	if resp == nil {
@@ -683,7 +644,7 @@ func (s *Server) dispatch(r *http.Request, tr *obs.Trace, p *program, i int, b *
 	// queueing would only burn a worker on a result nobody waits for.
 	// The estimator reports zero (no opinion) until it has enough
 	// samples, so cold tiers always admit.
-	if est := s.eng.Estimate(p.tier, len(b.Instrs)); est > 0 && est > p.deadline-time.Since(p.started) {
+	if est := s.eng.Estimate(p.tier, len(b.Instrs)); est > 0 && est > time.Until(p.deadline) {
 		s.stats.infeasible.Inc()
 		tr.Root().Event("503-infeasible")
 		tr.Root().SetAttr("estimate_ms", fmt.Sprint(est.Milliseconds()))
@@ -691,7 +652,7 @@ func (s *Server) dispatch(r *http.Request, tr *obs.Trace, p *program, i int, b *
 		e.Complete(nil, errInfeasible)
 		return errInfeasible
 	}
-	j := &engine.Job{Block: b, Opts: opts, Timeout: p.deadline, Key: key, E: e,
+	j := &engine.Job{Block: b, Opts: opts, Deadline: p.deadline, Key: key, E: e,
 		Tier: p.tier, Priority: p.prio, Instrs: len(b.Instrs),
 		Tr: tr, Queue: s.stats.stages.StartStage(tr, nil, engine.StageQueue)}
 	if err := s.eng.Enqueue(j); err != nil {
@@ -711,7 +672,7 @@ func (s *Server) dispatch(r *http.Request, tr *obs.Trace, p *program, i int, b *
 		}
 		// A shed storm (a burst of these events inside the profiler's
 		// window) captures a profile of the overloaded moment.
-		s.profiler.Event("shed-burst")
+		s.profiler.Event("shed_burst")
 		s.eng.Remove(key, e)
 		e.Complete(nil, errBusy)
 		return err
@@ -878,13 +839,15 @@ func (s *Server) charge(w http.ResponseWriter, r *http.Request, tenant string, t
 // program is one program of a compile request after the per-program
 // step: its parse, keys and deadline, and where each block stands.
 type program struct {
-	prog     *ir.Program
-	fp       string // program fingerprint, 16 hex digits
-	optsFP   uint64
-	tier     string
-	prio     admission.Priority
-	started  time.Time
-	deadline time.Duration
+	prog    *ir.Program
+	fp      string // program fingerprint, 16 hex digits
+	optsFP  uint64
+	tier    string
+	prio    admission.Priority
+	started time.Time
+	// deadline is started plus the clamped timeout_ms: the one bound the
+	// feasibility check, the leader's jobs and a coalesced wait all read.
+	deadline time.Time
 	// blocks holds each block's response in program order, nil while
 	// the block is pending.
 	blocks  []*engine.BlockResponse
@@ -949,7 +912,7 @@ func (s *Server) prepare(r *http.Request, req *CompileRequest, started time.Time
 	}
 
 	p := &program{prog: prog, optsFP: req.Options.fingerprint(), tier: req.Options.Budget,
-		prio: prio, started: started, deadline: s.timeout(req.TimeoutMillis)}
+		prio: prio, started: started, deadline: started.Add(s.timeout(req.TimeoutMillis))}
 	if p.tier == "" {
 		p.tier = TierDefault
 	}
@@ -980,7 +943,7 @@ func (s *Server) await(ctx context.Context, p *program, b pendingBlock) (*engine
 	var expire <-chan time.Time
 	var stage obs.Stage
 	if !b.leader {
-		t := time.NewTimer(p.deadline - time.Since(p.started))
+		t := time.NewTimer(time.Until(p.deadline))
 		defer t.Stop()
 		expire = t.C
 		stage = s.stats.stages.StartStage(obs.TraceFrom(ctx), nil, stageCoalesced)

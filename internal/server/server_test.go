@@ -223,11 +223,11 @@ func TestBackpressure(t *testing.T) {
 	<-running
 	go post() // B: parks in the queue's one slot
 	deadline := time.Now().Add(2 * time.Second)
-	for s.eng.QueueLen() < 1 && time.Now().Before(deadline) {
+	for metric(s, "bschedd_queue_depth") < 1 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if n := s.eng.QueueLen(); n != 1 {
-		t.Fatalf("queue depth %d, want 1", n)
+	if n := metric(s, "bschedd_queue_depth"); n != 1 {
+		t.Fatalf("queue depth %g, want 1", n)
 	}
 
 	// C: worker busy, queue full → must be rejected, not queued.
@@ -273,8 +273,8 @@ func TestCompileHardError(t *testing.T) {
 	if errResp.Stage != "regalloc" || errResp.Block != "oops" {
 		t.Errorf("error attribution stage=%q block=%q", errResp.Stage, errResp.Block)
 	}
-	if n := s.eng.CacheLen(); n != 0 {
-		t.Errorf("failed compilation left %d cache entries", n)
+	if n := metric(s, "bschedd_cache_entries"); n != 0 {
+		t.Errorf("failed compilation left %g cache entries", n)
 	}
 	if status, _, _ := postCompile(t, ts.URL, CompileRequest{Program: bad}); status != http.StatusUnprocessableEntity {
 		t.Errorf("second bad request got %d, want 422 again", status)
@@ -482,8 +482,8 @@ func TestConcurrentClients(t *testing.T) {
 	if s.stats.cacheHits.Value()+s.stats.coalesced.Value() == 0 {
 		t.Error("no request ever reused a compilation across 320 posts of 8 programs")
 	}
-	if n := s.eng.CacheLen(); n > len(programs) {
-		t.Errorf("%d cache entries for %d distinct programs", n, len(programs))
+	if n := metric(s, "bschedd_cache_entries"); n > float64(len(programs)) {
+		t.Errorf("%g cache entries for %d distinct programs", n, len(programs))
 	}
 }
 
@@ -548,8 +548,11 @@ func TestDeadlineDegradedNotCached(t *testing.T) {
 	if len(first.Degradations) != 1 || !first.Degradations[0].Deadline {
 		t.Fatalf("degradations %+v, want one deadline-flagged event", first.Degradations)
 	}
-	if n := s.eng.CacheLen(); n != 0 {
-		t.Fatalf("deadline-degraded result left %d cache entries", n)
+	if n := metric(s, "bschedd_cache_entries"); n != 0 {
+		t.Fatalf("deadline-degraded result left %g cache entries", n)
+	}
+	if n := metric(s, "bschedd_degradations_total"); n != 1 {
+		t.Errorf("bschedd_degradations_total = %g, want 1", n)
 	}
 	status, second, _ := postCompile(t, ts.URL, CompileRequest{Program: demoProgram})
 	if status != http.StatusOK {
@@ -567,6 +570,52 @@ func TestDeadlineDegradedNotCached(t *testing.T) {
 	// The clean recompile is cacheable as usual.
 	if _, third, _ := postCompile(t, ts.URL, CompileRequest{Program: demoProgram}); !third.Cached {
 		t.Error("clean recompile was not cached")
+	}
+}
+
+// TestDeadlineBoundsWholeRequest: timeout_ms bounds the request, not
+// each of its blocks. On one worker, with a compile that runs until its
+// context ends, a three-block program's jobs all run under the
+// request's one deadline, so queue wait and the blocks compiled before
+// a block count against it, and the answer comes after about
+// timeout_ms, not three times it.
+func TestDeadlineBoundsWholeRequest(t *testing.T) {
+	s, ts := startServer(t, Config{Workers: 1})
+	var mu sync.Mutex
+	var deadlines []time.Time
+	s.compileFn = func(ctx context.Context, b *ir.Block, opts compile.Options) (*compile.BlockResult, error) {
+		d, _ := ctx.Deadline()
+		mu.Lock()
+		deadlines = append(deadlines, d)
+		mu.Unlock()
+		<-ctx.Done()
+		return compile.RunBlock(ctx, b, opts)
+	}
+	const timeout = 100 * time.Millisecond
+	prog := batchFunc("three", batchBlock("a", 1), batchBlock("b", 2), batchBlock("c", 3))
+	start := time.Now()
+	status, _, errResp := postCompile(t, ts.URL, CompileRequest{Program: prog, TimeoutMillis: timeout.Milliseconds()})
+	elapsed := time.Since(start)
+	if status != http.StatusOK {
+		t.Fatalf("status %d (%+v)", status, errResp)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(deadlines) != 3 {
+		t.Fatalf("%d compiles, want 3", len(deadlines))
+	}
+	for i, d := range deadlines {
+		if !d.Equal(deadlines[0]) {
+			t.Errorf("block job %d ran under deadline %v, job 0 under %v; want the request's one deadline", i, d.Format(time.StampMicro), deadlines[0].Format(time.StampMicro))
+		}
+	}
+	// The deadline is timeout_ms after the server started the request,
+	// which is after the client sent it and before the answer came.
+	if after := deadlines[0].Sub(start); after < timeout || after > elapsed {
+		t.Errorf("deadline %v after the request was sent, want within [%v, %v]", after, timeout, elapsed)
+	}
+	if elapsed > 2*timeout {
+		t.Errorf("a request with timeout_ms %v answered after %v", timeout, elapsed)
 	}
 }
 

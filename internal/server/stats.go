@@ -6,9 +6,7 @@ import (
 	"sync"
 
 	"bsched/internal/cluster"
-	"bsched/internal/engine"
 	"bsched/internal/obs"
-	"bsched/internal/sched"
 )
 
 // Labels (and span names) of the stages the server times itself,
@@ -25,11 +23,13 @@ const (
 // Stats is the daemon's instrument panel, backed by an internal/obs
 // registry whose snapshot is the one view of the metrics: GET /stats
 // serves it as JSON, GET /metrics renders it as Prometheus text, and the
-// fleet endpoints merge the peers' /stats. Counters cost one atomic
-// add; a snapshot is a consistent-enough point-in-time copy for
-// monitoring (individual counters are exact, cross-counter invariants
-// like hits+misses == lookups may be momentarily off by in-flight
-// requests). docs/OBSERVABILITY.md catalogs every registered metric.
+// fleet endpoints merge the peers' /stats. Stats holds the families the
+// server updates; the engine registers its own on the same registry
+// (engine.Config.Registry). Counters cost one atomic add; a snapshot is
+// a consistent-enough point-in-time copy for monitoring (individual
+// counters are exact, cross-counter invariants like hits+misses ==
+// lookups may be momentarily off by in-flight requests).
+// docs/OBSERVABILITY.md catalogs every registered metric.
 type Stats struct {
 	reg *obs.Registry
 
@@ -41,7 +41,6 @@ type Stats struct {
 	cacheHits     *obs.Counter // bschedd_cache_events_total{event="hit"}
 	cacheMisses   *obs.Counter // bschedd_cache_events_total{event="miss"}
 	coalesced     *obs.Counter // bschedd_cache_events_total{event="coalesced"}
-	degradations  *obs.Counter // bschedd_degradations_total
 
 	// Block-granular cache events: one sample per block dispatched,
 	// versus the request-level bschedd_cache_events_total above (one per
@@ -54,18 +53,16 @@ type Stats struct {
 	blockPeer      *obs.Counter // bschedd_block_cache_events_total{outcome="peer"}
 
 	// Batch-endpoint instruments (POST /v1/compile/batch).
-	batchRequests  *obs.Counter        // bschedd_batch_requests_total
-	blocksStreamed *obs.Counter        // bschedd_batch_blocks_streamed_total
-	disk           *engine.DiskMetrics // bschedd_diskcache_* counters
+	batchRequests  *obs.Counter // bschedd_batch_requests_total
+	blocksStreamed *obs.Counter // bschedd_batch_blocks_streamed_total
 	hist           *obs.Histogram
 	stages         *obs.HistogramVec
-	tiers          *obs.HistogramVec
 
 	// Cluster peer-protocol instruments (docs/CLUSTER.md). Eagerly
 	// materialized children so every family renders in /metrics from
 	// startup, fleet or standalone.
-	probeHit, probeMiss, probeError, probeSkip *obs.Counter // bschedd_peer_probes_total{outcome}
-	offerSent, offerDropped                    *obs.Counter // bschedd_peer_offers_total{outcome}
+	peerProbes              *obs.CounterVec // bschedd_peer_probes_total{outcome}
+	offerSent, offerDropped *obs.Counter    // bschedd_peer_offers_total{outcome}
 
 	// Admission-control instruments (the overload-resilience PR).
 	shedSojourn   *obs.Counter    // bschedd_admission_total{outcome="shed_sojourn"}
@@ -73,23 +70,11 @@ type Stats struct {
 	quotaRejected *obs.Counter    // bschedd_admission_total{outcome="quota"}
 	infeasible    *obs.Counter    // bschedd_admission_total{outcome="deadline_infeasible"}
 	queueReqs     *obs.CounterVec // bschedd_queue_requests_total{priority}
-	breakerTrip   *obs.Counter    // bschedd_breaker_events_total{event="trip"}
-	breakerProbe  *obs.Counter    // bschedd_breaker_events_total{event="probe"}
-	breakerClose  *obs.Counter    // bschedd_breaker_events_total{event="recover"}
-	breakerReject *obs.Counter    // bschedd_breaker_events_total{event="reject"}
 
 	// Continuous-profiling captures by kind (cpu, heap) and trigger
-	// reason (periodic, breaker_open, shed_burst). All zero without
-	// -profile-dir.
+	// reason (periodic, breaker_open, shed_burst), which the profiler
+	// counts. All zero without -profile-dir.
 	profileCaptures *obs.CounterVec // bschedd_profile_captures_total{kind,reason}
-
-	// Scheduling-policy portfolio outcomes (docs/POLICIES.md): blocks
-	// compiled per policy, and the deterministic schedule-length estimate
-	// (instructions + pass-1 starvation no-ops, in issue slots) per
-	// policy. Children for every registered policy are materialized
-	// eagerly so both families render in /metrics from startup.
-	policyBlocks *obs.CounterVec   // bschedd_policy_blocks_total{policy}
-	policyCycles *obs.HistogramVec // bschedd_policy_cycles{policy}
 
 	// Per-tenant counters, label-bounded: the first maxTenantLabels
 	// distinct tenants get their own label value; the rest aggregate
@@ -144,9 +129,10 @@ func (s *Stats) tenant(name string) *tenantCounters {
 }
 
 // newStats builds the registry and registers every request-driven
-// instrument; the Server registers its gauges (queue depth, cache
-// residency, uptime) on the same registry from New, where it owns the
-// state they sample.
+// instrument, the peer and profile families included: those stay
+// registered without -peers or -profile-dir, so the catalog does not
+// depend on flags. The engine registers its families, and New the
+// server's gauges, on the same registry.
 func newStats() *Stats {
 	reg := obs.NewRegistry()
 	responses := reg.CounterVec("bschedd_responses_total",
@@ -155,46 +141,18 @@ func newStats() *Stats {
 	cacheEvents := reg.CounterVec("bschedd_cache_events_total",
 		"Schedule-cache lookups by result: hit, miss (became a compile leader) or coalesced (joined an in-flight compile).",
 		"event")
-	diskEvents := reg.CounterVec("bschedd_diskcache_events_total",
-		"Persistent schedule-cache operations: hit (record served from disk after a memory miss), miss (no valid disk record either), write (record persisted) or evict (cold record dropped at compaction). All zero without -cache-dir.",
-		"event")
-	disk := &engine.DiskMetrics{
-		Hits:      diskEvents.With("hit"),
-		Misses:    diskEvents.With("miss"),
-		Writes:    diskEvents.With("write"),
-		Evictions: diskEvents.With("evict"),
-		Loaded: reg.Counter("bschedd_diskcache_records_loaded_total",
-			"Valid records indexed from persistent-cache segments during startup replay."),
-		Corrupt: reg.Counter("bschedd_diskcache_corrupt_records_total",
-			"Torn or corrupt persistent-cache records skipped (at replay, on read, or at compaction) instead of being served."),
-		Stale: reg.Counter("bschedd_diskcache_stale_records_total",
-			"Healthy records in the retired program-keyed on-disk format, skipped (not indexed) at replay; the affected programs recompile once and re-persist under block keys (docs/CACHE-KEYS.md)."),
-		IOErrors: reg.Counter("bschedd_diskcache_io_errors_total",
-			"Persistent-cache read/append failures at the I/O layer (as opposed to corrupt data) — the signal that trips the disk circuit breaker."),
-	}
 	peerProbes := reg.CounterVec("bschedd_peer_probes_total",
 		"Peer-cache lookups this node sent to ring owners, by outcome: hit (response reused, no local compile), miss (owner had nothing either), error (transport/protocol failure — feeds the peer's circuit breaker) or skip (breaker open or in-flight bound reached; compiled locally). All zero without -peers.",
 		"outcome")
+	for o := cluster.ProbeOutcomeHit; o <= cluster.ProbeOutcomeSkip; o++ {
+		peerProbes.With(o.String())
+	}
 	peerOffers := reg.CounterVec("bschedd_peer_offers_total",
 		"Write-behind offers of locally compiled foreign-owned schedules, by outcome: sent (owner acknowledged) or dropped (queue full or retries exhausted). All zero without -peers.",
 		"outcome")
 	adm := reg.CounterVec("bschedd_admission_total",
 		"Requests refused by admission control: shed_sojourn (CoDel sojourn over target), shed_full (bounded queue at capacity), quota (tenant over its token bucket) or deadline_infeasible (remaining deadline below the tier's p99 compile estimate).",
 		"outcome")
-	breaker := reg.CounterVec("bschedd_breaker_events_total",
-		"Disk-cache circuit-breaker events: trip (opened), probe (half-open probe admitted), recover (probe succeeded, closed again) or reject (disk I/O skipped while open).",
-		"event")
-	disk.Rejects = breaker.With("reject")
-	policyBlocks := reg.CounterVec("bschedd_policy_blocks_total",
-		"Blocks compiled by scheduling policy (docs/POLICIES.md): the registered portfolio names. An \"auto\" request contributes under the policy the decision rule picked for the block, so the split shows what actually ran, not what was asked for.",
-		"policy")
-	policyCycles := reg.HistogramVec("bschedd_policy_cycles",
-		"Schedule length per compiled block, in issue slots (final instructions plus pass-1 starvation no-ops), by scheduling policy — the deterministic per-policy outcome estimate; cycle-accurate comparison lives in the offline differential harness.",
-		cycleBuckets, "policy")
-	for _, name := range sched.PolicyNames() {
-		policyBlocks.With(name)
-		policyCycles.With(name)
-	}
 	blockEvents := reg.CounterVec("bschedd_block_cache_events_total",
 		"Per-block cache dispatch outcomes: hit (completed in-memory entry), miss (this request became the block's compile leader), coalesced (joined another request's in-flight block), disk (served from the persistent layer) or peer (served by the block's ring owner). One program request contributes one sample per block, so cross-program block reuse shows up here as hits the request-level counters never see.",
 		"outcome")
@@ -202,15 +160,13 @@ func newStats() *Stats {
 		reg: reg,
 		requests: reg.Counter("bschedd_requests_total",
 			"POST /v1/compile requests accepted for processing (decoded, validated and parsed)."),
-		ok:            responses.With("ok"),
-		clientErrors:  responses.With("client_error"),
-		compileErrors: responses.With("compile_error"),
-		rejected:      responses.With("rejected"),
-		cacheHits:     cacheEvents.With("hit"),
-		cacheMisses:   cacheEvents.With("miss"),
-		coalesced:     cacheEvents.With("coalesced"),
-		degradations: reg.Counter("bschedd_degradations_total",
-			"Degradation-ladder downgrade events across all compilations."),
+		ok:             responses.With("ok"),
+		clientErrors:   responses.With("client_error"),
+		compileErrors:  responses.With("compile_error"),
+		rejected:       responses.With("rejected"),
+		cacheHits:      cacheEvents.With("hit"),
+		cacheMisses:    cacheEvents.With("miss"),
+		coalesced:      cacheEvents.With("coalesced"),
 		blockHits:      blockEvents.With("hit"),
 		blockMisses:    blockEvents.With("miss"),
 		blockCoalesced: blockEvents.With("coalesced"),
@@ -220,11 +176,7 @@ func newStats() *Stats {
 			"POST /v1/compile/batch requests accepted (after body decode)."),
 		blocksStreamed: reg.Counter("bschedd_batch_blocks_streamed_total",
 			"Per-block NDJSON frames written by the batch endpoint."),
-		disk:         disk,
-		probeHit:     peerProbes.With("hit"),
-		probeMiss:    peerProbes.With("miss"),
-		probeError:   peerProbes.With("error"),
-		probeSkip:    peerProbes.With("skip"),
+		peerProbes:   peerProbes,
 		offerSent:    peerOffers.With("sent"),
 		offerDropped: peerOffers.With("dropped"),
 		hist: reg.Histogram("bschedd_request_duration_seconds",
@@ -232,9 +184,6 @@ func newStats() *Stats {
 		stages: reg.HistogramVec("bschedd_stage_duration_seconds",
 			"Latency by request stage: parse, lookup, disk, peer, queue, coalesced, compile, deps, weights, schedule, regalloc. Each sample is also its stage's span on a traced request.",
 			nil, "stage"),
-		tiers: reg.HistogramVec("bschedd_compile_duration_seconds",
-			"Worker-side compilation time by work-budget tier (small, default, large, unlimited).",
-			nil, "tier"),
 		shedSojourn:   adm.With("shed_sojourn"),
 		shedFull:      adm.With("shed_full"),
 		quotaRejected: adm.With("quota"),
@@ -242,10 +191,6 @@ func newStats() *Stats {
 		queueReqs: reg.CounterVec("bschedd_queue_requests_total",
 			"Compilations enqueued by priority class (interactive, batch).",
 			"priority"),
-		breakerTrip:   breaker.With("trip"),
-		breakerProbe:  breaker.With("probe"),
-		breakerClose:  breaker.With("recover"),
-		breakerReject: breaker.With("reject"),
 		tenantReqs: reg.CounterVec("bschedd_tenant_requests_total",
 			"POST /v1/compile requests by tenant (X-Tenant header; \"default\" for anonymous traffic, \"_other\" past the label-cardinality bound).",
 			"tenant"),
@@ -255,24 +200,8 @@ func newStats() *Stats {
 		profileCaptures: reg.CounterVec("bschedd_profile_captures_total",
 			"Continuous-profiling captures by kind (cpu, heap) and trigger reason (periodic, breaker_open, shed_burst). All zero without -profile-dir.",
 			"kind", "reason"),
-		policyBlocks:   policyBlocks,
-		policyCycles:   policyCycles,
 		tenantCounters: make(map[string]*tenantCounters),
 	}
-}
-
-// cycleBuckets are the bschedd_policy_cycles histogram bounds: schedule
-// lengths are small integers (issue slots), so the default
-// seconds-denominated latency buckets would collapse every sample into
-// +Inf. Powers of two cover one-instruction blocks through the largest
-// budget-bounded schedules.
-var cycleBuckets = []float64{2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096}
-
-// observePolicy records one compiled block's policy outcome; it is the
-// engine's Config.ObservePolicy seam. Safe for concurrent use.
-func (s *Stats) observePolicy(policy string, scheduleSlots int) {
-	s.policyBlocks.With(policy).Inc()
-	s.policyCycles.With(policy).Observe(float64(scheduleSlots))
 }
 
 // registerRuntimeMetrics adds process-identity and Go-runtime health
@@ -304,17 +233,4 @@ func registerRuntimeMetrics(reg *obs.Registry) {
 			runtime.ReadMemStats(&m)
 			return float64(m.HeapAlloc)
 		})
-}
-
-// clusterMetrics adapts the peer counters to the cluster package's
-// metric seam.
-func (s *Stats) clusterMetrics() cluster.Metrics {
-	return cluster.Metrics{
-		ProbeHit:     s.probeHit,
-		ProbeMiss:    s.probeMiss,
-		ProbeError:   s.probeError,
-		ProbeSkip:    s.probeSkip,
-		OfferSent:    s.offerSent,
-		OfferDropped: s.offerDropped,
-	}
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"net/http"
 	"reflect"
 	"strings"
@@ -9,6 +10,7 @@ import (
 
 	"bsched/internal/compile"
 	"bsched/internal/engine"
+	"bsched/internal/ir"
 	"bsched/internal/obs"
 )
 
@@ -58,13 +60,26 @@ func TestSnapshotStageBreakdown(t *testing.T) {
 	}
 }
 
-// TestSnapshotTierBreakdown: per-tier compile durations land in
-// separate series of the tier histogram.
+// TestSnapshotTierBreakdown: per-tier compile durations, which the
+// engine's workers record, land in separate series of the tier
+// histogram in the registry snapshot /stats serves.
 func TestSnapshotTierBreakdown(t *testing.T) {
-	s := newStats()
-	s.tiers.With(TierSmall).ObserveDuration(1 * time.Millisecond)
-	s.tiers.With(TierDefault).ObserveDuration(40 * time.Millisecond)
-	fams := s.reg.Snapshot()
+	s, ts := startServer(t, Config{})
+	s.compileFn = func(ctx context.Context, b *ir.Block, opts compile.Options) (*compile.BlockResult, error) {
+		d := 40 * time.Millisecond
+		if opts.BlockBudget == compile.DefaultBlockBudget/16 { // the small tier
+			d = time.Millisecond
+		}
+		time.Sleep(d)
+		return compile.RunBlock(ctx, b, opts)
+	}
+	for _, tier := range []string{TierSmall, TierDefault} {
+		if status, _, _ := postCompile(t, ts.URL, CompileRequest{Program: demoProgram,
+			Options: RequestOptions{Budget: tier}}); status != http.StatusOK {
+			t.Fatalf("%s-tier compile: %d", tier, status)
+		}
+	}
+	fams := s.stats.reg.Snapshot()
 	small, bounds, _ := obs.Find(fams, "bschedd_compile_duration_seconds", TierSmall)
 	dflt, _, _ := obs.Find(fams, "bschedd_compile_duration_seconds", TierDefault)
 	if small.Count != 1 || dflt.Count != 1 {
@@ -81,22 +96,20 @@ func TestStatsExposition(t *testing.T) {
 	s := newStats()
 	s.requests.Inc()
 	s.rejected.Inc()
-	s.degradations.Add(2)
 	var b strings.Builder
 	s.reg.WriteText(&b)
 	fams, err := obs.ParseText(strings.NewReader(b.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reqs, rej, degr := statValue(fams, "bschedd_requests_total"), statValue(fams, "bschedd_responses_total", "rejected"),
-		statValue(fams, "bschedd_degradations_total"); reqs != 1 || rej != 1 || degr != 2 {
-		t.Errorf("requests %g, rejected %g, degradations %g; want 1, 1, 2", reqs, rej, degr)
+	if reqs, rej := statValue(fams, "bschedd_requests_total"), statValue(fams, "bschedd_responses_total", "rejected"); reqs != 1 || rej != 1 {
+		t.Errorf("requests %g, rejected %g; want 1, 1", reqs, rej)
 	}
 	kinds := map[string]string{}
 	for _, f := range fams {
 		kinds[f.Name] = f.Kind
 	}
-	for _, name := range []string{"bschedd_request_duration_seconds", "bschedd_stage_duration_seconds", "bschedd_compile_duration_seconds"} {
+	for _, name := range []string{"bschedd_request_duration_seconds", "bschedd_stage_duration_seconds"} {
 		if kinds[name] != obs.KindHistogram {
 			t.Errorf("%s renders as %q, want a histogram", name, kinds[name])
 		}
