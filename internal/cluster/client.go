@@ -74,10 +74,10 @@ func (o ProbeOutcome) String() string {
 	}
 }
 
-// Metrics are the offer counters, which only the drain goroutine can
-// update: it alone sees an offer's outcome. Probe outcomes are counted
-// by Probe's caller, which gets each one back. Nil fields count
-// nothing.
+// Metrics are the offer counters. Only the client sees an offer's
+// outcome (Offer drops on a full queue; the drain goroutine sends or
+// drops), whereas Probe returns its outcome and the caller counts it.
+// Nil fields count nothing.
 type Metrics struct {
 	OfferSent, OfferDropped *obs.Counter
 }

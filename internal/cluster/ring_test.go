@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"testing"
 	"testing/quick"
+
+	"bsched/internal/admission"
+	"bsched/internal/engine"
 )
 
 func nodeNames(n int) []string {
@@ -153,4 +156,32 @@ func splitmix(x uint64) uint64 {
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
+}
+
+// TestOwnerIsSelfOrPeer: every key Owner resolves is self-owned or owned
+// by a configured peer, with healthy and with vetoed peers, so Probe's
+// unknown-peer branch is never reached through Owner. The config lists
+// Self among the peers and one peer twice, as a fleet-wide -peers list
+// does.
+func TestOwnerIsSelfOrPeer(t *testing.T) {
+	nodes := nodeNames(4)
+	c, err := New(Config{Self: nodes[0], Peers: append(nodes, nodes[1])})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	check := func(vetoed string) {
+		for i := uint64(0); i < 2000; i++ {
+			key := engine.Key{Block: i * 0x9e3779b97f4a7c15, Opts: i}
+			owner, self := c.Owner(key)
+			if _, ok := c.peers[owner]; !self && !ok || owner == vetoed {
+				t.Fatalf("vetoed %q: key %v owned by %q", vetoed, key, owner)
+			}
+		}
+	}
+	check("")
+	for range admission.DefaultBreakerThreshold {
+		c.peers[nodes[1]].brk.Failure()
+	}
+	check(nodes[1])
 }

@@ -56,14 +56,13 @@ type CompileRequest struct {
 	// Options selects the scheduling configuration; the zero value is a
 	// default balanced compilation.
 	Options RequestOptions `json:"options"`
-	// TimeoutMillis bounds this request's wall-clock time from its
-	// arrival: queue wait, the compilation of each block it leads and
-	// any wait on an identical in-flight compilation all count against
-	// the one deadline. Zero means the server default; values above the
-	// server maximum are clamped. The deadline is not part of the cache
-	// key: a slower identical request is happy to reuse a faster one's
-	// schedule, and a result the deadline degraded is served to its own
-	// requester but never cached.
+	// TimeoutMillis is this request's wall-clock deadline, from its
+	// arrival: each block it compiles runs under what is left of it, and
+	// a wait on an identical in-flight compilation ends at it. Zero means
+	// the server default; values above the server maximum are clamped.
+	// The deadline is not part of the cache key: a slower identical
+	// request is happy to reuse a faster one's schedule, and a result the
+	// deadline degraded is served to its own requester but never cached.
 	TimeoutMillis int64 `json:"timeout_ms,omitempty"`
 	// Priority is the admission class: "interactive" (default) or
 	// "batch". The X-Priority header, when present, wins over this
