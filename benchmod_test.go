@@ -21,3 +21,16 @@ func TestBenchModuleVets(t *testing.T) {
 		t.Fatalf("go vet in bench/: %v\n%s", err, out)
 	}
 }
+
+// TestModuleVets runs go vet over the whole module. go test runs only
+// vet's high-confidence subset on the packages it builds, so without
+// this the other analyzers — lostcancel and copylocks among them —
+// would check the module only outside the test suite.
+func TestModuleVets(t *testing.T) {
+	if testing.Short() {
+		t.Skip("vets the whole module")
+	}
+	if out, err := exec.Command("go", "vet", "./...").CombinedOutput(); err != nil {
+		t.Fatalf("go vet ./...: %v\n%s", err, out)
+	}
+}

@@ -45,35 +45,6 @@ const (
 	maxPeerResponseBytes = 16 << 20
 )
 
-// ProbeOutcome classifies one Probe call for metrics and traces.
-type ProbeOutcome int
-
-const (
-	// ProbeOutcomeHit: the owner returned the compiled response.
-	ProbeOutcomeHit ProbeOutcome = iota
-	// ProbeOutcomeMiss: the owner answered 404 — it has no entry either.
-	ProbeOutcomeMiss
-	// ProbeOutcomeError: transport failure, unexpected status, or an
-	// invalid body; feeds the peer's circuit breaker.
-	ProbeOutcomeError
-	// ProbeOutcomeSkip: no request was sent — the peer's breaker was
-	// open or its in-flight probe bound was reached.
-	ProbeOutcomeSkip
-)
-
-func (o ProbeOutcome) String() string {
-	switch o {
-	case ProbeOutcomeHit:
-		return "hit"
-	case ProbeOutcomeMiss:
-		return "miss"
-	case ProbeOutcomeError:
-		return "error"
-	default:
-		return "skip"
-	}
-}
-
 // Metrics are the offer counters. Only the client sees an offer's
 // outcome (Offer drops on a full queue; the drain goroutine sends or
 // drops), whereas Probe returns its outcome and the caller counts it.
@@ -115,8 +86,8 @@ type peerState struct {
 }
 
 // Client is a node's view of the fleet: the ring, one breaker per
-// peer, and the write-behind offer queue. It implements
-// engine.PeerCache (Offer), so it plugs straight into engine.Config.
+// peer, and the write-behind offer queue. It implements engine.Fleet
+// (Owner, Probe, Offer), so it plugs straight into engine.Config.Peers.
 type Client struct {
 	cfg   Config
 	ring  *Ring
@@ -204,14 +175,14 @@ func (c *Client) Owner(key engine.Key) (node string, self bool) {
 // failed probe is an outcome, and the caller's fallback is always a
 // local compile. traceparent, when non-empty, rides the request so the
 // owner's spans join the caller's trace.
-func (c *Client) Probe(ctx context.Context, owner string, key engine.Key, traceparent string) (*engine.BlockResponse, ProbeOutcome) {
+func (c *Client) Probe(ctx context.Context, owner string, key engine.Key, traceparent string) (*engine.BlockResponse, engine.ProbeOutcome) {
 	ps, ok := c.peers[owner]
 	if !ok {
 		// Not reached from Owner: every ring node but Self is a peer.
-		return nil, ProbeOutcomeSkip
+		return nil, engine.ProbeOutcomeSkip
 	}
 	if ps.inflight.Load() >= maxInflightProbes || !ps.brk.Allow() {
-		return nil, ProbeOutcomeSkip
+		return nil, engine.ProbeOutcomeSkip
 	}
 	ps.inflight.Add(1)
 	defer ps.inflight.Add(-1)
@@ -226,7 +197,7 @@ func (c *Client) Probe(ctx context.Context, owner string, key engine.Key, tracep
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		ps.brk.Failure()
-		return nil, ProbeOutcomeError
+		return nil, engine.ProbeOutcomeError
 	}
 	if traceparent != "" {
 		req.Header.Set("traceparent", traceparent)
@@ -234,7 +205,7 @@ func (c *Client) Probe(ctx context.Context, owner string, key engine.Key, tracep
 	httpResp, err := c.hc.Do(req)
 	if err != nil {
 		ps.brk.Failure()
-		return nil, ProbeOutcomeError
+		return nil, engine.ProbeOutcomeError
 	}
 	defer func() {
 		io.Copy(io.Discard, httpResp.Body)
@@ -246,23 +217,23 @@ func (c *Client) Probe(ctx context.Context, owner string, key engine.Key, tracep
 		dec := json.NewDecoder(io.LimitReader(httpResp.Body, maxPeerResponseBytes))
 		if err := dec.Decode(&resp); err != nil || !resp.Matches(key) {
 			ps.brk.Failure()
-			return nil, ProbeOutcomeError
+			return nil, engine.ProbeOutcomeError
 		}
 		ps.brk.Success()
-		return &resp, ProbeOutcomeHit
+		return &resp, engine.ProbeOutcomeHit
 	case http.StatusNotFound:
 		ps.brk.Success()
-		return nil, ProbeOutcomeMiss
+		return nil, engine.ProbeOutcomeMiss
 	default:
 		ps.brk.Failure()
-		return nil, ProbeOutcomeError
+		return nil, engine.ProbeOutcomeError
 	}
 }
 
-// Offer implements engine.PeerCache: called by a compilation worker for
-// every completed cacheable result. Self-owned keys are a no-op; for
-// foreign keys the offer is queued for the write-behind drain and
-// dropped (counted) when the queue is full. Never blocks.
+// Offer is called by a compilation worker for every completed cacheable
+// result. Self-owned keys are a no-op; for foreign keys the offer is
+// queued for the write-behind drain and dropped (counted) when the queue
+// is full. Never blocks.
 func (c *Client) Offer(key engine.Key, resp *engine.BlockResponse) {
 	if _, self := c.Owner(key); self {
 		return

@@ -202,30 +202,32 @@ const (
 )
 
 // Event records one degradation: a stage of a block's compilation that
-// fell from one strategy to a cheaper one.
+// fell from one strategy to a cheaper one. Its JSON form is the one the
+// daemon serves, caches on disk and exchanges with peers.
 type Event struct {
 	// Block is the label of the affected block.
-	Block string
+	Block string `json:"block"`
 	// Pass is the scheduling pass (1 or 2).
-	Pass int
+	Pass int `json:"pass"`
 	// Stage is the degraded stage: "weights" or "schedule".
-	Stage string
+	Stage string `json:"stage"`
 	// From and To are ladder rung names (Rung* constants).
-	From, To string
+	From string `json:"from"`
+	To   string `json:"to"`
 	// Reason is the triggering error, rendered.
-	Reason string
-	// Policy names the weighting policy the block was compiling under
-	// when the downgrade hit ("balanced", "critical-path", …), so
-	// per-policy degradation behaviour is attributable even after the
-	// ladder has flattened the weighting to a cheaper rung.
-	Policy string
+	Reason string `json:"reason"`
 	// Deadline reports that the downgrade was forced by expiry or
 	// cancellation of the surrounding context rather than the work
 	// budget. Budget-driven downgrades are deterministic for a given
 	// input and options; deadline-driven ones depend on wall-clock
 	// state, so rerunning the same input may land on a better rung —
 	// callers that memoize results should not reuse such a result.
-	Deadline bool
+	Deadline bool `json:"deadline,omitempty"`
+	// Policy names the weighting policy the block was compiling under
+	// when the downgrade hit ("balanced", "critical-path", …), so
+	// per-policy degradation behaviour is attributable even after the
+	// ladder has flattened the weighting to a cheaper rung.
+	Policy string `json:"policy,omitempty"`
 }
 
 // String renders "block b3 pass 1: weights policy:balanced → fixed-latency (…)".

@@ -67,29 +67,29 @@ func (k Key) Hash() uint64 {
 	return h
 }
 
-// Entry is one cache slot — one block's compilation. It is created
-// before the compilation runs and completed exactly once; waiters block
-// on Done. After Done is closed, Resp/Err are immutable — concurrent
-// readers need no lock.
-type Entry struct {
-	Done chan struct{}
-	Resp *BlockResponse
-	Err  error
+// entry is one cache slot — one block's compilation. It is created
+// before the compilation runs and completed exactly once (by settle, or
+// by install for a peer's offer); waiters block on done. After done is closed, resp and err are
+// immutable, so concurrent readers need no lock.
+type entry struct {
+	done chan struct{}
+	resp *BlockResponse
+	err  error
 }
 
-func newEntry() *Entry { return &Entry{Done: make(chan struct{})} }
+func newEntry() *entry { return &entry{done: make(chan struct{})} }
 
-// Complete publishes the outcome and releases every waiter.
-func (e *Entry) Complete(resp *BlockResponse, err error) {
-	e.Resp, e.Err = resp, err
-	close(e.Done)
+// complete publishes the outcome and releases every waiter.
+func (e *entry) complete(resp *BlockResponse, err error) {
+	e.resp, e.err = resp, err
+	close(e.done)
 }
 
-// Completed reports whether the entry has already been published (used
-// to distinguish a cache hit from coalescing onto an in-flight leader).
-func (e *Entry) Completed() bool {
+// completed reports whether the entry has already been published (a
+// cache hit rather than coalescing onto an in-flight leader).
+func (e *entry) completed() bool {
 	select {
-	case <-e.Done:
+	case <-e.done:
 		return true
 	default:
 		return false
@@ -97,7 +97,7 @@ func (e *Entry) Completed() bool {
 }
 
 // cache is a sharded, capacity-bounded, content-addressed map from Key
-// to *Entry with built-in single-flight semantics: lookup either finds
+// to *entry with built-in single-flight semantics: lookup either finds
 // an existing entry (completed → cache hit, in-flight → coalesce) or
 // atomically installs a fresh one and names the caller leader. Sharding
 // keeps lock hold times short under concurrent clients; each shard runs
@@ -115,7 +115,7 @@ type cacheShard struct {
 
 type cacheItem struct {
 	key Key
-	e   *Entry
+	e   *entry
 }
 
 // newCache builds a cache of roughly capacity entries split over shards.
@@ -152,7 +152,7 @@ func (c *cache) shard(k Key) *cacheShard {
 // lookup returns the entry for k, creating and installing a fresh one
 // when absent. leader is true when the caller installed the entry and
 // must therefore run (and publish) the compilation.
-func (c *cache) lookup(k Key) (e *Entry, leader bool) {
+func (c *cache) lookup(k Key) (e *entry, leader bool) {
 	if c.disabled() {
 		return newEntry(), true
 	}
@@ -172,7 +172,7 @@ func (c *cache) lookup(k Key) (e *Entry, leader bool) {
 // peek returns the entry for k if one is resident, never installing a
 // fresh one — the read the peer protocol's lookup endpoint needs, where
 // the caller holds no program text and so could never act as a leader.
-func (c *cache) peek(k Key) (*Entry, bool) {
+func (c *cache) peek(k Key) (*entry, bool) {
 	if c.disabled() {
 		return nil, false
 	}
@@ -191,7 +191,7 @@ func (c *cache) peek(k Key) (*Entry, bool) {
 // offered compilation lands in the owner's cache. It reports false
 // without touching the cache when any entry (completed or in-flight)
 // already exists for k: an in-flight leader will complete its own entry,
-// and racing a second Complete against it would panic.
+// and racing a second complete against it would panic.
 func (c *cache) install(k Key, resp *BlockResponse) bool {
 	if c.disabled() {
 		return false
@@ -203,7 +203,7 @@ func (c *cache) install(k Key, resp *BlockResponse) bool {
 		return false
 	}
 	e := newEntry()
-	e.Complete(resp, nil)
+	e.complete(resp, nil)
 	s.m[k] = s.ll.PushFront(&cacheItem{key: k, e: e})
 	s.evictLocked()
 	return true
@@ -218,10 +218,20 @@ func (s *cacheShard) evictLocked() {
 	}
 }
 
-// remove drops k if it still maps to e. Leaders call it on failure so an
-// error (or a backpressure rejection) is never served from cache; the
-// entry itself still completes, so coalesced waiters observe the error.
-func (c *cache) remove(k Key, e *Entry) {
+// settle publishes a leader's outcome and releases every waiter. An
+// error, or a response only its own request may use (not cacheable),
+// first leaves the cache, so a completed entry a later lookup finds
+// always holds a response servable to anyone; the waiters already
+// holding e still observe the outcome.
+func (c *cache) settle(k Key, e *entry, resp *BlockResponse, err error) {
+	if err != nil || !resp.cacheable() {
+		c.remove(k, e)
+	}
+	e.complete(resp, err)
+}
+
+// remove drops k if it still maps to e.
+func (c *cache) remove(k Key, e *entry) {
 	if c.disabled() {
 		return
 	}

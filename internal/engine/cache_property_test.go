@@ -11,11 +11,11 @@ import (
 type refModel struct {
 	cap   int
 	order []Key
-	m     map[Key]*Entry
+	m     map[Key]*entry
 }
 
 func newRefModel(capacity int) *refModel {
-	return &refModel{cap: capacity, m: make(map[Key]*Entry)}
+	return &refModel{cap: capacity, m: make(map[Key]*entry)}
 }
 
 func (r *refModel) touch(k Key) {
@@ -29,7 +29,7 @@ func (r *refModel) touch(k Key) {
 
 // lookup mirrors cache.lookup against the model. It returns the leader
 // flag the model predicts.
-func (r *refModel) lookup(k Key) (e *Entry, leader bool) {
+func (r *refModel) lookup(k Key) (e *entry, leader bool) {
 	if e, ok := r.m[k]; ok {
 		r.touch(k)
 		return e, false
@@ -45,7 +45,7 @@ func (r *refModel) lookup(k Key) (e *Entry, leader bool) {
 	return e, true
 }
 
-func (r *refModel) remove(k Key, e *Entry) {
+func (r *refModel) remove(k Key, e *entry) {
 	if cur, ok := r.m[k]; ok && cur == e {
 		delete(r.m, k)
 		for i, o := range r.order {
@@ -81,7 +81,7 @@ func decodeOps(script []byte) []propOp {
 //   - leader election: a lookup is a leader exactly when the key was
 //     absent (single-flight leader uniqueness — at most one live entry
 //     per key, so at most one leader until that entry is removed);
-//   - entry identity: hits return the same *Entry the leader installed;
+//   - entry identity: hits return the same *entry the leader installed;
 //   - capacity: the shard never holds more than cap entries;
 //   - exact LRU order: walking the shard's list front-to-back equals the
 //     model's recency order, so the MRU entry is never the eviction
@@ -94,7 +94,7 @@ func TestCacheShardMatchesModel(t *testing.T) {
 		// lastEntry tracks, per key, an entry the cache handed out at some
 		// point — possibly since evicted — so remove can exercise both its
 		// "current entry" and "stale entry is a no-op" branches.
-		lastEntry := make(map[Key]*Entry)
+		lastEntry := make(map[Key]*entry)
 		for i, op := range decodeOps(script) {
 			switch op.kind {
 			case 2: // remove the entry the model says is current
@@ -174,8 +174,8 @@ func TestCacheSingleFlightLeaderUnique(t *testing.T) {
 		c := newCache(8, 4)
 		k := Key{Block: uint64(round)}
 		const racers = 16
-		entries := make(chan *Entry, racers)
-		leaders := make(chan *Entry, racers)
+		entries := make(chan *entry, racers)
+		leaders := make(chan *entry, racers)
 		start := make(chan struct{})
 		for i := 0; i < racers; i++ {
 			go func() {
@@ -190,7 +190,7 @@ func TestCacheSingleFlightLeaderUnique(t *testing.T) {
 			}()
 		}
 		close(start)
-		var first *Entry
+		var first *entry
 		for i := 0; i < racers; i++ {
 			e := <-entries
 			if first == nil {

@@ -21,12 +21,12 @@ func TestCacheSingleFlightSemantics(t *testing.T) {
 	if e1 != e2 {
 		t.Fatal("both lookups must share one entry")
 	}
-	if e2.Completed() {
+	if e2.completed() {
 		t.Fatal("entry completed before the leader published")
 	}
-	e1.Complete(&BlockResponse{Block: "p"}, nil)
+	e1.complete(&BlockResponse{Block: "p"}, nil)
 	e3, leader3 := c.lookup(k)
-	if leader3 || !e3.Completed() || e3.Resp.Block != "p" {
+	if leader3 || !e3.completed() || e3.resp.Block != "p" {
 		t.Fatal("completed entry not served to a later lookup")
 	}
 }
@@ -58,12 +58,12 @@ func TestCacheLRUEviction(t *testing.T) {
 	c := newCache(2, 1)
 	a, b, d := Key{Block: 1}, Key{Block: 2}, Key{Block: 3}
 	ea, _ := c.lookup(a)
-	ea.Complete(&BlockResponse{}, nil)
+	ea.complete(&BlockResponse{}, nil)
 	eb, _ := c.lookup(b)
-	eb.Complete(&BlockResponse{}, nil)
+	eb.complete(&BlockResponse{}, nil)
 	c.lookup(a)          // touch a: b is now the LRU
 	ed, _ := c.lookup(d) // evicts b
-	ed.Complete(&BlockResponse{}, nil)
+	ed.complete(&BlockResponse{}, nil)
 	if n := c.len(); n != 2 {
 		t.Fatalf("len=%d, want capacity 2", n)
 	}
@@ -109,10 +109,10 @@ func TestCacheConcurrentLookups(t *testing.T) {
 					mu.Lock()
 					leaders[k]++
 					mu.Unlock()
-					e.Complete(&BlockResponse{Block: fmt.Sprint(k)}, nil)
+					e.complete(&BlockResponse{Block: fmt.Sprint(k)}, nil)
 				} else {
-					<-e.Done
-					if e.Resp.Block != fmt.Sprint(k) {
+					<-e.done
+					if e.resp.Block != fmt.Sprint(k) {
 						t.Errorf("key %d: wrong entry", k)
 					}
 				}

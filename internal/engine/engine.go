@@ -11,25 +11,28 @@
 // from one compiled for a local client. A frontend hands the engine its
 // *obs.Registry through Config, and the engine registers there the
 // families only it updates: the disk-cache and breaker counters, the
-// per-tier compile histogram, degradations, the per-policy outcomes and
-// the gauges over its queue, cache, breaker and disk. The frontend's
-// stage histogram (Config.Stages) is the one family both sides record
-// on. The engine owns no logger or tracer; it records its stages as
-// spans of the *obs.Trace a Job carries.
+// per-tier compile histogram, degradations, the per-policy outcomes,
+// the peer probes and the gauges over its queue, cache, breaker and
+// disk. The frontend's stage histogram (Config.Stages) is the one family
+// both sides record on. The engine owns no logger or tracer; it records
+// its stages as spans of the *obs.Trace a request's context carries.
 //
-// One compilation's lifetime through the engine:
+// A block's cache entry lives in this package alone: no frontend
+// completes, removes or waits on one. A block's path is three calls:
 //
-//	Lookup(key)            → completed Entry (hit) | in-flight Entry
-//	                         (coalesce) | fresh Entry + leader=true
-//	leader: DiskGet(key)   → persistent-layer probe; a valid record
-//	                         completes the Entry without compiling
-//	leader: Enqueue(Job)   → bounded two-priority queue, worker pool
-//	worker: CompileFn      → publish Entry, write-behind disk fill,
-//	                         offer to the key's ring owner (Peers seam)
+//	Resolve(ctx, Job)     → memory hit | coalesce onto an in-flight entry
+//	                        | leader: disk record → ring owner's copy →
+//	                        deadline feasibility → admission queue
+//	Wait(ctx, Resolution) → the one wait on an in-flight entry: the
+//	                        leader's without a timer, a joined one until
+//	                        its own request's deadline
+//	Read(ctx, key, hold)  → a peer's lookup: memory, a bounded hold on an
+//	                        in-flight entry, then disk
 //
-// The cluster layer plugs in at two points only: Config.Peers receives
-// completed foreign-key compilations (write-behind offers), and the
-// frontends call Peek/Install/DiskGet to answer and absorb peer traffic.
+// A worker runs CompileFn, settles the entry, and fills the disk and the
+// key's ring owner (write-behind). Install absorbs a peer's offer. The
+// cluster layer plugs in through Config.Peers alone (Fleet): the ring
+// owner, the budgeted probe and the offer.
 package engine
 
 import (
@@ -65,21 +68,41 @@ const cacheShards = 16
 // Labels of the engine's stages on Config.Stages, beside the
 // compile.Stage* names it forwards from inside each compilation.
 const (
-	StageQueue   = "queue"   // enqueue → worker pickup wait (Job.Queue)
-	StageCompile = "compile" // the whole CompileFn call inside a worker
+	StageDisk      = "disk"      // persistent-cache probe, per block leader and peer lookup
+	StagePeer      = "peer"      // ring-owner probe, per foreign block leader
+	StageQueue     = "queue"     // enqueue → worker pickup wait
+	StageCoalesced = "coalesced" // wait on another request's leader, per block
+	StageCompile   = "compile"   // the whole CompileFn call inside a worker
 )
 
-// ErrShutdown fails every Entry still queued when the engine closes.
-// The message is client-visible through the HTTP frontend, so it reads
-// as the daemon's, not the package's.
-var ErrShutdown = errors.New("server shutting down")
+// Failures a block's outcome can carry besides its compile's. Each is
+// client-visible through the HTTP frontend, as a 503, so the messages
+// read as the daemon's, not the package's.
+var (
+	// ErrShutdown fails every job still queued when the engine closes,
+	// and every wait.
+	ErrShutdown = errors.New("server shutting down")
+	// ErrBusy fails the requests that joined an entry whose job
+	// admission refused; its leader gets admission.ErrShed or ErrFull.
+	ErrBusy = errors.New("compilation queue full")
+	// ErrDeadline ends a joined wait at its request's deadline; the
+	// shared entry still completes for everyone else.
+	ErrDeadline = errors.New("request deadline exceeded awaiting compilation")
+	// ErrInfeasible refuses a block whose tier's compile-time estimate
+	// already exceeds what is left of its request's deadline.
+	ErrInfeasible = errors.New("deadline below the current compile-time estimate for this tier")
+)
 
-// PeerCache receives completed cacheable compilations so a cluster
-// layer can offer them to the key's ring owner. Offer must not block:
-// it is called from a compilation worker. The engine calls it for every
-// cacheable result; deciding whether the key is foreign (and dropping
-// self-owned offers) is the implementation's job.
-type PeerCache interface {
+// Fleet is the cluster seam, Config.Peers: the ring owner of a key under
+// the current health view, a budgeted probe of a foreign owner, and the
+// write-behind offer of a completed cacheable compilation. A failed probe
+// is an outcome, never an error: the engine compiles locally. Offer must
+// not block, since a compilation worker calls it for every cacheable
+// result; dropping self-owned keys is the implementation's job.
+// cluster.Client implements it.
+type Fleet interface {
+	Owner(key Key) (node string, self bool)
+	Probe(ctx context.Context, owner string, key Key, traceparent string) (*BlockResponse, ProbeOutcome)
 	Offer(key Key, resp *BlockResponse)
 }
 
@@ -134,9 +157,10 @@ type Config struct {
 	// means compile.RunBlock. Tests substitute it to count invocations
 	// and to block the pool at will.
 	CompileFn func(context.Context, *ir.Block, compile.Options) (*compile.BlockResult, error)
-	// Peers, when non-nil, receives completed cacheable compilations
-	// (see PeerCache).
-	Peers PeerCache
+	// Peers, when non-nil, joins the engine to a fleet: a block leader
+	// probes a foreign key's ring owner before compiling, and workers
+	// offer it completed cacheable compilations (see Fleet).
+	Peers Fleet
 }
 
 func (c Config) withDefaults() Config {
@@ -161,41 +185,43 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Job is one queued compilation: a single block from the leader
-// request's parsed program plus its lowered options, bound for the
-// worker pool, where one CompileFn call compiles it. A multi-block
-// program fans out into one Job per missed block, each with its own
-// Entry; hits, misses and coalescing are all per block.
+// Job is one block a request asks the engine for: a block of its parsed
+// program with its lowered options and cache key, and the request's
+// deadline, tier and priority. A multi-block program resolves one Job
+// per block; hits, misses and coalescing are all per block.
 type Job struct {
 	Block *ir.Block
 	Opts  compile.Options
-	// Deadline is the leader request's: its start plus its clamped
-	// timeout. Queue wait and the request's earlier blocks count against
-	// it.
+	// Deadline is the request's: its start plus its clamped timeout. A
+	// queued job compiles under it, and a wait joined onto another
+	// request's entry ends at it, so queue wait and the request's
+	// earlier blocks count against it.
 	Deadline time.Time
 	Key      Key
-	E        *Entry
-	// Tier labels the per-tier compile-duration observation.
+	// Tier labels the per-tier compile-duration observation and picks
+	// the cost estimate deadline feasibility compares against.
 	Tier string
-	// Priority is the admission class to queue under; Instrs is the
-	// block's instruction count, which feeds the per-tier cost
-	// estimator after the compile.
+	// Priority is the admission class to queue under.
 	Priority admission.Priority
-	Instrs   int
-	// Tr is the leader request's trace (nil when tracing is disabled),
-	// which the compile and per-block stage spans hang off. Queue is the
-	// open StageQueue stage: the worker ends it at pickup, the caller
-	// with the error when Enqueue refuses the job.
-	Tr    *obs.Trace
-	Queue obs.Stage
+}
+
+// queued is a Job its leader put on the admission queue: its entry, the
+// request's trace (nil when tracing is off), which the compile and
+// per-block stage spans hang off, and the open StageQueue stage the
+// worker ends at pickup.
+type queued struct {
+	Job
+	e     *entry
+	tr    *obs.Trace
+	queue obs.Stage
 }
 
 // Engine is the compilation kernel. Create with New, drive it through
-// Lookup/DiskGet/Enqueue (the local request path) and
-// Peek/Install (the peer path), stop with Close.
+// Resolve/Wait (the local request path) and Read/Install (the peer
+// path), stop with Close.
 type Engine struct {
 	cfg     Config
-	adm     *admission.Queue[*Job]
+	adm     *admission.Queue[*queued]
 	breaker *admission.Breaker
 	est     *compile.CostEstimator
 	chaos   *chaos.Injector
@@ -218,7 +244,7 @@ func New(cfg Config) (*Engine, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	en := &Engine{
 		cfg: cfg,
-		adm: admission.NewQueue[*Job](admission.Config{
+		adm: admission.NewQueue[*queued](admission.Config{
 			Depth:             cfg.QueueDepth,
 			InteractiveWeight: cfg.InteractiveWeight,
 			CoDelTarget:       cfg.CoDelTarget,
@@ -267,61 +293,22 @@ func (en *Engine) Close() {
 			if !ok {
 				break
 			}
-			en.cache.remove(j.Key, j.E)
-			j.E.Complete(nil, ErrShutdown)
+			en.cache.settle(j.Key, j.e, nil, ErrShutdown)
 		}
 		en.disk.close()
 	})
 }
 
-// Done is closed when the engine begins shutting down; frontends select
-// on it while awaiting an Entry so in-flight waiters fail fast.
-func (en *Engine) Done() <-chan struct{} { return en.ctx.Done() }
-
-// Lookup returns the entry for key, creating one when absent; leader is
-// true when the caller installed the entry and must publish the
-// compilation (via DiskGet, Enqueue, or completing it directly).
-func (en *Engine) Lookup(key Key) (e *Entry, leader bool) { return en.cache.lookup(key) }
-
-// Peek returns the resident entry for key without ever installing one —
-// the peer protocol's read, where the caller holds no program text.
-func (en *Engine) Peek(key Key) (*Entry, bool) { return en.cache.peek(key) }
-
-// Remove drops key from the memory cache if it still maps to e; leaders
-// call it before completing an entry with an error.
-func (en *Engine) Remove(key Key, e *Entry) { en.cache.remove(key, e) }
-
 // Install absorbs an externally compiled response (a peer's offer) into
-// the memory cache as an already-completed entry, and — when persist is
-// set — into the persistent layer. It reports false, touching nothing,
-// when any entry already exists for the key.
-func (en *Engine) Install(key Key, resp *BlockResponse, persist bool) bool {
+// the memory cache as an already-completed entry, and into the
+// persistent layer. It reports false, touching nothing, when any entry
+// already exists for the key.
+func (en *Engine) Install(key Key, resp *BlockResponse) bool {
 	if !en.cache.install(key, resp) {
 		return false
 	}
-	if persist {
-		en.disk.put(key, resp)
-	}
+	en.disk.put(key, resp)
 	return true
-}
-
-// DiskGet probes the persistent layer, if any, for key. It does not
-// touch the memory cache: a leader holding a fresh entry completes it
-// with the result; the peer frontend serves the record directly.
-func (en *Engine) DiskGet(key Key) (*BlockResponse, bool) { return en.disk.get(key) }
-
-// Enqueue submits the job to the admission queue. On rejection
-// (admission.ErrShed / admission.ErrFull) the caller owns the entry's
-// failure path and the job's queue stage; on success a worker will
-// publish the entry.
-func (en *Engine) Enqueue(j *Job) error {
-	return en.adm.Push(j.Priority, j)
-}
-
-// Estimate forwards to the per-tier cost model fed by completed
-// compilations; zero means "no opinion yet".
-func (en *Engine) Estimate(tier string, instrs int) time.Duration {
-	return en.est.Estimate(tier, instrs)
 }
 
 // RetryAfterSeconds is the adaptive Retry-After of a 503, from the
@@ -341,19 +328,24 @@ func (en *Engine) worker() {
 		if !ok {
 			return
 		}
+		if en.ctx.Err() != nil {
+			// Pop picks at random between a ready job and the cancelled
+			// context. A job popped at shutdown fails as the ones Close
+			// drains do, without compiling.
+			en.cache.settle(j.Key, j.e, nil, ErrShutdown)
+			continue
+		}
 		en.runJob(j)
 	}
 }
 
-// runJob compiles one job and publishes its entry. Errors are removed
-// from the cache (they must not be served to later requests) but still
-// complete the entry so coalesced waiters observe them.
-func (en *Engine) runJob(j *Job) {
-	j.Queue.End(nil)
+// runJob compiles one job and settles its entry for every waiter.
+func (en *Engine) runJob(j *queued) {
+	j.queue.End(nil)
 	ctx, cancel := context.WithDeadline(en.ctx, j.Deadline)
 	defer cancel()
 	en.chaos.Delay(chaos.SlowCompile)
-	stage := en.cfg.Stages.StartStage(j.Tr, nil, StageCompile)
+	stage := en.cfg.Stages.StartStage(j.tr, nil, StageCompile)
 	compileSpan := stage.Span()
 	// The compiler reports each stage's block, pass, start and duration
 	// through the SpanObserver seam. Every record is a sample of the
@@ -362,7 +354,7 @@ func (en *Engine) runJob(j *Job) {
 	// histograms are atomic and the trace serializes appends.
 	opts := j.Opts
 	opts.SpanObserver = func(rec compile.StageSpan) {
-		if sp := en.cfg.Stages.StageAt(j.Tr, compileSpan, rec.Stage, rec.Start, rec.Duration); sp != nil {
+		if sp := en.cfg.Stages.StageAt(j.tr, compileSpan, rec.Stage, rec.Start, rec.Duration); sp != nil {
 			sp.SetAttr("block", rec.Block)
 			if rec.Pass > 0 {
 				sp.SetAttr("pass", fmt.Sprint(rec.Pass))
@@ -373,48 +365,40 @@ func (en *Engine) runJob(j *Job) {
 	elapsed := stage.End(err)
 	en.met.tiers.With(j.Tier).ObserveDuration(elapsed)
 	if err != nil {
-		en.cache.remove(j.Key, j.E)
-		j.E.Complete(nil, err)
+		en.cache.settle(j.Key, j.e, nil, err)
 		return
 	}
-	byDeadline := deadlineDegraded(br)
-	if !byDeadline {
-		// Feed the per-tier cost model that deadline-aware admission
-		// compares deadlines against. Failed and deadline-degraded
-		// compiles are excluded: their elapsed time measures the failure
-		// or the deadline, not the tier's cost.
-		en.est.Observe(j.Tier, j.Instrs, elapsed)
+	resp := buildBlockResponse(br, j.Key)
+	// A result the request's deadline degraded is valid for that request
+	// but not for the key: the deadline is not part of the key, so
+	// caching it would serve the degraded schedule to later requests with
+	// generous deadlines. It is served, never cached — in memory, on
+	// disk, or on a peer — and its elapsed time, like a failed compile's,
+	// measures the deadline, not the tier's cost.
+	cacheable := resp.cacheable()
+	if cacheable {
+		// Feed the per-tier cost model deadline feasibility reads.
+		en.est.Observe(j.Tier, len(j.Block.Instrs), elapsed)
 	}
 	if n := len(br.Degradations); n > 0 {
 		compileSpan.Event("degraded")
-		j.Tr.SetDegraded()
+		j.tr.SetDegraded()
 		en.met.degradations.Add(int64(n))
 	}
 	if br.Policy != "" {
 		compileSpan.SetAttr("policy", br.Policy)
 	}
-	resp := buildBlockResponse(br, j.Key)
 	if policy := resp.Summary.Policy; policy != "" {
 		// The block's schedule length in issue slots (instructions plus
 		// pass-1 starvation no-ops): the deterministic per-policy outcome.
 		en.met.policyBlocks.With(policy).Inc()
 		en.met.policyCycles.With(policy).Observe(float64(resp.Summary.Instrs + resp.Summary.VNops1))
 	}
-	if byDeadline {
-		// The schedule is valid for the request whose deadline forced the
-		// cheap rungs, but not for the key: the deadline is not part of
-		// the key, so caching it would serve the degraded schedule to
-		// later requests with generous deadlines. Serve it, don't cache
-		// it — in memory, on disk, or on a peer.
-		en.cache.remove(j.Key, j.E)
-	} else {
-		// Same cacheability rule as the in-memory layer: only clean (or
-		// deterministically tier-degraded) results are persisted — and
-		// only those are worth offering to the key's ring owner.
+	if cacheable {
 		en.disk.put(j.Key, resp)
 		if en.cfg.Peers != nil {
 			en.cfg.Peers.Offer(j.Key, resp)
 		}
 	}
-	j.E.Complete(resp, nil)
+	en.cache.settle(j.Key, j.e, resp, nil)
 }

@@ -17,6 +17,7 @@ type metrics struct {
 	degradations              *obs.Counter      // bschedd_degradations_total
 	policyBlocks              *obs.CounterVec   // bschedd_policy_blocks_total{policy}
 	policyCycles              *obs.HistogramVec // bschedd_policy_cycles{policy}
+	peerProbes                *obs.CounterVec   // bschedd_peer_probes_total{outcome}
 }
 
 // cycleBuckets are the bschedd_policy_cycles histogram bounds: schedule
@@ -26,7 +27,9 @@ type metrics struct {
 // budget-bounded schedules.
 var cycleBuckets = []float64{2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096}
 
-// newMetrics registers the engine's counters and histograms on reg.
+// newMetrics registers the engine's counters and histograms on reg. The
+// peer probes family is registered without a fleet too, so the catalog
+// does not depend on flags.
 func newMetrics(reg *obs.Registry) *metrics {
 	diskEvents := reg.CounterVec("bschedd_diskcache_events_total",
 		"Persistent schedule-cache operations: hit (record served from disk after a memory miss), miss (no valid disk record either), write (record persisted) or evict (cold record dropped at compaction). All zero without -cache-dir.",
@@ -64,12 +67,18 @@ func newMetrics(reg *obs.Registry) *metrics {
 		policyCycles: reg.HistogramVec("bschedd_policy_cycles",
 			"Schedule length per compiled block, in issue slots (final instructions plus pass-1 starvation no-ops), by scheduling policy — the deterministic per-policy outcome estimate; cycle-accurate comparison lives in the offline differential harness.",
 			cycleBuckets, "policy"),
+		peerProbes: reg.CounterVec("bschedd_peer_probes_total",
+			"Peer-cache lookups this node sent to ring owners, by outcome: hit (response reused, no local compile), miss (owner had nothing either), error (transport/protocol failure — feeds the peer's circuit breaker) or skip (breaker open or in-flight bound reached; compiled locally). All zero without -peers.",
+			"outcome"),
 	}
 	// Every policy's series exists from startup, so both families render
 	// the whole portfolio before its first compile.
 	for _, name := range sched.PolicyNames() {
 		m.policyBlocks.With(name)
 		m.policyCycles.With(name)
+	}
+	for o := ProbeOutcomeHit; o <= ProbeOutcomeSkip; o++ {
+		m.peerProbes.With(o.String())
 	}
 	return m
 }

@@ -30,23 +30,6 @@ type BlockSummary struct {
 	Policy string `json:"policy,omitempty"`
 }
 
-// DegradationEvent mirrors compile.Event for JSON.
-type DegradationEvent struct {
-	Block  string `json:"block"`
-	Pass   int    `json:"pass"`
-	Stage  string `json:"stage"`
-	From   string `json:"from"`
-	To     string `json:"to"`
-	Reason string `json:"reason"`
-	// Deadline is true when the downgrade was forced by the request's
-	// wall-clock deadline rather than its budget tier; such results are
-	// served but never cached.
-	Deadline bool `json:"deadline,omitempty"`
-	// Policy names the scheduling policy the block degraded under, so a
-	// fleet operator can tell which portfolio member was starved.
-	Policy string `json:"policy,omitempty"`
-}
-
 // BlockResponse is the engine's unit of caching, single-flight, disk
 // persistence and peer exchange: one block's compiled schedule under one
 // options fingerprint. The HTTP frontend assembles program responses
@@ -59,7 +42,7 @@ type BlockResponse struct {
 	// Summary carries the block's scheduling statistics.
 	Summary BlockSummary `json:"summary"`
 	// Degradations lists every ladder downgrade in this block.
-	Degradations []DegradationEvent `json:"degradations,omitempty"`
+	Degradations []compile.Event `json:"degradations,omitempty"`
 	// Fingerprint and OptionsFingerprint echo the cache key (hex): the
 	// *source* block's content fingerprint and the options fingerprint.
 	Fingerprint        string `json:"fingerprint"`
@@ -71,6 +54,7 @@ type BlockResponse struct {
 func buildBlockResponse(br *compile.BlockResult, key Key) *BlockResponse {
 	out := &BlockResponse{
 		Block:              br.Block.String(),
+		Degradations:       br.Degradations,
 		Fingerprint:        fmt.Sprintf("%016x", key.Block),
 		OptionsFingerprint: fmt.Sprintf("%016x", key.Opts),
 	}
@@ -87,13 +71,6 @@ func buildBlockResponse(br *compile.BlockResult, key Key) *BlockResponse {
 	if br.Pass1 != nil {
 		out.Summary.VNops1 = br.Pass1.VNops
 	}
-	for _, e := range br.Degradations {
-		out.Degradations = append(out.Degradations, DegradationEvent{
-			Block: e.Block, Pass: e.Pass, Stage: e.Stage,
-			From: e.From, To: e.To, Reason: e.Reason, Deadline: e.Deadline,
-			Policy: e.Policy,
-		})
-	}
 	return out
 }
 
@@ -105,16 +82,17 @@ func (r *BlockResponse) Matches(key Key) bool {
 		r.OptionsFingerprint == fmt.Sprintf("%016x", key.Opts)
 }
 
-// deadlineDegraded reports whether any of the block's downgrades was
-// forced by the wall clock (context deadline or shutdown) rather than
-// the work-budget tier. Tier-driven downgrades are deterministic and
-// cacheable — the tier is part of the cache key; wall-clock ones are
+// cacheable reports whether the response may be served for its key to
+// any request: none of its downgrades was forced by the wall clock
+// (context deadline or shutdown) rather than the work-budget tier.
+// Tier-driven downgrades are deterministic and cacheable — the tier is
+// part of the cache key; wall-clock ones are not, since the deadline is
 // not.
-func deadlineDegraded(br *compile.BlockResult) bool {
-	for _, e := range br.Degradations {
+func (r *BlockResponse) cacheable() bool {
+	for _, e := range r.Degradations {
 		if e.Deadline {
-			return true
+			return false
 		}
 	}
-	return false
+	return true
 }

@@ -3,7 +3,7 @@ package server
 // POST /v1/compile/batch: many programs in, one NDJSON stream out
 // (docs/API.md, "Batch compilation"). The batch endpoint is the
 // block-granular cache made visible at the edge. It shares the request
-// front, the per-program step and the per-block await with POST
+// front, the per-program step and the per-block wait with POST
 // /v1/compile (server.go); what is its own is the stream. Instead of
 // assembling a program response at the end, each block's result is
 // written — and flushed — as its own NDJSON frame the moment it
@@ -27,6 +27,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"bsched/internal/compile"
 	"bsched/internal/engine"
 	"bsched/internal/obs"
 )
@@ -61,10 +62,10 @@ type BatchFrame struct {
 	// Block is the scheduled block's textual IR; Summary and
 	// Degradations are the same per-block shapes a /v1/compile response
 	// carries. Cached is true when this block cost no new compilation.
-	Block        string                    `json:"block,omitempty"`
-	Summary      *engine.BlockSummary      `json:"summary,omitempty"`
-	Degradations []engine.DegradationEvent `json:"degradations,omitempty"`
-	Cached       bool                      `json:"cached,omitempty"`
+	Block        string               `json:"block,omitempty"`
+	Summary      *engine.BlockSummary `json:"summary,omitempty"`
+	Degradations []compile.Event      `json:"degradations,omitempty"`
+	Cached       bool                 `json:"cached,omitempty"`
 	// Program-trailer fields, mirroring CompileResponse's stamps.
 	Fingerprint        string  `json:"fingerprint,omitempty"`
 	OptionsFingerprint string  `json:"options_fingerprint,omitempty"`
@@ -98,21 +99,20 @@ func (b *batchProgram) blockDone(frames chan<- BatchFrame) {
 
 // trailer renders the program's trailer frame.
 func (b *batchProgram) trailer() BatchFrame {
-	cached := !b.compiled
 	return BatchFrame{
 		Type:               "program",
 		Program:            b.index,
 		Fingerprint:        b.fp,
 		OptionsFingerprint: fmt.Sprintf("%016x", b.optsFP),
 		Blocks:             len(b.blocks),
-		Cached:             cached,
-		Coalesced:          b.coalesced && cached,
+		Cached:             b.source != engine.SourceMiss,
+		Coalesced:          b.source == engine.SourceCoalesced,
 		ServiceMillis:      float64(time.Since(b.started).Microseconds()) / 1000,
 	}
 }
 
 // handleCompileBatch streams a batch compilation as NDJSON. It shares
-// the request front, the per-program step and the per-block await with
+// the request front, the per-program step and the per-block wait with
 // POST /v1/compile; what is its own is the stream. The handler
 // goroutine is the single writer (write + flush per frame); a
 // dispatcher goroutine runs the programs' steps, and one waiter
@@ -122,7 +122,7 @@ func (b *batchProgram) trailer() BatchFrame {
 // deadlines); the handler returns only after all of its goroutines
 // have exited.
 func (s *Server) handleCompileBatch(w http.ResponseWriter, r *http.Request) {
-	reqs, _ := s.front(w, r, true)
+	reqs, started := s.front(w, r, true)
 	if reqs == nil {
 		return
 	}
@@ -141,7 +141,7 @@ func (s *Server) handleCompileBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	frames := make(chan BatchFrame, 64)
-	go s.dispatchBatch(r, reqs, frames)
+	go s.dispatchBatch(r, reqs, started, frames)
 
 	// Single writer: one frame per line, flushed immediately so a slow
 	// block never delays an already-finished one. On a write error the
@@ -180,9 +180,11 @@ func (s *Server) handleCompileBatch(w http.ResponseWriter, r *http.Request) {
 // dispatchBatch runs the per-program step for each program in turn and
 // sends its frames: resolved blocks at once, each pending block from a
 // waiter goroutine when it completes, then the program's trailer, or a
-// single error frame if the program failed. The done frame comes last,
+// single error frame if the program failed. Every program starts at
+// the batch's arrival, so its deadline and its trailer's service_ms
+// count the programs dispatched before it. The done frame comes last,
 // and frames closes once every waiter has exited.
-func (s *Server) dispatchBatch(r *http.Request, reqs []CompileRequest, frames chan<- BatchFrame) {
+func (s *Server) dispatchBatch(r *http.Request, reqs []CompileRequest, started time.Time, frames chan<- BatchFrame) {
 	defer close(frames)
 	ctx := r.Context()
 	var wg sync.WaitGroup
@@ -191,7 +193,7 @@ func (s *Server) dispatchBatch(r *http.Request, reqs []CompileRequest, frames ch
 		if ctx.Err() != nil {
 			break // client gone: stop dispatching new work
 		}
-		p, err := s.prepare(r, &reqs[i], time.Now())
+		p, err := s.prepare(r, &reqs[i], started)
 		if p != nil {
 			total += len(p.blocks)
 		}
@@ -215,10 +217,10 @@ func (s *Server) dispatchBatch(r *http.Request, reqs []CompileRequest, frames ch
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				resp, err := s.await(ctx, p, b)
+				resp, err := s.eng.Wait(ctx, b.res)
 				switch {
 				case err == nil:
-					frames <- blockFrame(i, b.index, resp, !b.leader)
+					frames <- blockFrame(i, b.index, resp, b.res.Source != engine.SourceMiss)
 					bp.blockDone(frames)
 				case err == ctx.Err():
 					// Client gone; nothing to emit and nobody to read it.

@@ -16,6 +16,7 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -451,6 +452,43 @@ func TestBatchBadRequests(t *testing.T) {
 	}
 }
 
+// TestBatchProgramsShareDeadline: a batch program's deadline runs from
+// the batch's arrival, not from when the dispatcher reaches it, so two
+// programs with equal timeout_ms compile every block under one deadline
+// whatever the earlier program's parse and dispatch cost.
+func TestBatchProgramsShareDeadline(t *testing.T) {
+	s, ts := startServer(t, Config{Workers: 1})
+	var mu sync.Mutex
+	var deadlines []time.Time
+	s.compileFn = func(ctx context.Context, b *ir.Block, opts compile.Options) (*compile.BlockResult, error) {
+		d, _ := ctx.Deadline()
+		mu.Lock()
+		deadlines = append(deadlines, d)
+		mu.Unlock()
+		return compile.RunBlock(ctx, b, opts)
+	}
+	frames := readBatch(t, ts.URL, BatchRequest{Programs: []CompileRequest{
+		{Program: batchFunc("first", batchBlock("a", 1), batchBlock("b", 2)), TimeoutMillis: 5000},
+		{Program: batchFunc("second", batchBlock("c", 3)), TimeoutMillis: 5000},
+	}})
+	for _, f := range frames {
+		if f.Type == "error" {
+			t.Fatalf("program %d failed: %s", f.Program, f.Error)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(deadlines) != 3 {
+		t.Fatalf("%d compiles, want 3", len(deadlines))
+	}
+	for i, d := range deadlines {
+		if !d.Equal(deadlines[0]) {
+			t.Errorf("job %d ran under deadline %v, job 0 under %v; want the batch's one deadline",
+				i, d.Format(time.StampMicro), deadlines[0].Format(time.StampMicro))
+		}
+	}
+}
+
 // readBatch posts a batch and reads its whole stream, through the done
 // frame.
 func readBatch(t *testing.T, url string, req BatchRequest) []BatchFrame {
@@ -543,7 +581,7 @@ func TestBatchMatchesCompile(t *testing.T) {
 			}
 			sort.Slice(blocks, func(i, j int) bool { return blocks[i].Index < blocks[j].Index })
 			var summaries []engine.BlockSummary
-			var degradations []engine.DegradationEvent
+			var degradations []compile.Event
 			for i, f := range blocks {
 				if f.Index != i || f.Summary == nil {
 					t.Fatalf("block frame %d: index %d, summary %v", i, f.Index, f.Summary)

@@ -47,8 +47,8 @@ func TestDeadlineInfeasibleAdmission(t *testing.T) {
 	if err := json.Unmarshal(raw, &body); err != nil {
 		t.Fatal(err)
 	}
-	if body.Error != errInfeasible.Error() || body.RetryAfterSeconds != 1 || resp.Header.Get("Retry-After") != "1" {
-		t.Errorf("body %+v, Retry-After %q; want %q with 1 s", body, resp.Header.Get("Retry-After"), errInfeasible)
+	if body.Error != engine.ErrInfeasible.Error() || body.RetryAfterSeconds != 1 || resp.Header.Get("Retry-After") != "1" {
+		t.Errorf("body %+v, Retry-After %q; want %q with 1 s", body, resp.Header.Get("Retry-After"), engine.ErrInfeasible)
 	}
 	if n := calls.Load(); n != compile.EstimatorMinSamples {
 		t.Errorf("%d compile calls, want the %d warm-ups only", n, compile.EstimatorMinSamples)

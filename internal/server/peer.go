@@ -8,15 +8,14 @@ import (
 	"time"
 
 	"bsched/internal/engine"
-	"bsched/internal/obs"
 )
 
 // Peer-protocol endpoints (docs/CLUSTER.md). These are the cluster
 // layer's second frontend over the same engine the public compile API
-// drives: a peer lookup reads the node's cache exactly as a local
-// request would, and an offer installs a finished compilation exactly
-// as a local worker would — so a schedule that crossed the fleet is
-// indistinguishable from one compiled here.
+// drives: a peer lookup reads the node's cache through the engine's one
+// peer read (engine.Read), and an offer installs a finished compilation
+// exactly as a local worker would — so a schedule that crossed the
+// fleet is indistinguishable from one compiled here.
 
 const (
 	// maxPeerWait clamps a lookup's wait_ms: how long this node will
@@ -46,36 +45,13 @@ func (s *Server) handlePeerLookup(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	note(r, "peer", "lookup", "fingerprint", key.String())
-	if e, ok := s.eng.Peek(key); ok {
-		if !e.Completed() {
-			if wait := peerWait(r); wait > 0 {
-				t := time.NewTimer(wait)
-				defer t.Stop()
-				select {
-				case <-e.Done:
-				case <-t.C:
-				case <-r.Context().Done():
-				case <-s.eng.Done():
-				}
-			}
-		}
-		if e.Completed() && e.Err == nil {
-			note(r, "cache", "hit")
-			writeJSON(w, http.StatusOK, e.Resp)
-			return
-		}
-		// Still in flight after the wait, or completed with an error:
-		// nothing servable. (Error entries are transient — the leader
-		// removes them — so a 404 here is a race, not a contradiction.)
+	resp, src := s.eng.Read(r.Context(), key, peerWait(r))
+	if resp == nil {
 		writeError(w, http.StatusNotFound, &ErrorResponse{Error: "key not cached"})
 		return
 	}
-	if resp, ok := s.diskGet(key, obs.TraceFrom(r.Context())); ok {
-		note(r, "cache", "disk")
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	writeError(w, http.StatusNotFound, &ErrorResponse{Error: "key not cached"})
+	note(r, "cache", src.String())
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // peerWait parses and clamps the lookup's wait_ms query parameter.
@@ -120,7 +96,7 @@ func (s *Server) handlePeerOffer(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, &ErrorResponse{Error: "offer fingerprints do not match key"})
 		return
 	}
-	if s.eng.Install(key, &resp, true) {
+	if s.eng.Install(key, &resp) {
 		note(r, "peer", "offer", "installed", "true")
 	} else {
 		note(r, "peer", "offer", "installed", "false")

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"bsched/internal/compile"
 	"bsched/internal/engine"
 	"bsched/internal/ir"
 )
@@ -24,7 +25,7 @@ type CompileResponse struct {
 	Blocks []engine.BlockSummary `json:"blocks"`
 	// Degradations are the ladder downgrade events across all blocks,
 	// concatenated in program order.
-	Degradations []engine.DegradationEvent `json:"degradations,omitempty"`
+	Degradations []compile.Event `json:"degradations,omitempty"`
 	// Fingerprint and OptionsFingerprint echo the request's program
 	// fingerprint and normalized options fingerprint. The cache itself
 	// is keyed per block (docs/CACHE-KEYS.md); the program fingerprint
@@ -41,12 +42,12 @@ type CompileResponse struct {
 	ServiceMillis float64 `json:"service_ms"`
 }
 
-// Stamped returns a copy carrying the per-request fields: cache
-// disposition and service time.
-func (r *CompileResponse) Stamped(cached, coalesced bool, service time.Duration) *CompileResponse {
+// Stamped returns a copy carrying the per-request fields: the cache
+// disposition, from the worst block's source, and service time.
+func (r *CompileResponse) Stamped(source engine.Source, service time.Duration) *CompileResponse {
 	c := *r
-	c.Cached = cached
-	c.Coalesced = coalesced
+	c.Cached = source != engine.SourceMiss
+	c.Coalesced = source == engine.SourceCoalesced
 	c.ServiceMillis = float64(service.Microseconds()) / 1000
 	return &c
 }

@@ -6,17 +6,20 @@
 //
 // Architecture, in one request's lifetime. The unit of caching,
 // single-flight, persistence and peer exchange is the *block*
-// (docs/CACHE-KEYS.md): a program request fans out into one cache
-// dispatch per block, and the program response is assembled at the edge
+// (docs/CACHE-KEYS.md): a program request fans out into one engine
+// resolve per block, and the program response is assembled at the edge
 // from the per-block results. Both compile endpoints run one request
 // path: the front (method, tenant quota, decode), the per-program step
-// (options, priority, parse, fingerprints, per-block dispatch) and the
-// per-block await.
+// (options, priority, parse, fingerprints, per-block resolve) and the
+// per-block wait. A block's cache entry is the engine's alone
+// (engine.Resolve, engine.Wait, engine.Read): this package counts what
+// each resolve returns and never completes, removes or waits on an
+// entry itself.
 //
 //	POST /v1/compile
 //	   ├─ front: method check, tenant quota, size-limited decode
 //	   ├─ per-program step: options + priority + parse
-//	   ├─ per block: content-addressed lookup,
+//	   ├─ per block, engine.Resolve on
 //	   │    Key{block fingerprint, options fingerprint}
 //	   │    ├─ completed entry  → memory hit for this block
 //	   │    ├─ in-flight entry  → coalesce: wait on that block's leader,
@@ -33,11 +36,11 @@
 //	   │    503 + Retry-After (backpressure), never an unbounded goroutine
 //	   ├─ workers compile each missed block under the request deadline
 //	   │    and budget tier, publishing its entry for every waiter
-//	   └─ the handler awaits its pending blocks and assembles the
-//	        program response in program order
+//	   └─ the handler waits (engine.Wait) on its pending blocks and
+//	        assembles the program response in program order
 //
 // POST /v1/compile/batch runs the same front and, per program, the same
-// step and awaits, but streams per-block results back as NDJSON as each
+// step and waits, but streams per-block results back as NDJSON as each
 // block completes (batch.go), so a client sees early blocks before the
 // slowest one finishes.
 //
@@ -48,28 +51,28 @@
 // persistent layer (checksummed append-only segments, replayed at
 // startup) sits under the memory cache, so a restarted daemon serves
 // previously compiled blocks warm — see docs/SERVER.md, "Persistent
-// cache". All of that lives in internal/engine; this package owns HTTP,
-// the metrics registry, tenant quotas, tracing and logging, plus the
-// peer protocol endpoints (GET /v1/peer/lookup/{key}, PUT
-// /v1/peer/offer/{key}) the cluster layer speaks. docs/API.md is the
-// complete HTTP surface reference.
+// cache". All of that, the ring-owner probe included, lives in
+// internal/engine; this package owns HTTP, the metrics registry, tenant
+// quotas, tracing and logging, plus the peer protocol endpoints (GET
+// /v1/peer/lookup/{key}, PUT /v1/peer/offer/{key}) the cluster layer
+// speaks. docs/API.md is the complete HTTP surface reference.
 //
 // Observability (see docs/OBSERVABILITY.md for the full catalog): every
 // counter, gauge and latency histogram lives in one internal/obs
 // registry, and each family is registered by the package that updates
-// it: this package registers the request-side families (the peer and
-// profile ones included, so the catalog does not depend on flags) and
-// hands the registry to the engine, which registers its own (disk
-// cache, breaker, compile tiers, degradations, policies, and the gauges
-// over its queue, cache, breaker and disk). GET /metrics renders it in
+// it: this package registers the request-side families (the peer offer
+// and profile ones included, so the catalog does not depend on flags)
+// and hands the registry to the engine, which registers its own (disk
+// cache, breaker, compile tiers, degradations, policies, peer probes,
+// and the gauges over its queue, cache, breaker and disk). GET /metrics renders it in
 // Prometheus text exposition format; GET /stats serves the registry's
 // snapshot, the same families as JSON data (bucket counts, not
 // quantiles); GET /healthz is a liveness probe that also reports fleet
 // degradation.
-// Stages (parse, lookup, disk, peer, queue, coalesced, compile, and the
-// compiler's deps, weights, schedule, regalloc via the engine's
-// compile.Options.SpanObserver) are each timed once, as a stage
-// histogram sample and its span (obs.Stage). When Config.Logger is set,
+// Stages (parse and lookup here; disk, peer, queue, coalesced, compile,
+// and the compiler's deps, weights, schedule, regalloc via
+// compile.Options.SpanObserver in the engine) are each timed once, as a
+// stage histogram sample and its span (obs.Stage). When Config.Logger is set,
 // every request additionally emits one structured log line carrying a
 // process-unique request ID (also returned in the X-Request-ID response
 // header).
@@ -235,18 +238,6 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
-
-// Sentinel failures an entry can complete with, plus the per-request
-// deadline expiry (which never fails a shared entry). Queue rejections
-// surface as admission.ErrShed / admission.ErrFull; errBusy is the
-// generic queue-rejection failure coalesced waiters observe. The
-// engine fails queued entries with engine.ErrShutdown at Close, and the
-// handlers map it to 503 like these.
-var (
-	errBusy       = errors.New("compilation queue full")
-	errDeadline   = errors.New("request deadline exceeded awaiting compilation")
-	errInfeasible = errors.New("deadline below the current compile-time estimate for this tier")
-)
 
 // Server is the compilation service. Create with New, serve via
 // Handler, stop with Close. The compile/cache/queue kernel lives in
@@ -544,142 +535,40 @@ func (s *Server) logged(h http.Handler) http.Handler {
 	})
 }
 
-// diskGet is the disk stage: a persistent-cache probe, when there is a cache.
-func (s *Server) diskGet(key engine.Key, tr *obs.Trace) (*engine.BlockResponse, bool) {
-	if s.cfg.CacheDir == "" {
-		return nil, false
-	}
-	defer s.stats.stages.StartStage(tr, nil, stageDisk).End(nil) // starts now, ends at return
-	return s.eng.DiskGet(key)
-}
-
-// diskServe completes a block leader's entry from the persistent
-// cache, when there is one and it holds a valid record for the key. The
-// served response also becomes the completed in-memory entry, so
-// subsequent requests for the block are plain memory hits; the root
-// span gets a disk-hit event so traces distinguish the dispositions
-// (memory hit, disk hit, peer hit, miss).
-func (s *Server) diskServe(key engine.Key, e *engine.Entry, tr *obs.Trace) (*engine.BlockResponse, bool) {
-	resp, ok := s.diskGet(key, tr)
-	if !ok {
-		return nil, false
-	}
-	tr.Root().Event("disk-hit")
-	e.Complete(resp, nil)
-	return resp, true
-}
-
-// peerServe probes a foreign block key's ring owner and, on a hit,
-// completes the leader's entry with the peer's response — one round
-// trip instead of a compilation. Every non-hit outcome (miss,
-// breaker-skipped, transport error, budget exceeded) returns false and
-// the caller compiles locally; a peer can slow a request by at most the
-// probe budget, never fail it.
-func (s *Server) peerServe(key engine.Key, e *engine.Entry, r *http.Request, tr *obs.Trace) (*engine.BlockResponse, bool) {
-	if s.cluster == nil {
-		return nil, false
-	}
-	owner, self := s.cluster.Owner(key)
-	if self {
-		return nil, false
-	}
-	stage := s.stats.stages.StartStage(tr, nil, stagePeer)
-	span := stage.Span()
-	span.SetAttr("owner", owner)
-	traceparent := ""
-	if tr != nil {
-		// The probe span is the parent of whatever the owner records, so
-		// the two nodes' spans assemble into one cross-node tree.
-		traceparent = obs.FormatTraceparent(tr.ID, span.ID)
-	}
-	resp, outcome := s.cluster.Probe(r.Context(), owner, key, traceparent)
-	s.stats.peerProbes.With(outcome.String()).Inc()
-	span.SetAttr("outcome", outcome.String())
-	stage.End(nil)
-	if resp == nil {
-		return nil, false
-	}
-	tr.Root().Event("peer-hit")
-	e.Complete(resp, nil)
-	return resp, true
-}
-
-// dispatch resolves block i of p against the engine under key. A
-// memory, disk or peer hit lands in p.blocks; an entry this request
-// enqueued (as the block's leader) or joined (coalesced) lands in
-// p.pending. A non-nil error means admission refused the block
-// (infeasible deadline, sojourn shed, queue full): the entry is
-// already failed and removed. Blocks enqueued earlier keep compiling
-// and warm the cache regardless.
-func (s *Server) dispatch(r *http.Request, tr *obs.Trace, p *program, i int, b *ir.Block, key engine.Key, opts compile.Options) error {
-	e, leader := s.eng.Lookup(key)
-	if !leader {
-		if e.Completed() {
-			s.stats.blockHits.Inc()
-			p.blocks[i] = e.Resp
-			return nil
-		}
-		s.stats.blockCoalesced.Inc()
-		p.coalesced = true
-		p.addPending(i, e, false)
-		return nil
-	}
-	// Memory miss under this request's single-flight leadership for the
-	// block: probe the persistent layer, then the ring owner, before
-	// paying for a compilation. N concurrent requests needing the same
-	// block still cost one disk read / one probe / one compile.
-	if resp, ok := s.diskServe(key, e, tr); ok {
-		s.stats.blockDisk.Inc()
-		p.blocks[i], p.disk = resp, true
-		return nil
-	}
-	if resp, ok := s.peerServe(key, e, r, tr); ok {
-		s.stats.blockPeer.Inc()
-		p.blocks[i], p.peer = resp, true
-		return nil
-	}
-	s.stats.blockMisses.Inc()
-	// Deadline-aware admission, per block: when the tier's observed p99
-	// compile estimate already exceeds the request's remaining deadline,
-	// queueing would only burn a worker on a result nobody waits for.
-	// The estimator reports zero (no opinion) until it has enough
-	// samples, so cold tiers always admit.
-	if est := s.eng.Estimate(p.tier, len(b.Instrs)); est > 0 && est > time.Until(p.deadline) {
+// dispatch resolves block i of p through the engine under key and
+// counts the outcome. A memory, disk or peer hit lands in p.blocks; a
+// block in flight (led or joined) lands in p.pending. A non-nil error
+// means admission refused the block (infeasible deadline, sojourn shed,
+// queue full); blocks dispatched earlier keep compiling and warm the
+// cache regardless.
+func (s *Server) dispatch(ctx context.Context, p *program, i int, b *ir.Block, key engine.Key, opts compile.Options) error {
+	res, err := s.eng.Resolve(ctx, engine.Job{Block: b, Opts: opts, Deadline: p.deadline, Key: key,
+		Tier: p.tier, Priority: p.prio})
+	s.stats.block(res.Source).Inc()
+	switch {
+	case errors.Is(err, engine.ErrInfeasible):
 		s.stats.infeasible.Inc()
-		tr.Root().Event("503-infeasible")
-		tr.Root().SetAttr("estimate_ms", fmt.Sprint(est.Milliseconds()))
-		s.eng.Remove(key, e)
-		e.Complete(nil, errInfeasible)
-		return errInfeasible
+	case errors.Is(err, admission.ErrShed):
+		s.stats.shedSojourn.Inc()
+	case err != nil:
+		s.stats.shedFull.Inc()
+	case res.Source == engine.SourceMiss:
+		s.stats.queueReqs.With(p.prio.String()).Inc()
 	}
-	j := &engine.Job{Block: b, Opts: opts, Deadline: p.deadline, Key: key, E: e,
-		Tier: p.tier, Priority: p.prio, Instrs: len(b.Instrs),
-		Tr: tr, Queue: s.stats.stages.StartStage(tr, nil, engine.StageQueue)}
-	if err := s.eng.Enqueue(j); err != nil {
-		// Rejected at admission: CoDel shedding (the queue has room but
-		// accepted work is already waiting past target) or the hard depth
-		// bound. Either way, fail the entry so coalesced requests that
-		// raced in behind us reject too instead of hanging — and end the
-		// queue stage with the error, so shedding is visible in traces and
-		// the stage histogram rather than only in requests that ran.
-		j.Queue.End(err)
-		if errors.Is(err, admission.ErrShed) {
-			s.stats.shedSojourn.Inc()
-			tr.Root().Event("503-shed")
-		} else {
-			s.stats.shedFull.Inc()
-			tr.Root().Event("503-backpressure")
-		}
-		// A shed storm (a burst of these events inside the profiler's
-		// window) captures a profile of the overloaded moment.
-		s.profiler.Event("shed_burst")
-		s.eng.Remove(key, e)
-		e.Complete(nil, errBusy)
+	if err != nil {
 		return err
 	}
-	s.stats.queueReqs.With(p.prio.String()).Inc()
-	p.compiled = true
-	p.addPending(i, e, true)
+	p.source = max(p.source, res.Source)
+	if res.Resp != nil {
+		p.blocks[i] = res.Resp
+		return nil
+	}
+	if p.pending == nil {
+		// Sized on first use for every block from i on, so a program
+		// allocates the list at most once and an all-hit program never.
+		p.pending = make([]pendingBlock, 0, len(p.blocks)-i)
+	}
+	p.pending = append(p.pending, pendingBlock{index: i, res: res})
 	return nil
 }
 
@@ -852,26 +741,17 @@ type program struct {
 	// the block is pending.
 	blocks  []*engine.BlockResponse
 	pending []pendingBlock
-	// The dispositions among the blocks; the cache stamps take the worst.
-	compiled, coalesced, disk, peer bool
+	// source is the worst block's engine.Source, the request-level cache
+	// disposition: compiling any block makes the program a miss, else
+	// waiting on another request's compile makes it coalesced, and so on.
+	source engine.Source
 }
 
 // pendingBlock is a block whose cache entry was in flight at dispatch:
-// one this request enqueued as its leader, or one it joined.
+// one this request leads (its job is queued), or one it joined.
 type pendingBlock struct {
-	index  int
-	e      *engine.Entry
-	leader bool
-}
-
-// addPending records block i as pending on e. The list is sized on
-// first use for every block from i on, so a program allocates it at
-// most once and an all-hit program never.
-func (p *program) addPending(i int, e *engine.Entry, leader bool) {
-	if p.pending == nil {
-		p.pending = make([]pendingBlock, 0, len(p.blocks)-i)
-	}
-	p.pending = append(p.pending, pendingBlock{index: i, e: e, leader: leader})
+	index int
+	res   engine.Resolution
 }
 
 // prepare is the per-program step both compile endpoints share. It
@@ -922,7 +802,7 @@ func (s *Server) prepare(r *http.Request, req *CompileRequest, started time.Time
 	p.blocks = make([]*engine.BlockResponse, len(blocks))
 	lookup := s.stats.stages.StartStage(tr, nil, stageLookup)
 	for i, b := range blocks {
-		err = s.dispatch(r, tr, p, i, b, engine.Key{Block: blockFPs[i], Opts: p.optsFP}, opts)
+		err = s.dispatch(r.Context(), p, i, b, engine.Key{Block: blockFPs[i], Opts: p.optsFP}, opts)
 		if err != nil {
 			break
 		}
@@ -931,46 +811,8 @@ func (s *Server) prepare(r *http.Request, req *CompileRequest, started time.Time
 	return p, err
 }
 
-// await resolves one pending block of p. A block the request leads
-// waits for its job, which the engine bounds by the program's deadline
-// (the compile degrades rather than fails). A coalesced block waits on
-// another request's leader, so here its wait is bounded by this
-// program's own deadline, not the leader's: a program asking for 100ms
-// must not block for an in-flight leader's 60s. Expiry fails only this
-// program with errDeadline; the shared entry completes for everyone
-// still waiting. A client that hangs up ends the wait with ctx's error.
-func (s *Server) await(ctx context.Context, p *program, b pendingBlock) (*engine.BlockResponse, error) {
-	var expire <-chan time.Time
-	var stage obs.Stage
-	if !b.leader {
-		t := time.NewTimer(time.Until(p.deadline))
-		defer t.Stop()
-		expire = t.C
-		stage = s.stats.stages.StartStage(obs.TraceFrom(ctx), nil, stageCoalesced)
-	}
-	var err error
-	select {
-	case <-b.e.Done:
-		err = b.e.Err
-	case <-expire:
-		err = errDeadline
-	case <-ctx.Done():
-		// The compilation still completes and populates the cache for
-		// the next asker. Its spans keep appending to this trace after
-		// the root finishes; the stored snapshot may miss them.
-		err = ctx.Err()
-	case <-s.eng.Done():
-		err = engine.ErrShutdown
-	}
-	stage.End(err)
-	if err != nil {
-		return nil, err
-	}
-	return b.e.Resp, nil
-}
-
 // handleCompile is the one-program case of the shared request path,
-// without streaming: it awaits the pending blocks in program order and
+// without streaming: it waits on the pending blocks in program order and
 // answers with the assembled program.
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	reqs, started := s.front(w, r, false)
@@ -991,31 +833,28 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// The request-level cache disposition is the *worst* block's:
-	// compiling anything makes the response a miss, else waiting on
-	// another request's compile makes it coalesced, else a disk or peer
-	// decode beats calling it a pure memory hit. A single-block program
-	// reproduces the pre-batching program-granular accounting exactly.
-	switch {
-	case p.compiled:
+	// The request-level cache disposition is the *worst* block's; a disk
+	// or peer decode beats calling it a pure memory hit. A single-block
+	// program reproduces the pre-batching program-granular accounting
+	// exactly.
+	switch p.source {
+	case engine.SourceMiss:
 		s.stats.cacheMisses.Add(1)
 		note(r, "cache", "miss")
 		root.Event("cache-miss")
-	case p.coalesced:
+	case engine.SourceCoalesced:
 		s.stats.coalesced.Add(1)
 		note(r, "cache", "coalesced")
 		root.Event("coalesced")
-	case p.disk:
-		note(r, "cache", "disk")
-	case p.peer:
-		note(r, "cache", "peer")
+	case engine.SourceDisk, engine.SourcePeer:
+		note(r, "cache", p.source.String())
 	default:
 		s.stats.cacheHits.Add(1)
 		note(r, "cache", "hit")
 		root.Event("cache-hit")
 	}
 	for _, b := range p.pending {
-		resp, err := s.await(r.Context(), p, b)
+		resp, err := s.eng.Wait(r.Context(), b.res)
 		if err != nil && err == r.Context().Err() {
 			s.stats.clientErrors.Add(1) // client gone: nobody to answer
 			return
@@ -1026,8 +865,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		}
 		p.blocks[b.index] = resp
 	}
-	cached := !p.compiled
-	s.respond(w, r, assembleResponse(p.prog, p.fp, p.blocks, p.optsFP).Stamped(cached, p.coalesced && cached, time.Since(started)))
+	s.respond(w, r, assembleResponse(p.prog, p.fp, p.blocks, p.optsFP).Stamped(p.source, time.Since(started)))
 }
 
 // respond writes a 200 and records its service time. The histogram
@@ -1071,8 +909,8 @@ func (s *Server) errorBody(err error) (int, *ErrorResponse) {
 	switch {
 	case errors.As(err, &ce):
 		return ce.status, &ErrorResponse{Error: err.Error(), Stage: ce.stage}
-	case errors.Is(err, errBusy), errors.Is(err, engine.ErrShutdown), errors.Is(err, errDeadline),
-		errors.Is(err, errInfeasible), errors.Is(err, admission.ErrShed), errors.Is(err, admission.ErrFull):
+	case errors.Is(err, engine.ErrBusy), errors.Is(err, engine.ErrShutdown), errors.Is(err, engine.ErrDeadline),
+		errors.Is(err, engine.ErrInfeasible), errors.Is(err, admission.ErrShed), errors.Is(err, admission.ErrFull):
 		return http.StatusServiceUnavailable, &ErrorResponse{Error: err.Error(), RetryAfterSeconds: s.eng.RetryAfterSeconds()}
 	case errors.As(err, &cpe):
 		return http.StatusUnprocessableEntity, &ErrorResponse{Error: err.Error(), Stage: cpe.Stage, Block: cpe.Block}

@@ -5,19 +5,17 @@ import (
 	"runtime/debug"
 	"sync"
 
-	"bsched/internal/cluster"
+	"bsched/internal/engine"
 	"bsched/internal/obs"
 )
 
 // Labels (and span names) of the stages the server times itself,
-// beside the engine.Stage* names (queue, compile) and the compile.Stage*
-// names (deps, weights, schedule, regalloc) the engine reports.
+// beside the engine.Stage* names (disk, peer, queue, coalesced,
+// compile) and the compile.Stage* names (deps, weights, schedule,
+// regalloc) the engine reports.
 const (
-	stageParse     = "parse"     // IR parsing, per program
-	stageLookup    = "lookup"    // content-addressed cache lookup, per program
-	stageDisk      = "disk"      // persistent-cache probe, per block leader and peer lookup
-	stagePeer      = "peer"      // ring-owner probe, per foreign block leader
-	stageCoalesced = "coalesced" // wait on another request's leader, per block
+	stageParse  = "parse"  // IR parsing, per program
+	stageLookup = "lookup" // the per-block resolves, per program
 )
 
 // Stats is the daemon's instrument panel, backed by an internal/obs
@@ -42,8 +40,8 @@ type Stats struct {
 	cacheMisses   *obs.Counter // bschedd_cache_events_total{event="miss"}
 	coalesced     *obs.Counter // bschedd_cache_events_total{event="coalesced"}
 
-	// Block-granular cache events: one sample per block dispatched,
-	// versus the request-level bschedd_cache_events_total above (one per
+	// Block-granular cache events: one sample per block resolved, versus
+	// the request-level bschedd_cache_events_total above (one per
 	// program). The gap between the two is exactly the cross-program
 	// block reuse the block-granular key buys.
 	blockHits      *obs.Counter // bschedd_block_cache_events_total{outcome="hit"}
@@ -58,11 +56,10 @@ type Stats struct {
 	hist           *obs.Histogram
 	stages         *obs.HistogramVec
 
-	// Cluster peer-protocol instruments (docs/CLUSTER.md). Eagerly
-	// materialized children so every family renders in /metrics from
+	// Cluster offer counters (docs/CLUSTER.md), which the cluster client
+	// counts. Eagerly materialized so the family renders in /metrics from
 	// startup, fleet or standalone.
-	peerProbes              *obs.CounterVec // bschedd_peer_probes_total{outcome}
-	offerSent, offerDropped *obs.Counter    // bschedd_peer_offers_total{outcome}
+	offerSent, offerDropped *obs.Counter // bschedd_peer_offers_total{outcome}
 
 	// Admission-control instruments (the overload-resilience PR).
 	shedSojourn   *obs.Counter    // bschedd_admission_total{outcome="shed_sojourn"}
@@ -85,6 +82,12 @@ type Stats struct {
 	tenantRejects  *obs.CounterVec // bschedd_tenant_rejected_total{tenant}
 	tenantMu       sync.Mutex
 	tenantCounters map[string]*tenantCounters
+}
+
+// block is src's bschedd_block_cache_events_total counter.
+func (s *Stats) block(src engine.Source) *obs.Counter {
+	return [...]*obs.Counter{engine.SourceMemory: s.blockHits, engine.SourcePeer: s.blockPeer,
+		engine.SourceDisk: s.blockDisk, engine.SourceCoalesced: s.blockCoalesced, engine.SourceMiss: s.blockMisses}[src]
 }
 
 // maxTenantLabels bounds per-tenant metric cardinality.
@@ -129,7 +132,7 @@ func (s *Stats) tenant(name string) *tenantCounters {
 }
 
 // newStats builds the registry and registers every request-driven
-// instrument, the peer and profile families included: those stay
+// instrument, the peer offer and profile families included: those stay
 // registered without -peers or -profile-dir, so the catalog does not
 // depend on flags. The engine registers its families, and New the
 // server's gauges, on the same registry.
@@ -141,12 +144,6 @@ func newStats() *Stats {
 	cacheEvents := reg.CounterVec("bschedd_cache_events_total",
 		"Schedule-cache lookups by result: hit, miss (became a compile leader) or coalesced (joined an in-flight compile).",
 		"event")
-	peerProbes := reg.CounterVec("bschedd_peer_probes_total",
-		"Peer-cache lookups this node sent to ring owners, by outcome: hit (response reused, no local compile), miss (owner had nothing either), error (transport/protocol failure — feeds the peer's circuit breaker) or skip (breaker open or in-flight bound reached; compiled locally). All zero without -peers.",
-		"outcome")
-	for o := cluster.ProbeOutcomeHit; o <= cluster.ProbeOutcomeSkip; o++ {
-		peerProbes.With(o.String())
-	}
 	peerOffers := reg.CounterVec("bschedd_peer_offers_total",
 		"Write-behind offers of locally compiled foreign-owned schedules, by outcome: sent (owner acknowledged) or dropped (queue full or retries exhausted). All zero without -peers.",
 		"outcome")
@@ -176,7 +173,6 @@ func newStats() *Stats {
 			"POST /v1/compile/batch requests accepted (after body decode)."),
 		blocksStreamed: reg.Counter("bschedd_batch_blocks_streamed_total",
 			"Per-block NDJSON frames written by the batch endpoint."),
-		peerProbes:   peerProbes,
 		offerSent:    peerOffers.With("sent"),
 		offerDropped: peerOffers.With("dropped"),
 		hist: reg.Histogram("bschedd_request_duration_seconds",

@@ -483,6 +483,13 @@ func TestStageSamplesMatchSpans(t *testing.T) {
 	checkStageSpans(t, s2, 1, stageParse, stageLookup, stageDisk)
 }
 
+// The stages the engine times, as the stage tests name them.
+const (
+	stageDisk      = engine.StageDisk
+	stagePeer      = engine.StagePeer
+	stageCoalesced = engine.StageCoalesced
+)
+
 // checkStageSpans compares s's stage histogram with the spans of its
 // retained traces, once n traces are retained: per stage label, as many
 // spans as samples, and the same summed duration within 1ns per sample.
