@@ -30,9 +30,9 @@
 //	GET  /metrics         Prometheus text exposition (docs/OBSERVABILITY.md)
 //	GET  /v1/traces       index of retained request traces (JSON)
 //	GET  /v1/traces/{id}  one trace as Chrome trace-event JSON (Perfetto);
-//	                      ?format=tree for the raw span tree, ?fleet=1 to
-//	                      stitch in remote fragments from ring peers
-//	GET  /v1/peer/trace/{id}  this node's fragment of a trace (fleet protocol)
+//	                      ?format=tree for the raw span tree (also each
+//	                      peer's answer to a stitch), ?fleet=1 to stitch
+//	                      in remote fragments from ring peers
 //	GET  /v1/fleet/stats  every node's /stats and their merge, from any node
 //	GET  /v1/fleet/metrics  cluster-wide merged Prometheus exposition
 //	GET  /v1/profiles     continuous-profiling ring index (with -profile-dir);

@@ -42,7 +42,7 @@ func TestAPIDocCoversEndpoints(t *testing.T) {
 	for _, want := range []string{
 		"policy",
 		"POST /v1/compile", "POST /v1/compile/batch",
-		"GET /v1/peer/lookup", "PUT /v1/peer/offer", "GET /v1/peer/trace",
+		"GET /v1/peer/lookup", "PUT /v1/peer/offer",
 		"GET /healthz", "GET /stats", "GET /metrics", "GET /v1/traces",
 		"GET /v1/fleet/stats", "GET /v1/fleet/metrics", "GET /v1/profiles",
 	} {

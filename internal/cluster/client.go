@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -34,10 +35,10 @@ const (
 	// offerBackoff separates an offer's retry attempts (multiplied by
 	// the attempt number).
 	offerBackoff = 50 * time.Millisecond
-	// maxInflightProbes bounds concurrent probes per peer — the load
-	// bound behind the ring's bounded-load walk. Probes over the bound
-	// are skipped (local compile) instead of queueing on a peer that is
-	// already saturated.
+	// maxInflightProbes bounds concurrent reads (probes and fleet
+	// fetches) per peer — the load bound behind the ring's bounded-load
+	// walk. Reads over the bound are refused (a probe then compiles
+	// locally) instead of queueing on a peer that is already saturated.
 	maxInflightProbes = 32
 	// maxPeerResponseBytes bounds a peer lookup's response body; a
 	// legitimate BlockResponse fits far under the disk layer's record
@@ -78,8 +79,8 @@ type Config struct {
 }
 
 // peerState is one remote node's health: a circuit breaker (the
-// admission defaults) fed by probe/offer outcomes, and the in-flight
-// probe count behind the bounded-load veto.
+// admission defaults) fed by read and offer outcomes, and the in-flight
+// read count behind the bounded-load veto.
 type peerState struct {
 	brk      *admission.Breaker
 	inflight atomic.Int64
@@ -92,6 +93,7 @@ type Client struct {
 	cfg   Config
 	ring  *Ring
 	peers map[string]*peerState
+	urls  []string // the peers' URLs, sorted: FetchAll's and Health's order
 	hc    *http.Client
 
 	offers chan offerItem
@@ -119,13 +121,11 @@ func New(cfg Config) (*Client, error) {
 	}
 	c := &Client{
 		cfg:    cfg,
-		ring:   NewRing(cfg.Replicas),
 		peers:  make(map[string]*peerState, len(cfg.Peers)),
 		hc:     &http.Client{Timeout: cfg.ProbeTimeout + time.Second},
 		offers: make(chan offerItem, offerQueue),
 		done:   make(chan struct{}),
 	}
-	c.ring.Add(cfg.Self)
 	for _, p := range cfg.Peers {
 		if p == cfg.Self || p == "" {
 			continue
@@ -133,12 +133,14 @@ func New(cfg Config) (*Client, error) {
 		if _, dup := c.peers[p]; dup {
 			continue
 		}
-		c.ring.Add(p)
 		c.peers[p] = &peerState{brk: admission.NewBreaker(admission.BreakerConfig{})}
+		c.urls = append(c.urls, p)
 	}
 	if len(c.peers) == 0 {
 		return nil, fmt.Errorf("cluster: peer list contains only this node")
 	}
+	sort.Strings(c.urls)
+	c.ring = NewRing(append([]string{cfg.Self}, c.urls...), cfg.Replicas)
 	c.wg.Add(1)
 	go c.drainOffers()
 	return c, nil
@@ -176,58 +178,31 @@ func (c *Client) Owner(key engine.Key) (node string, self bool) {
 // local compile. traceparent, when non-empty, rides the request so the
 // owner's spans join the caller's trace.
 func (c *Client) Probe(ctx context.Context, owner string, key engine.Key, traceparent string) (*engine.BlockResponse, engine.ProbeOutcome) {
-	ps, ok := c.peers[owner]
-	if !ok {
-		// Not reached from Owner: every ring node but Self is a peer.
-		return nil, engine.ProbeOutcomeSkip
-	}
-	if ps.inflight.Load() >= maxInflightProbes || !ps.brk.Allow() {
-		return nil, engine.ProbeOutcomeSkip
-	}
-	ps.inflight.Add(1)
-	defer ps.inflight.Add(-1)
-
-	ctx, cancel := context.WithTimeout(ctx, c.cfg.ProbeTimeout)
-	defer cancel()
 	// Let the owner hold the request for most of the budget when the key
 	// is compiling there right now: a short in-flight wait beats a
 	// guaranteed duplicate compile.
 	waitMS := (c.cfg.ProbeTimeout * 3 / 4).Milliseconds()
-	url := fmt.Sprintf("%s/v1/peer/lookup/%s?wait_ms=%d", owner, key, waitMS)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		ps.brk.Failure()
-		return nil, engine.ProbeOutcomeError
-	}
-	if traceparent != "" {
-		req.Header.Set("traceparent", traceparent)
-	}
-	httpResp, err := c.hc.Do(req)
-	if err != nil {
-		ps.brk.Failure()
-		return nil, engine.ProbeOutcomeError
-	}
-	defer func() {
-		io.Copy(io.Discard, httpResp.Body)
-		httpResp.Body.Close()
-	}()
-	switch httpResp.StatusCode {
-	case http.StatusOK:
-		var resp engine.BlockResponse
-		dec := json.NewDecoder(io.LimitReader(httpResp.Body, maxPeerResponseBytes))
-		if err := dec.Decode(&resp); err != nil || !resp.Matches(key) {
-			ps.brk.Failure()
-			return nil, engine.ProbeOutcomeError
+	path := fmt.Sprintf("/v1/peer/lookup/%s?wait_ms=%d", key, waitMS)
+	var resp engine.BlockResponse
+	_, err := c.get(ctx, owner, path, traceparent, maxPeerResponseBytes, func(body []byte) error {
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&resp); err != nil {
+			return err
 		}
-		ps.brk.Success()
+		if !resp.Matches(key) {
+			return fmt.Errorf("cluster: peer %s answered for another key", owner)
+		}
+		return nil
+	})
+	_, refused := err.(refusal)
+	switch {
+	case err == nil:
 		return &resp, engine.ProbeOutcomeHit
-	case http.StatusNotFound:
-		ps.brk.Success()
+	case refused:
+		return nil, engine.ProbeOutcomeSkip
+	case err == ErrNotFound:
 		return nil, engine.ProbeOutcomeMiss
-	default:
-		ps.brk.Failure()
-		return nil, engine.ProbeOutcomeError
 	}
+	return nil, engine.ProbeOutcomeError
 }
 
 // Offer is called by a compilation worker for every completed cacheable
@@ -323,66 +298,109 @@ func (c *Client) putOffer(owner string, key engine.Key, body []byte) bool {
 	return resp.StatusCode >= 200 && resp.StatusCode < 300
 }
 
-// Fetch performs a budgeted GET of path on one peer, with the same
-// breaker and in-flight accounting as a probe — the transport behind
-// the fleet observability fan-out (each peer's /stats for /v1/fleet/*,
-// and /v1/peer/trace). The
-// response body is returned up to maxBytes; any transport failure or
-// non-200 status is an error and feeds the peer's breaker, so a dead
-// node stops being fetched after a few attempts the same way it stops
-// being probed.
-func (c *Client) Fetch(ctx context.Context, peer, path string, maxBytes int64) ([]byte, error) {
+// refusal is a read get declined to send: the peer is unknown, at its
+// in-flight bound, or behind an open breaker. It touches no breaker.
+type refusal string
+
+func (r refusal) Error() string { return string(r) }
+
+// ErrNotFound is get's answer to a 404 — a healthy "I don't have it"
+// (no such key, no such trace here), distinct from a failure.
+var ErrNotFound = errors.New("cluster: not found on peer")
+
+// get is the one peer read: a GET of path on peer, under the peer's
+// in-flight bound and breaker and the ProbeTimeout budget. traceparent,
+// when non-empty, rides the request. It returns the body of a 200, up to
+// maxBytes, once check (when non-nil) has accepted it. A 404 is
+// ErrNotFound and a breaker success; a transport error, any other
+// status, an unreadable body or one check rejects is a breaker failure,
+// so a dead or broken peer stops being read after a few attempts. A
+// read refused before sending is a refusal.
+func (c *Client) get(ctx context.Context, peer, path, traceparent string, maxBytes int64, check func([]byte) error) (body []byte, err error) {
 	ps, ok := c.peers[peer]
 	if !ok {
-		return nil, fmt.Errorf("cluster: unknown peer %q", peer)
+		// Not reached through Owner or FetchAll: every ring node but Self
+		// is a peer.
+		return nil, refusal(fmt.Sprintf("cluster: unknown peer %q", peer))
 	}
 	if ps.inflight.Load() >= maxInflightProbes {
-		return nil, fmt.Errorf("cluster: peer %s at in-flight bound", peer)
+		return nil, refusal(fmt.Sprintf("cluster: peer %s at in-flight bound", peer))
 	}
 	if !ps.brk.Allow() {
-		return nil, fmt.Errorf("cluster: peer %s breaker open", peer)
+		return nil, refusal(fmt.Sprintf("cluster: peer %s breaker open", peer))
 	}
 	ps.inflight.Add(1)
 	defer ps.inflight.Add(-1)
+	defer func() {
+		if err == nil || err == ErrNotFound {
+			ps.brk.Success()
+		} else {
+			ps.brk.Failure()
+		}
+	}()
 
 	ctx, cancel := context.WithTimeout(ctx, c.cfg.ProbeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+path, nil)
 	if err != nil {
-		ps.brk.Failure()
 		return nil, err
+	}
+	if traceparent != "" {
+		req.Header.Set("traceparent", traceparent)
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		ps.brk.Failure()
 		return nil, err
 	}
 	defer func() {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}()
-	if resp.StatusCode == http.StatusNotFound {
-		// A 404 is an answer (e.g. "no such trace here"), not a peer
-		// failure.
-		ps.brk.Success()
+	switch resp.StatusCode {
+	case http.StatusOK:
+	case http.StatusNotFound:
 		return nil, ErrNotFound
-	}
-	if resp.StatusCode != http.StatusOK {
-		ps.brk.Failure()
+	default:
 		return nil, fmt.Errorf("cluster: peer %s returned %s for %s", peer, resp.Status, path)
 	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxBytes))
-	if err != nil {
-		ps.brk.Failure()
-		return nil, err
+	body, err = io.ReadAll(io.LimitReader(resp.Body, maxBytes))
+	if err == nil && check != nil {
+		err = check(body)
 	}
-	ps.brk.Success()
-	return body, nil
+	return body, err
 }
 
-// ErrNotFound is returned by Fetch when the peer answered 404 — a
-// healthy "I don't have it", distinct from a transport failure.
-var ErrNotFound = fmt.Errorf("cluster: not found on peer")
+// Fetched is one peer's answer to FetchAll: the body of a 200, or the
+// error — ErrNotFound for a 404, a refusal or failure otherwise, in the
+// words /v1/fleet/stats serves.
+type Fetched struct {
+	Peer string
+	Body []byte
+	Err  error
+}
+
+// FetchAll reads path from every peer at once through get — the
+// transport behind the fleet observability endpoints (each peer's
+// /stats, and its fragment of a trace) — and returns one answer per
+// peer, in peer URL order. A nil Client, a standalone node, has no
+// peers to read.
+func (c *Client) FetchAll(ctx context.Context, path string, maxBytes int64) []Fetched {
+	if c == nil {
+		return nil
+	}
+	out := make([]Fetched, len(c.urls))
+	var wg sync.WaitGroup
+	for i, peer := range c.urls {
+		wg.Add(1)
+		go func(f *Fetched) {
+			defer wg.Done()
+			f.Peer = peer
+			f.Body, f.Err = c.get(ctx, peer, path, "", maxBytes, nil)
+		}(&out[i])
+	}
+	wg.Wait()
+	return out
+}
 
 // PeerHealth is one peer's reachability as the local breakers see it —
 // what /healthz reports under "peers".
@@ -394,29 +412,14 @@ type PeerHealth struct {
 
 // Health returns every peer's health, sorted by URL.
 func (c *Client) Health() []PeerHealth {
-	out := make([]PeerHealth, 0, len(c.peers))
-	for p, ps := range c.peers {
-		st := ps.brk.State()
-		out = append(out, PeerHealth{
-			URL:       p,
-			Reachable: st != admission.BreakerOpen,
-			Breaker:   st.String(),
-		})
+	out := make([]PeerHealth, len(c.urls))
+	for i, p := range c.urls {
+		st := c.peers[p].brk.State()
+		out[i] = PeerHealth{URL: p, Reachable: st != admission.BreakerOpen, Breaker: st.String()}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].URL < out[j].URL })
 	return out
 }
 
-// Peers returns the configured peer URLs, sorted.
-func (c *Client) Peers() []string {
-	out := make([]string, 0, len(c.peers))
-	for p := range c.peers {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// RingNodes is the fleet size the ring currently places keys over
-// (self included).
+// RingNodes is the fleet size the ring places keys over (self
+// included).
 func (c *Client) RingNodes() int { return c.ring.Len() }

@@ -18,6 +18,11 @@
 // clockwise, so the fleet degrades to N-1 nodes instead of orphaning
 // the dead node's key range. Every node applies the same veto to the
 // same walk, so probes and offers keep agreeing on the stand-in owner.
+//
+// Client is a node's side of the peer protocol. Every read of a peer —
+// the lookup probe and the fleet views' FetchAll — is one budgeted GET
+// under the peer's in-flight bound, its breaker and the probe timeout;
+// the write-behind offer PUT is the one write (docs/CLUSTER.md).
 package cluster
 
 import (
@@ -30,18 +35,16 @@ import (
 // DefaultReplicas is the virtual-node count per real node when
 // Config.Replicas is zero. 128 points per node keeps the keyspace
 // share of each node within ~2× of uniform (see the ring property
-// tests) while the ring stays small enough to rebuild on every
-// membership change.
+// tests).
 const DefaultReplicas = 128
 
-// Ring is a consistent-hash ring over node names. It is immutable
-// after construction apart from Add/Remove, which rebuild the point
-// list; callers that mutate concurrently must synchronize (the Client
-// owns one ring and never mutates it after New).
+// Ring is a consistent-hash ring over a fixed set of node names,
+// immutable after NewRing and so safe for concurrent use. Membership is
+// static (docs/CLUSTER.md): a fleet whose node list changes restarts
+// with the new list.
 type Ring struct {
-	replicas int
-	nodes    map[string]bool
-	points   []ringPoint // sorted by hash
+	nodes  map[string]bool
+	points []ringPoint // sorted by hash
 }
 
 type ringPoint struct {
@@ -49,55 +52,29 @@ type ringPoint struct {
 	node string
 }
 
-// NewRing builds an empty ring; replicas <= 0 means DefaultReplicas.
-func NewRing(replicas int) *Ring {
+// NewRing places each distinct node of nodes on the ring at replicas
+// virtual points; replicas <= 0 means DefaultReplicas. The ring depends
+// on the set of nodes alone, not on their order.
+func NewRing(nodes []string, replicas int) *Ring {
 	if replicas <= 0 {
 		replicas = DefaultReplicas
 	}
-	return &Ring{replicas: replicas, nodes: make(map[string]bool)}
-}
-
-// Add inserts a node's virtual points; adding a present node is a
-// no-op.
-func (r *Ring) Add(node string) {
-	if r.nodes[node] {
-		return
-	}
-	r.nodes[node] = true
-	for i := 0; i < r.replicas; i++ {
-		r.points = append(r.points, ringPoint{hash: pointHash(node, i), node: node})
-	}
-	sort.Slice(r.points, func(a, b int) bool { return r.points[a].hash < r.points[b].hash })
-}
-
-// Remove deletes a node's virtual points; removing an absent node is a
-// no-op.
-func (r *Ring) Remove(node string) {
-	if !r.nodes[node] {
-		return
-	}
-	delete(r.nodes, node)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.node != node {
-			kept = append(kept, p)
+	r := &Ring{nodes: make(map[string]bool, len(nodes))}
+	for _, node := range nodes {
+		if r.nodes[node] {
+			continue
+		}
+		r.nodes[node] = true
+		for i := 0; i < replicas; i++ {
+			r.points = append(r.points, ringPoint{hash: pointHash(node, i), node: node})
 		}
 	}
-	r.points = kept
+	sort.Slice(r.points, func(a, b int) bool { return r.points[a].hash < r.points[b].hash })
+	return r
 }
 
 // Len is the number of real (not virtual) nodes on the ring.
 func (r *Ring) Len() int { return len(r.nodes) }
-
-// Nodes returns the member names, sorted.
-func (r *Ring) Nodes() []string {
-	out := make([]string, 0, len(r.nodes))
-	for n := range r.nodes {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // Owner maps a key hash to its owning node: the first virtual point at
 // or clockwise of h, with the bounded-load veto applied — while

@@ -17,27 +17,18 @@ func nodeNames(n int) []string {
 	return out
 }
 
-func buildRing(nodes []string, replicas int) *Ring {
-	r := NewRing(replicas)
-	for _, n := range nodes {
-		r.Add(n)
-	}
-	return r
-}
-
 // Property (a): ownership is a pure function of (membership, key) — a
-// ring rebuilt from the same node set in any insertion order maps every
-// key to the same owner.
+// ring built from the same node set in any order, duplicates included,
+// maps every key to the same owner.
 func TestRingOwnerStableUnderRebuild(t *testing.T) {
 	nodes := nodeNames(5)
-	ring := buildRing(nodes, 64)
-	// Insert in reverse order; also interleave a removed-then-readded node.
-	other := NewRing(64)
+	ring := NewRing(nodes, 64)
+	// Reverse order, with one node listed twice.
+	var reversed []string
 	for i := len(nodes) - 1; i >= 0; i-- {
-		other.Add(nodes[i])
+		reversed = append(reversed, nodes[i])
 	}
-	other.Remove(nodes[2])
-	other.Add(nodes[2])
+	other := NewRing(append(reversed, nodes[2]), 64)
 
 	f := func(h uint64) bool {
 		return ring.Owner(h, nil) == other.Owner(h, nil)
@@ -55,10 +46,15 @@ func TestRingMembershipChangeRemapsBoundedFraction(t *testing.T) {
 	f := func(seed uint64, nNodes uint8) bool {
 		n := 3 + int(nNodes%6) // 3..8 nodes
 		nodes := nodeNames(n)
-		before := buildRing(nodes, replicas)
-		after := buildRing(nodes, replicas)
+		before := NewRing(nodes, replicas)
 		removed := nodes[int(seed%uint64(n))]
-		after.Remove(removed)
+		var rest []string
+		for _, node := range nodes {
+			if node != removed {
+				rest = append(rest, node)
+			}
+		}
+		after := NewRing(rest, replicas)
 
 		const keys = 2000
 		moved := 0
@@ -90,7 +86,7 @@ func TestRingDistributionWithinTwiceUniform(t *testing.T) {
 		replicas = 128
 		keys     = 1000
 	)
-	ring := buildRing(nodeNames(nNodes), replicas)
+	ring := NewRing(nodeNames(nNodes), replicas)
 	counts := map[string]int{}
 	for i := 0; i < keys; i++ {
 		h := splitmix(uint64(i) * 0x9e3779b97f4a7c15)
@@ -111,7 +107,7 @@ func TestRingDistributionWithinTwiceUniform(t *testing.T) {
 // back deterministically when everything is vetoed.
 func TestRingOwnerVeto(t *testing.T) {
 	nodes := nodeNames(3)
-	ring := buildRing(nodes, replicasForTest)
+	ring := NewRing(nodes, replicasForTest)
 	for i := 0; i < 500; i++ {
 		h := splitmix(uint64(i))
 		plain := ring.Owner(h, nil)
@@ -136,11 +132,10 @@ func TestRingOwnerVeto(t *testing.T) {
 }
 
 func TestRingEmptyAndSingle(t *testing.T) {
-	r := NewRing(replicasForTest)
-	if got := r.Owner(123, nil); got != "" {
+	if got := NewRing(nil, replicasForTest).Owner(123, nil); got != "" {
 		t.Fatalf("empty ring owner = %q, want empty", got)
 	}
-	r.Add("only")
+	r := NewRing([]string{"only"}, replicasForTest)
 	f := func(h uint64) bool { return r.Owner(h, nil) == "only" }
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"io"
 	"net/http"
 	"sort"
-	"sync"
 
 	"bsched/internal/obs"
 )
@@ -61,49 +60,26 @@ func (s *Server) nodeID() string {
 	return "standalone"
 }
 
-// fanOut fetches path from every peer concurrently, handing each result
-// or error to collect under a lock.
-func (s *Server) fanOut(r *http.Request, path string, collect func(peer string, body []byte, err error)) {
-	if s.cluster == nil {
-		return
-	}
-	peers := s.cluster.Peers()
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	for _, peer := range peers {
-		wg.Add(1)
-		go func(peer string) {
-			defer wg.Done()
-			body, err := s.cluster.Fetch(r.Context(), peer, path, maxFleetResponseBytes)
-			mu.Lock()
-			collect(peer, body, err)
-			mu.Unlock()
-		}(peer)
-	}
-	wg.Wait()
-}
-
 // fleetNodes gathers the registry snapshot of every fleet node for both
 // fleet endpoints: this node's own, then each peer's GET /stats, ordered
 // by peer URL. A peer that fails to answer is listed unreachable with
 // its error.
 func (s *Server) fleetNodes(r *http.Request) []FleetNode {
 	nodes := []FleetNode{{Node: s.nodeID(), Self: true, Reachable: true, Families: s.stats.reg.Snapshot()}}
-	s.fanOut(r, "/stats", func(peer string, body []byte, err error) {
-		n := FleetNode{Node: peer}
+	for _, f := range s.cluster.FetchAll(r.Context(), "/stats", maxFleetResponseBytes) {
+		n := FleetNode{Node: f.Peer}
+		err := f.Err
 		if err == nil {
-			err = json.Unmarshal(body, &n.Families)
+			err = json.Unmarshal(f.Body, &n.Families)
 		}
 		if err != nil {
 			n.Families, n.Error = nil, err.Error()
-			note(r, "fleet_unreachable", peer)
+			note(r, "fleet_unreachable", f.Peer)
 		} else {
 			n.Reachable = true
 		}
 		nodes = append(nodes, n)
-	})
-	// fanOut collects in completion order; restore a deterministic one.
-	sort.Slice(nodes[1:], func(i, j int) bool { return nodes[1+i].Node < nodes[1+j].Node })
+	}
 	return nodes
 }
 
@@ -123,11 +99,6 @@ func mergeReachable(nodes []FleetNode) []obs.FamilySnapshot {
 // handleFleetStats serves GET /v1/fleet/stats: every node's snapshot and
 // their merge.
 func (s *Server) handleFleetStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, &ErrorResponse{Error: "GET only"})
-		return
-	}
 	nodes := s.fleetNodes(r)
 	out := FleetStats{Self: s.nodeID(), Nodes: nodes, Totals: mergeReachable(nodes)}
 	for _, n := range nodes {
@@ -143,11 +114,6 @@ func (s *Server) handleFleetStats(w http.ResponseWriter, r *http.Request) {
 // recording which nodes answered, rendered in Prometheus text
 // exposition format.
 func (s *Server) handleFleetMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, &ErrorResponse{Error: "GET only"})
-		return
-	}
 	nodes := s.fleetNodes(r)
 	nodeUp := obs.FamilySnapshot{
 		Name:   "bschedd_fleet_node_up",
@@ -174,11 +140,6 @@ func (s *Server) handleFleetMetrics(w http.ResponseWriter, r *http.Request) {
 // ring's index, newest first. 404 with profiling disabled (no
 // -profile-dir).
 func (s *Server) handleProfiles(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, &ErrorResponse{Error: "GET only"})
-		return
-	}
 	if s.profiler == nil {
 		writeError(w, http.StatusNotFound, &ErrorResponse{Error: "profiling disabled (no -profile-dir)"})
 		return
@@ -193,11 +154,6 @@ func (s *Server) handleProfiles(w http.ResponseWriter, r *http.Request) {
 // handleProfileByName serves GET /v1/profiles/{name}: one pprof file
 // from the ring, downloadable straight into `go tool pprof`.
 func (s *Server) handleProfileByName(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, &ErrorResponse{Error: "GET only"})
-		return
-	}
 	if s.profiler == nil {
 		writeError(w, http.StatusNotFound, &ErrorResponse{Error: "profiling disabled (no -profile-dir)"})
 		return

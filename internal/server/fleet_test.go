@@ -322,7 +322,8 @@ func TestFleetPeerStage(t *testing.T) {
 	}
 }
 
-// TestPeerTraceEndpoint drives /v1/peer/trace directly: a retained
+// TestPeerTraceEndpoint drives the read ?fleet=1 stitching makes of
+// each peer, GET /v1/traces/{id}?format=tree, directly: a retained
 // trace round-trips as a span tree, an unknown one 404s, and garbage
 // 400s.
 func TestPeerTraceEndpoint(t *testing.T) {
@@ -332,16 +333,16 @@ func TestPeerTraceEndpoint(t *testing.T) {
 		t.Fatal("compile response carried no X-Trace-ID")
 	}
 	var view obs.TraceView
-	if status := getJSON(t, nodes[0].url+"/v1/peer/trace/"+id, &view); status != http.StatusOK {
+	if status := getJSON(t, nodes[0].url+"/v1/traces/"+id+"?format=tree", &view); status != http.StatusOK {
 		t.Fatalf("peer trace: status %d", status)
 	}
 	if view.ID != id || len(view.Spans) == 0 {
 		t.Fatalf("peer trace returned id=%s spans=%d", view.ID, len(view.Spans))
 	}
-	if status := getJSON(t, nodes[0].url+"/v1/peer/trace/"+strings.Repeat("0", 31)+"1", nil); status != http.StatusNotFound {
+	if status := getJSON(t, nodes[0].url+"/v1/traces/"+strings.Repeat("0", 31)+"1?format=tree", nil); status != http.StatusNotFound {
 		t.Fatalf("absent trace: status %d, want 404", status)
 	}
-	if status := getJSON(t, nodes[0].url+"/v1/peer/trace/nope", nil); status != http.StatusBadRequest {
+	if status := getJSON(t, nodes[0].url+"/v1/traces/nope?format=tree", nil); status != http.StatusBadRequest {
 		t.Fatalf("malformed id: status %d, want 400", status)
 	}
 }
@@ -366,6 +367,14 @@ func TestStandaloneFleetEndpoints(t *testing.T) {
 	fams, _ := scrapeMetrics(t, ts.URL+"/v1/fleet")
 	if up, _, _ := obs.Find(fams, "bschedd_fleet_node_up", "standalone"); up.Value != 1 {
 		t.Errorf("standalone node_up = %g, want 1", up.Value)
+	}
+	var tree struct {
+		Nodes []string `json:"nodes"`
+	}
+	id := postTraced(t, ts.URL, demoProgram)
+	if status := getJSON(t, ts.URL+"/v1/traces/"+id+"?fleet=1&format=tree", &tree); status != http.StatusOK ||
+		len(tree.Nodes) != 1 || tree.Nodes[0] != "standalone" {
+		t.Errorf("standalone stitch: status %d, nodes %v", status, tree.Nodes)
 	}
 }
 

@@ -33,11 +33,6 @@ const (
 // awaited for up to wait_ms — a short hold beats telling the prober to duplicate
 // work that is milliseconds from finishing.
 func (s *Server) handlePeerLookup(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, &ErrorResponse{Error: "GET only"})
-		return
-	}
 	key, ok := engine.ParseKey(strings.TrimPrefix(r.URL.Path, "/v1/peer/lookup/"))
 	if !ok {
 		s.stats.clientErrors.Add(1)
@@ -73,11 +68,6 @@ func peerWait(r *http.Request) time.Duration {
 // installation; an offer for a key this node already holds (in memory
 // or in flight) is acknowledged and discarded — the local copy wins.
 func (s *Server) handlePeerOffer(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPut {
-		w.Header().Set("Allow", http.MethodPut)
-		writeError(w, http.StatusMethodNotAllowed, &ErrorResponse{Error: "PUT only"})
-		return
-	}
 	key, ok := engine.ParseKey(strings.TrimPrefix(r.URL.Path, "/v1/peer/offer/"))
 	if !ok {
 		s.stats.clientErrors.Add(1)

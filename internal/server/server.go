@@ -9,7 +9,7 @@
 // (docs/CACHE-KEYS.md): a program request fans out into one engine
 // resolve per block, and the program response is assembled at the edge
 // from the per-block results. Both compile endpoints run one request
-// path: the front (method, tenant quota, decode), the per-program step
+// path: the front (tenant quota, decode), the per-program step
 // (options, priority, parse, fingerprints, per-block resolve) and the
 // per-block wait. A block's cache entry is the engine's alone
 // (engine.Resolve, engine.Wait, engine.Read): this package counts what
@@ -17,7 +17,8 @@
 // entry itself.
 //
 //	POST /v1/compile
-//	   ├─ front: method check, tenant quota, size-limited decode
+//	   ├─ route: method check (405 before any other work)
+//	   ├─ front: tenant quota, size-limited decode
 //	   ├─ per-program step: options + priority + parse
 //	   ├─ per block, engine.Resolve on
 //	   │    Key{block fingerprint, options fingerprint}
@@ -55,7 +56,11 @@
 // internal/engine; this package owns HTTP, the metrics registry, tenant
 // quotas, tracing and logging, plus the peer protocol endpoints (GET
 // /v1/peer/lookup/{key}, PUT /v1/peer/offer/{key}) the cluster layer
-// speaks. docs/API.md is the complete HTTP surface reference.
+// speaks. The fleet views (/v1/fleet/*, ?fleet=1 trace stitching) read
+// every peer through the cluster client's one budgeted GET
+// (cluster.Client.FetchAll), which answers in peer order, so this
+// package keeps no fan-out of its own. docs/API.md is the complete HTTP
+// surface reference.
 //
 // Observability (see docs/OBSERVABILITY.md for the full catalog): every
 // counter, gauge and latency histogram lives in one internal/obs
@@ -394,26 +399,41 @@ func (s *Server) Close() {
 }
 
 // Handler returns the service's HTTP routes, wrapped in the
-// request-ID/logging middleware. The peer endpoints are always
-// registered — a standalone node answers peer lookups from its own
-// cache, which keeps the protocol testable without a fleet.
+// request-ID/logging middleware. Each /v1 route serves one method, and
+// only turns any other away with a 405 before the handler runs;
+// /healthz, /stats and /metrics accept any method. The peer endpoints
+// are always registered — a standalone node answers peer lookups from
+// its own cache, which keeps the protocol testable without a fleet.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/compile", s.handleCompile)
-	mux.HandleFunc("/v1/compile/batch", s.handleCompileBatch)
-	mux.HandleFunc("/v1/traces", s.handleTraces)
-	mux.HandleFunc("/v1/traces/", s.handleTraceByID)
-	mux.HandleFunc("/v1/peer/lookup/", s.handlePeerLookup)
-	mux.HandleFunc("/v1/peer/offer/", s.handlePeerOffer)
-	mux.HandleFunc("/v1/peer/trace/", s.handlePeerTrace)
-	mux.HandleFunc("/v1/fleet/stats", s.handleFleetStats)
-	mux.HandleFunc("/v1/fleet/metrics", s.handleFleetMetrics)
-	mux.HandleFunc("/v1/profiles", s.handleProfiles)
-	mux.HandleFunc("/v1/profiles/", s.handleProfileByName)
+	mux.HandleFunc("/v1/compile", only(http.MethodPost, s.handleCompile))
+	mux.HandleFunc("/v1/compile/batch", only(http.MethodPost, s.handleCompileBatch))
+	mux.HandleFunc("/v1/traces", only(http.MethodGet, s.handleTraces))
+	mux.HandleFunc("/v1/traces/", only(http.MethodGet, s.handleTraceByID))
+	mux.HandleFunc("/v1/peer/lookup/", only(http.MethodGet, s.handlePeerLookup))
+	mux.HandleFunc("/v1/peer/offer/", only(http.MethodPut, s.handlePeerOffer))
+	mux.HandleFunc("/v1/fleet/stats", only(http.MethodGet, s.handleFleetStats))
+	mux.HandleFunc("/v1/fleet/metrics", only(http.MethodGet, s.handleFleetMetrics))
+	mux.HandleFunc("/v1/profiles", only(http.MethodGet, s.handleProfiles))
+	mux.HandleFunc("/v1/profiles/", only(http.MethodGet, s.handleProfileByName))
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/stats", s.handleStats)
 	mux.Handle("/metrics", s.stats.reg.Handler())
 	return s.logged(mux)
+}
+
+// only serves h to method and answers every other method 405, with an
+// Allow header and a JSON error such as {"error":"GET only"}.
+func only(method string, h http.HandlerFunc) http.HandlerFunc {
+	refusal := &ErrorResponse{Error: method + " only"}
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != method {
+			w.Header().Set("Allow", method)
+			writeError(w, http.StatusMethodNotAllowed, refusal)
+			return
+		}
+		h(w, r)
+	}
 }
 
 // requestNote accumulates handler-specific fields for the access-log
@@ -512,7 +532,9 @@ func (s *Server) logged(h http.Handler) http.Handler {
 			status := sw.status()
 			if tr != nil {
 				tr.Root().SetAttr("status", fmt.Sprint(status))
-				if status >= 400 {
+				// A 404 is a routine answer (a peer-lookup miss, a trace or
+				// profile not retained), not a failure worth the error ring.
+				if status >= 400 && status != http.StatusNotFound {
 					tr.SetError()
 				}
 				s.tracer.Finish(tr)
@@ -630,21 +652,16 @@ func (s *Server) timeout(millis int64) time.Duration {
 	return d
 }
 
-// front is the request front both compile endpoints share: the method
-// check, the chaos delay, the tenant counters, the quota charge and the
-// size-limited decode (decode.go). /v1/compile pays its one quota token
-// before the body is read, so a tenant over its bucket costs the
-// daemon a header lookup and a counter bump, not a megabyte of JSON
-// decoding; a batch pays one token per program once it is decoded. The
-// body is read whole before it is decoded, so 413 depends on its size
-// alone. It returns the decoded programs and the request's start time,
-// or nil programs once it has answered with an error.
+// front is the request front both compile endpoints share: the chaos
+// delay, the tenant counters, the quota charge and the size-limited
+// decode (decode.go). /v1/compile pays its one quota token before the
+// body is read, so a tenant over its bucket costs the daemon a header
+// lookup and a counter bump, not a megabyte of JSON decoding; a batch
+// pays one token per program once it is decoded. The body is read
+// whole before it is decoded, so 413 depends on its size alone. It
+// returns the decoded programs and the request's start time, or nil
+// programs once it has answered with an error.
 func (s *Server) front(w http.ResponseWriter, r *http.Request, batch bool) ([]CompileRequest, time.Time) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, &ErrorResponse{Error: "POST only"})
-		return nil, time.Time{}
-	}
 	s.cfg.Chaos.Delay(chaos.LatencySpike)
 	started := time.Now()
 	// The tenant is the one client-chosen label value, and Go's server
@@ -836,21 +853,17 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	// The request-level cache disposition is the *worst* block's; a disk
 	// or peer decode beats calling it a pure memory hit. A single-block
 	// program reproduces the pre-batching program-granular accounting
-	// exactly.
+	// exactly. The engine marks disk and peer hits on the root itself.
+	s.stats.cache(p.source).Inc()
+	// The logger prints p.source through its String; passing the Source
+	// itself, a small integer, spares the hit path boxing a string.
+	note(r, "cache", p.source)
 	switch p.source {
 	case engine.SourceMiss:
-		s.stats.cacheMisses.Add(1)
-		note(r, "cache", "miss")
 		root.Event("cache-miss")
 	case engine.SourceCoalesced:
-		s.stats.coalesced.Add(1)
-		note(r, "cache", "coalesced")
 		root.Event("coalesced")
-	case engine.SourceDisk, engine.SourcePeer:
-		note(r, "cache", p.source.String())
-	default:
-		s.stats.cacheHits.Add(1)
-		note(r, "cache", "hit")
+	case engine.SourceMemory:
 		root.Event("cache-hit")
 	}
 	for _, b := range p.pending {

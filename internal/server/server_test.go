@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"bsched/internal/compile"
+	"bsched/internal/engine"
 	"bsched/internal/ir"
 	"bsched/internal/obs"
 	"bsched/internal/sched"
@@ -739,6 +740,55 @@ func TestServerClose(t *testing.T) {
 			// is not acceptable is hanging.
 		case <-time.After(5 * time.Second):
 			t.Fatal("request hung across server Close")
+		}
+	}
+}
+
+// TestWrongMethodRefused: every method-checked route answers a method it
+// does not serve with 405, an Allow header naming the one it does, and a
+// JSON error, before its handler runs; /healthz, /stats and /metrics
+// accept any method.
+func TestWrongMethodRefused(t *testing.T) {
+	_, ts := startServer(t, Config{})
+	trace := "/v1/traces/" + strings.Repeat("0", 31) + "1"
+	key := (engine.Key{Block: 1, Opts: 2}).String()
+	for _, tc := range []struct{ method, path, allow string }{
+		{http.MethodGet, "/v1/compile", http.MethodPost},
+		{http.MethodGet, "/v1/compile/batch", http.MethodPost},
+		{http.MethodPost, "/v1/traces", http.MethodGet},
+		{http.MethodPost, trace, http.MethodGet},
+		{http.MethodPost, "/v1/peer/lookup/" + key, http.MethodGet},
+		{http.MethodGet, "/v1/peer/offer/" + key, http.MethodPut},
+		{http.MethodPost, "/v1/fleet/stats", http.MethodGet},
+		{http.MethodPost, "/v1/fleet/metrics", http.MethodGet},
+		{http.MethodPost, "/v1/profiles", http.MethodGet},
+		{http.MethodDelete, "/v1/profiles/x", http.MethodGet},
+	} {
+		req, err := http.NewRequest(tc.method, ts.URL+tc.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		want := fmt.Sprintf(`{"error":"%s only"}`+"\n", tc.allow)
+		if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != tc.allow || string(raw) != want ||
+			resp.Header.Get("Content-Type") != "application/json" {
+			t.Errorf("%s %s: %d Allow %q %q, want 405 Allow %q %q", tc.method, tc.path,
+				resp.StatusCode, resp.Header.Get("Allow"), raw, tc.allow, want)
+		}
+	}
+	for _, path := range []string{"/healthz", "/stats", "/metrics"} {
+		resp, err := http.Post(ts.URL+path, "text/plain", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("POST %s: status %d, want 200", path, resp.StatusCode)
 		}
 	}
 }

@@ -39,6 +39,8 @@ type Stats struct {
 	cacheHits     *obs.Counter // bschedd_cache_events_total{event="hit"}
 	cacheMisses   *obs.Counter // bschedd_cache_events_total{event="miss"}
 	coalesced     *obs.Counter // bschedd_cache_events_total{event="coalesced"}
+	cacheDisk     *obs.Counter // bschedd_cache_events_total{event="disk"}
+	cachePeer     *obs.Counter // bschedd_cache_events_total{event="peer"}
 
 	// Block-granular cache events: one sample per block resolved, versus
 	// the request-level bschedd_cache_events_total above (one per
@@ -82,6 +84,13 @@ type Stats struct {
 	tenantRejects  *obs.CounterVec // bschedd_tenant_rejected_total{tenant}
 	tenantMu       sync.Mutex
 	tenantCounters map[string]*tenantCounters
+}
+
+// cache is src's bschedd_cache_events_total counter, the one a program
+// counts under when src is its worst block's source.
+func (s *Stats) cache(src engine.Source) *obs.Counter {
+	return [...]*obs.Counter{engine.SourceMemory: s.cacheHits, engine.SourcePeer: s.cachePeer,
+		engine.SourceDisk: s.cacheDisk, engine.SourceCoalesced: s.coalesced, engine.SourceMiss: s.cacheMisses}[src]
 }
 
 // block is src's bschedd_block_cache_events_total counter.
@@ -142,7 +151,7 @@ func newStats() *Stats {
 		"Completed requests by outcome: ok, client_error, compile_error or rejected.",
 		"outcome")
 	cacheEvents := reg.CounterVec("bschedd_cache_events_total",
-		"Schedule-cache lookups by result: hit, miss (became a compile leader) or coalesced (joined an in-flight compile).",
+		"Compile requests by cache disposition, their worst block's: hit (memory), peer (the ring owner's copy), disk (the persistent layer), coalesced (joined an in-flight compile) or miss (became a compile leader).",
 		"event")
 	peerOffers := reg.CounterVec("bschedd_peer_offers_total",
 		"Write-behind offers of locally compiled foreign-owned schedules, by outcome: sent (owner acknowledged) or dropped (queue full or retries exhausted). All zero without -peers.",
@@ -164,6 +173,8 @@ func newStats() *Stats {
 		cacheHits:      cacheEvents.With("hit"),
 		cacheMisses:    cacheEvents.With("miss"),
 		coalesced:      cacheEvents.With("coalesced"),
+		cacheDisk:      cacheEvents.With("disk"),
+		cachePeer:      cacheEvents.With("peer"),
 		blockHits:      blockEvents.With("hit"),
 		blockMisses:    blockEvents.With("miss"),
 		blockCoalesced: blockEvents.With("coalesced"),

@@ -172,3 +172,57 @@ func TestStatsMatchMetrics(t *testing.T) {
 		t.Fatal("the request sequence left no trace in /stats")
 	}
 }
+
+// TestProgramCacheEventsBySource: bschedd_cache_events_total counts
+// every accepted program under its disposition, so the events sum to
+// bschedd_requests_total: a program served wholly from disk after a
+// restart counts disk, and one served by its ring owner counts peer.
+func TestProgramCacheEventsBySource(t *testing.T) {
+	events := func(s *Server) map[string]float64 {
+		out := map[string]float64{}
+		for _, src := range []engine.Source{engine.SourceMemory, engine.SourcePeer, engine.SourceDisk,
+			engine.SourceCoalesced, engine.SourceMiss} {
+			if v := metric(s, "bschedd_cache_events_total", src.String()); v != 0 {
+				out[src.String()] = v
+			}
+		}
+		return out
+	}
+	t.Run("disk", func(t *testing.T) {
+		dir := t.TempDir()
+		s1, ts1 := startServer(t, Config{CacheDir: dir})
+		if status, _, _ := postCompile(t, ts1.URL, CompileRequest{Program: demoProgram}); status != http.StatusOK {
+			t.Fatalf("cold compile: status %d", status)
+		}
+		ts1.Close()
+		s1.Close() // flushes the write-behind queue
+		s2, ts2 := startServer(t, Config{CacheDir: dir})
+		if status, resp, _ := postCompile(t, ts2.URL, CompileRequest{Program: demoProgram}); status != http.StatusOK || !resp.Cached {
+			t.Fatalf("restarted compile: status %d, want a cached 200", status)
+		}
+		if got := events(s2); !reflect.DeepEqual(got, map[string]float64{"disk": 1}) {
+			t.Fatalf("cache events %v after one disk-served program, want disk 1", got)
+		}
+	})
+	t.Run("peer", func(t *testing.T) {
+		nodes := startFleet(t, 2, Config{})
+		prog := ""
+		for i := 0; prog == ""; i++ {
+			if i == 64 {
+				t.Fatal("64 programs and node 1 owns none")
+			}
+			if owner, _ := nodes[0].s.cluster.Owner(blockKey(t, fleetProgram(i))); owner == nodes[1].url {
+				prog = fleetProgram(i)
+			}
+		}
+		if status, _, _ := postCompile(t, nodes[1].url, CompileRequest{Program: prog}); status != http.StatusOK {
+			t.Fatalf("owner compile: status %d", status)
+		}
+		if status, _, _ := postCompile(t, nodes[0].url, CompileRequest{Program: prog}); status != http.StatusOK {
+			t.Fatalf("peer-served compile: status %d", status)
+		}
+		if got := events(nodes[0].s); !reflect.DeepEqual(got, map[string]float64{"peer": 1}) {
+			t.Fatalf("cache events %v after one peer-served program, want peer 1", got)
+		}
+	})
+}

@@ -604,3 +604,39 @@ func TestPanicLogsActualStatus(t *testing.T) {
 		t.Errorf("want 2 retained error traces, got %d", errCount)
 	}
 }
+
+// TestNotFoundIsNotAnErrorTrace: a 404 is a routine answer, not an error
+// trace, so a stream of peer-lookup misses cannot push a real failure
+// out of the error region: after one 422 compile and 150 lookups of
+// absent keys, more than the region holds, the 422's trace is still
+// retained as an error and no lookup trace is.
+func TestNotFoundIsNotAnErrorTrace(t *testing.T) {
+	_, ts := startServer(t, Config{})
+	resp, _ := postRaw(t, ts.URL, CompileRequest{Program: hardErrorProgram}, nil)
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("compile: status %d, want 422", resp.StatusCode)
+	}
+	failed := resp.Header.Get("X-Trace-ID")
+	for i := range 150 {
+		key := engine.Key{Block: uint64(i) + 1, Opts: 1}
+		if code := getJSON(t, ts.URL+"/v1/peer/lookup/"+key.String(), nil); code != http.StatusNotFound {
+			t.Fatalf("lookup %d: status %d, want 404", i, code)
+		}
+	}
+	var idx struct {
+		Traces []obs.TraceIndexEntry `json:"traces"`
+	}
+	getJSON(t, ts.URL+"/v1/traces", &idx)
+	kept := false
+	for _, e := range idx.Traces {
+		if e.ID == failed {
+			kept = e.Retention == obs.RetentionError
+		}
+		if strings.HasPrefix(e.Name, "GET /v1/peer/lookup/") && e.Retention == obs.RetentionError {
+			t.Fatalf("lookup trace %s retained as %s", e.ID, e.Retention)
+		}
+	}
+	if code := getJSON(t, ts.URL+"/v1/traces/"+failed+"?format=tree", nil); !kept || code != http.StatusOK {
+		t.Fatalf("the 422's trace %s (status %d) is not retained as an error after 150 lookup misses", failed, code)
+	}
+}

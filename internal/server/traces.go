@@ -3,7 +3,6 @@ package server
 import (
 	"encoding/json"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -16,11 +15,6 @@ import (
 // with that root status, ?min_ms=N keeps traces at least that slow,
 // ?limit=N caps the result count.
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, &ErrorResponse{Error: "GET only"})
-		return
-	}
 	if s.tracer == nil {
 		writeError(w, http.StatusNotFound, &ErrorResponse{Error: "tracing disabled (-traces < 0)"})
 		return
@@ -74,11 +68,6 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 // the block's owning node when a request peer-hit or probed) and emits
 // one stitched view — one Perfetto process lane per node.
 func (s *Server) handleTraceByID(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, &ErrorResponse{Error: "GET only"})
-		return
-	}
 	if s.tracer == nil {
 		writeError(w, http.StatusNotFound, &ErrorResponse{Error: "tracing disabled (-traces < 0)"})
 		return
@@ -109,29 +98,24 @@ func (s *Server) handleTraceByID(w http.ResponseWriter, r *http.Request) {
 }
 
 // serveFleetTrace collects the remote fragments of trace id from every
-// ring peer (GET /v1/peer/trace/{id}; cluster.ErrNotFound just means
-// that node retained no fragment) and writes the stitched result: the
-// local fragment first, then each peer's, ordered by peer URL. The
-// default rendering is the merged Perfetto JSON; ?format=tree returns
-// the per-node span trees.
+// ring peer (its GET /v1/traces/{id}?format=tree; cluster.ErrNotFound
+// just means that node retained no fragment) and writes the stitched
+// result: the local fragment first, then each peer's, ordered by peer
+// URL. The default rendering is the merged Perfetto JSON; ?format=tree
+// returns the per-node span trees.
 func (s *Server) serveFleetTrace(w http.ResponseWriter, r *http.Request, rawID string, local obs.TraceView) {
 	frags := []obs.NodeTrace{{Node: s.nodeID(), View: local}}
-	s.fanOut(r, "/v1/peer/trace/"+rawID, func(peer string, body []byte, err error) {
-		if err != nil {
-			if err != cluster.ErrNotFound {
-				note(r, "fleet_unreachable", peer)
-			}
-			return
+	for _, f := range s.cluster.FetchAll(r.Context(), "/v1/traces/"+rawID+"?format=tree", maxFleetResponseBytes) {
+		if f.Err == cluster.ErrNotFound {
+			continue
 		}
 		var v obs.TraceView
-		if err := json.Unmarshal(body, &v); err != nil {
-			note(r, "fleet_unreachable", peer)
-			return
+		if f.Err != nil || json.Unmarshal(f.Body, &v) != nil {
+			note(r, "fleet_unreachable", f.Peer)
+			continue
 		}
-		frags = append(frags, obs.NodeTrace{Node: peer, View: v})
-	})
-	// fanOut collects in completion order; restore a deterministic one.
-	sort.Slice(frags[1:], func(i, j int) bool { return frags[1+i].Node < frags[1+j].Node })
+		frags = append(frags, obs.NodeTrace{Node: f.Peer, View: v})
+	}
 
 	if r.URL.Query().Get("format") == "tree" {
 		nodes := make([]string, 0, len(frags))
@@ -148,32 +132,4 @@ func (s *Server) serveFleetTrace(w http.ResponseWriter, r *http.Request, rawID s
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	_ = obs.WriteChromeTraceFleet(w, frags)
-}
-
-// handlePeerTrace serves GET /v1/peer/trace/{id}: this node's fragment
-// of a trace, as a raw span tree. It is the peer half of ?fleet=1
-// stitching — 404 when the node retained nothing for that ID, which
-// the caller treats as "no fragment here", not an error.
-func (s *Server) handlePeerTrace(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, &ErrorResponse{Error: "GET only"})
-		return
-	}
-	if s.tracer == nil {
-		writeError(w, http.StatusNotFound, &ErrorResponse{Error: "tracing disabled (-traces < 0)"})
-		return
-	}
-	raw := strings.TrimPrefix(r.URL.Path, "/v1/peer/trace/")
-	id, ok := obs.ParseTraceID(raw)
-	if !ok {
-		writeError(w, http.StatusBadRequest, &ErrorResponse{Error: "trace id must be 32 lowercase hex digits"})
-		return
-	}
-	t, ok := s.tracer.Store().Get(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, &ErrorResponse{Error: "no fragment for that trace on this node"})
-		return
-	}
-	writeJSON(w, http.StatusOK, t.View())
 }
